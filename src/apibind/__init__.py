@@ -30,6 +30,7 @@ from .pathtemplate import PathTemplate, parse_path_template, render_path_templat
 from .records import ApiCallRecord, ParsedArtifacts, RecordId
 from .templates import TemplateSet
 from .typeinfer import (
+    DeclRegistry,
     TypeDecl,
     infer_from_examples,
     infer_value_type,

@@ -2,9 +2,10 @@
 
 Three steps, cleanly separated: ``build_reference`` folds valid records
 into a language-independent inventory of call functions and type
-declarations; ``apply_identifier_policy`` maps every raw name to a legal
-target identifier (recording the mapping); ``render_package`` writes the
-package from a template set. Only the identifier policy and the templates
+declarations, lifting every example straight into one corpus-wide
+declaration registry; ``apply_identifier_policy`` maps every raw name to a
+legal target identifier (recording the mapping); ``render_package`` writes
+the package from a template set. Only the identifier policy and the templates
 know anything about the target language.
 """
 
@@ -25,9 +26,8 @@ from .records import ApiCallRecord, RecordId
 from .templates import TemplateSet
 from .typeinfer import (
     DeclOrigin,
-    FieldType,
+    DeclRegistry,
     InferredType,
-    JsonParseError,
     TArray,
     TObject,
     TRef,
@@ -108,53 +108,18 @@ def build_reference(
     """Fold gate-passing records into the reference structure.
 
     One function per record; request/response types are inferred from the
-    examples and lifted into declarations, with structural sharing across
-    the whole corpus. Records must have been parsed and routed: a record
-    without a parsed path is a caller error here, not a data issue.
+    examples and lifted into declarations through one registry created here,
+    so structurally identical bodies share one declaration across the whole
+    corpus. Records must have been loaded, parsed and routed: a record
+    without a parsed path, or with an example that is not standard JSON
+    (ingest tags those E_JSON_CELL and the gate rejects them), is a caller
+    error here, not a data issue.
     """
     functions: list[BindingFunction] = []
-    decls: list[TypeDecl] = []
     report: list[tuple[str, Issue]] = []
     groups: dict[str, list[str]] = {}
     taken_fn: set[str] = set()
-    registry: dict[TObject, str] = {}
-    taken_decl: set[str] = set()
-
-    def intern_decls(
-        lifted: InferredType, new_decls: list[TypeDecl], rid: str
-    ) -> InferredType:
-        rename: dict[str, str] = {}
-        for decl in new_decls:
-            body = _rename_refs(decl.body, rename)
-            assert isinstance(body, TObject)
-            if body in registry:
-                kept = registry[body]
-                rename[decl.name] = kept
-                report.append(
-                    (
-                        rid,
-                        make_issue(
-                            "W_DECL_SHARED",
-                            Stage.INFER,
-                            f"type {decl.name!r} is structurally identical to {kept!r}; "
-                            "sharing one declaration",
-                        ),
-                    )
-                )
-                continue
-            final = decl.name
-            suffix = 2
-            while final in taken_decl:
-                final = f"{decl.name}_{suffix}"
-                suffix += 1
-            if final != decl.name:
-                rename[decl.name] = final
-            taken_decl.add(final)
-            registry[body] = final
-            decls.append(
-                TypeDecl(name=final, body=body, origin=decl.origin, source_record=decl.source_record)
-            )
-        return _rename_refs(lifted, rename)
+    registry = DeclRegistry()
 
     def example_type(
         record: ApiCallRecord, text: str | None, base: str, origin: DeclOrigin, column: str
@@ -162,13 +127,7 @@ def build_reference(
         rid = str(record.id)
         if text is None:
             return None
-        try:
-            doc = parse_json(text)
-        except JsonParseError as exc:
-            report.append(
-                (rid, make_issue("E_JSON_PARSE", Stage.INFER, str(exc), field=column))
-            )
-            return None
+        doc = parse_json(text)
         for path in empty_array_paths(doc):
             report.append(
                 (
@@ -182,11 +141,11 @@ def build_reference(
                 )
             )
         inferred = infer_from_examples([doc])
-        lifted, new_decls, lift_issues = lift_declarations(
-            inferred, base, origin=origin, source_record=record.id
+        lifted, lift_issues = lift_declarations(
+            inferred, base, registry, origin=origin, source_record=record.id
         )
         report.extend((rid, issue) for issue in lift_issues)
-        return intern_decls(lifted, new_decls, rid)
+        return lifted
 
     for record in valid_records:
         if record.enrichment is None or record.enrichment.path is None:
@@ -233,18 +192,17 @@ def build_reference(
             "response_example",
         )
         if response_type is None:
-            if record.response_example is None:
-                report.append(
-                    (
-                        rid,
-                        make_issue(
-                            "W_NO_EXAMPLE",
-                            Stage.INFER,
-                            "no response example; response type is unconstrained",
-                            field="response_example",
-                        ),
-                    )
+            report.append(
+                (
+                    rid,
+                    make_issue(
+                        "W_NO_EXAMPLE",
+                        Stage.INFER,
+                        "no response example; response type is unconstrained",
+                        field="response_example",
+                    ),
                 )
+            )
             response_type = T_ANY
 
         functions.append(
@@ -266,27 +224,11 @@ def build_reference(
     meta = PackageMeta(name=package_name, version=digest[:12], corpus_digest=digest)
     return BindingIr(
         functions=tuple(functions),
-        decls=tuple(decls),
+        decls=tuple(registry.by_body.values()),
         groups=tuple((name, tuple(raws)) for name, raws in groups.items()),
         package_meta=meta,
         report=tuple(report),
     )
-
-
-def _rename_refs(t: InferredType, rename: dict[str, str]) -> InferredType:
-    if not rename:
-        return t
-    if isinstance(t, TRef):
-        return TRef(rename.get(t.name, t.name))
-    if isinstance(t, TArray):
-        return TArray(_rename_refs(t.elem, rename))
-    if isinstance(t, TObject):
-        return TObject(
-            tuple((n, FieldType(_rename_refs(f.type, rename), f.required)) for n, f in t.fields)
-        )
-    if isinstance(t, TUnion):
-        return TUnion(tuple(_rename_refs(b, rename) for b in t.branches))
-    return t
 
 
 def _upper_camel(raw: str) -> str:

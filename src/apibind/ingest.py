@@ -19,6 +19,7 @@ from .curl import HttpMethod
 from .issues import Issue, Stage, make_issue
 from .pathtemplate import parse_path_template
 from .records import ApiCallRecord, ParsedArtifacts, RecordId
+from .typeinfer import parse_json
 
 #: Input column order; stage outputs append ``issues``.
 COLUMNS = (
@@ -112,7 +113,7 @@ def _record_from_cells(cells: dict[str, str | None], stem: str, row_number: int)
         if value is None:
             continue
         try:
-            json.loads(value)
+            parse_json(value)
         except ValueError as exc:
             issues.append(
                 make_issue("E_JSON_CELL", Stage.INGEST, f"cell is not JSON: {exc}", field=column)

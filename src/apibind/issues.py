@@ -28,7 +28,6 @@ class Stage(enum.Enum):
 #: at the generation gate; W_* codes are warnings and pass the default gate.
 CATALOG: dict[str, tuple[Severity, str]] = {
     "E_JSON_CELL": (Severity.ERROR, "CSV cell expected to hold JSON does not parse"),
-    "E_JSON_PARSE": (Severity.ERROR, "JSON document does not parse"),
     "E_PATH_SYNTAX": (Severity.ERROR, "path template violates the template grammar"),
     "E_CURL_TOKENIZE": (Severity.ERROR, "curl command line cannot be tokenized"),
     "E_CURL_NO_URL": (Severity.ERROR, "curl command has no URL"),
@@ -56,13 +55,16 @@ CATALOG: dict[str, tuple[Severity, str]] = {
 
 @dataclass(frozen=True)
 class Issue:
-    """One error/warning tag. Severity is always derived from the code."""
+    """One error/warning tag. Severity is not stored: it is read from the catalog."""
 
     code: str
-    severity: Severity
     stage: Stage
     message: str
     field: str | None = None
+
+    @property
+    def severity(self) -> Severity:
+        return severity_of(self.code)
 
     def to_json(self) -> dict:
         out = {
@@ -77,23 +79,22 @@ class Issue:
 
     @classmethod
     def from_json(cls, obj: dict) -> Issue:
-        return cls(
-            code=obj["code"],
-            severity=Severity(obj["severity"]),
-            stage=Stage(obj["stage"]),
-            message=obj["message"],
-            field=obj.get("field"),
-        )
+        """Inverse of ``to_json``; a stored ``severity`` is ignored.
+
+        Raises KeyError for a code outside the catalog.
+        """
+        return make_issue(obj["code"], Stage(obj["stage"]), obj["message"], obj.get("field"))
 
 
 def make_issue(code: str, stage: Stage, message: str, field: str | None = None) -> Issue:
-    """Build an Issue, taking severity from the catalog.
+    """Build an Issue for a catalogued code.
 
     Raises KeyError for codes outside the catalog: emitting an uncatalogued
     issue is a programming error, not a data-quality finding.
     """
-    severity, _ = CATALOG[code]
-    return Issue(code=code, severity=severity, stage=stage, message=message, field=field)
+    if code not in CATALOG:
+        raise KeyError(code)
+    return Issue(code=code, stage=stage, message=message, field=field)
 
 
 def severity_of(code: str) -> Severity:

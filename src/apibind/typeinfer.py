@@ -9,6 +9,10 @@ forming a union, matching every target language's numeric tower.
 
 The bottom seed is internal: any residue it leaves (an array no example
 ever populated) is published as the unconstrained type.
+
+``lift_declarations`` turns a published type into references to named
+object declarations, hash-consing each body in a ``DeclRegistry`` shared by
+every tree of a build, so identical bodies get one declaration corpus-wide.
 """
 
 from __future__ import annotations
@@ -103,8 +107,10 @@ def _sort_key(t: InferredType) -> tuple:
 
 
 class JsonParseError(ValueError):
+    """The decoder's own message, plus the character offset of the fault."""
+
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} at offset {offset}")
+        super().__init__(message)
         self.offset = offset
 
 
@@ -121,7 +127,7 @@ def parse_json(text: str):
     try:
         return json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
-        raise JsonParseError(exc.msg, exc.pos) from exc
+        raise JsonParseError(str(exc), exc.pos) from exc
 
 
 def unify(a: InferredType, b: InferredType) -> InferredType:
@@ -343,43 +349,59 @@ class TypeDecl:
     source_record: RecordId
 
 
+class DeclRegistry:
+    """Corpus-wide hash-cons table of lifted object bodies.
+
+    ``by_body`` maps each distinct body to its declaration; its insertion
+    order is the children-first declaration order. ``taken`` holds every
+    declaration name handed out so far.
+    """
+
+    def __init__(self) -> None:
+        self.by_body: dict[TObject, TypeDecl] = {}
+        self.taken: set[str] = set()
+
+
 def lift_declarations(
     t: InferredType,
     base_name: str,
+    registry: DeclRegistry,
     *,
     origin: DeclOrigin = DeclOrigin.NESTED,
     source_record: RecordId,
-) -> tuple[InferredType, list[TypeDecl], list[Issue]]:
-    """Replace every object node with a named reference and collect declarations.
+) -> tuple[InferredType, list[Issue]]:
+    """Replace every object node with a named reference to a registry declaration.
 
     Names grow from ``base_name`` along the field path (array hops add
-    ``Item``). Structurally identical bodies share one declaration, which is
-    reported as a W_DECL_SHARED issue. Declarations come out children-first.
+    ``Item``). A body already in ``registry`` is shared, which is reported as
+    a W_DECL_SHARED issue; a new body takes its path name, suffixed ``_2``,
+    ``_3``, ... past the names the registry has already handed out. Children
+    are registered before their parents, so every reference a body carries
+    is a final name.
     """
-    decls: list[TypeDecl] = []
-    by_body: dict[TObject, str] = {}
-    taken: set[str] = set()
     issues: list[Issue] = []
 
     def add_decl(body: TObject, name: str, decl_origin: DeclOrigin) -> str:
-        if body in by_body:
-            kept = by_body[body]
+        kept = registry.by_body.get(body)
+        if kept is not None:
             issues.append(
                 make_issue(
                     "W_DECL_SHARED",
                     Stage.INFER,
-                    f"type {name!r} is structurally identical to {kept!r}; sharing one declaration",
+                    f"type {name!r} is structurally identical to {kept.name!r}; "
+                    "sharing one declaration",
                 )
             )
-            return kept
+            return kept.name
         final = name
         suffix = 2
-        while final in taken:
+        while final in registry.taken:
             final = f"{name}_{suffix}"
             suffix += 1
-        taken.add(final)
-        by_body[body] = final
-        decls.append(TypeDecl(name=final, body=body, origin=decl_origin, source_record=source_record))
+        registry.taken.add(final)
+        registry.by_body[body] = TypeDecl(
+            name=final, body=body, origin=decl_origin, source_record=source_record
+        )
         return final
 
     def walk(node: InferredType, name_path: str, depth: int) -> InferredType:
@@ -398,7 +420,7 @@ def lift_declarations(
             return TRef(add_decl(lifted, name_path, decl_origin))
         return node
 
-    return walk(t, base_name, 0), decls, issues
+    return walk(t, base_name, 0), issues
 
 
 def _cap(name: str) -> str:

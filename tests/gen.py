@@ -38,8 +38,13 @@ def gen_template(rng: random.Random) -> PathTemplate:
     return PathTemplate(tuple(segments))
 
 
-def gen_json_doc(rng: random.Random, depth: int = 2, allow_empty_arrays: bool = False):
-    """Random JSON document over field names a/b/c, depth-bounded."""
+def gen_json_doc(
+    rng: random.Random,
+    depth: int = 2,
+    allow_empty_arrays: bool = False,
+    names: tuple[str, ...] = ("a", "b", "c"),
+):
+    """Random JSON document over the given field names, depth-bounded."""
     kinds = ["null", "bool", "int", "float", "str"]
     if depth > 0:
         kinds += ["array", "object", "object"]
@@ -57,12 +62,12 @@ def gen_json_doc(rng: random.Random, depth: int = 2, allow_empty_arrays: bool = 
     if kind == "array":
         low = 0 if allow_empty_arrays else 1
         return [
-            gen_json_doc(rng, depth - 1, allow_empty_arrays)
+            gen_json_doc(rng, depth - 1, allow_empty_arrays, names)
             for _ in range(rng.randint(low, 3))
         ]
     return {
-        name: gen_json_doc(rng, depth - 1, allow_empty_arrays)
-        for name in ("a", "b", "c")
+        name: gen_json_doc(rng, depth - 1, allow_empty_arrays, names)
+        for name in names
         if rng.random() < 0.6
     }
 

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
 from apibind.cli import main
-from apibind.ingest import load_corpus, record_id_census
+from apibind.ingest import STAGE_COLUMNS, load_corpus, record_id_census
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -15,6 +16,18 @@ def read_tree(root: Path) -> dict[str, bytes]:
 
 def run(argv) -> int:
     return main([str(a) for a in argv])
+
+
+def write_stage(path: Path, rows: list[tuple[str, str, str, list[dict]]]) -> Path:
+    """Stage CSV of (record id, path, response example, issues) rows."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(STAGE_COLUMNS)
+        for rid, raw_path, response, issues in rows:
+            writer.writerow(
+                [rid, "https://d/x", "GET", raw_path, "", "", "", response, "", "", json.dumps(issues)]
+            )
+    return path
 
 
 class TestAnalyze:
@@ -188,6 +201,32 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "manifest.tpl" in err and "mystery" in err
 
+    def test_stored_severity_cannot_pass_the_gate(self, tmp_path):
+        forged = {"code": "E_PATH_SYNTAX", "severity": "Warning", "stage": "Parse", "message": "m"}
+        stage = write_stage(
+            tmp_path / "stage.csv",
+            [("ok", "/v1/ok", '{"ok":true}', []), ("forged", "/v1/forged", '{"f":1}', [forged])],
+        )
+        out = tmp_path / "out"
+        assert run(["generate", "--input", stage, "--out-dir", out]) == 0
+        report = json.loads((out / "build_report.json").read_text())
+        assert [fn["record_id"] for fn in report["functions"]] == [["ok"]]
+        assert report["rejected_record_ids"] == [["forged"]]
+        assert "forged" not in "".join(p.read_text() for p in (out / "package").iterdir())
+
+    def test_non_standard_json_example_rejected_at_the_gate(self, tmp_path):
+        stage = write_stage(
+            tmp_path / "stage.csv",
+            [("ok", "/v1/ok", '{"ok":true}', []), ("nan", "/v1/nan", '{"x": NaN}', [])],
+        )
+        out = tmp_path / "out"
+        assert run(["generate", "--input", stage, "--out-dir", out]) == 0
+        report = json.loads((out / "build_report.json").read_text())
+        assert report["rejected_record_ids"] == [["nan"]]
+        assert "nan" not in "".join(p.read_text() for p in (out / "package").iterdir())
+        (rejected,) = load_corpus(out / "rejects.csv")
+        assert ("E_JSON_CELL", "response_example") in [(i.code, i.field) for i in rejected.issues]
+
     def test_idempotent(self, corpus12_path, tmp_path):
         out = tmp_path / "out"
         run(["generate", "--input", corpus12_path, "--out-dir", out])
@@ -217,3 +256,10 @@ class TestDashboardCommand:
     def test_works_on_raw_input_too(self, corpus12_path, capsys):
         assert run(["dashboard", "--input", corpus12_path]) == 0
         assert "records      12" in capsys.readouterr().out
+
+    def test_uncatalogued_code_becomes_json_cell_tag(self, tmp_path, capsys):
+        bogus = {"code": "E_BOGUS", "severity": "Error", "stage": "Parse", "message": "m"}
+        stage = write_stage(tmp_path / "stage.csv", [("b", "/v1/b", "", [bogus])])
+        assert run(["dashboard", "--input", stage, "--dashboard-format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [e["code"] for e in doc["issue_frequency"]] == ["E_JSON_CELL"]

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apibind.codegen import (
     IdentifierPolicy,
@@ -20,8 +23,22 @@ from apibind.parse import parse_record
 from apibind.pathtemplate import parse_path_template
 from apibind.records import ApiCallRecord, RecordId
 from apibind.templates import TemplateSet, NEUTRAL_TEMPLATES
-from apibind.typeinfer import TArray, TRef, TUnion, T_ANY, T_INT, T_NULL, T_STRING
+from apibind.typeinfer import (
+    FieldType,
+    TArray,
+    TObject,
+    TRef,
+    TUnion,
+    T_ANY,
+    T_INT,
+    T_NULL,
+    T_STRING,
+    inhabits,
+    parse_json,
+)
 from apibind.validate import cross_validate, route
+
+from .gen import gen_json_doc
 
 
 def template_of(raw: str):
@@ -139,6 +156,125 @@ class TestBuildReference:
         assert ir.package_meta.version == ir.package_meta.corpus_digest[:12]
         again = build_reference(valid_records(corpus12_path))
         assert again.package_meta.corpus_digest == ir.package_meta.corpus_digest
+
+    def test_structurally_equal_siblings_share(self):
+        rec = make_valid("u", response_example='{"home":{"city":"a"},"work":{"city":"b"}}')
+        ir = build_reference([rec])
+        assert [d.name for d in ir.decls] == ["GetV1PingResponseHome", "GetV1PingResponse"]
+        assert [i.code for _, i in ir.report] == ["W_DECL_SHARED"]
+        home = TRef("GetV1PingResponseHome")
+        assert ir.decls[-1].body == TObject(
+            (("home", FieldType(home, True)), ("work", FieldType(home, True)))
+        )
+
+    def test_shared_messages_name_published_declarations(self):
+        a = make_valid("a", path="/v1/a", response_example='{"home":{"city":"a"}}')
+        b = make_valid("b", path="/v1/b", response_example='{"x":{"city":"b"},"y":{"city":"c"}}')
+        ir = build_reference([a, b])
+        names = {d.name for d in ir.decls}
+        kept = [shared_with(issue) for _, issue in ir.report if issue.code == "W_DECL_SHARED"]
+        assert kept == ["GetV1AResponseHome", "GetV1AResponseHome"]
+        assert set(kept) <= names
+
+    def test_colliding_names_suffix_against_the_corpus(self):
+        # /v1/a and /v/1/a both camel to GetV1A; fields "B" and "b" both path to ...B
+        a = make_valid("a", path="/v1/a", response_example='{"b":{"x":1}}')
+        b = make_valid("b", path="/v/1/a", response_example='{"B":{"y":1},"b":{"z":1}}')
+        ir = build_reference([a, b])
+        assert [d.name for d in ir.decls] == [
+            "GetV1AResponseB",
+            "GetV1AResponse",
+            "GetV1AResponseB_2",
+            "GetV1AResponseB_3",
+            "GetV1AResponse_2",
+        ]
+
+
+def shared_with(issue) -> str:
+    """The declaration a W_DECL_SHARED message says the type was shared with."""
+    return re.search(r"identical to '([^']+)'", issue.message).group(1)
+
+
+def refs_in(t) -> list[str]:
+    if isinstance(t, TRef):
+        return [t.name]
+    if isinstance(t, TArray):
+        return refs_in(t.elem)
+    if isinstance(t, TObject):
+        return [name for _, field in t.fields for name in refs_in(field.type)]
+    if isinstance(t, TUnion):
+        return [name for branch in t.branches for name in refs_in(branch)]
+    return []
+
+
+def expand(t, bodies: dict):
+    """The type with every declaration ref replaced by its (expanded) body."""
+    if isinstance(t, TRef):
+        return expand(bodies[t.name], bodies)
+    if isinstance(t, TArray):
+        return TArray(expand(t.elem, bodies))
+    if isinstance(t, TObject):
+        return TObject(
+            tuple((n, FieldType(expand(f.type, bodies), f.required)) for n, f in t.fields)
+        )
+    if isinstance(t, TUnion):
+        return TUnion(tuple(expand(b, bodies) for b in t.branches))
+    return t
+
+
+#: Paths whose raw names collide (get_v1_a twice) or whose camel names do
+#: (/v1/a, /v/1/a, and /v1/a2 against the suffixed duplicate get_v1_a_2).
+_PROPERTY_PATHS = ("/v1/a", "/v/1/a", "/v1/a2", "/v1/b")
+#: Field names whose path names collide within one tree: a/A, and aItem
+#: against the array hop under a.
+_PROPERTY_FIELDS = ("a", "A", "aItem", "b")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**32), min_size=1, max_size=6))
+def test_build_reference_registry_properties(seeds):
+    # Examples nest documents drawn from one small pool, so bodies repeat
+    # both within a tree and across records.
+    pool_rng = random.Random(seeds[0])
+    pool = [gen_json_doc(pool_rng, 2, True, _PROPERTY_FIELDS) for _ in range(3)]
+
+    def example(rng: random.Random):
+        if rng.random() < 0.3:
+            return gen_json_doc(rng, 3, True, _PROPERTY_FIELDS)
+        return {name: rng.choice(pool) for name in _PROPERTY_FIELDS if rng.random() < 0.6}
+
+    records = []
+    for i, seed in enumerate(seeds):
+        rng = random.Random(seed)
+        examples = {
+            column: json.dumps(example(rng))
+            for column in ("request_example", "response_example")
+            if rng.random() < 0.8
+        }
+        records.append(make_valid(f"r{i}", path=rng.choice(_PROPERTY_PATHS), **examples))
+    ir = build_reference(records)
+
+    names = [d.name for d in ir.decls]
+    assert len(names) == len(set(names))
+    assert len({d.body for d in ir.decls}) == len(ir.decls)
+    for i, decl in enumerate(ir.decls):
+        assert set(refs_in(decl.body)) <= set(names[:i]), decl.name
+    for _, issue in ir.report:
+        if issue.code == "W_DECL_SHARED":
+            assert shared_with(issue) in names
+    bodies = {d.name: d.body for d in ir.decls}
+    for record, fn in zip(records, ir.functions):
+        published = [fn.response_type, *(t for _, t in fn.params)]
+        if fn.request_type is not None:
+            published.append(fn.request_type)
+        for t in published:
+            assert set(refs_in(t)) <= set(names)
+        for text, t in (
+            (record.request_example, fn.request_type),
+            (record.response_example, fn.response_type),
+        ):
+            if text is not None:
+                assert inhabits(parse_json(text), expand(t, bodies)), (text, t)
 
 
 class TestIdentifierPolicy:

