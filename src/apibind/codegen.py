@@ -25,7 +25,6 @@ from .pathtemplate import PathTemplate, Variable
 from .records import ApiCallRecord, RecordId
 from .templates import TemplateSet
 from .typeinfer import (
-    DeclOrigin,
     DeclRegistry,
     InferredType,
     TArray,
@@ -36,6 +35,7 @@ from .typeinfer import (
     T_ANY,
     _Atom,
     empty_array_paths,
+    fresh_name,
     infer_from_examples,
     lift_declarations,
     parse_json,
@@ -122,7 +122,7 @@ def build_reference(
     registry = DeclRegistry()
 
     def example_type(
-        record: ApiCallRecord, text: str | None, base: str, origin: DeclOrigin, column: str
+        record: ApiCallRecord, text: str | None, base: str, column: str
     ) -> InferredType | None:
         rid = str(record.id)
         if text is None:
@@ -141,9 +141,7 @@ def build_reference(
                 )
             )
         inferred = infer_from_examples([doc])
-        lifted, lift_issues = lift_declarations(
-            inferred, base, registry, origin=origin, source_record=record.id
-        )
+        lifted, lift_issues = lift_declarations(inferred, base, registry, source_record=record.id)
         report.extend((rid, issue) for issue in lift_issues)
         return lifted
 
@@ -155,13 +153,9 @@ def build_reference(
         template = record.enrichment.path
         rid = str(record.id)
 
-        raw_name = function_raw_name(record.http_method, template)
-        if raw_name in taken_fn:
-            base = raw_name
-            suffix = 2
-            while f"{base}_{suffix}" in taken_fn:
-                suffix += 1
-            raw_name = f"{base}_{suffix}"
+        base = function_raw_name(record.http_method, template)
+        raw_name = fresh_name(base, taken_fn)
+        if raw_name != base:
             report.append(
                 (
                     rid,
@@ -172,7 +166,6 @@ def build_reference(
                     ),
                 )
             )
-        taken_fn.add(raw_name)
 
         typed_params: list[tuple[Parameter, InferredType]] = []
         for param in ordered_params(record.enrichment.params or ()):
@@ -182,14 +175,10 @@ def build_reference(
 
         camel = _upper_camel(raw_name)
         request_type = example_type(
-            record, record.request_example, camel + "Request", DeclOrigin.REQUEST, "request_example"
+            record, record.request_example, camel + "Request", "request_example"
         )
         response_type = example_type(
-            record,
-            record.response_example,
-            camel + "Response",
-            DeclOrigin.RESPONSE,
-            "response_example",
+            record, record.response_example, camel + "Response", "response_example"
         )
         if response_type is None:
             report.append(
@@ -311,12 +300,7 @@ class _Namespace:
         name = apply_casing(raw, self.casing)
         while name in self.reserved:
             name += "_"
-        final = name
-        suffix = 2
-        while final in self.taken:
-            final = f"{name}_{suffix}"
-            suffix += 1
-        self.taken.add(final)
+        final = fresh_name(name, self.taken)
         self.mapping[raw] = final
         assert _IDENTIFIER.match(final), final
         return final
@@ -478,7 +462,7 @@ def render_package(ir: NamedIr, templates: TemplateSet, out_dir: str | Path) -> 
 
     fn_by_raw = {nf.fn.raw_name: nf for nf in ir.functions}
     groups_sorted = sorted(ir.groups, key=lambda kv: kv[0])
-    assignment = _assign_decls(ir, groups_sorted, fn_by_raw)
+    module_decls = _place_decls(ir, groups_sorted, fn_by_raw)
 
     module_ns = _Namespace("snake", frozenset())
     written: list[Path] = []
@@ -487,9 +471,8 @@ def render_package(ir: NamedIr, templates: TemplateSet, out_dir: str | Path) -> 
         module_name = module_ns.assign(group)
         file_name = f"{module_name}.txt"
         parts = [templates.module_header.render({**base_ctx, "module_name": module_name})]
-        for decl in ir.decls:
-            if assignment.get(decl.name) == group:
-                parts.append(templates.type.render({**base_ctx, **_type_ctx(decl)}))
+        for decl in module_decls[group]:
+            parts.append(templates.type.render({**base_ctx, **_type_ctx(decl)}))
         for raw in raw_names:
             nf = fn_by_raw[raw]
             parts.append(templates.doc_comment.render({**base_ctx, **_doc_ctx(nf)}))
@@ -520,52 +503,41 @@ def _write(path: Path, text: str) -> None:
         raise GenerationError(f"cannot write {path}: {exc}") from exc
 
 
-def _assign_decls(
+def _place_decls(
     ir: NamedIr,
     groups_sorted: list[tuple[str, tuple[str, ...]]],
     fn_by_raw: dict[str, NamedFunction],
-) -> dict[str, str]:
+) -> dict[str, list[NamedDecl]]:
     """Each declaration renders in the first module (sorted order) that reaches it.
 
-    Reachability runs in raw-name space (declaration bodies reference raw
-    names); the returned assignment is keyed by final name.
+    A declaration is homed where its reference is first reached, and a homed
+    reference is never walked again. Bodies reference raw names, so homes are
+    keyed by raw name; modules list their declarations in registry order.
     """
     body_by_raw = {nd.decl.name: nd.decl.body for nd in ir.decls}
-
-    def refs_in(t: InferredType, acc: set[str]) -> None:
-        if isinstance(t, TRef):
-            acc.add(t.name)
-        elif isinstance(t, TArray):
-            refs_in(t.elem, acc)
-        elif isinstance(t, TObject):
-            for _, field in t.fields:
-                refs_in(field.type, acc)
-        elif isinstance(t, TUnion):
-            for branch in t.branches:
-                refs_in(branch, acc)
-
-    assignment: dict[str, str] = {}
+    home: dict[str, str] = {}
     for group, raw_names in groups_sorted:
-        frontier: set[str] = set()
+        stack: list[InferredType | None] = []  # a missing request type is None
         for raw in raw_names:
             fn = fn_by_raw[raw].fn
-            if fn.request_type is not None:
-                refs_in(fn.request_type, frontier)
-            refs_in(fn.response_type, frontier)
-            for _, param_type in fn.params:
-                refs_in(param_type, frontier)
-        reachable: set[str] = set()
-        while frontier:
-            name = frontier.pop()
-            if name in reachable:
-                continue
-            reachable.add(name)
-            if name in body_by_raw:
-                refs_in(body_by_raw[name], frontier)
-        for nd in ir.decls:
-            if nd.decl.name in reachable and nd.name not in assignment:
-                assignment[nd.name] = group
-    return assignment
+            stack += [fn.request_type, fn.response_type, *(t for _, t in fn.params)]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, TRef):
+                if t.name not in home:
+                    home[t.name] = group
+                    stack.append(body_by_raw[t.name])
+            elif isinstance(t, TArray):
+                stack.append(t.elem)
+            elif isinstance(t, TObject):
+                stack.extend(field.type for _, field in t.fields)
+            elif isinstance(t, TUnion):
+                stack.extend(t.branches)
+
+    module_decls: dict[str, list[NamedDecl]] = {group: [] for group, _ in groups_sorted}
+    for nd in ir.decls:
+        module_decls[home[nd.decl.name]].append(nd)
+    return module_decls
 
 
 def _type_ctx(decl: NamedDecl) -> dict:

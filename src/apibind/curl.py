@@ -352,6 +352,6 @@ def _classify_body(data: str, headers: list[tuple[str, str]]) -> BodyKind:
         return BodyKind.TEXT
     try:
         json.loads(data)
-    except ValueError:
+    except (ValueError, RecursionError):  # too deep to decode is not JSON either
         return BodyKind.URL_ENCODED
     return BodyKind.JSON

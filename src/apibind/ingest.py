@@ -55,6 +55,7 @@ def load_corpus(path: str | Path) -> list[ApiCallRecord]:
     text is kept.
     """
     path = Path(path)
+    csv.field_size_limit(1 << 30)  # a large example is data, not broken framing
     try:
         # newline="" leaves quoted line breaks to the csv module, which is
         # also why splitting the text ourselves would corrupt exotic cells.
@@ -123,7 +124,7 @@ def _record_from_cells(cells: dict[str, str | None], stem: str, row_number: int)
     issues_cell = cells.get("issues")
     if issues_cell is not None:
         try:
-            prior = [Issue.from_json(obj) for obj in json.loads(issues_cell)]
+            prior = [Issue.from_json(obj) for obj in parse_json(issues_cell)]
         except (ValueError, KeyError, TypeError) as exc:
             issues.append(
                 make_issue(
@@ -145,8 +146,8 @@ def _record_from_cells(cells: dict[str, str | None], stem: str, row_number: int)
         response_example=cells.get("response_example"),
         description=cells.get("description"),
         group=cells.get("group"),
-        issues=tuple(prior) + tuple(issues),
-    )
+        issues=tuple(prior),
+    ).with_issues(*issues)  # a re-read stage file already carries its ingest tags
 
 
 def canonical_path(raw_path: str) -> str:

@@ -15,6 +15,7 @@ from typing import Any
 
 from .curl import HttpMethod
 from .issues import Issue, Stage, make_issue
+from .typeinfer import parse_json
 
 class _Missing:
     """Absent-example marker; JSON null is a real example value."""
@@ -96,7 +97,7 @@ def parse_parameter_table(
     """
     issues: list[Issue] = []
     try:
-        doc = json.loads(raw)
+        doc = parse_json(raw)
     except ValueError as exc:
         issue = make_issue(
             "E_JSON_CELL", Stage.PARSE, f"parameter table is not JSON: {exc}", field="parameters"

@@ -17,15 +17,15 @@ every tree of a build, so identical bodies get one declaration corpus-wide.
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .issues import Issue, Stage, make_issue
-from .params import Parameter
-from .records import RecordId
+
+if TYPE_CHECKING:  # annotations only, so the parsers can import the decoder
+    from .params import Parameter
+    from .records import RecordId
 
 
 class InferredType:
@@ -114,29 +114,56 @@ class JsonParseError(ValueError):
         self.offset = offset
 
 
+#: Deepest nesting of arrays and objects a document may have. Deeper ones
+#: are rejected like malformed ones, so no recursive walk ever sees them.
+MAX_JSON_DEPTH = 128
+_TOO_DEEP = f"document nested deeper than {MAX_JSON_DEPTH} levels"
+
+
+def _reject_constant(token: str):
+    raise JsonParseError(f"non-standard JSON token {token}", 0)
+
+
+#: Built once: ``json.loads`` with a keyword argument builds a decoder per call.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def parse_json(text: str):
     """Parse standard JSON; integral lexemes become int, others float.
 
     A lexeme with a decimal point or exponent is non-integral even when its
-    value is whole (``1e3`` types as float). NaN/Infinity are rejected.
+    value is whole (``1e3`` types as float). NaN/Infinity are rejected, and
+    so are documents nested deeper than ``MAX_JSON_DEPTH``.
     """
-
-    def reject(token: str):
-        raise JsonParseError(f"non-standard JSON token {token}", 0)
-
     try:
-        return json.loads(text, parse_constant=reject)
+        doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise JsonParseError(str(exc), exc.pos) from exc
+    except RecursionError:
+        raise JsonParseError(_TOO_DEEP, 0) from None
+    # Only a text with that many brackets can nest that deep.
+    if text.count("[") + text.count("{") > MAX_JSON_DEPTH and _depth(doc) > MAX_JSON_DEPTH:
+        raise JsonParseError(_TOO_DEEP, 0)
+    return doc
+
+
+def _depth(doc: Any) -> int:
+    """Longest chain of nested arrays and objects in a decoded document."""
+    deepest = 0
+    stack = [(doc, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, dict):
+            node = node.values()
+        elif not isinstance(node, list):
+            continue
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in node)
+    return deepest
 
 
 def unify(a: InferredType, b: InferredType) -> InferredType:
     """Least upper bound of two types (total, commutative, associative)."""
-    return _unify_cached(a, b)
-
-
-@lru_cache(maxsize=None)
-def _unify_cached(a: InferredType, b: InferredType) -> InferredType:
     return _normalize(_branches_of(a) + _branches_of(b))
 
 
@@ -333,19 +360,12 @@ def empty_array_paths(value: Any, prefix: str = "$") -> list[str]:
     return paths
 
 
-class DeclOrigin(enum.Enum):
-    REQUEST = "Request"
-    RESPONSE = "Response"
-    NESTED = "Nested"
-
-
 @dataclass(frozen=True)
 class TypeDecl:
     """A named object type lifted out of an inferred tree (name pre-mangling)."""
 
     name: str
     body: TObject
-    origin: DeclOrigin
     source_record: RecordId
 
 
@@ -367,21 +387,20 @@ def lift_declarations(
     base_name: str,
     registry: DeclRegistry,
     *,
-    origin: DeclOrigin = DeclOrigin.NESTED,
     source_record: RecordId,
 ) -> tuple[InferredType, list[Issue]]:
     """Replace every object node with a named reference to a registry declaration.
 
     Names grow from ``base_name`` along the field path (array hops add
     ``Item``). A body already in ``registry`` is shared, which is reported as
-    a W_DECL_SHARED issue; a new body takes its path name, suffixed ``_2``,
-    ``_3``, ... past the names the registry has already handed out. Children
-    are registered before their parents, so every reference a body carries
-    is a final name.
+    a W_DECL_SHARED issue; a new body takes ``fresh_name`` of its path name
+    against the names the registry has already handed out. Children are
+    registered before their parents, so every reference a body carries is a
+    final name.
     """
     issues: list[Issue] = []
 
-    def add_decl(body: TObject, name: str, decl_origin: DeclOrigin) -> str:
+    def add_decl(body: TObject, name: str) -> str:
         kept = registry.by_body.get(body)
         if kept is not None:
             issues.append(
@@ -393,34 +412,37 @@ def lift_declarations(
                 )
             )
             return kept.name
-        final = name
-        suffix = 2
-        while final in registry.taken:
-            final = f"{name}_{suffix}"
-            suffix += 1
-        registry.taken.add(final)
-        registry.by_body[body] = TypeDecl(
-            name=final, body=body, origin=decl_origin, source_record=source_record
-        )
+        final = fresh_name(name, registry.taken)
+        registry.by_body[body] = TypeDecl(name=final, body=body, source_record=source_record)
         return final
 
-    def walk(node: InferredType, name_path: str, depth: int) -> InferredType:
+    def walk(node: InferredType, name_path: str) -> InferredType:
         if isinstance(node, TArray):
-            return TArray(walk(node.elem, name_path + "Item", depth + 1))
+            return TArray(walk(node.elem, name_path + "Item"))
         if isinstance(node, TUnion):
-            return TUnion(tuple(walk(b, name_path, depth + 1) for b in node.branches))
+            return TUnion(tuple(walk(b, name_path) for b in node.branches))
         if isinstance(node, TObject):
             lifted = TObject(
                 tuple(
-                    (n, FieldType(walk(f.type, name_path + _cap(n), depth + 1), f.required))
+                    (n, FieldType(walk(f.type, name_path + _cap(n)), f.required))
                     for n, f in node.fields
                 )
             )
-            decl_origin = origin if depth == 0 else DeclOrigin.NESTED
-            return TRef(add_decl(lifted, name_path, decl_origin))
+            return TRef(add_decl(lifted, name_path))
         return node
 
-    return walk(t, base_name, 0), issues
+    return walk(t, base_name), issues
+
+
+def fresh_name(name: str, taken: set[str]) -> str:
+    """First of ``name``, ``name_2``, ``name_3``, ... not in ``taken``; adds it to ``taken``."""
+    final = name
+    suffix = 2
+    while final in taken:
+        final = f"{name}_{suffix}"
+        suffix += 1
+    taken.add(final)
+    return final
 
 
 def _cap(name: str) -> str:

@@ -72,6 +72,16 @@ def gen_json_doc(
     }
 
 
+def nested_json(depth: int) -> str:
+    """JSON text of ``depth`` alternately nested arrays and objects around 1.
+
+    Built as text because the stdlib encoder recurses per level.
+    """
+    opens = "".join('{"a":' if level % 2 else "[" for level in range(depth))
+    closes = "".join("}" if level % 2 else "]" for level in reversed(range(depth)))
+    return opens + "1" + closes
+
+
 def gen_record(rng: random.Random, index: int) -> ApiCallRecord:
     """Record with CSV-safe but adversarial field content, for round-trips."""
     atoms = [f"id{index}-{gen_word(rng)}" for _ in range(rng.randint(1, 3))]

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from pathlib import Path
 
 from apibind.cli import main
 from apibind.ingest import STAGE_COLUMNS, load_corpus, record_id_census
+from apibind.typeinfer import MAX_JSON_DEPTH
+
+from .gen import nested_json
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -27,6 +31,17 @@ def write_stage(path: Path, rows: list[tuple[str, str, str, list[dict]]]) -> Pat
             writer.writerow(
                 [rid, "https://d/x", "GET", raw_path, "", "", "", response, "", "", json.dumps(issues)]
             )
+    return path
+
+
+def write_cells(path: Path, rows: list[dict[str, str]]) -> Path:
+    """Stage CSV of column -> cell dicts; GET and a fixed source URL unless given."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(STAGE_COLUMNS)
+        for cells in rows:
+            cells = {"source_url": "https://d/x", "http_method": "GET", **cells}
+            writer.writerow([cells.get(column, "") for column in STAGE_COLUMNS])
     return path
 
 
@@ -263,3 +278,52 @@ class TestDashboardCommand:
         assert run(["dashboard", "--input", stage, "--dashboard-format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert [e["code"] for e in doc["issue_frequency"]] == ["E_JSON_CELL"]
+
+
+class TestHostileCells:
+    def test_deep_json_is_tagged_not_fatal(self, tmp_path):
+        deep = nested_json(3000)
+        at_bound = nested_json(MAX_JSON_DEPTH)
+        ok = '{"ok":true}'
+        corpus = write_cells(
+            tmp_path / "deep.csv",
+            [
+                {"record_id": "p", "path": "/v1/p", "parameters": deep, "response_example": ok},
+                {"record_id": "q", "path": "/v1/q", "request_example": deep},
+                {"record_id": "r", "path": "/v1/r", "response_example": deep},
+                {"record_id": "i", "path": "/v1/i", "response_example": ok, "issues": deep},
+                {
+                    "record_id": "c",
+                    "http_method": "POST",
+                    "path": "/v1/c",
+                    "curl_example": f"curl -d '{deep}' https://api.example.com/v1/c",
+                    "response_example": ok,
+                },
+                {"record_id": "at", "path": "/v1/at", "response_example": at_bound},
+            ],
+        )
+        assert run(["analyze", "--input", corpus, "--out-dir", tmp_path / "a"]) == 0
+        assert run(["generate", "--input", corpus, "--out-dir", tmp_path / "g"]) == 0
+
+        stage = {str(r.id): r for r in load_corpus(tmp_path / "a" / "analyzed.csv")}
+        for rid, column in (
+            ("p", "parameters"),
+            ("q", "request_example"),
+            ("r", "response_example"),
+            ("i", "issues"),
+        ):
+            assert ("E_JSON_CELL", column) in [(i.code, i.field) for i in stage[rid].issues], rid
+        report = json.loads((tmp_path / "g" / "build_report.json").read_text())
+        passed = Counter(a for fn in report["functions"] for a in fn["record_id"])
+        rejected = Counter(a for ids in report["rejected_record_ids"] for a in ids)
+        assert passed + rejected == record_id_census(load_corpus(corpus))
+        assert set(passed) == {"c", "at"}
+
+    def test_cells_over_128_kib(self, tmp_path):
+        big = json.dumps({"blob": "x" * (200 * 1024)})
+        corpus = write_cells(
+            tmp_path / "big.csv", [{"record_id": "b", "path": "/v1/b", "response_example": big}]
+        )
+        out = tmp_path / "out"
+        assert run(["analyze", "--input", corpus, "--out-dir", out]) == 0
+        assert run(["dashboard", "--input", out / "analyzed.csv"]) == 0

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,6 +277,51 @@ def test_build_reference_registry_properties(seeds):
         ):
             if text is not None:
                 assert inhabits(parse_json(text), expand(t, bodies)), (text, t)
+
+
+_PLACEMENT_GROUPS = ("beta", "alpha", "gamma", None)  # None renders in "misc"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**32), min_size=1, max_size=8))
+def test_each_declaration_renders_once_in_the_first_module_reaching_it(seeds):
+    # Examples nest documents drawn from one small pool, so one body is often
+    # reached from several groups.
+    pool_rng = random.Random(seeds[0])
+    pool = [gen_json_doc(pool_rng, 2, names=("a", "b")) for _ in range(3)]
+    records = []
+    for i, seed in enumerate(seeds):
+        rng = random.Random(seed)
+        examples = {
+            column: json.dumps({key: rng.choice(pool) for key in ("x", "y") if rng.random() < 0.7})
+            for column in ("request_example", "response_example")
+            if rng.random() < 0.8
+        }
+        group = rng.choice(_PLACEMENT_GROUPS)
+        records.append(make_valid(f"r{i}", path=f"/v1/r{i}", group=group, **examples))
+    ir = build_reference(records)
+    named = apply_identifier_policy(ir, IdentifierPolicy())
+    with tempfile.TemporaryDirectory() as tmp:
+        render_package(named, TemplateSet.neutral(), tmp)
+        modules = {p.stem: p.read_text(encoding="utf-8") for p in Path(tmp).glob("*.txt")}
+
+    bodies = {d.name: d.body for d in ir.decls}
+    reached: dict[str, set[str]] = {}
+    for fn, record in zip(ir.functions, records):
+        todo = refs_in(fn.response_type)
+        if fn.request_type is not None:
+            todo += refs_in(fn.request_type)
+        seen = reached.setdefault(record.group or "misc", set())
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo += refs_in(bodies[name])
+    for decl in ir.decls:
+        home = min(group for group, names in reached.items() if decl.name in names)
+        final = named.name_maps["types"][decl.name]
+        counts = {stem: text.count(f"type {final} = ") for stem, text in modules.items()}
+        assert counts[home] == 1 and sum(counts.values()) == 1, (decl.name, home, counts)
 
 
 class TestIdentifierPolicy:

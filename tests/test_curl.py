@@ -89,6 +89,10 @@ class TestParseCurl:
         request, _ = parse_curl("curl -d '{\"a\": 1}' https://h/x")
         assert request.body[0] is BodyKind.JSON
 
+    def test_body_too_deep_to_decode_is_not_sniffed_as_json(self):
+        request, _ = parse_curl("curl -d '" + "[" * 3000 + "]" * 3000 + "' https://h/x")
+        assert request.body[0] is BodyKind.URL_ENCODED
+
     def test_explicit_content_type_beats_sniffing(self):
         request, _ = parse_curl("curl -H 'Content-Type: text/plain' -d '{\"a\":1}' https://h/x")
         assert request.body[0] is BodyKind.TEXT

@@ -180,7 +180,12 @@ class TestWriteStage:
         assert issues[1]["field"] == "parameters"
 
     def test_round_trip_corpus12(self, corpus12_path, tmp_path):
-        records = load_corpus(corpus12_path)
+        # plus a row with a broken JSON cell: re-reading must not tag it twice
+        corpus = tmp_path / "corpus.csv"
+        bad_row = "bad,https://d/x,GET,/v1/bad,,not-json,,,,\r\n"
+        corpus.write_text(corpus12_path.read_text(encoding="utf-8") + bad_row, encoding="utf-8")
+        records = load_corpus(corpus)
+        assert [i.code for i in records[-1].issues] == ["E_JSON_CELL"]
         out = tmp_path / "stage.csv"
         write_stage(records, out)
         assert load_corpus(out) == records

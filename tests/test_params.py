@@ -16,6 +16,12 @@ def test_alias_table():
     assert params == [Parameter(name="user-id", convention=Convention.PATH, required=True)]
 
 
+def test_too_deep_table_is_json_cell():
+    params, issues = parse_parameter_table("[" * 3000 + "]" * 3000)
+    assert params == []
+    assert codes(issues) == ["E_JSON_CELL"]
+
+
 def test_missing_name_drops_entry_keeps_rest():
     params, issues = parse_parameter_table('[{"in":"query"},{"name":"ok","in":"query"}]')
     assert [p.name for p in params] == ["ok"]

@@ -9,9 +9,9 @@ from apibind.params import Convention, Parameter
 from apibind.records import RecordId
 from apibind.typeinfer import (
     BOTTOM,
-    DeclOrigin,
     DeclRegistry,
     JsonParseError,
+    MAX_JSON_DEPTH,
     TArray,
     TObject,
     TRef,
@@ -33,7 +33,7 @@ from apibind.typeinfer import (
     unify,
 )
 
-from .gen import gen_json_doc
+from .gen import gen_json_doc, nested_json
 from .universe import enumerate_universe, lattice_le, obj
 
 RID = RecordId.single("t")
@@ -60,6 +60,16 @@ class TestParseJson:
     def test_nonstandard_tokens_rejected(self):
         with pytest.raises(JsonParseError):
             parse_json("NaN")
+
+    def test_nesting_bound(self):
+        assert parse_json(nested_json(MAX_JSON_DEPTH)) is not None
+        for depth in (MAX_JSON_DEPTH + 1, 3000):
+            with pytest.raises(JsonParseError, match="nested deeper"):
+                parse_json(nested_json(depth))
+
+    def test_brackets_inside_strings_do_not_nest(self):
+        text = '{"s": "' + "[{" * MAX_JSON_DEPTH + '"}'
+        assert parse_json(text) == {"s": "[{" * MAX_JSON_DEPTH}
 
 
 class TestInferValueType:
@@ -228,13 +238,11 @@ def lift(t, base_name, **kwargs):
 class TestLift:
     def test_nested_naming(self):
         t = infer_value_type({"user": {"id": 1}})
-        lifted, decls, issues = lift(t, "CreateMsgRequest", origin=DeclOrigin.REQUEST)
+        lifted, decls, issues = lift(t, "CreateMsgRequest")
         assert lifted == TRef("CreateMsgRequest")
         assert sorted(d.name for d in decls) == ["CreateMsgRequest", "CreateMsgRequestUser"]
         assert issues == []
         by_name = {d.name: d for d in decls}
-        assert by_name["CreateMsgRequest"].origin is DeclOrigin.REQUEST
-        assert by_name["CreateMsgRequestUser"].origin is DeclOrigin.NESTED
         assert by_name["CreateMsgRequest"].body == obj(("user", TRef("CreateMsgRequestUser"), True))
 
     def test_scalar_passthrough(self):
