@@ -54,12 +54,11 @@ class PipelineConfig:
 
 
 def _analyze_records(config: PipelineConfig) -> list[ApiCallRecord]:
-    records: list[ApiCallRecord] = []
-    for path in config.inputs:
-        records.extend(load_corpus(path))
+    """Load, parse every row, merge (with ``--merge``), then cross-validate."""
+    records = [parse_record(record) for path in config.inputs for record in load_corpus(path)]
     if config.merge:
         records = merge_corpus(records)
-    return [cross_validate(parse_record(record)) for record in records]
+    return [cross_validate(record) for record in records]
 
 
 def cmd_analyze(config: PipelineConfig) -> int:

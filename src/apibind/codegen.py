@@ -112,7 +112,7 @@ def build_reference(
     so structurally identical bodies share one declaration across the whole
     corpus. Records must have been loaded, parsed and routed: a record
     without a parsed path, or with an example that is not standard JSON
-    (ingest tags those E_JSON_CELL and the gate rejects them), is a caller
+    (parse tags those E_JSON_CELL and the gate rejects them), is a caller
     error here, not a data issue.
     """
     functions: list[BindingFunction] = []

@@ -10,11 +10,11 @@ because it has no passing convention in this pipeline.
 from __future__ import annotations
 
 import enum
-import json
 import urllib.parse
 from dataclasses import dataclass
 
 from .issues import Issue, Stage, make_issue
+from .typeinfer import parse_json
 
 
 class HttpMethod(enum.Enum):
@@ -351,7 +351,7 @@ def _classify_body(data: str, headers: list[tuple[str, str]]) -> BodyKind:
             return BodyKind.URL_ENCODED
         return BodyKind.TEXT
     try:
-        json.loads(data)
-    except (ValueError, RecursionError):  # too deep to decode is not JSON either
+        parse_json(data)  # the decoder every JSON cell goes through
+    except ValueError:
         return BodyKind.URL_ENCODED
     return BodyKind.JSON

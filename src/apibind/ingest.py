@@ -1,10 +1,14 @@
-"""Load CSV corpora into records, merge duplicates, and write stage files.
+"""Load CSV corpora into records, merge parsed duplicates, and write stage files.
 
 CSV is the universal interchange format here: every pipeline stage can be
 materialized back to a CSV that carries the same columns as the input plus
 an ``issues`` column, so intermediate data is always open for examination.
 Only unreadable files or broken CSV framing abort a run; anything wrong
 inside a row becomes an issue tag on that row's record.
+
+Loading reads CSV only: the documentation cells are kept as raw text for
+the parse stage, which decodes each of them once. Ingest decodes just the
+``issues`` cell of a stage file and checks the ``http_method`` cell.
 """
 
 from __future__ import annotations
@@ -13,12 +17,12 @@ import csv
 import io
 import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 from .curl import HttpMethod
 from .issues import Issue, Stage, make_issue
-from .pathtemplate import parse_path_template
-from .records import ApiCallRecord, ParsedArtifacts, RecordId
+from .records import ApiCallRecord, RecordId
 from .typeinfer import parse_json
 
 #: Input column order; stage outputs append ``issues``.
@@ -36,9 +40,6 @@ COLUMNS = (
 )
 STAGE_COLUMNS = COLUMNS + ("issues",)
 
-#: CSV columns whose non-empty cells must hold JSON.
-_JSON_COLUMNS = ("parameters", "request_example", "response_example")
-
 #: Separator for multiple id atoms in the record_id cell of stage files.
 ID_SEPARATOR = "|"
 
@@ -51,8 +52,8 @@ def load_corpus(path: str | Path) -> list[ApiCallRecord]:
     """Load one CSV corpus; one record per data row, rows never skipped.
 
     Accepts both raw input files and stage outputs (which carry the extra
-    ``issues`` column). Cells that fail to parse tag the record and the raw
-    text is kept.
+    ``issues`` column). A bad ``http_method`` or ``issues`` cell tags the
+    record; every other cell is kept as raw text for ``parse_record``.
     """
     path = Path(path)
     csv.field_size_limit(1 << 30)  # a large example is data, not broken framing
@@ -109,17 +110,6 @@ def _record_from_cells(cells: dict[str, str | None], stem: str, row_number: int)
         )
         method = HttpMethod.GET
 
-    for column in _JSON_COLUMNS:
-        value = cells.get(column)
-        if value is None:
-            continue
-        try:
-            parse_json(value)
-        except ValueError as exc:
-            issues.append(
-                make_issue("E_JSON_CELL", Stage.INGEST, f"cell is not JSON: {exc}", field=column)
-            )
-
     prior: list[Issue] = []
     issues_cell = cells.get("issues")
     if issues_cell is not None:
@@ -150,26 +140,22 @@ def _record_from_cells(cells: dict[str, str | None], stem: str, row_number: int)
     ).with_issues(*issues)  # a re-read stage file already carries its ingest tags
 
 
-def canonical_path(raw_path: str) -> str:
-    """Canonical template string, or the raw string when it does not parse."""
-    template, _ = parse_path_template(raw_path)
-    if template is None:
-        return raw_path
-    return template.render()
-
-
 def merge_key(record: ApiCallRecord) -> tuple[str, str]:
-    return record.http_method.value, canonical_path(record.raw_path)
+    """Method and rendered path template of a parsed record (the raw path if it did not parse)."""
+    template = record.enrichment.path
+    return record.http_method.value, template.render() if template is not None else record.raw_path
 
 
 def merge_records(a: ApiCallRecord, b: ApiCallRecord) -> ApiCallRecord:
-    """Merge two records describing the same call (equal method + canonical path).
+    """Merge two parsed records describing the same call (equal merge keys).
 
-    Identifiers are concatenated and deduped, issue lists concatenated, and
-    missing fields filled from ``b``. Conflicting present values keep ``a``'s
-    and tag W_MERGE_CONFLICT. If the records describe different calls the
-    merge is refused: ``a`` comes back tagged E_MERGE_KEY_MISMATCH and both
-    records survive separately.
+    Identifiers are concatenated and deduped, and missing cells filled from
+    ``b``. Conflicting present cells keep ``a``'s and tag W_MERGE_CONFLICT;
+    the curl and parameter artifacts come from the row whose cell is kept.
+    ``b``'s tags are all kept, also those about cells the merge drops, so
+    every row's findings reach the gate. If the records describe different
+    calls the merge is refused: ``a`` comes back tagged E_MERGE_KEY_MISMATCH
+    and both records survive separately.
     """
     if merge_key(a) != merge_key(b):
         return a.with_issues(
@@ -196,34 +182,27 @@ def merge_records(a: ApiCallRecord, b: ApiCallRecord) -> ApiCallRecord:
             )
         return left
 
-    enrichment = None
-    if a.enrichment is not None or b.enrichment is not None:
-        ea = a.enrichment or ParsedArtifacts()
-        eb = b.enrichment or ParsedArtifacts()
-        enrichment = ParsedArtifacts(
-            path=pick("artifacts.path", ea.path, eb.path),
-            curl=pick("artifacts.curl", ea.curl, eb.curl),
-            params=pick("artifacts.params", ea.params, eb.params),
-        )
-
-    return ApiCallRecord(
+    merged = replace(
+        a,
         id=a.id.merge(b.id),
         source_url=pick("source_url", a.source_url or None, b.source_url or None) or "",
-        http_method=a.http_method,
-        raw_path=a.raw_path,
         raw_curl=pick("curl_example", a.raw_curl, b.raw_curl),
         raw_parameters=pick("parameters", a.raw_parameters, b.raw_parameters),
         request_example=pick("request_example", a.request_example, b.request_example),
         response_example=pick("response_example", a.response_example, b.response_example),
         description=pick("description", a.description, b.description),
         group=pick("group", a.group, b.group),
-        issues=a.issues + b.issues + tuple(conflicts),
-        enrichment=enrichment,
+        enrichment=replace(
+            a.enrichment,
+            curl=(a if a.raw_curl is not None else b).enrichment.curl,
+            params=(a if a.raw_parameters is not None else b).enrichment.params,
+        ),
     )
+    return merged.with_issues(*b.issues, *conflicts)
 
 
 def merge_corpus(records: list[ApiCallRecord]) -> list[ApiCallRecord]:
-    """Fold together all records sharing a merge key, in input order."""
+    """Fold together all parsed records sharing a merge key, in input order."""
     merged: dict[tuple[str, str], ApiCallRecord] = {}
     order: list[tuple[str, str]] = []
     for record in records:

@@ -1,8 +1,12 @@
-"""Run the three documentation parsers over a record (the parse stage).
+"""Run the documentation parsers over a record (the parse stage).
 
-Each sub-parser runs independently on whichever raw field is present; a
-failure in one never stops the others, and every finding lands on the
-record as an issue. Parsing never aborts a record.
+Every input row goes through ``parse_record`` once, straight after loading
+and before any merge, so each row's findings are its own. Each sub-parser
+runs independently on whichever raw cell is present; a failure in one never
+stops the others, and every finding lands on the record as an issue.
+Parsing never aborts a record. The request and response examples are only
+checked here: their decoded documents are dropped, and ``build_reference``
+decodes those of gate-passing records again.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from .issues import Issue, Stage, make_issue
 from .params import parse_parameter_table
 from .pathtemplate import parse_path_template
 from .records import ApiCallRecord, ParsedArtifacts
+from .typeinfer import parse_json
 
 
 def parse_record(record: ApiCallRecord) -> ApiCallRecord:
@@ -36,14 +41,18 @@ def parse_record(record: ApiCallRecord) -> ApiCallRecord:
         params = tuple(parsed)
         issues.extend(param_issues)
 
-    if record.raw_curl is None and record.request_example is None and record.response_example is None:
-        issues.append(
-            make_issue(
-                "W_NO_EXAMPLE",
-                Stage.PARSE,
-                "record carries no use example and no request/response example",
+    for column, text in (
+        ("request_example", record.request_example),
+        ("response_example", record.response_example),
+    ):
+        if text is None:
+            continue
+        try:
+            parse_json(text)
+        except ValueError as exc:
+            issues.append(
+                make_issue("E_JSON_CELL", Stage.PARSE, f"cell is not JSON: {exc}", field=column)
             )
-        )
 
     artifacts = ParsedArtifacts(path=path_template, curl=curl_request, params=params)
     return record.with_enrichment(artifacts).with_issues(*issues)

@@ -1,8 +1,10 @@
 """The record that flows through the pipeline, gradually enriched.
 
 A record is never dropped and never loses information: issues are
-append-only, and derived artifacts are attached once and kept. All types
-here are immutable; stages return new records.
+append-only through ``with_issues``, the one dedup rule of the pipeline,
+and the parser outputs are attached once, whole, and kept. A merge of two
+parsed records carries both rows' issues. All types here are immutable;
+stages return new records.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class RecordId:
 
 @dataclass(frozen=True)
 class ParsedArtifacts:
-    """Outputs of the three documentation parsers; each field is set once."""
+    """Outputs of the three documentation parsers, attached to a record once."""
 
     path: PathTemplate | None = None
     curl: CurlRequest | None = None
@@ -78,16 +80,10 @@ class ApiCallRecord:
         return replace(self, issues=self.issues + tuple(added))
 
     def with_enrichment(self, artifacts: ParsedArtifacts) -> ApiCallRecord:
-        """Attach parser outputs; fields already set are never overwritten."""
-        if self.enrichment is None:
-            return replace(self, enrichment=artifacts)
-        current = self.enrichment
-        merged = ParsedArtifacts(
-            path=current.path if current.path is not None else artifacts.path,
-            curl=current.curl if current.curl is not None else artifacts.curl,
-            params=current.params if current.params is not None else artifacts.params,
-        )
-        return replace(self, enrichment=merged)
+        """Attach parser outputs once; a record that has them keeps its own."""
+        if self.enrichment is not None:
+            return self
+        return replace(self, enrichment=artifacts)
 
     def error_count(self) -> int:
         return sum(1 for issue in self.issues if issue.severity is Severity.ERROR)

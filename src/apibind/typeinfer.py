@@ -64,11 +64,8 @@ class TArray(InferredType):
 
 @dataclass(frozen=True)
 class TObject(InferredType):
-    #: (name, field) pairs, kept sorted by name so equality is structural.
+    #: (name, field) pairs, sorted by name by every builder so equality is structural.
     fields: tuple[tuple[str, FieldType], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "fields", tuple(sorted(self.fields, key=lambda kv: kv[0])))
 
     def field_map(self) -> dict[str, FieldType]:
         return dict(self.fields)
@@ -76,12 +73,13 @@ class TObject(InferredType):
 
 @dataclass(frozen=True)
 class TUnion(InferredType):
+    #: Canonical order, as ``_normalize`` builds it: null, bool, the numeric
+    #: type, string, one array, one object, then references by name.
     branches: tuple[InferredType, ...]
 
     def __post_init__(self):
         if len(self.branches) < 2:
             raise ValueError("a union needs at least two branches")
-        object.__setattr__(self, "branches", tuple(sorted(self.branches, key=_sort_key)))
 
 
 @dataclass(frozen=True)
@@ -89,21 +87,6 @@ class TRef(InferredType):
     """Named reference to a lifted object declaration (post-lift trees only)."""
 
     name: str
-
-
-_ATOM_RANK = {"null": 0, "bool": 1, "int": 2, "float": 3, "string": 4, "any": 8, "bottom": 9}
-
-
-def _sort_key(t: InferredType) -> tuple:
-    if isinstance(t, _Atom):
-        return (_ATOM_RANK[t.label], "")
-    if isinstance(t, TArray):
-        return (5, repr(t))
-    if isinstance(t, TObject):
-        return (6, repr(t))
-    if isinstance(t, TRef):
-        return (7, t.name)
-    return (10, repr(t))
 
 
 class JsonParseError(ValueError):
@@ -269,7 +252,9 @@ def _infer_raw(value: Any) -> InferredType:
             elem = unify(elem, _infer_raw(item))
         return TArray(elem)
     if isinstance(value, dict):
-        fields = tuple((name, FieldType(_infer_raw(item), True)) for name, item in value.items())
+        fields = tuple(
+            (name, FieldType(_infer_raw(item), True)) for name, item in sorted(value.items())
+        )
         return TObject(fields)
     raise TypeError(f"not a JSON value: {value!r}")
 

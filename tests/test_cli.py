@@ -5,9 +5,10 @@ import json
 from collections import Counter
 from pathlib import Path
 
+from apibind import ingest, params, parse
 from apibind.cli import main
 from apibind.ingest import STAGE_COLUMNS, load_corpus, record_id_census
-from apibind.typeinfer import MAX_JSON_DEPTH
+from apibind.typeinfer import MAX_JSON_DEPTH, parse_json
 
 from .gen import nested_json
 
@@ -327,3 +328,89 @@ class TestHostileCells:
         out = tmp_path / "out"
         assert run(["analyze", "--input", corpus, "--out-dir", out]) == 0
         assert run(["dashboard", "--input", out / "analyzed.csv"]) == 0
+
+
+class TestParseBeforeMerge:
+    def test_dropped_row_keeps_its_curl_fault(self, tmp_path):
+        corpus = write_cells(
+            tmp_path / "dup.csv",
+            [
+                {
+                    "record_id": "m1",
+                    "path": "/v1/m",
+                    "curl_example": "curl https://api.example.com/v1/m",
+                    "response_example": '{"ok":true}',
+                },
+                {"record_id": "m2", "path": "/v1/m", "curl_example": "curl 'https://h/v1/m"},
+            ],
+        )
+        out = tmp_path / "out"
+        assert run(["analyze", "--merge", "--input", corpus, "--out-dir", out]) == 0
+        (rejected,) = load_corpus(out / "rejects.csv")
+        assert str(rejected.id) == "m1|m2"
+        assert rejected.raw_curl == "curl https://api.example.com/v1/m"
+        assert "E_CURL_TOKENIZE" in [i.code for i in rejected.issues]
+
+    def test_bad_parameter_table_tagged_once(self, tmp_path):
+        corpus = write_cells(
+            tmp_path / "p.csv", [{"record_id": "p", "path": "/v1/p", "parameters": "not-json"}]
+        )
+        out = tmp_path / "out"
+        assert run(["analyze", "--input", corpus, "--out-dir", out]) == 0
+        (record,) = load_corpus(out / "analyzed.csv")
+        assert [i.code for i in record.issues].count("E_JSON_CELL") == 1
+
+    def test_second_row_examples_count_after_merge(self, tmp_path):
+        corpus = write_cells(
+            tmp_path / "dup.csv",
+            [
+                {"record_id": "m1", "path": "/v1/m"},
+                {"record_id": "m2", "path": "/v1/m", "response_example": '{"ok":true}'},
+            ],
+        )
+        out = tmp_path / "out"
+        assert run(["analyze", "--merge", "--input", corpus, "--out-dir", out]) == 0
+        (record,) = load_corpus(out / "analyzed.csv")
+        assert "W_NO_EXAMPLE" not in [i.code for i in record.issues]
+
+    def test_each_cell_decoded_once(self, tmp_path, monkeypatch):
+        decoded: Counter = Counter()
+
+        def counting(text):
+            decoded[text] += 1
+            return parse_json(text)
+
+        for module in (ingest, parse, params):
+            monkeypatch.setattr(module, "parse_json", counting)
+        stored = {"code": "W_BODY_ON_GET", "stage": "Validate", "message": "m"}
+        rows = [
+            {
+                "record_id": "a",
+                "path": "/v1/a",
+                "parameters": '[{"name":"q","in":"query"}]',
+                "request_example": '{"r":1}',
+                "response_example": '{"s":2}',
+                "issues": json.dumps([stored]),
+            },
+            {
+                "record_id": "b",
+                "path": "/v1/b",
+                "parameters": "not-json",
+                "request_example": "[1",
+                "response_example": '{"t":3}',
+                "issues": "[]",
+            },
+            {"record_id": "a2", "path": "/v1/a", "response_example": '{"s":"dup"}'},
+            {"record_id": "c", "path": "/v1/c"},
+        ]
+        corpus = write_cells(tmp_path / "cells.csv", rows)
+        columns = ("parameters", "request_example", "response_example", "issues")
+        out = tmp_path / "out"
+        assert run(["analyze", "--merge", "--input", corpus, "--out-dir", out]) == 0
+        assert decoded == Counter(row[c] for row in rows for c in columns if row.get(c))
+
+        decoded.clear()
+        assert run(["dashboard", "--input", out / "analyzed.csv"]) == 0
+        with (out / "analyzed.csv").open(encoding="utf-8", newline="") as fh:
+            stage = list(csv.DictReader(fh))
+        assert decoded == Counter(row["issues"] for row in stage)

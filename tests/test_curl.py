@@ -12,6 +12,8 @@ from apibind.curl import (
     tokenize_shell,
 )
 
+from .gen import nested_json
+
 
 def codes(issues):
     return [i.code for i in issues]
@@ -92,6 +94,11 @@ class TestParseCurl:
     def test_body_too_deep_to_decode_is_not_sniffed_as_json(self):
         request, _ = parse_curl("curl -d '" + "[" * 3000 + "]" * 3000 + "' https://h/x")
         assert request.body[0] is BodyKind.URL_ENCODED
+
+    def test_body_the_strict_decoder_rejects_is_not_sniffed_as_json(self):
+        for body in ("NaN", "[Infinity]", nested_json(200)):
+            request, _ = parse_curl(f"curl -d '{body}' https://h/x")
+            assert request.body[0] is BodyKind.URL_ENCODED, body
 
     def test_explicit_content_type_beats_sniffing(self):
         request, _ = parse_curl("curl -H 'Content-Type: text/plain' -d '{\"a\":1}' https://h/x")

@@ -17,6 +17,7 @@ from apibind.ingest import (
     write_stage,
 )
 from apibind.issues import Stage, make_issue
+from apibind.parse import parse_record
 from apibind.records import ApiCallRecord, RecordId
 
 from .gen import gen_record
@@ -47,12 +48,16 @@ def test_clean_row_has_no_issues(tmp_path):
     assert record.issues == ()
 
 
-def test_bad_json_cell_tagged_not_skipped(tmp_path):
-    path = write_csv(tmp_path, 'a1,https://d/x,GET,/v1/x,,not-json,,,,\n')
+def test_json_cells_kept_as_raw_text(tmp_path):
+    # ingest reads CSV only; parse_record is where these cells are checked
+    path = write_csv(tmp_path, 'a1,https://d/x,GET,/v1/x,,not-json,{a,[1,,\n')
     (record,) = load_corpus(path)
-    assert [i.code for i in record.issues] == ["E_JSON_CELL"]
-    assert record.issues[0].field == "parameters"
-    assert record.raw_parameters == "not-json"  # raw text preserved
+    assert record.issues == ()
+    assert (record.raw_parameters, record.request_example, record.response_example) == (
+        "not-json",
+        "{a",
+        "[1",
+    )
 
 
 def test_rows_never_disappear(tmp_path):
@@ -96,6 +101,7 @@ def test_ragged_long_row_is_corpus_error(tmp_path):
 
 
 def make_record(atom="r1", **kwargs):
+    """A parsed record, as ``merge_records`` expects."""
     defaults = dict(
         id=RecordId.single(atom),
         source_url="https://d/x",
@@ -103,7 +109,7 @@ def make_record(atom="r1", **kwargs):
         raw_path="/v1/users/{id}",
     )
     defaults.update(kwargs)
-    return ApiCallRecord(**defaults)
+    return parse_record(ApiCallRecord(**defaults))
 
 
 class TestMerge:
@@ -117,6 +123,15 @@ class TestMerge:
         b = make_record("r2", raw_curl="curl https://h/x")
         merged = merge_records(a, b)
         assert merged.raw_curl == "curl https://h/x"
+        assert merged.enrichment.curl == b.enrichment.curl
+
+    def test_artifacts_follow_the_kept_cell(self):
+        a = make_record("r1", raw_curl="curl https://h/a", raw_parameters='[{"name":"x"}]')
+        b = make_record("r2", raw_curl="curl https://h/b", raw_parameters='[{"name":"y"}]')
+        merged = merge_records(a, b)
+        assert merged.enrichment == a.enrichment
+        codes = [i.code for i in merged.issues]
+        assert codes.count("W_MERGE_CONFLICT") == 2  # one per cell, none per artifact
 
     def test_conflicting_fields_keep_first_and_warn(self):
         a = make_record("r1", description="first")
@@ -145,6 +160,11 @@ class TestMerge:
             make_record("r1", issues=(issue_a,)), make_record("r2", issues=(issue_b,))
         )
         assert merged.issues == (issue_a, issue_b)
+
+    def test_identical_tags_kept_once(self):
+        issue = make_issue("E_PARAM_NO_NAME", Stage.PARSE, "same", field="parameters")
+        a, b = make_record("r1", issues=(issue,)), make_record("r2", issues=(issue,))
+        assert merge_records(a, b).issues == (issue,)
 
     def test_merge_corpus_folds_in_order(self):
         records = [make_record("r1"), make_record("r2", raw_path="/other"), make_record("r3")]
@@ -180,15 +200,15 @@ class TestWriteStage:
         assert issues[1]["field"] == "parameters"
 
     def test_round_trip_corpus12(self, corpus12_path, tmp_path):
-        # plus a row with a broken JSON cell: re-reading must not tag it twice
+        # plus a row with a broken JSON cell: re-parsing must not tag it twice
         corpus = tmp_path / "corpus.csv"
         bad_row = "bad,https://d/x,GET,/v1/bad,,not-json,,,,\r\n"
         corpus.write_text(corpus12_path.read_text(encoding="utf-8") + bad_row, encoding="utf-8")
-        records = load_corpus(corpus)
+        records = [parse_record(r) for r in load_corpus(corpus)]
         assert [i.code for i in records[-1].issues] == ["E_JSON_CELL"]
         out = tmp_path / "stage.csv"
         write_stage(records, out)
-        assert load_corpus(out) == records
+        assert [parse_record(r) for r in load_corpus(out)] == records
 
     def test_seeded_round_trip(self, tmp_path):
         rng = random.Random(11)

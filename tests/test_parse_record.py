@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from apibind.curl import HttpMethod
+from apibind.issues import Stage
 from apibind.parse import parse_record
 from apibind.pathtemplate import PathTemplate, Variable
 from apibind.records import ApiCallRecord, ParsedArtifacts, RecordId
@@ -26,7 +27,7 @@ def test_path_only_record():
     assert out.enrichment.path is not None
     assert out.enrichment.curl is None
     assert out.enrichment.params is None
-    assert codes(out) == ["W_NO_EXAMPLE"]
+    assert codes(out) == []  # absence of examples is judged after merge, by cross_validate
 
 
 def test_curl_failure_leaves_other_parsers_alone():
@@ -56,6 +57,19 @@ def test_fully_populated_record_no_new_issues():
     assert out.enrichment.curl is not None
     assert out.enrichment.params is not None
     assert out.issues == ()
+
+
+def test_bad_json_cell_tagged_not_skipped():
+    for column, attribute in (
+        ("parameters", "raw_parameters"),
+        ("request_example", "request_example"),
+        ("response_example", "response_example"),
+    ):
+        out = parse_record(record(**{attribute: "not-json"}))
+        assert [(i.code, i.stage, i.field) for i in out.issues] == [
+            ("E_JSON_CELL", Stage.PARSE, column)
+        ], column
+        assert getattr(out, attribute) == "not-json"  # raw text preserved
 
 
 def test_empty_path_tagged():
