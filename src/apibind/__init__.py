@@ -33,7 +33,6 @@ from .typeinfer import (
     DeclRegistry,
     TypeDecl,
     infer_from_examples,
-    infer_value_type,
     inhabits,
     lift_declarations,
     parse_json,

@@ -34,9 +34,8 @@ from .typeinfer import (
     TypeDecl,
     T_ANY,
     _Atom,
-    empty_array_paths,
+    fold_examples,
     fresh_name,
-    infer_from_examples,
     lift_declarations,
     parse_json,
     type_of_parameter,
@@ -127,21 +126,12 @@ def build_reference(
         rid = str(record.id)
         if text is None:
             return None
-        doc = parse_json(text)
-        for path in empty_array_paths(doc):
-            report.append(
-                (
-                    rid,
-                    make_issue(
-                        "W_EMPTY_ARRAY",
-                        Stage.INFER,
-                        f"{column} has an empty array at {path}; element type unknown",
-                        field=column,
-                    ),
-                )
-            )
-        inferred = infer_from_examples([doc])
-        lifted, lift_issues = lift_declarations(inferred, base, registry, source_record=record.id)
+        lifted, unpopulated, lift_issues = lift_declarations(
+            fold_examples([parse_json(text)]), base, registry, source_record=record.id
+        )
+        for path in unpopulated:
+            message = f"{column} has an empty array at {path}; element type unknown"
+            report.append((rid, make_issue("W_EMPTY_ARRAY", Stage.INFER, message, field=column)))
         report.extend((rid, issue) for issue in lift_issues)
         return lifted
 
@@ -252,11 +242,16 @@ class IdentifierPolicy:
     @classmethod
     def from_json_file(cls, path: str | Path) -> IdentifierPolicy:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError(f"identifier policy {path} is not a JSON object")
+        reserved = doc.get("reserved_words", sorted(_DEFAULT_RESERVED))
+        if not isinstance(reserved, list) or not all(isinstance(w, str) for w in reserved):
+            raise ValueError(f"identifier policy {path}: reserved_words is not a list of strings")
         return cls(
             casing_function=doc.get("casing_function", "lower-camel"),
             casing_type=doc.get("casing_type", "upper-camel"),
             casing_field=doc.get("casing_field", "snake"),
-            reserved_words=frozenset(doc.get("reserved_words", sorted(_DEFAULT_RESERVED))),
+            reserved_words=frozenset(reserved),
         )
 
 
@@ -464,7 +459,7 @@ def render_package(ir: NamedIr, templates: TemplateSet, out_dir: str | Path) -> 
     groups_sorted = sorted(ir.groups, key=lambda kv: kv[0])
     module_decls = _place_decls(ir, groups_sorted, fn_by_raw)
 
-    module_ns = _Namespace("snake", frozenset())
+    module_ns = _Namespace("snake", frozenset({"manifest"}))  # manifest.txt is not a module
     written: list[Path] = []
     module_entries = []
     for group, raw_names in groups_sorted:
@@ -555,10 +550,14 @@ def _type_ctx(decl: NamedDecl) -> dict:
     }
 
 
+#: Every line break ``str.splitlines`` knows: a doc comment must keep its lines.
+_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
 def _doc_ctx(nf: NamedFunction) -> dict:
     fn = nf.fn
     summary = fn.doc_summary or f"{fn.method.value} {fn.path.render()}"
-    return {"summary": summary, "doc_url": fn.doc_url}
+    return {"summary": _LINE_BREAK.sub(" ", summary), "doc_url": _LINE_BREAK.sub(" ", fn.doc_url)}
 
 
 def _fn_ctx(nf: NamedFunction) -> dict:

@@ -48,7 +48,7 @@ CATALOG: dict[str, tuple[Severity, str]] = {
     "W_BODY_ON_GET": (Severity.WARNING, "request body present on a GET/HEAD call"),
     "W_MERGE_CONFLICT": (Severity.WARNING, "conflicting field values; first record's kept"),
     "W_PATH_SUSPECT": (Severity.WARNING, "path segment looks like an unrecognized variable syntax"),
-    "W_EMPTY_ARRAY": (Severity.WARNING, "example contains an empty array; element type unknown"),
+    "W_EMPTY_ARRAY": (Severity.WARNING, "array no example populates; tagged once, at its type path"),
     "W_DECL_SHARED": (Severity.WARNING, "structurally identical type declarations were shared"),
 }
 

@@ -10,9 +10,11 @@ forming a union, matching every target language's numeric tower.
 The bottom seed is internal: any residue it leaves (an array no example
 ever populated) is published as the unconstrained type.
 
-``lift_declarations`` turns a published type into references to named
-object declarations, hash-consing each body in a ``DeclRegistry`` shared by
-every tree of a build, so identical bodies get one declaration corpus-wide.
+``lift_declarations`` publishes a raw fold in one walk: it widens bottom
+seeds, records where, and turns objects into references to declarations
+hash-consed in a ``DeclRegistry`` shared by every tree of a build, so
+identical bodies get one declaration corpus-wide. ``finalize`` is that walk
+without a registry.
 """
 
 from __future__ import annotations
@@ -259,24 +261,14 @@ def _infer_raw(value: Any) -> InferredType:
     raise TypeError(f"not a JSON value: {value!r}")
 
 
-def finalize(t: InferredType) -> InferredType:
-    """Publishable form of a type: any leftover bottom seed widens to any."""
-    if t == BOTTOM:
-        return T_ANY
-    if isinstance(t, TArray):
-        return TArray(finalize(t.elem))
-    if isinstance(t, TObject):
-        return TObject(
-            tuple((n, FieldType(finalize(f.type), f.required)) for n, f in t.fields)
-        )
-    if isinstance(t, TUnion):
-        return TUnion(tuple(finalize(b) for b in t.branches))
-    return t
+def finalize(t: InferredType) -> tuple[InferredType, list[str]]:
+    """Publishable form of a raw type, and the paths of arrays no example populated.
 
-
-def infer_value_type(value: Any) -> InferredType:
-    """Type of a single JSON document."""
-    return finalize(_infer_raw(value))
+    ``lift_declarations`` without a registry: bottom seeds widen to any,
+    objects stay inline.
+    """
+    published, unpopulated, _ = lift_declarations(t, "", None)
+    return published, unpopulated
 
 
 def infer_from_examples(docs: list[Any]) -> InferredType:
@@ -287,7 +279,7 @@ def infer_from_examples(docs: list[Any]) -> InferredType:
     ``[[], [1]]`` still infers the tight element type; only the final result
     is published.
     """
-    return finalize(fold_examples(docs))
+    return finalize(fold_examples(docs))[0]
 
 
 def inhabits(value: Any, t: InferredType) -> bool:
@@ -331,20 +323,6 @@ def inhabits(value: Any, t: InferredType) -> bool:
     raise TypeError(f"cannot check membership of {t!r}")
 
 
-def empty_array_paths(value: Any, prefix: str = "$") -> list[str]:
-    """JSON paths of empty arrays inside a document (element types unknowable)."""
-    paths: list[str] = []
-    if isinstance(value, list):
-        if not value:
-            paths.append(prefix)
-        for i, item in enumerate(value):
-            paths.extend(empty_array_paths(item, f"{prefix}[{i}]"))
-    elif isinstance(value, dict):
-        for name, item in value.items():
-            paths.extend(empty_array_paths(item, f"{prefix}.{name}"))
-    return paths
-
-
 @dataclass(frozen=True)
 class TypeDecl:
     """A named object type lifted out of an inferred tree (name pre-mangling)."""
@@ -370,19 +348,23 @@ class DeclRegistry:
 def lift_declarations(
     t: InferredType,
     base_name: str,
-    registry: DeclRegistry,
+    registry: DeclRegistry | None,
     *,
-    source_record: RecordId,
-) -> tuple[InferredType, list[Issue]]:
-    """Replace every object node with a named reference to a registry declaration.
+    source_record: RecordId | None = None,
+) -> tuple[InferredType, list[str], list[Issue]]:
+    """Publish a raw type; returns it, the paths of its unpopulated arrays, and issues.
 
-    Names grow from ``base_name`` along the field path (array hops add
-    ``Item``). A body already in ``registry`` is shared, which is reported as
-    a W_DECL_SHARED issue; a new body takes ``fresh_name`` of its path name
-    against the names the registry has already handed out. Children are
-    registered before their parents, so every reference a body carries is a
-    final name.
+    Each bottom seed widens to any, and the JSON path of its array is
+    recorded once per type position (``.field`` per field, ``[]`` per array
+    hop). With a registry, every object node becomes a named reference to a
+    registry declaration; without one, objects stay inline. Names grow from
+    ``base_name`` along the field path (array hops add ``Item``). A body
+    already in ``registry`` is shared, which is reported as a W_DECL_SHARED
+    issue; a new body takes ``fresh_name`` of its path name against the
+    names the registry has already handed out. Children are registered
+    before their parents, so every reference a body carries is a final name.
     """
+    unpopulated: list[str] = []
     issues: list[Issue] = []
 
     def add_decl(body: TObject, name: str) -> str:
@@ -401,22 +383,24 @@ def lift_declarations(
         registry.by_body[body] = TypeDecl(name=final, body=body, source_record=source_record)
         return final
 
-    def walk(node: InferredType, name_path: str) -> InferredType:
+    def walk(node: InferredType, name_path: str, json_path: str) -> InferredType:
         if isinstance(node, TArray):
-            return TArray(walk(node.elem, name_path + "Item"))
+            if node.elem == BOTTOM:
+                unpopulated.append(json_path)
+            return TArray(walk(node.elem, name_path + "Item", json_path + "[]"))
         if isinstance(node, TUnion):
-            return TUnion(tuple(walk(b, name_path) for b in node.branches))
+            return TUnion(tuple(walk(b, name_path, json_path) for b in node.branches))
         if isinstance(node, TObject):
-            lifted = TObject(
+            body = TObject(
                 tuple(
-                    (n, FieldType(walk(f.type, name_path + _cap(n)), f.required))
+                    (n, FieldType(walk(f.type, name_path + _cap(n), f"{json_path}.{n}"), f.required))
                     for n, f in node.fields
                 )
             )
-            return TRef(add_decl(lifted, name_path))
-        return node
+            return body if registry is None else TRef(add_decl(body, name_path))
+        return T_ANY if node == BOTTOM else node
 
-    return walk(t, base_name), issues
+    return walk(t, base_name, "$"), unpopulated, issues
 
 
 def fresh_name(name: str, taken: set[str]) -> str:
@@ -453,8 +437,8 @@ def type_of_parameter(param: Parameter) -> tuple[InferredType, list[Issue]]:
         declared = _DECLARED_TYPES.get(param.declared_type.strip().lower())
 
     if param.has_example:
-        inferred = infer_value_type(param.example)
-        for path in empty_array_paths(param.example):
+        inferred, unpopulated = finalize(fold_examples([param.example]))
+        for path in unpopulated:
             issues.append(
                 make_issue(
                     "W_EMPTY_ARRAY",

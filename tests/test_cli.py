@@ -243,6 +243,49 @@ class TestGenerate:
         (rejected,) = load_corpus(out / "rejects.csv")
         assert ("E_JSON_CELL", "response_example") in [(i.code, i.field) for i in rejected.issues]
 
+    def test_malformed_identifier_policy_fails_cleanly(self, corpus12_path, tmp_path, capsys):
+        policy = tmp_path / "policy.json"
+        for text, complaint in (
+            ("[]", "not a JSON object"),
+            ('{"reserved_words": "def"}', "reserved_words"),
+            ('{"reserved_words": ["def", 1]}', "reserved_words"),
+        ):
+            policy.write_text(text, encoding="utf-8")
+            argv = ["generate", "--input", corpus12_path, "--out-dir", tmp_path / "out"]
+            assert run([*argv, "--identifier-policy", policy]) == 1, text
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and complaint in err, (text, err)
+
+    def test_empty_arrays_tagged_once_at_their_type_path(self, tmp_path):
+        table = [
+            {"name": "nested", "in": "query", "example": [[], [2]]},
+            {"name": "empty", "in": "query", "example": []},
+        ]
+        corpus = write_cells(
+            tmp_path / "probe.csv",
+            [
+                {
+                    "record_id": "p1",
+                    "path": "/v1/items",
+                    "parameters": json.dumps(table),
+                    "response_example": '{"items": [{"tags": []}, {"tags": []}]}',
+                },
+                {"record_id": "p2", "path": "/v1/a", "response_example": '{"a": [[], [1]]}'},
+            ],
+        )
+        out = tmp_path / "out"
+        assert run(["generate", "--input", corpus, "--out-dir", out]) == 0
+        report = json.loads((out / "build_report.json").read_text())
+        tagged = [
+            (issue["record_id"], issue["message"])
+            for issue in report["issues"]
+            if issue["code"] == "W_EMPTY_ARRAY"
+        ]
+        assert tagged == [
+            ("p1", "parameter 'empty' example has an empty array at $"),
+            ("p1", "response_example has an empty array at $.items[].tags; element type unknown"),
+        ]
+
     def test_idempotent(self, corpus12_path, tmp_path):
         out = tmp_path / "out"
         run(["generate", "--input", corpus12_path, "--out-dir", out])

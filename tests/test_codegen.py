@@ -4,6 +4,7 @@ import json
 import random
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,7 @@ from apibind.typeinfer import (
     T_INT,
     T_NULL,
     T_STRING,
+    infer_from_examples,
     inhabits,
     parse_json,
 )
@@ -192,6 +194,20 @@ class TestBuildReference:
         ]
 
 
+    def test_array_populated_by_a_sibling_not_tagged(self):
+        ir = build_reference([make_valid("a", response_example='{"a": [[], [1]]}')])
+        assert ir.decls[0].body == TObject((("a", FieldType(TArray(TArray(T_INT)), True)),))
+        assert [i.code for _, i in ir.report] == []
+
+    def test_empty_array_tagged_once_per_type_position(self):
+        rec = make_valid("i", response_example='{"items": [{"tags": []}, {"tags": []}]}')
+        ir = build_reference([rec])
+        tagged = [i.message for _, i in ir.report if i.code == "W_EMPTY_ARRAY"]
+        assert tagged == [
+            "response_example has an empty array at $.items[].tags; element type unknown"
+        ]
+
+
 def shared_with(issue) -> str:
     """The declaration a W_DECL_SHARED message says the type was shared with."""
     return re.search(r"identical to '([^']+)'", issue.message).group(1)
@@ -222,6 +238,23 @@ def expand(t, bodies: dict):
     if isinstance(t, TUnion):
         return TUnion(tuple(expand(b, bodies) for b in t.branches))
     return t
+
+
+def array_at(t, path: str):
+    """The array branch of the type position a W_EMPTY_ARRAY path names."""
+    steps = re.findall(r"\.[^.\[]+|\[\]", path[1:])
+    assert path == "$" + "".join(steps), path
+    for step in steps:
+        if step == "[]":
+            t = branch_of(t, TArray).elem
+        else:
+            t = branch_of(t, TObject).field_map()[step[1:]].type
+    return branch_of(t, TArray)
+
+
+def branch_of(t, kind):
+    (found,) = [b for b in (t.branches if isinstance(t, TUnion) else (t,)) if isinstance(b, kind)]
+    return found
 
 
 #: Paths whose raw names collide (get_v1_a twice) or whose camel names do
@@ -276,7 +309,16 @@ def test_build_reference_registry_properties(seeds):
             (record.response_example, fn.response_type),
         ):
             if text is not None:
-                assert inhabits(parse_json(text), expand(t, bodies)), (text, t)
+                doc = parse_json(text)
+                assert inhabits(doc, expand(t, bodies)), (text, t)
+                assert expand(t, bodies) == infer_from_examples([doc]), (text, t)
+    fn_by_record = {str(fn.record_id): fn for fn in ir.functions}
+    for rid, issue in ir.report:
+        if issue.code == "W_EMPTY_ARRAY":
+            fn = fn_by_record[rid]
+            t = fn.request_type if issue.field == "request_example" else fn.response_type
+            path = re.search(r"empty array at (\S+);", issue.message).group(1)
+            assert array_at(expand(t, bodies), path) == TArray(T_ANY), (rid, issue.message)
 
 
 _PLACEMENT_GROUPS = ("beta", "alpha", "gamma", None)  # None renders in "misc"
@@ -350,8 +392,6 @@ class TestIdentifierPolicy:
         a = make_valid("a", path="/x")
         ir = build_reference([a])
         (fn,) = ir.functions
-        from dataclasses import replace
-
         doctored = BindingIr(
             functions=(replace(fn, raw_name="get_user-id"), replace(fn, raw_name="get_user_id")),
             decls=ir.decls,
@@ -450,6 +490,31 @@ class TestRenderPackage:
         assert [p.name for p in written] == ["manifest.txt"]
         manifest = written[0].read_text(encoding="utf-8")
         assert "functions 0" in manifest
+
+    def test_group_named_manifest_keeps_its_functions(self, tmp_path):
+        records = [
+            make_valid("m", path="/v1/m", group="manifest", response_example='{"ok":true}'),
+            make_valid("u", path="/v1/u", group="users"),
+        ]
+        named = apply_identifier_policy(build_reference(records), IdentifierPolicy())
+        written = render_package(named, TemplateSet.neutral(), tmp_path)
+        assert [p.name for p in written] == ["manifest_.txt", "users.txt", "manifest.txt"]
+        modules = "".join((tmp_path / p.name).read_text(encoding="utf-8") for p in written[:-1])
+        for nf in named.functions:
+            assert f"function {nf.name}(" in modules, nf.name
+        assert "manifest_.txt" in (tmp_path / "manifest.txt").read_text(encoding="utf-8")
+
+    def test_line_breaks_stay_inside_the_doc_comment(self, tmp_path):
+        rec = make_valid("d", description="List things.\nfunction evil() -> any")
+        rec = replace(rec, source_url="https://d/x\r\nfunction url() -> any")
+        named = apply_identifier_policy(build_reference([rec]), IdentifierPolicy())
+        render_package(named, TemplateSet.neutral(), tmp_path)
+        lines = (tmp_path / "misc.txt").read_text(encoding="utf-8").splitlines()
+        assert [line for line in lines if line.startswith("function ")] == [
+            "function getV1Ping() -> any"
+        ]
+        assert "-- List things. function evil() -> any" in lines
+        assert "-- docs: https://d/x function url() -> any" in lines
 
     def test_shared_decl_emitted_once(self, tmp_path, corpus12_path):
         ir = build_reference(valid_records(corpus12_path))

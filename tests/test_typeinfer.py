@@ -22,10 +22,9 @@ from apibind.typeinfer import (
     T_INT,
     T_NULL,
     T_STRING,
-    empty_array_paths,
+    finalize,
     fold_examples,
     infer_from_examples,
-    infer_value_type,
     inhabits,
     lift_declarations,
     parse_json,
@@ -74,17 +73,17 @@ class TestParseJson:
 
 class TestInferValueType:
     def test_mixed_numeric_array_widens(self):
-        assert infer_value_type([1, 2.5]) == TArray(T_FLOAT)
+        assert infer_from_examples([[1, 2.5]]) == TArray(T_FLOAT)
 
     def test_empty_array_publishes_any(self):
-        assert infer_value_type([]) == TArray(T_ANY)
+        assert infer_from_examples([[]]) == TArray(T_ANY)
 
     def test_object_fields_required(self):
-        assert infer_value_type({"a": 1, "b": None}) == obj(("a", T_INT, True), ("b", T_NULL, True))
+        assert infer_from_examples([{"a": 1, "b": None}]) == obj(("a", T_INT, True), ("b", T_NULL, True))
 
     def test_scalars(self):
         for value, expected in ((None, T_NULL), (True, T_BOOL), (3, T_INT), (2.5, T_FLOAT), ("x", T_STRING)):
-            assert infer_value_type(value) == expected
+            assert infer_from_examples([value]) == expected
 
 
 class TestUnify:
@@ -231,13 +230,13 @@ def test_order_insensitive(seeds):
 def lift(t, base_name, **kwargs):
     """Lift into a fresh registry; returns (lifted, decls in registry order, issues)."""
     registry = DeclRegistry()
-    lifted, issues = lift_declarations(t, base_name, registry, source_record=RID, **kwargs)
+    lifted, _, issues = lift_declarations(t, base_name, registry, source_record=RID, **kwargs)
     return lifted, list(registry.by_body.values()), issues
 
 
 class TestLift:
     def test_nested_naming(self):
-        t = infer_value_type({"user": {"id": 1}})
+        t = infer_from_examples([{"user": {"id": 1}}])
         lifted, decls, issues = lift(t, "CreateMsgRequest")
         assert lifted == TRef("CreateMsgRequest")
         assert sorted(d.name for d in decls) == ["CreateMsgRequest", "CreateMsgRequestUser"]
@@ -250,12 +249,12 @@ class TestLift:
         assert lifted == T_INT and decls == [] and issues == []
 
     def test_array_hop_names_item(self):
-        t = infer_value_type({"items": [{"id": 1}]})
+        t = infer_from_examples([{"items": [{"id": 1}]}])
         _, decls, _ = lift(t, "Resp")
         assert sorted(d.name for d in decls) == ["Resp", "RespItemsItem"]
 
     def test_decls_come_children_first(self):
-        t = infer_value_type({"a": {"b": {"c": 1}}})
+        t = infer_from_examples([{"a": {"b": {"c": 1}}}])
         _, decls, _ = lift(t, "X")
         assert [d.name for d in decls] == ["XAB", "XA", "X"]
 
@@ -303,8 +302,15 @@ class TestTypeOfParameter:
         t, issues = type_of_parameter(self.param(example=[]))
         assert t == TArray(T_ANY)
         assert [i.code for i in issues] == ["W_EMPTY_ARRAY"]
+        assert issues[0].message.endswith("empty array at $")
+
+    def test_array_populated_by_a_sibling_not_tagged(self):
+        t, issues = type_of_parameter(self.param(example=[[], [2]]))
+        assert t == TArray(TArray(T_INT))
+        assert issues == []
 
 
 def test_empty_array_paths():
+    # b's first item is populated by its second; the [] inside that one is not
     doc = {"a": [], "b": [[], [1, []]], "c": {"d": []}}
-    assert empty_array_paths(doc) == ["$.a", "$.b[0]", "$.b[1][1]", "$.c.d"]
+    assert finalize(fold_examples([doc]))[1] == ["$.a", "$.b[][]", "$.c.d"]
