@@ -9,7 +9,6 @@ from .codegen import (
     BindingFunction,
     BindingIr,
     IdentifierPolicy,
-    NamedIr,
     apply_identifier_policy,
     build_reference,
     render_package,

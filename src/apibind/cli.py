@@ -113,12 +113,12 @@ def cmd_generate(config: PipelineConfig) -> int:
 
     package_name = config.inputs[0].stem
     ir = build_reference(valid, package_name=package_name)
-    named = apply_identifier_policy(ir, policy)
-    written = render_package(named, templates, config.out_dir / "package")
+    names = apply_identifier_policy(ir, policy)
+    written = render_package(ir, names, templates, config.out_dir / "package")
 
     _write_build_report(config.out_dir, ir, rejected)
     (config.out_dir / "name_map.json").write_text(
-        json.dumps(named.name_maps, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(names, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
     for issue_record, issue in ir.report:

@@ -4,9 +4,9 @@ Three steps, cleanly separated: ``build_reference`` folds valid records
 into a language-independent inventory of call functions and type
 declarations, lifting every example straight into one corpus-wide
 declaration registry; ``apply_identifier_policy`` maps every raw name to a
-legal target identifier (recording the mapping); ``render_package`` writes
-the package from a template set. Only the identifier policy and the templates
-know anything about the target language.
+legal target identifier and returns that name map; ``render_package`` writes
+the package from the ``BindingIr``, the name map and a template set. Only the
+identifier policy and the templates know anything about the target language.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def build_reference(
     functions: list[BindingFunction] = []
     report: list[tuple[str, Issue]] = []
     groups: dict[str, list[str]] = {}
-    taken_fn: set[str] = set()
+    taken_fn: dict[str, int] = {}
     registry = DeclRegistry()
 
     def example_type(
@@ -280,25 +280,29 @@ def apply_casing(raw: str, casing: str) -> str:
     return out
 
 
-class _Namespace:
-    """Injective raw -> identifier mapping for one namespace."""
+def _identifier(raw: str, casing: str, reserved: frozenset[str], taken: dict[str, int]) -> str:
+    """A fresh legal identifier for ``raw`` in the namespace ``taken``."""
+    name = apply_casing(raw, casing)
+    while name in reserved:
+        name += "_"
+    final = fresh_name(name, taken)
+    assert _IDENTIFIER.match(final), final
+    return final
 
-    def __init__(self, casing: str, reserved: frozenset[str]):
-        self.casing = casing
-        self.reserved = reserved
-        self.taken: set[str] = set()
-        self.mapping: dict[str, str] = {}
 
-    def assign(self, raw: str) -> str:
-        if raw in self.mapping:
-            return self.mapping[raw]
-        name = apply_casing(raw, self.casing)
-        while name in self.reserved:
-            name += "_"
-        final = fresh_name(name, self.taken)
-        self.mapping[raw] = final
-        assert _IDENTIFIER.match(final), final
-        return final
+#: Control characters and the two Unicode separators: every ``_LINE_BREAK``
+#: character among them.
+_UNPRINTABLE = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+
+
+def _wire_text(wire: str) -> str:
+    """A wire name as a module writes it.
+
+    A name holding a character that could end the line becomes an ASCII JSON
+    string (``ensure_ascii=False`` would leave U+0085, U+2028 and U+2029 raw),
+    which still names the wire field exactly.
+    """
+    return json.dumps(wire) if _UNPRINTABLE.search(wire) else wire
 
 
 def format_type(t: InferredType, type_names: dict[str, str] | None = None) -> str:
@@ -315,122 +319,49 @@ def format_type(t: InferredType, type_names: dict[str, str] | None = None) -> st
         if not t.fields:
             return "{}"
         inner = ", ".join(
-            f"{name}{'' if field.required else '?'}: {format_type(field.type, type_names)}"
+            f"{_wire_text(name)}{'' if field.required else '?'}: "
+            f"{format_type(field.type, type_names)}"
             for name, field in t.fields
         )
         return "{" + inner + "}"
     raise TypeError(f"cannot format {t!r}")
 
 
-@dataclass(frozen=True)
-class NamedField:
-    wire: str  # name as it travels on the wire
-    name: str
-    type_expr: str
-    required: bool
+def apply_identifier_policy(ir: BindingIr, policy: IdentifierPolicy) -> dict:
+    """The name map: every raw name of ``ir`` mapped to a final identifier.
 
-
-@dataclass(frozen=True)
-class NamedDecl:
-    name: str
-    decl: TypeDecl
-    fields: tuple[NamedField, ...]
-
-
-@dataclass(frozen=True)
-class NamedParam:
-    wire: str
-    name: str
-    type_expr: str
-    convention: Convention
-    required: bool | None
-
-
-@dataclass(frozen=True)
-class NamedFunction:
-    name: str
-    fn: BindingFunction
-    params: tuple[NamedParam, ...]
-    body_param: str | None
-    request_type_expr: str | None
-    response_type_expr: str
-
-
-@dataclass(frozen=True)
-class NamedIr:
-    functions: tuple[NamedFunction, ...]
-    decls: tuple[NamedDecl, ...]
-    groups: tuple[tuple[str, tuple[str, ...]], ...]
-    package_meta: PackageMeta
-    name_maps: dict
-
-
-def apply_identifier_policy(ir: BindingIr, policy: IdentifierPolicy) -> NamedIr:
-    """Map every raw name to a final identifier, recording raw -> final.
-
-    Functions and types each share one corpus-wide namespace; fields and
-    function parameters get one namespace per declaration or function.
+    ``functions`` and ``types`` map raw names to identifiers, each in one
+    corpus-wide namespace. ``fields`` maps each final type name to its
+    fields' wire -> identifier map, and ``params`` each function raw name to
+    its signature's identifiers in order, the request body last; each
+    declaration and each function is a namespace of its own.
     """
-    fn_ns = _Namespace(policy.casing_function, policy.reserved_words)
-    type_ns = _Namespace(policy.casing_type, policy.reserved_words)
-    type_names = {decl.name: type_ns.assign(decl.name) for decl in ir.decls}
-
-    named_decls = []
-    field_maps: dict[str, dict[str, str]] = {}
-    for decl in ir.decls:
-        field_ns = _Namespace(policy.casing_field, policy.reserved_words)
-        fields = tuple(
-            NamedField(
-                wire=name,
-                name=field_ns.assign(name),
-                type_expr=format_type(field.type, type_names),
-                required=field.required,
-            )
-            for name, field in decl.body.fields
-        )
-        named_decls.append(NamedDecl(name=type_names[decl.name], decl=decl, fields=fields))
-        field_maps[type_names[decl.name]] = dict(field_ns.mapping)
-
-    named_functions = []
-    for fn in ir.functions:
-        final = fn_ns.assign(fn.raw_name)
-        param_ns = _Namespace(policy.casing_field, policy.reserved_words)
-        params = tuple(
-            NamedParam(
-                wire=param.name,
-                name=param_ns.assign(param.name),
-                type_expr=format_type(param_type, type_names),
-                convention=param.convention,
-                required=param.required,
-            )
-            for param, param_type in fn.params
-        )
-        body_param = param_ns.assign("body") if fn.request_type is not None else None
-        named_functions.append(
-            NamedFunction(
-                name=final,
-                fn=fn,
-                params=params,
-                body_param=body_param,
-                request_type_expr=(
-                    format_type(fn.request_type, type_names) if fn.request_type is not None else None
-                ),
-                response_type_expr=format_type(fn.response_type, type_names),
-            )
-        )
-
-    name_maps = {
-        "functions": dict(fn_ns.mapping),
-        "types": dict(type_ns.mapping),
-        "fields": field_maps,
+    reserved = policy.reserved_words
+    type_taken: dict[str, int] = {}
+    types = {
+        decl.name: _identifier(decl.name, policy.casing_type, reserved, type_taken)
+        for decl in ir.decls
     }
-    return NamedIr(
-        functions=tuple(named_functions),
-        decls=tuple(named_decls),
-        groups=ir.groups,
-        package_meta=ir.package_meta,
-        name_maps=name_maps,
-    )
+    fields = {}
+    for decl in ir.decls:
+        taken: dict[str, int] = {}
+        fields[types[decl.name]] = {
+            wire: _identifier(wire, policy.casing_field, reserved, taken)
+            for wire, _ in decl.body.fields
+        }
+    fn_taken: dict[str, int] = {}
+    functions = {}
+    params = {}
+    for fn in ir.functions:
+        functions[fn.raw_name] = _identifier(fn.raw_name, policy.casing_function, reserved, fn_taken)
+        wires = [param.name for param, _ in fn.params]
+        if fn.request_type is not None:
+            wires.append("body")
+        taken = {}
+        params[fn.raw_name] = [
+            _identifier(wire, policy.casing_field, reserved, taken) for wire in wires
+        ]
+    return {"functions": functions, "types": types, "fields": fields, "params": params}
 
 
 # --- rendering --------------------------------------------------------------
@@ -440,11 +371,14 @@ class GenerationError(Exception):
     pass
 
 
-def render_package(ir: NamedIr, templates: TemplateSet, out_dir: str | Path) -> list[Path]:
+def render_package(
+    ir: BindingIr, names: dict, templates: TemplateSet, out_dir: str | Path
+) -> list[Path]:
     """Write the package tree; returns written paths, manifest last.
 
-    Output is a pure function of (ir, templates): rendering the same inputs
-    twice produces byte-identical trees.
+    ``names`` is ``apply_identifier_policy``'s map for ``ir``. Output is a
+    pure function of (ir, names, templates): rendering the same inputs twice
+    produces byte-identical trees.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -455,23 +389,24 @@ def render_package(ir: NamedIr, templates: TemplateSet, out_dir: str | Path) -> 
         "corpus_digest": meta.corpus_digest,
     }
 
-    fn_by_raw = {nf.fn.raw_name: nf for nf in ir.functions}
+    fn_by_raw = {fn.raw_name: fn for fn in ir.functions}
     groups_sorted = sorted(ir.groups, key=lambda kv: kv[0])
     module_decls = _place_decls(ir, groups_sorted, fn_by_raw)
 
-    module_ns = _Namespace("snake", frozenset({"manifest"}))  # manifest.txt is not a module
+    module_reserved = frozenset({"manifest"})  # manifest.txt is not a module
+    module_taken: dict[str, int] = {}
     written: list[Path] = []
     module_entries = []
     for group, raw_names in groups_sorted:
-        module_name = module_ns.assign(group)
+        module_name = _identifier(group, "snake", module_reserved, module_taken)
         file_name = f"{module_name}.txt"
         parts = [templates.module_header.render({**base_ctx, "module_name": module_name})]
         for decl in module_decls[group]:
-            parts.append(templates.type.render({**base_ctx, **_type_ctx(decl)}))
+            parts.append(templates.type.render({**base_ctx, **_type_ctx(decl, names)}))
         for raw in raw_names:
-            nf = fn_by_raw[raw]
-            parts.append(templates.doc_comment.render({**base_ctx, **_doc_ctx(nf)}))
-            parts.append(templates.function.render({**base_ctx, **_fn_ctx(nf)}))
+            fn = fn_by_raw[raw]
+            parts.append(templates.doc_comment.render({**base_ctx, **_doc_ctx(fn)}))
+            parts.append(templates.function.render({**base_ctx, **_fn_ctx(fn, names)}))
         path = out_dir / file_name
         _write(path, "".join(parts))
         written.append(path)
@@ -499,22 +434,22 @@ def _write(path: Path, text: str) -> None:
 
 
 def _place_decls(
-    ir: NamedIr,
+    ir: BindingIr,
     groups_sorted: list[tuple[str, tuple[str, ...]]],
-    fn_by_raw: dict[str, NamedFunction],
-) -> dict[str, list[NamedDecl]]:
+    fn_by_raw: dict[str, BindingFunction],
+) -> dict[str, list[TypeDecl]]:
     """Each declaration renders in the first module (sorted order) that reaches it.
 
     A declaration is homed where its reference is first reached, and a homed
     reference is never walked again. Bodies reference raw names, so homes are
     keyed by raw name; modules list their declarations in registry order.
     """
-    body_by_raw = {nd.decl.name: nd.decl.body for nd in ir.decls}
+    body_by_raw = {decl.name: decl.body for decl in ir.decls}
     home: dict[str, str] = {}
     for group, raw_names in groups_sorted:
         stack: list[InferredType | None] = []  # a missing request type is None
         for raw in raw_names:
-            fn = fn_by_raw[raw].fn
+            fn = fn_by_raw[raw]
             stack += [fn.request_type, fn.response_type, *(t for _, t in fn.params)]
         while stack:
             t = stack.pop()
@@ -529,23 +464,25 @@ def _place_decls(
             elif isinstance(t, TUnion):
                 stack.extend(t.branches)
 
-    module_decls: dict[str, list[NamedDecl]] = {group: [] for group, _ in groups_sorted}
-    for nd in ir.decls:
-        module_decls[home[nd.decl.name]].append(nd)
+    module_decls: dict[str, list[TypeDecl]] = {group: [] for group, _ in groups_sorted}
+    for decl in ir.decls:
+        module_decls[home[decl.name]].append(decl)
     return module_decls
 
 
-def _type_ctx(decl: NamedDecl) -> dict:
+def _type_ctx(decl: TypeDecl, names: dict) -> dict:
+    type_name = names["types"][decl.name]
+    field_names = names["fields"][type_name]
     return {
-        "type_name": decl.name,
+        "type_name": type_name,
         "fields": [
             {
-                "field_name": f.name,
-                "optional_mark": "" if f.required else "?",
-                "field_type": f.type_expr,
-                "wire_note": f"  (wire {f.wire})" if f.name != f.wire else "",
+                "field_name": field_names[wire],
+                "optional_mark": "" if field.required else "?",
+                "field_type": format_type(field.type, names["types"]),
+                "wire_note": f"  (wire {_wire_text(wire)})" if field_names[wire] != wire else "",
             }
-            for f in decl.fields
+            for wire, field in decl.body.fields
         ],
     }
 
@@ -554,40 +491,44 @@ def _type_ctx(decl: NamedDecl) -> dict:
 _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
-def _doc_ctx(nf: NamedFunction) -> dict:
-    fn = nf.fn
+def _doc_ctx(fn: BindingFunction) -> dict:
     summary = fn.doc_summary or f"{fn.method.value} {fn.path.render()}"
     return {"summary": _LINE_BREAK.sub(" ", summary), "doc_url": _LINE_BREAK.sub(" ", fn.doc_url)}
 
 
-def _fn_ctx(nf: NamedFunction) -> dict:
-    fn = nf.fn
-    signature = [{"param_name": p.name, "param_type": p.type_expr} for p in nf.params]
-    if nf.body_param is not None:
-        signature.append({"param_name": nf.body_param, "param_type": nf.request_type_expr})
+def _fn_ctx(fn: BindingFunction, names: dict) -> dict:
+    type_names = names["types"]
+    param_names = names["params"][fn.raw_name]
+    types = [t for _, t in fn.params]
+    if fn.request_type is not None:
+        types.append(fn.request_type)
+    signature = [
+        {"param_name": name, "param_type": format_type(t, type_names)}
+        for name, t in zip(param_names, types)
+    ]
     for i, entry in enumerate(signature):
         entry["sep"] = ", " if i < len(signature) - 1 else ""
 
     param_lines = []
-    for p in nf.params:
+    for (param, _), name in zip(fn.params, param_names):
         required_mark = ""
-        if p.required is True:
+        if param.required is True:
             required_mark = " required"
-        elif p.required is False:
+        elif param.required is False:
             required_mark = " optional"
         param_lines.append(
             {
-                "param_name": p.name,
-                "convention": p.convention.value,
+                "param_name": name,
+                "convention": param.convention.value,
                 "required_mark": required_mark,
-                "wire_note": f" (wire {p.wire})" if p.name != p.wire else "",
+                "wire_note": f" (wire {_wire_text(param.name)})" if name != param.name else "",
             }
         )
 
     return {
-        "function_name": nf.name,
+        "function_name": names["functions"][fn.raw_name],
         "signature_params": signature,
-        "response_type": nf.response_type_expr,
+        "response_type": format_type(fn.response_type, type_names),
         "http_method": fn.method.value,
         "path_template": fn.path.render(),
         "param_lines": param_lines,

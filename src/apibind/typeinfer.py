@@ -76,7 +76,8 @@ class TObject(InferredType):
 @dataclass(frozen=True)
 class TUnion(InferredType):
     #: Canonical order, as ``_normalize`` builds it: null, bool, the numeric
-    #: type, string, one array, one object, then references by name.
+    #: type, string, one array, one object. ``lift_declarations`` builds
+    #: lifted unions directly, with a reference in the object's place.
     branches: tuple[InferredType, ...]
 
     def __post_init__(self):
@@ -166,7 +167,6 @@ def _normalize(branches: tuple[InferredType, ...]) -> InferredType:
     numeric: InferredType | None = None
     array: TArray | None = None
     obj: TObject | None = None
-    refs: dict[str, TRef] = {}
 
     for br in branches:
         if br == T_ANY:
@@ -188,9 +188,7 @@ def _normalize(branches: tuple[InferredType, ...]) -> InferredType:
             array = br if array is None else TArray(unify(array.elem, br.elem))
         elif isinstance(br, TObject):
             obj = br if obj is None else _merge_objects(obj, br)
-        elif isinstance(br, TRef):
-            refs[br.name] = br
-        else:  # pragma: no cover - guarded by the type grammar
+        else:  # a reference is a name, not a lattice element
             raise TypeError(f"cannot normalize {br!r}")
 
     out: list[InferredType] = []
@@ -206,7 +204,6 @@ def _normalize(branches: tuple[InferredType, ...]) -> InferredType:
         out.append(array)
     if obj is not None:
         out.append(obj)
-    out.extend(refs[name] for name in sorted(refs))
 
     if not out:
         return BOTTOM
@@ -337,12 +334,12 @@ class DeclRegistry:
 
     ``by_body`` maps each distinct body to its declaration; its insertion
     order is the children-first declaration order. ``taken`` holds every
-    declaration name handed out so far.
+    declaration name handed out so far, in ``fresh_name``'s form.
     """
 
     def __init__(self) -> None:
         self.by_body: dict[TObject, TypeDecl] = {}
-        self.taken: set[str] = set()
+        self.taken: dict[str, int] = {}
 
 
 def lift_declarations(
@@ -403,14 +400,23 @@ def lift_declarations(
     return walk(t, base_name, "$"), unpopulated, issues
 
 
-def fresh_name(name: str, taken: set[str]) -> str:
-    """First of ``name``, ``name_2``, ``name_3``, ... not in ``taken``; adds it to ``taken``."""
-    final = name
-    suffix = 2
+def fresh_name(name: str, taken: dict[str, int]) -> str:
+    """First of ``name``, ``name_2``, ``name_3``, ... not in ``taken``; adds it to ``taken``.
+
+    ``taken`` maps each name handed out to the next suffix to try when it
+    comes back as a base: every suffix below that one is taken, and ``taken``
+    only grows, so resuming there returns what probing from ``_2`` would.
+    """
+    suffix = taken.get(name)
+    if suffix is None:
+        taken[name] = 2
+        return name
+    final = f"{name}_{suffix}"
     while final in taken:
-        final = f"{name}_{suffix}"
         suffix += 1
-    taken.add(final)
+        final = f"{name}_{suffix}"
+    taken[name] = suffix + 1
+    taken[final] = 2
     return final
 
 

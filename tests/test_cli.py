@@ -286,6 +286,39 @@ class TestGenerate:
             ("p1", "response_example has an empty array at $.items[].tags; element type unknown"),
         ]
 
+    def test_repeated_parameter_wires_render_distinct_names(self, tmp_path):
+        corpus = write_cells(
+            tmp_path / "probe.csv",
+            [
+                {
+                    "record_id": "p1",
+                    "http_method": "POST",
+                    "path": "/v1/x",
+                    "parameters": json.dumps([{"name": "body", "in": "query"}]),
+                    "request_example": '{"a": 1}',
+                },
+                {
+                    "record_id": "p2",
+                    "path": "/v1/y",
+                    "parameters": json.dumps(
+                        [{"name": "id", "in": "query"}, {"name": "id", "in": "header", "type": "int"}]
+                    ),
+                },
+            ],
+        )
+        out = tmp_path / "out"
+        assert run(["generate", "--input", corpus, "--out-dir", out]) == 0
+        lines = (out / "package" / "misc.txt").read_text(encoding="utf-8").splitlines()
+        assert [line for line in lines if line.startswith(("function ", "  param "))] == [
+            "function postV1X(body: string, body_2: PostV1XRequest) -> any",
+            "  param body via Query",
+            "function getV1Y(id: string, id_2: int) -> any",
+            "  param id via Query",
+            "  param id_2 via Header (wire id)",
+        ]
+        name_map = json.loads((out / "name_map.json").read_text(encoding="utf-8"))
+        assert name_map["params"] == {"post_v1_x": ["body", "body_2"], "get_v1_y": ["id", "id_2"]}
+
     def test_idempotent(self, corpus12_path, tmp_path):
         out = tmp_path / "out"
         run(["generate", "--input", corpus12_path, "--out-dir", out])

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apibind.codegen import (
+    _IDENTIFIER,
     IdentifierPolicy,
     apply_casing,
     apply_identifier_policy,
@@ -342,9 +343,9 @@ def test_each_declaration_renders_once_in_the_first_module_reaching_it(seeds):
         group = rng.choice(_PLACEMENT_GROUPS)
         records.append(make_valid(f"r{i}", path=f"/v1/r{i}", group=group, **examples))
     ir = build_reference(records)
-    named = apply_identifier_policy(ir, IdentifierPolicy())
+    names = apply_identifier_policy(ir, IdentifierPolicy())
     with tempfile.TemporaryDirectory() as tmp:
-        render_package(named, TemplateSet.neutral(), tmp)
+        render_package(ir, names, TemplateSet.neutral(), tmp)
         modules = {p.stem: p.read_text(encoding="utf-8") for p in Path(tmp).glob("*.txt")}
 
     bodies = {d.name: d.body for d in ir.decls}
@@ -361,9 +362,126 @@ def test_each_declaration_renders_once_in_the_first_module_reaching_it(seeds):
                 todo += refs_in(bodies[name])
     for decl in ir.decls:
         home = min(group for group, names in reached.items() if decl.name in names)
-        final = named.name_maps["types"][decl.name]
+        final = names["types"][decl.name]
         counts = {stem: text.count(f"type {final} = ") for stem, text in modules.items()}
         assert counts[home] == 1 and sum(counts.values()) == 1, (decl.name, home, counts)
+
+
+#: Name fragments that mangle alike, hit reserved words, the body
+#: parameter's name, leading digits, separators, and line breaks.
+_HOSTILE_FRAGMENTS = (
+    "type", "Type", "function", "package", "body", "Body", "id", "2fa", "-", ".",
+    "\n", "\r\n", "\u2028", "a", "\nfunction evil() -> any",
+)
+_hostile_names = st.lists(st.sampled_from(_HOSTILE_FRAGMENTS), min_size=1, max_size=3).map("".join)
+_hostile_records = st.tuples(
+    st.sampled_from((HttpMethod.GET, HttpMethod.POST)),
+    st.sampled_from(("/v1/a", "/v1/b")),
+    st.sampled_from((None, "manifest", "Type", "a\nb")),
+    st.lists(
+        st.tuples(_hostile_names, st.sampled_from(("query", "header", "cookie"))),
+        max_size=4,
+        unique=True,  # the same name may repeat under another convention
+    ),
+    st.none() | st.lists(_hostile_names, max_size=4),
+    st.none() | st.lists(_hostile_names, max_size=4),
+)
+
+
+def _example(keys):
+    """An object example over ``keys``; the last one nests an object of the same keys."""
+    if keys is None:
+        return None
+    doc = {key: 1 for key in keys}
+    if keys:
+        doc[keys[-1]] = {key: "s" for key in keys}
+    return json.dumps(doc)
+
+
+def rendered_names(module: str):
+    """Field names per type and parameter names per function, from module lines.
+
+    Every line must fit the neutral template's line grammar; field lines only
+    inside a type block.
+    """
+    fields: dict[str, list[str]] = {}
+    signatures: dict[str, list[str]] = {}
+    param_lines: dict[str, list[str]] = {}
+    block = fn = None
+    for line in module.splitlines():
+        if block is not None:
+            if line == "}":
+                block = None
+            else:
+                m = re.fullmatch(r"  (\w+)\??: \S+(  \(wire .+\))?", line)
+                assert m, line
+                fields[block].append(m.group(1))
+        elif m := re.fullmatch(r"type (\w+) = \{", line):
+            block = m.group(1)
+            assert block not in fields, block
+            fields[block] = []
+        elif m := re.fullmatch(r"function (\w+)\((.*)\) -> \S+", line):
+            fn = m.group(1)
+            assert fn not in signatures, fn
+            signatures[fn] = re.findall(r"(\w+): ", m.group(2))
+            param_lines[fn] = []
+        elif m := re.fullmatch(r"  param (\w+) via \w+( required| optional)?( \(wire .+\))?", line):
+            param_lines[fn].append(m.group(1))
+        else:
+            assert line == "" or line.startswith(
+                ("module ", "package ", "-- ", "  method ", "  path ")
+            ), line
+    assert block is None
+    return fields, signatures, param_lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_hostile_records, min_size=1, max_size=4))
+def test_identifiers_are_distinct_legal_and_rendered_as_mapped(drawn):
+    records = [
+        make_valid(
+            f"r{i}",
+            path=path,
+            method=method,
+            group=group,
+            raw_parameters=json.dumps([{"name": n, "in": conv} for n, conv in table]),
+            request_example=_example(request_keys),
+            response_example=_example(response_keys),
+        )
+        for i, (method, path, group, table, request_keys, response_keys) in enumerate(drawn)
+    ]
+    ir = build_reference(records)
+    names = apply_identifier_policy(ir, IdentifierPolicy())
+    with tempfile.TemporaryDirectory() as tmp:
+        render_package(ir, names, TemplateSet.neutral(), tmp)
+        modules = [
+            p.read_text(encoding="utf-8") for p in Path(tmp).glob("*.txt") if p.name != "manifest.txt"
+        ]
+    fields, signatures, param_lines = {}, {}, {}
+    for module in modules:
+        module_fields, module_signatures, module_params = rendered_names(module)
+        assert not module_fields.keys() & fields.keys()
+        assert not module_signatures.keys() & signatures.keys()
+        fields.update(module_fields)
+        signatures.update(module_signatures)
+        param_lines.update(module_params)
+
+    identifiers = [*names["functions"].values(), *names["types"].values()]
+    for field_names in names["fields"].values():
+        assert len(set(field_names.values())) == len(field_names), field_names
+        identifiers += field_names.values()
+    for param_names in names["params"].values():
+        assert len(set(param_names)) == len(param_names), param_names
+        identifiers += param_names
+    for identifier in identifiers:
+        assert _IDENTIFIER.match(identifier), identifier
+
+    assert fields == {name: list(wires.values()) for name, wires in names["fields"].items()}
+    assert signatures.keys() == set(names["functions"].values())
+    for fn in ir.functions:
+        final = names["functions"][fn.raw_name]
+        assert signatures[final] == names["params"][fn.raw_name], final
+        assert param_lines[final] == names["params"][fn.raw_name][: len(fn.params)], final
 
 
 class TestIdentifierPolicy:
@@ -379,10 +497,10 @@ class TestIdentifierPolicy:
 
     def test_reserved_word_suffixed(self):
         ir = build_reference([make_valid("r", path="/type")])
-        named = apply_identifier_policy(
+        names = apply_identifier_policy(
             ir, IdentifierPolicy(casing_function="snake", reserved_words=frozenset({"get_type"}))
         )
-        assert named.functions[0].name == "get_type_"
+        assert names["functions"]["get_type"] == "get_type_"
 
     def test_collision_suffixed_first_seen(self):
         # raws differing only in '-' vs '_' mangle identically; the second
@@ -399,15 +517,15 @@ class TestIdentifierPolicy:
             package_meta=ir.package_meta,
             report=(),
         )
-        named = apply_identifier_policy(doctored, IdentifierPolicy())
-        assert [fn.name for fn in named.functions] == ["getUserId", "getUserId_2"]
+        names = apply_identifier_policy(doctored, IdentifierPolicy())
+        assert list(names["functions"].values()) == ["getUserId", "getUserId_2"]
 
     def test_identifier_grammar(self):
         assert apply_casing("2fa_enable", "lower-camel") == "_2faEnable"
         assert apply_casing("2fa", "upper-camel") == "_2fa"
         ir = build_reference([make_valid("n", path="/2fa/enable")])
-        named = apply_identifier_policy(ir, IdentifierPolicy(casing_function="lower-camel"))
-        assert named.functions[0].name == "get2faEnable"
+        names = apply_identifier_policy(ir, IdentifierPolicy(casing_function="lower-camel"))
+        assert names["functions"]["get_2fa_enable"] == "get2faEnable"
 
     def test_policy_from_json(self, tmp_path):
         policy_file = tmp_path / "policy.json"
@@ -432,9 +550,9 @@ class TestIdentifierPolicy:
 
     def test_name_maps_recorded(self, corpus12_path):
         ir = build_reference(valid_records(corpus12_path))
-        named = apply_identifier_policy(ir, IdentifierPolicy())
-        assert named.name_maps["functions"]["get_v1_ping"] == "getV1Ping"
-        assert all(raw in named.name_maps["types"] for raw in (d.name for d in ir.decls))
+        names = apply_identifier_policy(ir, IdentifierPolicy())
+        assert names["functions"]["get_v1_ping"] == "getV1Ping"
+        assert all(raw in names["types"] for raw in (d.name for d in ir.decls))
 
 
 class TestFormatType:
@@ -451,8 +569,8 @@ class TestFormatType:
 class TestRenderPackage:
     def test_single_function_package(self, tmp_path):
         ir = build_reference([make_valid("p", response_example='{"ok":true}')])
-        named = apply_identifier_policy(ir, IdentifierPolicy())
-        written = render_package(named, TemplateSet.neutral(), tmp_path)
+        names = apply_identifier_policy(ir, IdentifierPolicy())
+        written = render_package(ir, names, TemplateSet.neutral(), tmp_path)
         assert [p.name for p in written] == ["misc.txt", "manifest.txt"]
         module = (tmp_path / "misc.txt").read_text(encoding="utf-8")
         assert "https://docs.example.com/p" in module
@@ -461,11 +579,11 @@ class TestRenderPackage:
 
     def test_deterministic(self, tmp_path, corpus12_path):
         ir = build_reference(valid_records(corpus12_path))
-        named = apply_identifier_policy(ir, IdentifierPolicy())
+        names = apply_identifier_policy(ir, IdentifierPolicy())
         first = tmp_path / "one"
         second = tmp_path / "two"
-        render_package(named, TemplateSet.neutral(), first)
-        render_package(named, TemplateSet.neutral(), second)
+        render_package(ir, names, TemplateSet.neutral(), first)
+        render_package(ir, names, TemplateSet.neutral(), second)
         files_a = sorted(p.relative_to(first) for p in first.rglob("*"))
         files_b = sorted(p.relative_to(second) for p in second.rglob("*"))
         assert files_a == files_b
@@ -477,16 +595,16 @@ class TestRenderPackage:
         sources["function.tpl"] = "function {{not_a_thing}}\n"
         broken = TemplateSet.from_sources(sources)
         ir = build_reference([make_valid("p")])
-        named = apply_identifier_policy(ir, IdentifierPolicy())
+        names = apply_identifier_policy(ir, IdentifierPolicy())
         with pytest.raises(Exception) as exc:
-            render_package(named, broken, tmp_path)
+            render_package(ir, names, broken, tmp_path)
         assert "function.tpl" in str(exc.value)
         assert "not_a_thing" in str(exc.value)
 
     def test_empty_ir_renders_manifest_only(self, tmp_path):
         ir = build_reference([])
-        named = apply_identifier_policy(ir, IdentifierPolicy())
-        written = render_package(named, TemplateSet.neutral(), tmp_path)
+        names = apply_identifier_policy(ir, IdentifierPolicy())
+        written = render_package(ir, names, TemplateSet.neutral(), tmp_path)
         assert [p.name for p in written] == ["manifest.txt"]
         manifest = written[0].read_text(encoding="utf-8")
         assert "functions 0" in manifest
@@ -496,19 +614,21 @@ class TestRenderPackage:
             make_valid("m", path="/v1/m", group="manifest", response_example='{"ok":true}'),
             make_valid("u", path="/v1/u", group="users"),
         ]
-        named = apply_identifier_policy(build_reference(records), IdentifierPolicy())
-        written = render_package(named, TemplateSet.neutral(), tmp_path)
+        ir = build_reference(records)
+        names = apply_identifier_policy(ir, IdentifierPolicy())
+        written = render_package(ir, names, TemplateSet.neutral(), tmp_path)
         assert [p.name for p in written] == ["manifest_.txt", "users.txt", "manifest.txt"]
         modules = "".join((tmp_path / p.name).read_text(encoding="utf-8") for p in written[:-1])
-        for nf in named.functions:
-            assert f"function {nf.name}(" in modules, nf.name
+        for name in names["functions"].values():
+            assert f"function {name}(" in modules, name
         assert "manifest_.txt" in (tmp_path / "manifest.txt").read_text(encoding="utf-8")
 
     def test_line_breaks_stay_inside_the_doc_comment(self, tmp_path):
         rec = make_valid("d", description="List things.\nfunction evil() -> any")
         rec = replace(rec, source_url="https://d/x\r\nfunction url() -> any")
-        named = apply_identifier_policy(build_reference([rec]), IdentifierPolicy())
-        render_package(named, TemplateSet.neutral(), tmp_path)
+        ir = build_reference([rec])
+        names = apply_identifier_policy(ir, IdentifierPolicy())
+        render_package(ir, names, TemplateSet.neutral(), tmp_path)
         lines = (tmp_path / "misc.txt").read_text(encoding="utf-8").splitlines()
         assert [line for line in lines if line.startswith("function ")] == [
             "function getV1Ping() -> any"
@@ -516,10 +636,31 @@ class TestRenderPackage:
         assert "-- List things. function evil() -> any" in lines
         assert "-- docs: https://d/x function url() -> any" in lines
 
+    def test_wire_names_with_line_breaks_stay_on_their_line(self, tmp_path):
+        table = [
+            {"name": "q\nfunction p() -> any", "in": "query"},
+            {"name": "o", "in": "query", "example": {"k\u2028function obj() -> any": 1}},
+        ]
+        response = {"a\nfunction evil() -> any": 1, "plain-name": 2}
+        rec = make_valid("w", raw_parameters=json.dumps(table), response_example=json.dumps(response))
+        ir = build_reference([rec])
+        names = apply_identifier_policy(ir, IdentifierPolicy())
+        render_package(ir, names, TemplateSet.neutral(), tmp_path)
+        lines = (tmp_path / "misc.txt").read_text(encoding="utf-8").splitlines()
+        assert [line for line in lines if line.startswith("function ")] == [
+            'function getV1Ping(q_function_p_any: string, o: {"k\\u2028function obj() -> any": int})'
+            " -> GetV1PingResponse"
+        ]
+        assert '  a_function_evil_any: int  (wire "a\\nfunction evil() -> any")' in lines
+        assert "  plain_name: int  (wire plain-name)" in lines
+        assert '  param q_function_p_any via Query (wire "q\\nfunction p() -> any")' in lines
+        note = next(line for line in lines if line.startswith("  a_function_evil_any"))
+        assert json.loads(note[note.index('"') : -1]) == "a\nfunction evil() -> any"
+
     def test_shared_decl_emitted_once(self, tmp_path, corpus12_path):
         ir = build_reference(valid_records(corpus12_path))
-        named = apply_identifier_policy(ir, IdentifierPolicy())
-        render_package(named, TemplateSet.neutral(), tmp_path)
+        names = apply_identifier_policy(ir, IdentifierPolicy())
+        render_package(ir, names, TemplateSet.neutral(), tmp_path)
         text = "".join(p.read_text(encoding="utf-8") for p in tmp_path.glob("*.txt"))
-        for decl in named.decls:
-            assert text.count(f"type {decl.name} = ") == 1
+        for name in names["types"].values():
+            assert text.count(f"type {name} = ") == 1

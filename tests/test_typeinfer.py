@@ -24,6 +24,7 @@ from apibind.typeinfer import (
     T_STRING,
     finalize,
     fold_examples,
+    fresh_name,
     infer_from_examples,
     inhabits,
     lift_declarations,
@@ -114,6 +115,41 @@ class TestUnify:
         sample = obj(("a", T_INT, True))
         assert unify(BOTTOM, sample) == sample
         assert unify(sample, T_ANY) == T_ANY
+
+    def test_reference_is_not_a_lattice_element(self):
+        with pytest.raises(TypeError):
+            unify(TRef("A"), T_INT)
+
+
+class _CountingDict(dict):
+    """A ``taken`` map that counts its lookups."""
+
+    lookups = 0
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+class TestFreshName:
+    def test_probes_grow_linearly_on_one_base(self):
+        taken = _CountingDict()
+        names = [fresh_name("x", taken) for _ in range(4000)]
+        assert names == ["x"] + [f"x_{i}" for i in range(2, 4001)]
+        assert taken.lookups <= 3 * 4000, taken.lookups
+
+    def test_a_taken_literal_suffix_is_skipped(self):
+        taken: dict[str, int] = {}
+        assert fresh_name("x_3", taken) == "x_3"
+        assert [fresh_name("x", taken) for _ in range(3)] == ["x", "x_2", "x_4"]
 
 
 class TestInferFromExamples:
