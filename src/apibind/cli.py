@@ -118,7 +118,7 @@ def cmd_generate(config: PipelineConfig) -> int:
 
     _write_build_report(config.out_dir, ir, rejected)
     (config.out_dir / "name_map.json").write_text(
-        json.dumps(names, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(names, sort_keys=True) + "\n", encoding="utf-8"
     )
 
     for issue_record, issue in ir.report:
@@ -146,7 +146,7 @@ def _write_build_report(out_dir: Path, ir: BindingIr, rejected: list[ApiCallReco
         "rejected_record_ids": [list(record.id.ids) for record in rejected],
     }
     (out_dir / "build_report.json").write_text(
-        json.dumps(report, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+        json.dumps(report, ensure_ascii=False) + "\n", encoding="utf-8"
     )
 
 

@@ -80,12 +80,15 @@ class BindingIr:
     report: tuple[tuple[str, Issue], ...]  # (record id, issue) build findings
 
 
+_NON_ALNUM = re.compile(r"[^A-Za-z0-9]+")
+
+
 def function_raw_name(method: HttpMethod, template: PathTemplate) -> str:
     """Deterministic raw name: lowercased method plus path words, '_'-joined."""
     parts = [method.value.lower()]
     for segment in template.segments:
         text = segment.name if isinstance(segment, Variable) else segment.text
-        word = re.sub(r"[^A-Za-z0-9]+", "_", text).strip("_").lower()
+        word = _NON_ALNUM.sub("_", text).strip("_").lower()
         if word:
             parts.append(word)
     return "_".join(parts)
@@ -255,16 +258,17 @@ class IdentifierPolicy:
         )
 
 
+#: One word: an acronym before a non-lowercase character, a capitalised
+#: word, or a run of lowercase letters and digits. No alternative matches a
+#: separator ('-', '.', '/', '_', whitespace), so words never span one.
+_WORD = re.compile(r"[A-Z]+(?![a-z0-9])|[A-Z][a-z0-9]*|[a-z0-9]+")
+
+_LEADING = re.compile(r"[A-Za-z_]")
+
+
 def split_words(raw: str) -> list[str]:
     """Split a raw name on separators ('-', '.', '/', '_') and camel bounds."""
-    words: list[str] = []
-    for chunk in re.split(r"[-._/\s]+", raw):
-        if chunk:
-            words.extend(
-                m.group(0)
-                for m in re.finditer(r"[A-Z]+(?![a-z0-9])|[A-Z][a-z0-9]*|[a-z0-9]+", chunk)
-            )
-    return [w.lower() for w in words]
+    return [w.lower() for w in _WORD.findall(raw)]
 
 
 def apply_casing(raw: str, casing: str) -> str:
@@ -275,19 +279,26 @@ def apply_casing(raw: str, casing: str) -> str:
         out = words[0] + "".join(w.capitalize() for w in words[1:])
     else:
         out = "".join(w.capitalize() for w in words)
-    if not re.match(r"[A-Za-z_]", out):
+    if not _LEADING.match(out):
         out = "_" + out
     return out
 
 
-def _identifier(raw: str, casing: str, reserved: frozenset[str], taken: dict[str, int]) -> str:
-    """A fresh legal identifier for ``raw`` in the namespace ``taken``."""
+def _legal_name(raw: str, casing: str, reserved: frozenset[str]) -> str:
+    """``raw`` cased, with ``_`` appended while it is a reserved word.
+
+    Any ``fresh_name`` of the result is legal too: a suffix is ``_`` and digits.
+    """
     name = apply_casing(raw, casing)
     while name in reserved:
         name += "_"
-    final = fresh_name(name, taken)
-    assert _IDENTIFIER.match(final), final
-    return final
+    assert _IDENTIFIER.match(name), name
+    return name
+
+
+def _identifier(raw: str, casing: str, reserved: frozenset[str], taken: dict[str, int]) -> str:
+    """A fresh legal identifier for ``raw`` in the namespace ``taken``."""
+    return fresh_name(_legal_name(raw, casing, reserved), taken)
 
 
 #: Control characters and the two Unicode separators: every ``_LINE_BREAK``
@@ -335,8 +346,19 @@ def apply_identifier_policy(ir: BindingIr, policy: IdentifierPolicy) -> dict:
     fields' wire -> identifier map, and ``params`` each function raw name to
     its signature's identifiers in order, the request body last; each
     declaration and each function is a namespace of its own.
+
+    Fields and parameters share one casing cache, scoped to this call: wire
+    names repeat across declarations far more than they vary.
     """
     reserved = policy.reserved_words
+    cased: dict[str, str] = {}  # wire name -> legal field identifier before suffixing
+
+    def field_identifier(wire: str, taken: dict[str, int]) -> str:
+        name = cased.get(wire)
+        if name is None:
+            name = cased[wire] = _legal_name(wire, policy.casing_field, reserved)
+        return fresh_name(name, taken)
+
     type_taken: dict[str, int] = {}
     types = {
         decl.name: _identifier(decl.name, policy.casing_type, reserved, type_taken)
@@ -346,8 +368,7 @@ def apply_identifier_policy(ir: BindingIr, policy: IdentifierPolicy) -> dict:
     for decl in ir.decls:
         taken: dict[str, int] = {}
         fields[types[decl.name]] = {
-            wire: _identifier(wire, policy.casing_field, reserved, taken)
-            for wire, _ in decl.body.fields
+            wire: field_identifier(wire, taken) for wire, _ in decl.body.fields
         }
     fn_taken: dict[str, int] = {}
     functions = {}
@@ -358,9 +379,7 @@ def apply_identifier_policy(ir: BindingIr, policy: IdentifierPolicy) -> dict:
         if fn.request_type is not None:
             wires.append("body")
         taken = {}
-        params[fn.raw_name] = [
-            _identifier(wire, policy.casing_field, reserved, taken) for wire in wires
-        ]
+        params[fn.raw_name] = [field_identifier(wire, taken) for wire in wires]
     return {"functions": functions, "types": types, "fields": fields, "params": params}
 
 

@@ -27,6 +27,8 @@ TEMPLATE_NAMES = (
 
 _TAG = re.compile(r"\{\{([#/]?)([A-Za-z0-9_]+)\}\}")
 
+_MISSING = object()  # a context value no template can hold
+
 
 class TemplateError(Exception):
     """Malformed template or incomplete template set."""
@@ -87,30 +89,33 @@ class Template:
         return tuple(stack[0][1])
 
     def render(self, context: dict) -> str:
-        return self._render_nodes(self.nodes, [context])
-
-    def _render_nodes(self, nodes: tuple, frames: list[dict]) -> str:
         out: list[str] = []
-        for node in nodes:
-            if isinstance(node, _Text):
-                out.append(node.text)
-            elif isinstance(node, _Var):
-                out.append(self._format(self._lookup(node.name, frames)))
-            else:
-                value = self._lookup(node.name, frames)
-                if not isinstance(value, list):
-                    raise RenderError(self.name, f"section {node.name!r} is not a list")
-                for item in value:
-                    if not isinstance(item, dict):
-                        raise RenderError(self.name, f"section {node.name!r} items must be objects")
-                    out.append(self._render_nodes(node.children, frames + [item]))
+        self._emit(self.nodes, context, out)
         return "".join(out)
 
-    def _lookup(self, name: str, frames: list[dict]):
-        for frame in reversed(frames):
-            if name in frame:
-                return frame[name]
-        raise RenderError(self.name, f"unknown placeholder {name!r}")
+    def _emit(self, nodes: tuple, context: dict, out: list[str]) -> None:
+        """Append ``nodes`` rendered against ``context`` to ``out``.
+
+        A section item renders against ``{**context, **item}``, so the
+        innermost frame wins, as in a stack of scopes.
+        """
+        for node in nodes:
+            kind = type(node)
+            if kind is _Text:
+                out.append(node.text)
+                continue
+            value = context.get(node.name, _MISSING)
+            if value is _MISSING:
+                raise RenderError(self.name, f"unknown placeholder {node.name!r}")
+            if kind is _Var:
+                out.append(value if type(value) is str else self._format(value))
+                continue
+            if not isinstance(value, list):
+                raise RenderError(self.name, f"section {node.name!r} is not a list")
+            for item in value:
+                if not isinstance(item, dict):
+                    raise RenderError(self.name, f"section {node.name!r} items must be objects")
+                self._emit(node.children, {**context, **item}, out)
 
     def _format(self, value) -> str:
         if isinstance(value, str):

@@ -36,12 +36,18 @@ class InferredType:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Atom(InferredType):
+    """A scalar type. Each is one module singleton, so atoms compare by identity."""
+
     label: str
 
     def __repr__(self) -> str:
         return self.label
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle hand back the singleton, never a twin.
+        return _atom, (self.label,)
 
 
 BOTTOM = _Atom("bottom")
@@ -51,6 +57,12 @@ T_INT = _Atom("int")
 T_FLOAT = _Atom("float")
 T_STRING = _Atom("string")
 T_ANY = _Atom("any")
+
+_ATOMS = {atom.label: atom for atom in (BOTTOM, T_NULL, T_BOOL, T_INT, T_FLOAT, T_STRING, T_ANY)}
+
+
+def _atom(label: str) -> _Atom:
+    return _ATOMS[label]
 
 
 @dataclass(frozen=True)
@@ -154,7 +166,7 @@ def unify(a: InferredType, b: InferredType) -> InferredType:
 
 
 def _branches_of(t: InferredType) -> tuple[InferredType, ...]:
-    if t == BOTTOM:
+    if t is BOTTOM:
         return ()
     if isinstance(t, TUnion):
         return t.branches
@@ -169,20 +181,20 @@ def _normalize(branches: tuple[InferredType, ...]) -> InferredType:
     obj: TObject | None = None
 
     for br in branches:
-        if br == T_ANY:
+        if br is T_ANY:
             return T_ANY
-        if br == BOTTOM:
+        if br is BOTTOM:
             continue
-        if br == T_NULL:
+        if br is T_NULL:
             has_null = True
-        elif br == T_BOOL:
+        elif br is T_BOOL:
             has_bool = True
-        elif br == T_STRING:
+        elif br is T_STRING:
             has_string = True
-        elif br == T_INT or br == T_FLOAT:
+        elif br is T_INT or br is T_FLOAT:
             if numeric is None:
                 numeric = br
-            elif numeric != br:
+            elif numeric is not br:
                 numeric = T_FLOAT
         elif isinstance(br, TArray):
             array = br if array is None else TArray(unify(array.elem, br.elem))
@@ -286,19 +298,19 @@ def inhabits(value: Any, t: InferredType) -> bool:
     declare is not a member. Integers inhabit the float type (numeric
     widening) but booleans never inhabit numeric types.
     """
-    if t == T_ANY:
+    if t is T_ANY:
         return True
-    if t == BOTTOM:
+    if t is BOTTOM:
         return False
-    if t == T_NULL:
+    if t is T_NULL:
         return value is None
-    if t == T_BOOL:
+    if t is T_BOOL:
         return isinstance(value, bool)
-    if t == T_INT:
+    if t is T_INT:
         return isinstance(value, int) and not isinstance(value, bool)
-    if t == T_FLOAT:
+    if t is T_FLOAT:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if t == T_STRING:
+    if t is T_STRING:
         return isinstance(value, str)
     if isinstance(t, TArray):
         return isinstance(value, list) and all(inhabits(item, t.elem) for item in value)
@@ -382,7 +394,7 @@ def lift_declarations(
 
     def walk(node: InferredType, name_path: str, json_path: str) -> InferredType:
         if isinstance(node, TArray):
-            if node.elem == BOTTOM:
+            if node.elem is BOTTOM:
                 unpopulated.append(json_path)
             return TArray(walk(node.elem, name_path + "Item", json_path + "[]"))
         if isinstance(node, TUnion):
@@ -395,7 +407,7 @@ def lift_declarations(
                 )
             )
             return body if registry is None else TRef(add_decl(body, name_path))
-        return T_ANY if node == BOTTOM else node
+        return T_ANY if node is BOTTOM else node
 
     return walk(t, base_name, "$"), unpopulated, issues
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -325,6 +326,34 @@ class TestGenerate:
         first = read_tree(out)
         run(["generate", "--input", corpus12_path, "--out-dir", out])
         assert read_tree(out) == first
+
+
+def duplicate_call_corpus(corpus12_path: Path, path: Path, rows: int) -> Path:
+    """corpus12's r01 repeated ``rows`` times under distinct record ids."""
+    with corpus12_path.open(encoding="utf-8", newline="") as fh:
+        header, r01 = list(csv.reader(fh))[:2]
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(rows):
+            writer.writerow([f"d{i:05d}", *r01[1:]])
+    return path
+
+
+class TestScale:
+    def test_duplicate_calls_generate_in_linear_time(self, corpus12_path, tmp_path):
+        # Every row renders the same function name and declaration names, so
+        # each takes a suffix; probing suffixes from _2 each time is quadratic
+        # (a ratio near 16 for 4x the rows), resuming is linear (near 4).
+        def generate_seconds(rows: int) -> float:
+            corpus = duplicate_call_corpus(corpus12_path, tmp_path / f"dup{rows}.csv", rows)
+            start = time.perf_counter()
+            assert run(["generate", "--input", corpus, "--out-dir", tmp_path / f"out{rows}"]) == 0
+            return time.perf_counter() - start
+
+        generate_seconds(50)  # warm imports and caches outside the timed runs
+        small, large = generate_seconds(2000), generate_seconds(8000)
+        assert large / small < 8, (small, large)
 
 
 class TestDashboardCommand:

@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from apibind.codegen import (
     _IDENTIFIER,
@@ -484,6 +484,28 @@ def test_identifiers_are_distinct_legal_and_rendered_as_mapped(drawn):
         assert param_lines[final] == names["params"][fn.raw_name][: len(fn.params)], final
 
 
+def _chunked_split_words(raw: str) -> list[str]:
+    """Reference split in two passes: cut on separators, then find words per chunk."""
+    words: list[str] = []
+    for chunk in re.split(r"[-._/\s]+", raw):
+        if chunk:
+            words.extend(
+                m.group(0)
+                for m in re.finditer(r"[A-Z]+(?![a-z0-9])|[A-Z][a-z0-9]*|[a-z0-9]+", chunk)
+            )
+    return [w.lower() for w in words]
+
+
+#: ASCII letters and digits, the separators, ASCII and Unicode whitespace,
+#: and letters outside ASCII (cased and uncased).
+_NAME_CHARS = st.one_of(
+    st.sampled_from("abcxyzABCXYZ0189-._/ \t\n\r\x0b\x0c"),
+    st.characters(whitelist_categories=("Zs", "Zl", "Zp"), min_codepoint=0x80),
+    st.sampled_from("\x1c\x1d\x1e\x1f\x85"),
+    st.characters(whitelist_categories=("Lu", "Ll", "Lt", "Lo"), min_codepoint=0x80),
+)
+
+
 class TestIdentifierPolicy:
     def test_casing_examples(self):
         assert apply_casing("get_users_user_id", "lower-camel") == "getUsersUserId"
@@ -494,6 +516,33 @@ class TestIdentifierPolicy:
         assert split_words("GetV1PingResponseUser-id") == ["get", "v1", "ping", "response", "user", "id"]
         assert split_words("a.b/c_d") == ["a", "b", "c", "d"]
         assert split_words("getHTTPUrl") == ["get", "http", "url"]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=_NAME_CHARS, max_size=40))
+    @example("HTTPServer2Go")  # an acronym before a capital, a digit run after one
+    @example("A0 b\u00a0C\u2028Dé-ÉX")  # word bounds at every kind of separator
+    def test_split_words_matches_the_chunked_split(self, raw):
+        assert split_words(raw) == _chunked_split_words(raw)
+
+    def test_casing_cache_is_scoped_to_one_call(self):
+        rec = make_valid(
+            "c",
+            path="/v1/{user-id}",
+            raw_parameters=json.dumps(
+                [{"name": "user-id", "in": "path"}, {"name": "pageSize", "in": "query"}]
+            ),
+            response_example='{"userId": 1, "display-name": "x"}',
+        )
+        ir = build_reference([rec])
+        (decl,) = ir.decls
+        (fn,) = ir.functions
+        snake = apply_identifier_policy(ir, IdentifierPolicy(casing_field="snake"))
+        camel = apply_identifier_policy(ir, IdentifierPolicy(casing_field="lower-camel"))
+        type_name = snake["types"][decl.name]
+        assert snake["fields"][type_name] == {"display-name": "display_name", "userId": "user_id"}
+        assert snake["params"][fn.raw_name] == ["user_id", "page_size"]
+        assert camel["fields"][type_name] == {"display-name": "displayName", "userId": "userId"}
+        assert camel["params"][fn.raw_name] == ["userId", "pageSize"]
 
     def test_reserved_word_suffixed(self):
         ir = build_reference([make_valid("r", path="/type")])

@@ -32,6 +32,15 @@ def test_nested_sections_and_context_stack():
     assert tpl.render(context) == "T-o1:o1i1 i2xi2 ;"
 
 
+def test_section_item_shadows_only_inside_the_section():
+    tpl = Template("t", "{{x}}[{{#items}}{{x}}{{y}};{{/items}}]{{x}}")
+    first, second = {"x": "in", "y": "1"}, {"y": "2"}
+    context = {"x": "out", "y": "0", "items": [first, second]}
+    assert tpl.render(context) == "out[in1;out2;]out"
+    assert first == {"x": "in", "y": "1"} and second == {"y": "2"}
+    assert context == {"x": "out", "y": "0", "items": [first, second]}
+
+
 def test_unknown_placeholder_is_error():
     tpl = Template("broken.tpl", "{{nope}}")
     with pytest.raises(RenderError) as exc:

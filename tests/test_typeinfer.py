@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -119,6 +121,24 @@ class TestUnify:
     def test_reference_is_not_a_lattice_element(self):
         with pytest.raises(TypeError):
             unify(TRef("A"), T_INT)
+
+
+class TestAtoms:
+    ATOMS = (BOTTOM, T_NULL, T_BOOL, T_INT, T_FLOAT, T_STRING, T_ANY)
+
+    def test_copies_and_pickles_return_the_singleton(self):
+        for atom in self.ATOMS:
+            assert copy.copy(atom) is atom
+            assert copy.deepcopy(atom) is atom
+            assert pickle.loads(pickle.dumps(atom)) is atom
+
+    def test_atoms_inside_a_copied_tree_stay_singletons(self):
+        tree = obj(("a", TArray(T_INT), True), ("b", TUnion((T_NULL, T_STRING)), False))
+        for clone in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+            assert clone == tree
+            assert clone.fields[0][1].type.elem is T_INT
+            assert clone.fields[1][1].type.branches[1] is T_STRING
+            assert unify(clone, tree) == tree
 
 
 class _CountingDict(dict):
