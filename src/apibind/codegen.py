@@ -69,13 +69,13 @@ class BindingFunction:
     doc_url: str
     doc_summary: str | None
     record_id: RecordId
+    group: str  # the record's documentation group, "misc" when it has none
 
 
 @dataclass(frozen=True)
 class BindingIr:
     functions: tuple[BindingFunction, ...]
     decls: tuple[TypeDecl, ...]
-    groups: tuple[tuple[str, tuple[str, ...]], ...]  # group -> function raw names
     package_meta: PackageMeta
     report: tuple[tuple[str, Issue], ...]  # (record id, issue) build findings
 
@@ -112,25 +112,24 @@ def build_reference(
     One function per record; request/response types are inferred from the
     examples and lifted into declarations through one registry created here,
     so structurally identical bodies share one declaration across the whole
-    corpus. Records must have been loaded, parsed and routed: a record
-    without a parsed path, or with an example that is not standard JSON
-    (parse tags those E_JSON_CELL and the gate rejects them), is a caller
-    error here, not a data issue.
+    corpus. Each function and each declaration carries the group whose
+    module renders it. Records must have been loaded, parsed and routed: a
+    record without a parsed path, or with an example that is not standard
+    JSON (parse tags those E_JSON_CELL and the gate rejects them), is a
+    caller error here, not a data issue.
     """
     functions: list[BindingFunction] = []
     report: list[tuple[str, Issue]] = []
-    groups: dict[str, list[str]] = {}
     taken_fn: dict[str, int] = {}
     registry = DeclRegistry()
 
     def example_type(
-        record: ApiCallRecord, text: str | None, base: str, column: str
+        rid: str, group: str, text: str | None, base: str, column: str
     ) -> InferredType | None:
-        rid = str(record.id)
         if text is None:
             return None
         lifted, unpopulated, lift_issues = lift_declarations(
-            fold_examples([parse_json(text)]), base, registry, source_record=record.id
+            fold_examples([parse_json(text)]), base, registry, group=group
         )
         for path in unpopulated:
             message = f"{column} has an empty array at {path}; element type unknown"
@@ -145,6 +144,7 @@ def build_reference(
             )
         template = record.enrichment.path
         rid = str(record.id)
+        group = record.group or "misc"
 
         base = function_raw_name(record.http_method, template)
         raw_name = fresh_name(base, taken_fn)
@@ -168,10 +168,10 @@ def build_reference(
 
         camel = _upper_camel(raw_name)
         request_type = example_type(
-            record, record.request_example, camel + "Request", "request_example"
+            rid, group, record.request_example, camel + "Request", "request_example"
         )
         response_type = example_type(
-            record, record.response_example, camel + "Response", "response_example"
+            rid, group, record.response_example, camel + "Response", "response_example"
         )
         if response_type is None:
             report.append(
@@ -198,16 +198,15 @@ def build_reference(
                 doc_url=record.source_url,
                 doc_summary=record.description,
                 record_id=record.id,
+                group=group,
             )
         )
-        groups.setdefault(record.group or "misc", []).append(raw_name)
 
     digest = corpus_digest(valid_records)
     meta = PackageMeta(name=package_name, version=digest[:12], corpus_digest=digest)
     return BindingIr(
         functions=tuple(functions),
         decls=tuple(registry.by_body.values()),
-        groups=tuple((name, tuple(raws)) for name, raws in groups.items()),
         package_meta=meta,
         report=tuple(report),
     )
@@ -395,12 +394,22 @@ def render_package(
 ) -> list[Path]:
     """Write the package tree; returns written paths, manifest last.
 
-    ``names`` is ``apply_identifier_policy``'s map for ``ir``. Output is a
-    pure function of (ir, names, templates): rendering the same inputs twice
-    produces byte-identical trees.
+    One module per group, in sorted order: the group's declarations in
+    registry order, then its functions in input order. ``names`` is
+    ``apply_identifier_policy``'s map for ``ir``. Output is a pure function
+    of (ir, names, templates): rendering the same inputs twice produces
+    byte-identical trees. Every file written is a ``.txt`` file, and those
+    left in ``out_dir`` by an earlier run are removed first, so the directory
+    holds only this package's modules.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for stale in out_dir.glob("*.txt"):
+        if stale.is_file():
+            try:
+                stale.unlink()
+            except OSError as exc:
+                raise GenerationError(f"cannot remove {stale}: {exc}") from exc
     meta = ir.package_meta
     base_ctx = {
         "package_name": meta.name,
@@ -408,22 +417,24 @@ def render_package(
         "corpus_digest": meta.corpus_digest,
     }
 
-    fn_by_raw = {fn.raw_name: fn for fn in ir.functions}
-    groups_sorted = sorted(ir.groups, key=lambda kv: kv[0])
-    module_decls = _place_decls(ir, groups_sorted, fn_by_raw)
+    group_fns: dict[str, list[BindingFunction]] = {}
+    for fn in ir.functions:
+        group_fns.setdefault(fn.group, []).append(fn)
+    group_decls: dict[str, list[TypeDecl]] = {}
+    for decl in ir.decls:
+        group_decls.setdefault(decl.group, []).append(decl)
 
     module_reserved = frozenset({"manifest"})  # manifest.txt is not a module
     module_taken: dict[str, int] = {}
     written: list[Path] = []
     module_entries = []
-    for group, raw_names in groups_sorted:
+    for group in sorted(group_fns):
         module_name = _identifier(group, "snake", module_reserved, module_taken)
         file_name = f"{module_name}.txt"
         parts = [templates.module_header.render({**base_ctx, "module_name": module_name})]
-        for decl in module_decls[group]:
+        for decl in group_decls.get(group, ()):
             parts.append(templates.type.render({**base_ctx, **_type_ctx(decl, names)}))
-        for raw in raw_names:
-            fn = fn_by_raw[raw]
+        for fn in group_fns[group]:
             parts.append(templates.doc_comment.render({**base_ctx, **_doc_ctx(fn)}))
             parts.append(templates.function.render({**base_ctx, **_fn_ctx(fn, names)}))
         path = out_dir / file_name
@@ -450,43 +461,6 @@ def _write(path: Path, text: str) -> None:
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise GenerationError(f"cannot write {path}: {exc}") from exc
-
-
-def _place_decls(
-    ir: BindingIr,
-    groups_sorted: list[tuple[str, tuple[str, ...]]],
-    fn_by_raw: dict[str, BindingFunction],
-) -> dict[str, list[TypeDecl]]:
-    """Each declaration renders in the first module (sorted order) that reaches it.
-
-    A declaration is homed where its reference is first reached, and a homed
-    reference is never walked again. Bodies reference raw names, so homes are
-    keyed by raw name; modules list their declarations in registry order.
-    """
-    body_by_raw = {decl.name: decl.body for decl in ir.decls}
-    home: dict[str, str] = {}
-    for group, raw_names in groups_sorted:
-        stack: list[InferredType | None] = []  # a missing request type is None
-        for raw in raw_names:
-            fn = fn_by_raw[raw]
-            stack += [fn.request_type, fn.response_type, *(t for _, t in fn.params)]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, TRef):
-                if t.name not in home:
-                    home[t.name] = group
-                    stack.append(body_by_raw[t.name])
-            elif isinstance(t, TArray):
-                stack.append(t.elem)
-            elif isinstance(t, TObject):
-                stack.extend(field.type for _, field in t.fields)
-            elif isinstance(t, TUnion):
-                stack.extend(t.branches)
-
-    module_decls: dict[str, list[TypeDecl]] = {group: [] for group, _ in groups_sorted}
-    for decl in ir.decls:
-        module_decls[home[decl.name]].append(decl)
-    return module_decls
 
 
 def _type_ctx(decl: TypeDecl, names: dict) -> dict:

@@ -60,7 +60,8 @@ def load_corpus(path: str | Path) -> list[ApiCallRecord]:
     try:
         # newline="" leaves quoted line breaks to the csv module, which is
         # also why splitting the text ourselves would corrupt exotic cells.
-        with path.open(encoding="utf-8", newline="") as fh:
+        # utf-8-sig drops the byte-order mark spreadsheet exports write.
+        with path.open(encoding="utf-8-sig", newline="") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc

@@ -55,4 +55,4 @@ def parse_record(record: ApiCallRecord) -> ApiCallRecord:
             )
 
     artifacts = ParsedArtifacts(path=path_template, curl=curl_request, params=params)
-    return record.with_enrichment(artifacts).with_issues(*issues)
+    return record.with_issues(*issues, enrichment=artifacts)

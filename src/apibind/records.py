@@ -2,9 +2,9 @@
 
 A record is never dropped and never loses information: issues are
 append-only through ``with_issues``, the one dedup rule of the pipeline,
-and the parser outputs are attached once, whole, and kept. A merge of two
-parsed records carries both rows' issues. All types here are immutable;
-stages return new records.
+and the parser outputs are attached whole, in the same copy as the parse
+tags. A merge of two parsed records carries both rows' issues. All types
+here are immutable; stages return new records.
 """
 
 from __future__ import annotations
@@ -68,22 +68,20 @@ class ApiCallRecord:
     issues: tuple[Issue, ...] = ()
     enrichment: ParsedArtifacts | None = None
 
-    def with_issues(self, *new_issues: Issue) -> ApiCallRecord:
-        """Append issues; an exact duplicate of an existing tag is skipped.
+    def with_issues(
+        self, *new_issues: Issue, enrichment: ParsedArtifacts | None = None
+    ) -> ApiCallRecord:
+        """Append issues, and attach ``enrichment`` when given, in one copy.
 
-        Skipping identical re-emissions keeps reruns over already-analyzed
-        stage files idempotent without ever removing another stage's tags.
+        An exact duplicate of an existing tag is skipped: skipping identical
+        re-emissions keeps reruns over already-analyzed stage files
+        idempotent without ever removing another stage's tags.
         """
-        added = [issue for issue in new_issues if issue not in self.issues]
-        if not added:
+        added = tuple(issue for issue in new_issues if issue not in self.issues)
+        if not added and enrichment is None:
             return self
-        return replace(self, issues=self.issues + tuple(added))
-
-    def with_enrichment(self, artifacts: ParsedArtifacts) -> ApiCallRecord:
-        """Attach parser outputs once; a record that has them keeps its own."""
-        if self.enrichment is not None:
-            return self
-        return replace(self, enrichment=artifacts)
+        enrichment = self.enrichment if enrichment is None else enrichment
+        return replace(self, issues=self.issues + added, enrichment=enrichment)
 
     def error_count(self) -> int:
         return sum(1 for issue in self.issues if issue.severity is Severity.ERROR)

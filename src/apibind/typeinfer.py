@@ -20,14 +20,13 @@ without a registry.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 from .issues import Issue, Stage, make_issue
 
 if TYPE_CHECKING:  # annotations only, so the parsers can import the decoder
     from .params import Parameter
-    from .records import RecordId
 
 
 class InferredType:
@@ -334,11 +333,15 @@ def inhabits(value: Any, t: InferredType) -> bool:
 
 @dataclass(frozen=True)
 class TypeDecl:
-    """A named object type lifted out of an inferred tree (name pre-mangling)."""
+    """A named object type lifted out of an inferred tree (name pre-mangling).
+
+    ``group`` is its home: the least group, by name, among the functions
+    whose examples reach it.
+    """
 
     name: str
     body: TObject
-    source_record: RecordId
+    group: str
 
 
 class DeclRegistry:
@@ -359,7 +362,7 @@ def lift_declarations(
     base_name: str,
     registry: DeclRegistry | None,
     *,
-    source_record: RecordId | None = None,
+    group: str = "misc",
 ) -> tuple[InferredType, list[str], list[Issue]]:
     """Publish a raw type; returns it, the paths of its unpopulated arrays, and issues.
 
@@ -371,7 +374,11 @@ def lift_declarations(
     already in ``registry`` is shared, which is reported as a W_DECL_SHARED
     issue; a new body takes ``fresh_name`` of its path name against the
     names the registry has already handed out. Children are registered
-    before their parents, so every reference a body carries is a final name.
+    before their parents, so every reference a body carries is a final name,
+    and the lookups of one call are exactly the declarations its result
+    reaches. A new declaration is homed in ``group``; one found is rehomed
+    there when ``group`` is less, by name, than its home. Reassigning a key
+    keeps its place, so registry order and names do not depend on homes.
     """
     unpopulated: list[str] = []
     issues: list[Issue] = []
@@ -387,9 +394,11 @@ def lift_declarations(
                     "sharing one declaration",
                 )
             )
+            if group < kept.group:
+                registry.by_body[body] = replace(kept, group=group)
             return kept.name
         final = fresh_name(name, registry.taken)
-        registry.by_body[body] = TypeDecl(name=final, body=body, source_record=source_record)
+        registry.by_body[body] = TypeDecl(name=final, body=body, group=group)
         return final
 
     def walk(node: InferredType, name_path: str, json_path: str) -> InferredType:

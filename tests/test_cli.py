@@ -327,6 +327,31 @@ class TestGenerate:
         run(["generate", "--input", corpus12_path, "--out-dir", out])
         assert read_tree(out) == first
 
+    def test_rerun_leaves_no_stale_modules(self, corpus12_path, tmp_path):
+        out = tmp_path / "out"
+        assert run(["generate", "--input", corpus12_path, "--out-dir", out]) == 0
+        package = out / "package"
+        assert {p.name for p in package.iterdir()} > {"messages.txt", "users.txt"}
+        (package / "notes").mkdir()
+        (package / "notes" / "keep.txt").write_text("kept", encoding="utf-8")
+        (package / "README").write_text("kept", encoding="utf-8")
+
+        with corpus12_path.open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        ungrouped = tmp_path / "ungrouped.csv"
+        with ungrouped.open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows({**row, "group": ""} for row in rows)
+        assert run(["generate", "--input", ungrouped, "--out-dir", out]) == 0
+
+        manifest = (package / "manifest.txt").read_text(encoding="utf-8").splitlines()
+        modules = [line.strip() for line in manifest[manifest.index("modules") + 1 :]]
+        assert modules == ["misc.txt"]
+        modules_on_disk = {p.name for p in package.glob("*.txt")}
+        assert modules_on_disk == {*modules, "manifest.txt"}
+        assert (package / "notes" / "keep.txt").is_file() and (package / "README").is_file()
+
 
 def duplicate_call_corpus(corpus12_path: Path, path: Path, rows: int) -> Path:
     """corpus12's r01 repeated ``rows`` times under distinct record ids."""

@@ -99,9 +99,9 @@ class TestBuildReference:
 
     def test_groups_from_column(self, corpus12_path):
         ir = build_reference(valid_records(corpus12_path))
-        groups = dict(ir.groups)
-        assert set(groups) == {"users", "messages", "misc"}
-        assert "get_v1_ping" in groups["misc"]
+        groups = {fn.raw_name: fn.group for fn in ir.functions}
+        assert set(groups.values()) == {"users", "messages", "misc"}
+        assert groups["get_v1_ping"] == "misc"
 
     def test_empty_valid_list(self):
         ir = build_reference([])
@@ -562,7 +562,6 @@ class TestIdentifierPolicy:
         doctored = BindingIr(
             functions=(replace(fn, raw_name="get_user-id"), replace(fn, raw_name="get_user_id")),
             decls=ir.decls,
-            groups=(("misc", ("get_user-id", "get_user_id")),),
             package_meta=ir.package_meta,
             report=(),
         )

@@ -42,6 +42,12 @@ def test_load_corpus12(corpus12_path):
     assert records[6].group is None  # empty cell reads back as absent
 
 
+def test_byte_order_mark_accepted(corpus12_path, tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + corpus12_path.read_bytes())
+    assert load_corpus(path) == load_corpus(corpus12_path)
+
+
 def test_clean_row_has_no_issues(tmp_path):
     path = write_csv(tmp_path, 'a1,https://d/x,GET,/v1/x,,,,,desc,\n')
     (record,) = load_corpus(path)

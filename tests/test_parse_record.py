@@ -3,8 +3,7 @@ from __future__ import annotations
 from apibind.curl import HttpMethod
 from apibind.issues import Stage
 from apibind.parse import parse_record
-from apibind.pathtemplate import PathTemplate, Variable
-from apibind.records import ApiCallRecord, ParsedArtifacts, RecordId
+from apibind.records import ApiCallRecord, RecordId
 
 
 def record(**kwargs) -> ApiCallRecord:
@@ -83,15 +82,6 @@ def test_no_example_with_examples_present():
     assert "W_NO_EXAMPLE" not in codes(out)
     out = parse_record(record(raw_curl="curl https://h/x"))
     assert "W_NO_EXAMPLE" not in codes(out)
-
-
-def test_enrichment_is_set_once():
-    first = parse_record(record())
-    template = first.enrichment.path
-    tampered = first.with_enrichment(
-        ParsedArtifacts(path=PathTemplate((Variable("other"),)))
-    )
-    assert tampered.enrichment.path == template
 
 
 def test_parse_is_idempotent():

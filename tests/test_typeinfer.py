@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apibind.params import Convention, Parameter
-from apibind.records import RecordId
 from apibind.typeinfer import (
     BOTTOM,
     DeclRegistry,
@@ -37,8 +36,6 @@ from apibind.typeinfer import (
 
 from .gen import gen_json_doc, nested_json
 from .universe import enumerate_universe, lattice_le, obj
-
-RID = RecordId.single("t")
 
 
 class TestParseJson:
@@ -286,7 +283,7 @@ def test_order_insensitive(seeds):
 def lift(t, base_name, **kwargs):
     """Lift into a fresh registry; returns (lifted, decls in registry order, issues)."""
     registry = DeclRegistry()
-    lifted, _, issues = lift_declarations(t, base_name, registry, source_record=RID, **kwargs)
+    lifted, _, issues = lift_declarations(t, base_name, registry, **kwargs)
     return lifted, list(registry.by_body.values()), issues
 
 
@@ -313,6 +310,20 @@ class TestLift:
         t = infer_from_examples([{"a": {"b": {"c": 1}}}])
         _, decls, _ = lift(t, "X")
         assert [d.name for d in decls] == ["XAB", "XA", "X"]
+
+    def test_a_hit_from_a_smaller_group_rehomes_in_place(self):
+        shared = infer_from_examples([{"id": 1}])
+        registry = DeclRegistry()
+        lift_declarations(shared, "Shared", registry, group="b")
+        lift_declarations(infer_from_examples([{"x": True}]), "Other", registry, group="b")
+
+        def homes():
+            return [(d.name, d.group) for d in registry.by_body.values()]
+
+        lift_declarations(shared, "Again", registry, group="a")
+        assert homes() == [("Shared", "a"), ("Other", "b")]
+        lift_declarations(shared, "Late", registry, group="c")
+        assert homes() == [("Shared", "a"), ("Other", "b")]
 
 
 class TestTypeOfParameter:
