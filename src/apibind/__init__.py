@@ -26,7 +26,7 @@ from .issues import CATALOG, Issue, Severity, Stage, make_issue
 from .params import Convention, Parameter, parse_parameter_table
 from .parse import parse_record
 from .pathtemplate import PathTemplate, parse_path_template, render_path_template
-from .records import ApiCallRecord, ParsedArtifacts, RecordId
+from .records import ApiCallRecord, RecordId
 from .templates import TemplateSet
 from .typeinfer import (
     DeclRegistry,

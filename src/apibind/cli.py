@@ -46,10 +46,13 @@ class PipelineConfig:
     dashboard_formats: tuple[str, ...] = ("text", "json")
 
     def validate(self) -> None:
-        for path in self.inputs:
-            if self.out_dir.resolve() == path.resolve():
-                raise ValueError(f"--out-dir {self.out_dir} collides with input {path}")
-        if self.rejects_path.resolve() == (self.out_dir / "analyzed.csv").resolve():
+        """Refuse, before anything is written, a run that would overwrite an input."""
+        inputs = {path.resolve(): path for path in self.inputs}
+        stage = self.out_dir / "analyzed.csv"
+        for output in (self.out_dir, stage, self.rejects_path):
+            if output.resolve() in inputs:
+                raise ValueError(f"output {output} collides with input {inputs[output.resolve()]}")
+        if self.rejects_path.resolve() == stage.resolve():
             raise ValueError("--rejects must be distinct from the stage output")
 
 
@@ -138,7 +141,7 @@ def _write_build_report(out_dir: Path, ir: BindingIr, rejected: list[ApiCallReco
             "corpus_digest": ir.package_meta.corpus_digest,
         },
         "functions": [
-            {"raw_name": fn.raw_name, "record_id": list(fn.record_id.ids)} for fn in ir.functions
+            {"raw_name": fn.raw_name, "record_id": list(fn.record.id.ids)} for fn in ir.functions
         ],
         "issues": [
             {"record_id": record_id, **issue.to_json()} for record_id, issue in ir.report

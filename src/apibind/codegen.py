@@ -22,7 +22,7 @@ from .ingest import stage_csv_text
 from .issues import Issue, Stage, make_issue
 from .params import Convention, Parameter
 from .pathtemplate import PathTemplate, Variable
-from .records import ApiCallRecord, RecordId
+from .records import ApiCallRecord
 from .templates import TemplateSet
 from .typeinfer import (
     DeclRegistry,
@@ -60,16 +60,14 @@ class PackageMeta:
 
 @dataclass(frozen=True)
 class BindingFunction:
+    """One call function; its method, path, id and documentation live on ``record``."""
+
     raw_name: str
-    method: HttpMethod
-    path: PathTemplate
     params: tuple[tuple[Parameter, InferredType], ...]
     request_type: InferredType | None
     response_type: InferredType
-    doc_url: str
-    doc_summary: str | None
-    record_id: RecordId
     group: str  # the record's documentation group, "misc" when it has none
+    record: ApiCallRecord
 
 
 @dataclass(frozen=True)
@@ -138,11 +136,11 @@ def build_reference(
         return lifted
 
     for record in valid_records:
-        if record.enrichment is None or record.enrichment.path is None:
+        template = record.path
+        if template is None:
             raise ValueError(
                 f"record {record.id} has no parsed path template; run parse and route first"
             )
-        template = record.enrichment.path
         rid = str(record.id)
         group = record.group or "misc"
 
@@ -161,7 +159,7 @@ def build_reference(
             )
 
         typed_params: list[tuple[Parameter, InferredType]] = []
-        for param in ordered_params(record.enrichment.params or ()):
+        for param in ordered_params(record.params or ()):
             param_type, param_issues = type_of_parameter(param)
             typed_params.append((param, param_type))
             report.extend((rid, issue) for issue in param_issues)
@@ -190,15 +188,11 @@ def build_reference(
         functions.append(
             BindingFunction(
                 raw_name=raw_name,
-                method=record.http_method,
-                path=template,
                 params=tuple(typed_params),
                 request_type=request_type,
                 response_type=response_type,
-                doc_url=record.source_url,
-                doc_summary=record.description,
-                record_id=record.id,
                 group=group,
+                record=record,
             )
         )
 
@@ -485,8 +479,12 @@ _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def _doc_ctx(fn: BindingFunction) -> dict:
-    summary = fn.doc_summary or f"{fn.method.value} {fn.path.render()}"
-    return {"summary": _LINE_BREAK.sub(" ", summary), "doc_url": _LINE_BREAK.sub(" ", fn.doc_url)}
+    record = fn.record
+    summary = record.description or f"{record.http_method.value} {record.path.render()}"
+    return {
+        "summary": _LINE_BREAK.sub(" ", summary),
+        "doc_url": _LINE_BREAK.sub(" ", record.source_url),
+    }
 
 
 def _fn_ctx(fn: BindingFunction, names: dict) -> dict:
@@ -522,7 +520,7 @@ def _fn_ctx(fn: BindingFunction, names: dict) -> dict:
         "function_name": names["functions"][fn.raw_name],
         "signature_params": signature,
         "response_type": format_type(fn.response_type, type_names),
-        "http_method": fn.method.value,
-        "path_template": fn.path.render(),
+        "http_method": fn.record.http_method.value,
+        "path_template": fn.record.path.render(),
         "param_lines": param_lines,
     }

@@ -91,11 +91,10 @@ def load_corpus(path: str | Path) -> list[ApiCallRecord]:
 def _record_from_cells(cells: dict[str, str | None], stem: str, row_number: int) -> ApiCallRecord:
     issues: list[Issue] = []
 
-    raw_id = cells.get("record_id")
-    if raw_id:
-        record_id = RecordId(ids=tuple(dict.fromkeys(raw_id.split(ID_SEPARATOR))))
-    else:
-        record_id = RecordId.single(f"{stem}:{row_number}")
+    raw_id = cells.get("record_id") or ""
+    # An empty atom is dropped: written back, it would vanish from the cell.
+    atoms = tuple(dict.fromkeys(filter(None, raw_id.split(ID_SEPARATOR))))
+    record_id = RecordId(ids=atoms) if atoms else RecordId.single(f"{stem}:{row_number}")
 
     method_cell = cells.get("http_method")
     try:
@@ -143,7 +142,7 @@ def _record_from_cells(cells: dict[str, str | None], stem: str, row_number: int)
 
 def merge_key(record: ApiCallRecord) -> tuple[str, str]:
     """Method and rendered path template of a parsed record (the raw path if it did not parse)."""
-    template = record.enrichment.path
+    template = record.path
     return record.http_method.value, template.render() if template is not None else record.raw_path
 
 
@@ -152,7 +151,7 @@ def merge_records(a: ApiCallRecord, b: ApiCallRecord) -> ApiCallRecord:
 
     Identifiers are concatenated and deduped, and missing cells filled from
     ``b``. Conflicting present cells keep ``a``'s and tag W_MERGE_CONFLICT;
-    the curl and parameter artifacts come from the row whose cell is kept.
+    the parsed ``curl`` and ``params`` come from the row whose cell is kept.
     ``b``'s tags are all kept, also those about cells the merge drops, so
     every row's findings reach the gate. If the records describe different
     calls the merge is refused: ``a`` comes back tagged E_MERGE_KEY_MISMATCH
@@ -193,11 +192,8 @@ def merge_records(a: ApiCallRecord, b: ApiCallRecord) -> ApiCallRecord:
         response_example=pick("response_example", a.response_example, b.response_example),
         description=pick("description", a.description, b.description),
         group=pick("group", a.group, b.group),
-        enrichment=replace(
-            a.enrichment,
-            curl=(a if a.raw_curl is not None else b).enrichment.curl,
-            params=(a if a.raw_parameters is not None else b).enrichment.params,
-        ),
+        curl=(a if a.raw_curl is not None else b).curl,
+        params=(a if a.raw_parameters is not None else b).params,
     )
     return merged.with_issues(*b.issues, *conflicts)
 
@@ -230,7 +226,8 @@ def write_stage(records: list[ApiCallRecord], path: str | Path) -> None:
     """Materialize records as a stage CSV (input schema plus ``issues``).
 
     ``load_corpus(write_stage(rs))`` reproduces every CSV-carried field and
-    all issues. Derived in-memory artifacts are not serialized.
+    all issues. The parser outputs are not serialized; ``parse_record``
+    derives them again from the raw cells.
     """
     path = Path(path)
     try:

@@ -15,12 +15,12 @@ from .curl import parse_curl
 from .issues import Issue, Stage, make_issue
 from .params import parse_parameter_table
 from .pathtemplate import parse_path_template
-from .records import ApiCallRecord, ParsedArtifacts
+from .records import ApiCallRecord
 from .typeinfer import parse_json
 
 
 def parse_record(record: ApiCallRecord) -> ApiCallRecord:
-    """Attach ParsedArtifacts and tag every parser finding."""
+    """Set the record's parser outputs and tag every parser finding."""
     issues: list[Issue] = []
 
     path_template = None
@@ -54,5 +54,4 @@ def parse_record(record: ApiCallRecord) -> ApiCallRecord:
                 make_issue("E_JSON_CELL", Stage.PARSE, f"cell is not JSON: {exc}", field=column)
             )
 
-    artifacts = ParsedArtifacts(path=path_template, curl=curl_request, params=params)
-    return record.with_issues(*issues, enrichment=artifacts)
+    return record.with_issues(*issues, path=path_template, curl=curl_request, params=params)

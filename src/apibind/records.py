@@ -1,10 +1,10 @@
-"""The record that flows through the pipeline, gradually enriched.
+"""The record that flows through the pipeline, from raw cells to parser outputs.
 
 A record is never dropped and never loses information: issues are
 append-only through ``with_issues``, the one dedup rule of the pipeline,
-and the parser outputs are attached whole, in the same copy as the parse
-tags. A merge of two parsed records carries both rows' issues. All types
-here are immutable; stages return new records.
+and the parser outputs (``path``, ``curl``, ``params``) are set in the same
+copy as the parse tags. A merge of two parsed records carries both rows'
+issues. All types here are immutable; stages return new records.
 """
 
 from __future__ import annotations
@@ -45,15 +45,6 @@ class RecordId:
 
 
 @dataclass(frozen=True)
-class ParsedArtifacts:
-    """Outputs of the three documentation parsers, attached to a record once."""
-
-    path: PathTemplate | None = None
-    curl: CurlRequest | None = None
-    params: tuple[Parameter, ...] | None = None
-
-
-@dataclass(frozen=True)
 class ApiCallRecord:
     id: RecordId
     source_url: str
@@ -66,22 +57,23 @@ class ApiCallRecord:
     description: str | None = None
     group: str | None = None
     issues: tuple[Issue, ...] = ()
-    enrichment: ParsedArtifacts | None = None
+    # Parser outputs: None until ``parse_record`` sets them, and None after
+    # it where the raw cell is absent or did not parse.
+    path: PathTemplate | None = None
+    curl: CurlRequest | None = None
+    params: tuple[Parameter, ...] | None = None
 
-    def with_issues(
-        self, *new_issues: Issue, enrichment: ParsedArtifacts | None = None
-    ) -> ApiCallRecord:
-        """Append issues, and attach ``enrichment`` when given, in one copy.
+    def with_issues(self, *new_issues: Issue, **parsed) -> ApiCallRecord:
+        """Append issues, and set the parser outputs named in ``parsed``, in one copy.
 
         An exact duplicate of an existing tag is skipped: skipping identical
         re-emissions keeps reruns over already-analyzed stage files
         idempotent without ever removing another stage's tags.
         """
         added = tuple(issue for issue in new_issues if issue not in self.issues)
-        if not added and enrichment is None:
+        if not added and not parsed:
             return self
-        enrichment = self.enrichment if enrichment is None else enrichment
-        return replace(self, issues=self.issues + added, enrichment=enrichment)
+        return replace(self, issues=self.issues + added, **parsed)
 
     def error_count(self) -> int:
         return sum(1 for issue in self.issues if issue.severity is Severity.ERROR)

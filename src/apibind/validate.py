@@ -9,6 +9,7 @@ nothing is ever silently dropped.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .issues import Issue, Stage, make_issue, severity_of
@@ -30,10 +31,7 @@ def cross_validate(
     vacuously satisfied. ``checks`` narrows the set of checks that run and
     exists for check-independence testing.
     """
-    artifacts = record.enrichment
-    template = artifacts.path if artifacts else None
-    curl = artifacts.curl if artifacts else None
-    params = artifacts.params if artifacts else None
+    template, curl, params = record.path, record.curl, record.params
 
     path_vars = set(template.variables()) if template is not None else set()
     path_params = [p.name for p in params or () if p.convention is Convention.PATH]
@@ -148,56 +146,38 @@ def dashboard(records: list[ApiCallRecord]) -> DashboardReport:
     Impact is the number of records a code affects, which also breaks down
     the percentages; ties are ordered alphabetically by code.
     """
-    total = len(records)
+    affected = Counter(code for r in records for code in {issue.code for issue in r.issues})
+    stage_counts = Counter(issue.stage.value for r in records for issue in r.issues)
     valid = sum(1 for r in records if r.error_count() == 0)
-
-    affected: dict[str, int] = {}
-    stage_counts = {stage.value: 0 for stage in Stage}
-    for record in records:
-        for code in {issue.code for issue in record.issues}:
-            affected[code] = affected.get(code, 0) + 1
-        for issue in record.issues:
-            stage_counts[issue.stage.value] += 1
-
-    return DashboardReport(
-        total_records=total,
-        valid_records=valid,
-        percent_valid=(valid / total * 100.0) if total else None,
-        issue_frequency=_ranked(affected, total),
-        per_stage_counts=tuple(stage_counts.items()),
-    )
+    return _report(len(records), valid, affected, stage_counts)
 
 
-def _ranked(affected: dict[str, int], total: int) -> tuple[CodeFrequency, ...]:
+def merge_dashboards(a: DashboardReport, b: DashboardReport) -> DashboardReport:
+    """Combine reports over disjoint record sets; equals the dashboard of the union."""
+    affected: Counter[str] = Counter()
+    stage_counts: Counter[str] = Counter()
+    for report in (a, b):
+        affected.update({entry.code: entry.count for entry in report.issue_frequency})
+        stage_counts.update(dict(report.per_stage_counts))
+    total = a.total_records + b.total_records
+    return _report(total, a.valid_records + b.valid_records, affected, stage_counts)
+
+
+def _report(
+    total: int, valid: int, affected: Counter[str], stage_counts: Counter[str]
+) -> DashboardReport:
+    """The report of ``total`` records; every percentage is computed here."""
     entries = [
         CodeFrequency(code=code, count=count, percent=(count / total * 100.0) if total else 0.0)
         for code, count in affected.items()
     ]
     entries.sort(key=lambda e: (-e.count, e.code))
-    return tuple(entries)
-
-
-def merge_dashboards(a: DashboardReport, b: DashboardReport) -> DashboardReport:
-    """Combine reports over disjoint record sets; equals the dashboard of the union."""
-    total = a.total_records + b.total_records
-    valid = a.valid_records + b.valid_records
-
-    affected: dict[str, int] = {}
-    for report in (a, b):
-        for entry in report.issue_frequency:
-            affected[entry.code] = affected.get(entry.code, 0) + entry.count
-
-    stage_counts = {stage.value: 0 for stage in Stage}
-    for report in (a, b):
-        for stage_name, count in report.per_stage_counts:
-            stage_counts[stage_name] += count
-
     return DashboardReport(
         total_records=total,
         valid_records=valid,
         percent_valid=(valid / total * 100.0) if total else None,
-        issue_frequency=_ranked(affected, total),
-        per_stage_counts=tuple(stage_counts.items()),
+        issue_frequency=tuple(entries),
+        per_stage_counts=tuple((stage.value, stage_counts[stage.value]) for stage in Stage),
     )
 
 

@@ -102,6 +102,25 @@ class TestAnalyze:
     def test_out_dir_colliding_with_input_rejected(self, corpus12_path, capsys):
         assert run(["analyze", "--input", corpus12_path, "--out-dir", corpus12_path]) == 1
 
+    def test_outputs_never_overwrite_an_input(self, corpus12_path, tmp_path, capsys):
+        corpus = tmp_path / "c12.csv"
+        corpus.write_bytes(corpus12_path.read_bytes())
+        out = tmp_path / "out"
+        assert run(["analyze", "--input", corpus, "--out-dir", out]) == 0
+        stage = out / "analyzed.csv"
+        inputs = {path: path.read_bytes() for path in (corpus, stage)}
+        capsys.readouterr()
+        for command in ("analyze", "generate"):
+            for argv in (
+                ["--input", corpus, "--out-dir", tmp_path / "o", "--rejects", corpus],
+                ["--merge", "--input", stage, "--out-dir", out],
+                ["--input", stage, "--out-dir", tmp_path / "o", "--rejects", stage],
+            ):
+                assert run([command, *argv]) == 1, (command, argv)
+                assert "error:" in capsys.readouterr().err
+                assert not (tmp_path / "o").exists()
+        assert {path: path.read_bytes() for path in inputs} == inputs
+
     def test_idempotent(self, corpus12_path, tmp_path):
         out = tmp_path / "out"
         run(["analyze", "--input", corpus12_path, "--out-dir", out])

@@ -97,6 +97,11 @@ class TestBuildReference:
         assert len(ir.functions) == len(valid) == 10
         assert len({fn.raw_name for fn in ir.functions}) == 10
 
+    def test_each_function_keeps_its_record_itself(self, corpus12_path):
+        valid = valid_records(corpus12_path)
+        ir = build_reference(valid)
+        assert all(fn.record is record for fn, record in zip(ir.functions, valid, strict=True))
+
     def test_groups_from_column(self, corpus12_path):
         ir = build_reference(valid_records(corpus12_path))
         groups = {fn.raw_name: fn.group for fn in ir.functions}
@@ -313,7 +318,7 @@ def test_build_reference_registry_properties(seeds):
                 doc = parse_json(text)
                 assert inhabits(doc, expand(t, bodies)), (text, t)
                 assert expand(t, bodies) == infer_from_examples([doc]), (text, t)
-    fn_by_record = {str(fn.record_id): fn for fn in ir.functions}
+    fn_by_record = {str(fn.record.id): fn for fn in ir.functions}
     for rid, issue in ir.report:
         if issue.code == "W_EMPTY_ARRAY":
             fn = fn_by_record[rid]

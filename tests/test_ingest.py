@@ -88,6 +88,19 @@ def test_missing_record_id_synthesized(tmp_path):
     assert [str(r.id) for r in records] == ["things:1", "things:2"]
 
 
+@settings(max_examples=60)
+@given(cells=st.lists(st.text(alphabet="ab|", max_size=6), min_size=1, max_size=4))
+def test_record_ids_survive_a_stage_round_trip(tmp_path_factory, cells):
+    # '|' alone, '', 'a||b' and '|a|' hold empty atoms, which a written cell cannot keep
+    directory = tmp_path_factory.mktemp("ids")
+    body = "".join(f"{cell},https://d/x,GET,/v1/x,,,,,,\n" for cell in cells)
+    records = load_corpus(write_csv(directory, body))
+    assert all("" not in record.id.ids for record in records)
+    out = directory / "stage.csv"
+    write_stage(records, out)
+    assert [record.id for record in load_corpus(out)] == [record.id for record in records]
+
+
 def test_missing_file_is_corpus_error(tmp_path):
     with pytest.raises(CorpusError):
         load_corpus(tmp_path / "absent.csv")
@@ -129,13 +142,13 @@ class TestMerge:
         b = make_record("r2", raw_curl="curl https://h/x")
         merged = merge_records(a, b)
         assert merged.raw_curl == "curl https://h/x"
-        assert merged.enrichment.curl == b.enrichment.curl
+        assert merged.curl == b.curl
 
     def test_artifacts_follow_the_kept_cell(self):
         a = make_record("r1", raw_curl="curl https://h/a", raw_parameters='[{"name":"x"}]')
         b = make_record("r2", raw_curl="curl https://h/b", raw_parameters='[{"name":"y"}]')
         merged = merge_records(a, b)
-        assert merged.enrichment == a.enrichment
+        assert (merged.path, merged.curl, merged.params) == (a.path, a.curl, a.params)
         codes = [i.code for i in merged.issues]
         assert codes.count("W_MERGE_CONFLICT") == 2  # one per cell, none per artifact
 

@@ -23,9 +23,9 @@ def codes(rec):
 
 def test_path_only_record():
     out = parse_record(record())
-    assert out.enrichment.path is not None
-    assert out.enrichment.curl is None
-    assert out.enrichment.params is None
+    assert out.path is not None
+    assert out.curl is None
+    assert out.params is None
     assert codes(out) == []  # absence of examples is judged after merge, by cross_validate
 
 
@@ -36,9 +36,9 @@ def test_curl_failure_leaves_other_parsers_alone():
             raw_parameters='[{"name":"a","in":"query"}]',
         )
     )
-    assert out.enrichment.curl is None
-    assert out.enrichment.path is not None
-    assert out.enrichment.params is not None and out.enrichment.params[0].name == "a"
+    assert out.curl is None
+    assert out.path is not None
+    assert out.params is not None and out.params[0].name == "a"
     assert "E_CURL_TOKENIZE" in codes(out)
 
 
@@ -52,9 +52,9 @@ def test_fully_populated_record_no_new_issues():
             response_example='{"ok":true}',
         )
     )
-    assert out.enrichment.path is not None
-    assert out.enrichment.curl is not None
-    assert out.enrichment.params is not None
+    assert out.path is not None
+    assert out.curl is not None
+    assert out.params is not None
     assert out.issues == ()
 
 
@@ -74,7 +74,7 @@ def test_bad_json_cell_tagged_not_skipped():
 def test_empty_path_tagged():
     out = parse_record(record(raw_path=""))
     assert "E_PATH_SYNTAX" in codes(out)
-    assert out.enrichment.path is None
+    assert out.path is None
 
 
 def test_no_example_with_examples_present():
@@ -86,6 +86,4 @@ def test_no_example_with_examples_present():
 
 def test_parse_is_idempotent():
     once = parse_record(record(raw_curl="curl -s https://h/x"))
-    twice = parse_record(once)
-    assert twice.issues == once.issues
-    assert twice.enrichment == once.enrichment
+    assert parse_record(once) == once
