@@ -1,8 +1,14 @@
 """Pipeline driver: ``analyze``, ``generate`` and ``dashboard`` subcommands.
 
+``analyze`` and ``generate`` share one gate (``_gate``) and one out-dir
+layout (``OUT_FILES`` beside ``PACKAGE_DIR``). A run whose outputs would
+overwrite or remove an input or its rejects file is refused before anything
+is written, and so is a bad ``--templates`` or ``--identifier-policy``.
+
 Data-quality problems are report content, not process failures: ``analyze``
 exits zero even when every record errs. A nonzero exit means the run itself
-failed (unreadable corpus, broken templates, nothing to generate).
+failed (unreadable corpus, broken templates, colliding paths, nothing to
+generate).
 """
 
 from __future__ import annotations
@@ -10,11 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .codegen import (
-    BindingIr,
     GenerationError,
     IdentifierPolicy,
     apply_identifier_policy,
@@ -33,69 +37,75 @@ from .validate import (
     route,
 )
 
-
-@dataclass
-class PipelineConfig:
-    inputs: list[Path]
-    out_dir: Path
-    rejects_path: Path
-    merge: bool = False
-    strict: bool = False
-    templates_dir: Path | None = None
-    identifier_policy: Path | None = None
-    dashboard_formats: tuple[str, ...] = ("text", "json")
-
-    def validate(self) -> None:
-        """Refuse, before anything is written, a run that would overwrite an input."""
-        inputs = {path.resolve(): path for path in self.inputs}
-        stage = self.out_dir / "analyzed.csv"
-        for output in (self.out_dir, stage, self.rejects_path):
-            if output.resolve() in inputs:
-                raise ValueError(f"output {output} collides with input {inputs[output.resolve()]}")
-        if self.rejects_path.resolve() == stage.resolve():
-            raise ValueError("--rejects must be distinct from the stage output")
+#: The files ``analyze`` and ``generate`` write into ``--out-dir``. They sit
+#: beside ``PACKAGE_DIR``, whose ``*.txt`` files ``generate`` replaces.
+OUT_FILES = (
+    "analyzed.csv", "dashboard.txt", "dashboard.json", "build_report.json", "name_map.json"
+)
+STAGE, DASHBOARD_TEXT, DASHBOARD_JSON, BUILD_REPORT, NAME_MAP = OUT_FILES
+PACKAGE_DIR = "package"
 
 
-def _analyze_records(config: PipelineConfig) -> list[ApiCallRecord]:
-    """Load, parse every row, merge (with ``--merge``), then cross-validate."""
-    records = [parse_record(record) for path in config.inputs for record in load_corpus(path)]
-    if config.merge:
+def _refuse_overwrites(inputs: list[Path], out_dir: Path, rejects: Path) -> None:
+    """Raise ``ValueError`` if the run would write over or delete an input or ``rejects``."""
+    package = (out_dir / PACKAGE_DIR).resolve()
+    written = {out_dir.resolve(), package, *((out_dir / name).resolve() for name in OUT_FILES)}
+    for path in (*inputs, rejects):
+        target = path.resolve()
+        if target in written or (target.parent == package and target.name.endswith(".txt")):
+            raise ValueError(f"{path} would be overwritten or removed by a run into {out_dir}")
+    if rejects.resolve() in {path.resolve() for path in inputs}:
+        raise ValueError(f"rejects path {rejects} is an input")
+
+
+def _gate(
+    args: argparse.Namespace,
+) -> tuple[list[ApiCallRecord], list[ApiCallRecord], list[ApiCallRecord]]:
+    """Check the paths, run every record to the gate and write the rejects.
+
+    Returns ``(records, valid, rejected)``: every record after
+    cross-validation, and the two sides of ``route``.
+    """
+    rejects = args.rejects or args.out_dir / "rejects.csv"
+    _refuse_overwrites(args.input, args.out_dir, rejects)
+    records = [parse_record(record) for path in args.input for record in load_corpus(path)]
+    if args.merge:
         records = merge_corpus(records)
-    return [cross_validate(record) for record in records]
+    records = [cross_validate(record) for record in records]
+    valid, rejected = route(records, strict=args.strict)
+
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    rejects.parent.mkdir(parents=True, exist_ok=True)
+    write_stage(rejected, rejects)
+    return records, valid, rejected
 
 
-def cmd_analyze(config: PipelineConfig) -> int:
-    config.validate()
-    records = _analyze_records(config)
-    valid, rejected = route(records, strict=config.strict)
-
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    write_stage(records, config.out_dir / "analyzed.csv")
-    config.rejects_path.parent.mkdir(parents=True, exist_ok=True)
-    write_stage(rejected, config.rejects_path)
-
+def cmd_analyze(args: argparse.Namespace) -> int:
+    records, valid, rejected = _gate(args)
+    write_stage(records, args.out_dir / STAGE)
     report = dashboard(records)
     text = render_dashboard_text(report)
-    if "text" in config.dashboard_formats:
-        (config.out_dir / "dashboard.txt").write_text(text, encoding="utf-8")
-    if "json" in config.dashboard_formats:
-        (config.out_dir / "dashboard.json").write_text(dashboard_to_json(report), encoding="utf-8")
+    (args.out_dir / DASHBOARD_TEXT).write_text(text, encoding="utf-8")
+    (args.out_dir / DASHBOARD_JSON).write_text(dashboard_to_json(report), encoding="utf-8")
     sys.stdout.write(text)
     sys.stdout.write(
-        f"stage written: {config.out_dir / 'analyzed.csv'} "
-        f"({len(valid)} valid, {len(rejected)} rejected)\n"
+        f"stage written: {args.out_dir / STAGE} ({len(valid)} valid, {len(rejected)} rejected)\n"
     )
     return 0
 
 
-def cmd_generate(config: PipelineConfig) -> int:
-    config.validate()
-    records = _analyze_records(config)
-    valid, rejected = route(records, strict=config.strict)
-
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    config.rejects_path.parent.mkdir(parents=True, exist_ok=True)
-    write_stage(rejected, config.rejects_path)
+def cmd_generate(args: argparse.Namespace) -> int:
+    templates = (
+        TemplateSet.load_dir(args.templates)
+        if args.templates is not None
+        else TemplateSet.neutral()
+    )
+    policy = (
+        IdentifierPolicy.from_json_file(args.identifier_policy)
+        if args.identifier_policy is not None
+        else IdentifierPolicy()
+    )
+    _, valid, rejected = _gate(args)
     for record in rejected:
         codes = ",".join(sorted({i.code for i in record.issues})) or "-"
         sys.stdout.write(f"rejected {record.id}: {codes}\n")
@@ -103,37 +113,10 @@ def cmd_generate(config: PipelineConfig) -> int:
         sys.stderr.write("no valid records; nothing to generate\n")
         return 1
 
-    templates = (
-        TemplateSet.load_dir(config.templates_dir)
-        if config.templates_dir is not None
-        else TemplateSet.neutral()
-    )
-    policy = (
-        IdentifierPolicy.from_json_file(config.identifier_policy)
-        if config.identifier_policy is not None
-        else IdentifierPolicy()
-    )
-
-    package_name = config.inputs[0].stem
-    ir = build_reference(valid, package_name=package_name)
+    ir = build_reference(valid, package_name=args.input[0].stem)
     names = apply_identifier_policy(ir, policy)
-    written = render_package(ir, names, templates, config.out_dir / "package")
+    written = render_package(ir, names, templates, args.out_dir / PACKAGE_DIR)
 
-    _write_build_report(config.out_dir, ir, rejected)
-    (config.out_dir / "name_map.json").write_text(
-        json.dumps(names, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-    for issue_record, issue in ir.report:
-        sys.stdout.write(f"note {issue_record}: {issue.code} {issue.message}\n")
-    sys.stdout.write(
-        f"package: {len(ir.functions)} functions, {len(ir.decls)} types, "
-        f"{len(written)} files in {config.out_dir / 'package'}\n"
-    )
-    return 0
-
-
-def _write_build_report(out_dir: Path, ir: BindingIr, rejected: list[ApiCallRecord]) -> None:
     report = {
         "package": {
             "name": ir.package_meta.name,
@@ -148,36 +131,27 @@ def _write_build_report(out_dir: Path, ir: BindingIr, rejected: list[ApiCallReco
         ],
         "rejected_record_ids": [list(record.id.ids) for record in rejected],
     }
-    (out_dir / "build_report.json").write_text(
+    (args.out_dir / BUILD_REPORT).write_text(
         json.dumps(report, ensure_ascii=False) + "\n", encoding="utf-8"
     )
+    (args.out_dir / NAME_MAP).write_text(json.dumps(names, sort_keys=True) + "\n", encoding="utf-8")
 
-
-def cmd_dashboard(config: PipelineConfig) -> int:
-    records: list[ApiCallRecord] = []
-    for path in config.inputs:
-        records.extend(load_corpus(path))
-    report = dashboard(records)
-    if "text" in config.dashboard_formats:
-        sys.stdout.write(render_dashboard_text(report))
-    if "json" in config.dashboard_formats:
-        sys.stdout.write(dashboard_to_json(report))
+    for issue_record, issue in ir.report:
+        sys.stdout.write(f"note {issue_record}: {issue.code} {issue.message}\n")
+    sys.stdout.write(
+        f"package: {len(ir.functions)} functions, {len(ir.decls)} types, "
+        f"{len(written)} files in {args.out_dir / PACKAGE_DIR}\n"
+    )
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, *, outputs: bool) -> None:
-    parser.add_argument(
-        "--input", action="append", required=True, type=Path, metavar="PATH",
-        help="input CSV corpus (repeatable)",
-    )
-    if outputs:
-        parser.add_argument("--out-dir", required=True, type=Path)
-        parser.add_argument(
-            "--rejects", type=Path, default=None,
-            help="rejects CSV path (default: <out-dir>/rejects.csv)",
-        )
-        parser.add_argument("--merge", action="store_true", help="merge records describing the same call")
-        parser.add_argument("--strict", action="store_true", help="treat warnings as errors at the gate")
+def cmd_dashboard(args: argparse.Namespace) -> int:
+    report = dashboard([record for path in args.input for record in load_corpus(path)])
+    if args.dashboard_format in ("text", "both"):
+        sys.stdout.write(render_dashboard_text(report))
+    if args.dashboard_format in ("json", "both"):
+        sys.stdout.write(dashboard_to_json(report))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,45 +161,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_analyze = sub.add_parser("analyze", help="load, parse and cross-validate; write stage CSV and dashboard")
-    _add_common(p_analyze, outputs=True)
-    p_analyze.add_argument("--dashboard-format", choices=("text", "json", "both"), default="both")
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument(
+        "--input", action="append", required=True, type=Path, metavar="PATH",
+        help="input CSV corpus (repeatable)",
+    )
+    gate = argparse.ArgumentParser(add_help=False, parents=[inputs])
+    gate.add_argument("--out-dir", required=True, type=Path)
+    gate.add_argument(
+        "--rejects", type=Path, default=None,
+        help="rejects CSV path (default: <out-dir>/rejects.csv)",
+    )
+    gate.add_argument("--merge", action="store_true", help="merge records describing the same call")
+    gate.add_argument("--strict", action="store_true", help="treat warnings as errors at the gate")
 
-    p_generate = sub.add_parser("generate", help="route valid records and render the binding package")
-    _add_common(p_generate, outputs=True)
+    p_analyze = sub.add_parser(
+        "analyze", parents=[gate],
+        help="load, parse and cross-validate; write stage CSV and dashboard",
+    )
+    p_analyze.set_defaults(run=cmd_analyze)
+
+    p_generate = sub.add_parser(
+        "generate", parents=[gate], help="route valid records and render the binding package"
+    )
     p_generate.add_argument("--templates", type=Path, default=None, metavar="DIR")
     p_generate.add_argument("--identifier-policy", type=Path, default=None, metavar="FILE")
+    p_generate.set_defaults(run=cmd_generate)
 
-    p_dashboard = sub.add_parser("dashboard", help="recompute and print the dashboard from any stage CSV")
-    _add_common(p_dashboard, outputs=False)
+    p_dashboard = sub.add_parser(
+        "dashboard", parents=[inputs], help="recompute and print the dashboard from any stage CSV"
+    )
     p_dashboard.add_argument("--dashboard-format", choices=("text", "json", "both"), default="text")
+    p_dashboard.set_defaults(run=cmd_dashboard)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    out_dir = getattr(args, "out_dir", None) or Path(".")
-    rejects = getattr(args, "rejects", None) or out_dir / "rejects.csv"
-    fmt = getattr(args, "dashboard_format", "both")
-    formats = ("text", "json") if fmt == "both" else (fmt,)
-    return PipelineConfig(
-        inputs=list(args.input),
-        out_dir=out_dir,
-        rejects_path=rejects,
-        merge=getattr(args, "merge", False),
-        strict=getattr(args, "strict", False),
-        templates_dir=getattr(args, "templates", None),
-        identifier_policy=getattr(args, "identifier_policy", None),
-        dashboard_formats=formats,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = _config_from_args(args)
-    commands = {"analyze": cmd_analyze, "generate": cmd_generate, "dashboard": cmd_dashboard}
     try:
-        return commands[args.command](config)
+        return args.run(args)
     except (CorpusError, TemplateError, RenderError, GenerationError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

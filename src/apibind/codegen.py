@@ -54,8 +54,12 @@ _CONVENTION_ORDER = (
 @dataclass(frozen=True)
 class PackageMeta:
     name: str
-    version: str  # corpus digest prefix: reproducible without external state
     corpus_digest: str
+
+    @property
+    def version(self) -> str:
+        """The corpus digest's prefix: reproducible without external state."""
+        return self.corpus_digest[:12]
 
 
 @dataclass(frozen=True)
@@ -196,12 +200,10 @@ def build_reference(
             )
         )
 
-    digest = corpus_digest(valid_records)
-    meta = PackageMeta(name=package_name, version=digest[:12], corpus_digest=digest)
     return BindingIr(
         functions=tuple(functions),
         decls=tuple(registry.by_body.values()),
-        package_meta=meta,
+        package_meta=PackageMeta(name=package_name, corpus_digest=corpus_digest(valid_records)),
         report=tuple(report),
     )
 

@@ -6,6 +6,8 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from apibind import ingest, params, parse
 from apibind.cli import main
 from apibind.ingest import STAGE_COLUMNS, load_corpus, record_id_census
@@ -120,6 +122,45 @@ class TestAnalyze:
                 assert "error:" in capsys.readouterr().err
                 assert not (tmp_path / "o").exists()
         assert {path: path.read_bytes() for path in inputs} == inputs
+
+    @pytest.mark.parametrize(
+        "command, corpus_at, rejects_at",
+        [
+            ("analyze", "o/dashboard.txt", None),
+            ("generate", "o/name_map.json", None),
+            ("generate", "o/package/c.txt", None),
+            ("analyze", "c12.csv", "o/dashboard.json"),
+            ("generate", "c12.csv", "o/package/r.txt"),
+            ("generate", "c12.csv", "o/build_report.json"),
+        ],
+    )
+    def test_no_output_overwrites_or_deletes_an_input_or_the_rejects(
+        self, command, corpus_at, rejects_at, corpus12_path, tmp_path, capsys
+    ):
+        corpus = tmp_path / corpus_at
+        corpus.parent.mkdir(parents=True, exist_ok=True)
+        corpus.write_bytes(corpus12_path.read_bytes())
+        out = tmp_path / "o"
+        before = read_tree(out) if out.exists() else None
+        argv = [command, "--input", corpus, "--out-dir", out]
+        if rejects_at is not None:
+            argv += ["--rejects", tmp_path / rejects_at]
+        assert run(argv) == 1
+        assert "error:" in capsys.readouterr().err
+        assert corpus.read_bytes() == corpus12_path.read_bytes()
+        assert (read_tree(out) if out.exists() else None) == before
+
+    def test_corpus_inside_the_out_dir_under_its_own_name(self, corpus12_path, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        corpus = out / "corpus.csv"
+        corpus.write_bytes(corpus12_path.read_bytes())
+        assert run(["analyze", "--input", corpus, "--out-dir", out]) == 0
+        assert run(["generate", "--input", corpus, "--input", corpus, "--out-dir", out]) == 0
+        assert corpus.read_bytes() == corpus12_path.read_bytes()
+        assert {"analyzed.csv", "dashboard.json", "name_map.json", "package/manifest.txt"} < set(
+            read_tree(out)
+        )
 
     def test_idempotent(self, corpus12_path, tmp_path):
         out = tmp_path / "out"
@@ -236,6 +277,28 @@ class TestGenerate:
         assert code == 1
         err = capsys.readouterr().err
         assert "manifest.tpl" in err and "mystery" in err
+
+    @pytest.mark.parametrize(
+        "option, name, text",
+        [
+            ("--templates", "tpl", None),
+            ("--identifier-policy", "policy.json", "[]"),
+            ("--identifier-policy", "absent.json", None),
+        ],
+    )
+    def test_configuration_error_writes_nothing(
+        self, option, name, text, corpus12_path, tmp_path, capsys
+    ):
+        config = tmp_path / name
+        if option == "--templates":
+            config.mkdir()
+            (config / "function.tpl").write_text("{{function_name}}\n", encoding="utf-8")
+        elif text is not None:
+            config.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["generate", "--input", corpus12_path, "--out-dir", out, option, config]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_stored_severity_cannot_pass_the_gate(self, tmp_path):
         forged = {"code": "E_PATH_SYNTAX", "severity": "Warning", "stage": "Parse", "message": "m"}
