@@ -26,7 +26,7 @@ from .codegen import (
     render_package,
 )
 from .ingest import CorpusError, load_corpus, merge_corpus, write_stage
-from .parse import parse_record
+from .parse import ParseMemo, parse_record
 from .records import ApiCallRecord
 from .templates import RenderError, TemplateError, TemplateSet
 from .validate import (
@@ -58,6 +58,12 @@ def _refuse_overwrites(inputs: list[Path], out_dir: Path, rejects: Path) -> None
         raise ValueError(f"rejects path {rejects} is an input")
 
 
+def _parse_inputs(paths: list[Path]) -> list[ApiCallRecord]:
+    """Load and parse every row; each distinct cell is parsed once per call."""
+    memo = ParseMemo()
+    return [parse_record(record, memo) for path in paths for record in load_corpus(path)]
+
+
 def _gate(
     args: argparse.Namespace,
 ) -> tuple[list[ApiCallRecord], list[ApiCallRecord], list[ApiCallRecord]]:
@@ -68,7 +74,7 @@ def _gate(
     """
     rejects = args.rejects or args.out_dir / "rejects.csv"
     _refuse_overwrites(args.input, args.out_dir, rejects)
-    records = [parse_record(record) for path in args.input for record in load_corpus(path)]
+    records = _parse_inputs(args.input)
     if args.merge:
         records = merge_corpus(records)
     records = [cross_validate(record) for record in records]

@@ -115,7 +115,9 @@ def build_reference(
     examples and lifted into declarations through one registry created here,
     so structurally identical bodies share one declaration across the whole
     corpus. Each function and each declaration carries the group whose
-    module renders it. Records must have been loaded, parsed and routed: a
+    module renders it. Each distinct example text is decoded and folded at
+    most twice per call: its raw type is kept from its second occurrence
+    on. Records must have been loaded, parsed and routed: a
     record without a parsed path, or with an example that is not standard
     JSON (parse tags those E_JSON_CELL and the gate rejects them), is a
     caller error here, not a data issue.
@@ -124,6 +126,20 @@ def build_reference(
     report: list[tuple[str, Issue]] = []
     taken_fn: dict[str, int] = {}
     registry = DeclRegistry()
+    # Example text -> raw type, kept once a text turns up a second time, so
+    # a corpus that never repeats an example holds no raw type past its lift.
+    raw_types: dict[str, InferredType] = {}
+    seen: set[str] = set()
+
+    def raw_type(text: str) -> InferredType:
+        raw = raw_types.get(text)
+        if raw is None:
+            raw = fold_examples([parse_json(text)])
+            if text in seen:
+                raw_types[text] = raw
+            else:
+                seen.add(text)
+        return raw
 
     def example_type(
         rid: str, group: str, text: str | None, base: str, column: str
@@ -131,7 +147,7 @@ def build_reference(
         if text is None:
             return None
         lifted, unpopulated, lift_issues = lift_declarations(
-            fold_examples([parse_json(text)]), base, registry, group=group
+            raw_type(text), base, registry, group=group
         )
         for path in unpopulated:
             message = f"{column} has an empty array at {path}; element type unknown"

@@ -279,17 +279,6 @@ def finalize(t: InferredType) -> tuple[InferredType, list[str]]:
     return published, unpopulated
 
 
-def infer_from_examples(docs: list[Any]) -> InferredType:
-    """Join of all per-document types; the unconstrained type when docs is empty.
-
-    Callers tag W_NO_EXAMPLE themselves when passing an empty list. The fold
-    runs on raw (bottom-seeded) types so that a population of examples like
-    ``[[], [1]]`` still infers the tight element type; only the final result
-    is published.
-    """
-    return finalize(fold_examples(docs))[0]
-
-
 def inhabits(value: Any, t: InferredType) -> bool:
     """Membership check, implemented structurally and independently of unify.
 

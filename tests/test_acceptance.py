@@ -20,7 +20,7 @@ from apibind.issues import CATALOG, Severity, Stage, make_issue
 from apibind.parse import parse_record
 from apibind.pathtemplate import parse_path_template, render_path_template
 from apibind.records import ApiCallRecord, RecordId
-from apibind.typeinfer import BOTTOM, T_ANY, infer_from_examples, inhabits, unify
+from apibind.typeinfer import BOTTOM, T_ANY, finalize, fold_examples, inhabits, unify
 from apibind.validate import cross_validate, dashboard, merge_dashboards, route
 
 from .echoserver import EchoServer
@@ -60,7 +60,7 @@ def test_criterion_2_soundness_and_minimality():
     trials = 1000
     for _ in range(trials):
         docs = [gen_json_doc(rng, 2) for _ in range(rng.randint(1, 4))]
-        inferred = infer_from_examples(docs)
+        inferred = finalize(fold_examples(docs))[0]
         for doc in docs:
             assert inhabits(doc, inferred), ("soundness", docs, inferred)
         for candidate in universe:

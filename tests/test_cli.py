@@ -10,6 +10,7 @@ import pytest
 
 from apibind import ingest, params, parse
 from apibind.cli import main
+from apibind.curl import HttpMethod
 from apibind.ingest import STAGE_COLUMNS, load_corpus, record_id_census
 from apibind.typeinfer import MAX_JSON_DEPTH, parse_json
 
@@ -461,6 +462,87 @@ class TestScale:
         generate_seconds(50)  # warm imports and caches outside the timed runs
         small, large = generate_seconds(2000), generate_seconds(8000)
         assert large / small < 8, (small, large)
+
+
+class TestParseMemo:
+    TABLE = '[{"name":"id","in":"path"}]'
+    BROKEN = '{"ok": tru'
+    ROWS = [
+        {
+            "record_id": "a1",
+            "path": "/v1/t/{id}",
+            "curl_example": "curl https://h/v1/t/1",
+            "parameters": TABLE,
+            "response_example": '{"ok":true}',
+        },
+        {
+            "record_id": "a2",
+            "path": "/v1/t/{id}",
+            "curl_example": "curl https://h/v1/t/1",
+            "parameters": TABLE,
+            "response_example": BROKEN,
+        },
+        {
+            "record_id": "a3",
+            "http_method": "POST",
+            "path": "/v1/t/{id}",
+            "curl_example": "curl -X POST https://h/v1/t/1",
+            "parameters": TABLE,
+            "request_example": '{"ok":true}',
+            "response_example": BROKEN,
+        },
+        {
+            "record_id": "a4",
+            "http_method": "POST",
+            "path": "/v1/u",
+            "request_example": BROKEN,
+            "response_example": '{"ok":true}',
+        },
+    ]
+
+    def test_each_distinct_cell_parsed_once_per_run(self, tmp_path, monkeypatch):
+        calls: Counter = Counter()
+
+        def counting(name):
+            real = getattr(parse, name)
+
+            def counted(*args):
+                calls[(name, *args)] += 1
+                return real(*args)
+
+            return counted
+
+        for name in ("parse_path_template", "parse_curl", "parse_parameter_table", "parse_json"):
+            monkeypatch.setattr(parse, name, counting(name))
+        distinct = {
+            ("parse_path_template", "/v1/t/{id}"),
+            ("parse_path_template", "/v1/u"),
+            ("parse_curl", "curl https://h/v1/t/1"),
+            ("parse_curl", "curl -X POST https://h/v1/t/1"),
+            ("parse_parameter_table", self.TABLE, HttpMethod.GET),
+            ("parse_parameter_table", self.TABLE, HttpMethod.POST),
+            ("parse_json", '{"ok":true}'),  # in both example columns
+            ("parse_json", self.BROKEN),
+        }
+        corpus = write_cells(tmp_path / "shared.csv", self.ROWS)
+        out = tmp_path / "out"
+
+        assert run(["analyze", "--input", corpus, "--out-dir", out]) == 0
+        assert calls == Counter(distinct)
+        # A second run in the same process starts from an empty memo.
+        assert run(["analyze", "--input", corpus, "--out-dir", out]) == 0
+        assert calls == Counter({key: 2 for key in distinct})
+
+        faults = {
+            str(record.id): sorted(i.field for i in record.issues if i.code == "E_JSON_CELL")
+            for record in load_corpus(out / "analyzed.csv")
+        }
+        assert faults == {
+            "a1": [],
+            "a2": ["response_example"],
+            "a3": ["response_example"],
+            "a4": ["request_example"],
+        }
 
 
 class TestDashboardCommand:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+from hypothesis import given, settings, strategies as st
+
 from apibind.curl import HttpMethod
 from apibind.issues import Stage
-from apibind.parse import parse_record
+from apibind.parse import ParseMemo, parse_record
 from apibind.records import ApiCallRecord, RecordId
 
 
@@ -87,3 +89,44 @@ def test_no_example_with_examples_present():
 def test_parse_is_idempotent():
     once = parse_record(record(raw_curl="curl -s https://h/x"))
     assert parse_record(once) == once
+
+
+#: Every column draws from one pool, so texts repeat within a column and
+#: across columns. The first table has no location, so what it parses to
+#: depends on the method; the last cell is broken JSON.
+_CELLS = (
+    '[{"name":"q"}]',
+    '[{"name":"id","in":"path","required":"yes"}]',
+    "/v1/users/{id}",
+    "/v1/{x}/{x}",
+    "curl https://api.example.com/v1/users/u1",
+    "curl -X POST https://h/v1/a -d '{\"a\":1}'",
+    '{"a":1}',
+    "[1,2.5]",
+    '{"ok": tru',
+)
+
+
+@st.composite
+def _rows(draw) -> list[ApiCallRecord]:
+    """Rows over a few cells of ``_CELLS``, so most cells repeat."""
+    pool = draw(st.lists(st.sampled_from(_CELLS), min_size=1, max_size=4, unique=True))
+    cell = st.sampled_from(pool)
+    row = st.builds(
+        record,
+        http_method=st.sampled_from([HttpMethod.GET, HttpMethod.POST, HttpMethod.PUT]),
+        raw_path=cell,
+        raw_curl=st.none() | cell,
+        raw_parameters=st.none() | cell,
+        request_example=st.none() | cell,
+        response_example=st.none() | cell,
+    )
+    return draw(st.lists(row, min_size=1, max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rows(), st.randoms(use_true_random=False))
+def test_shared_memo_parses_like_each_row_alone(rows, rng):
+    rng.shuffle(rows)
+    memo = ParseMemo()
+    assert [parse_record(row, memo) for row in rows] == [parse_record(row) for row in rows]

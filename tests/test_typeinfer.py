@@ -26,7 +26,6 @@ from apibind.typeinfer import (
     finalize,
     fold_examples,
     fresh_name,
-    infer_from_examples,
     inhabits,
     lift_declarations,
     parse_json,
@@ -73,17 +72,17 @@ class TestParseJson:
 
 class TestInferValueType:
     def test_mixed_numeric_array_widens(self):
-        assert infer_from_examples([[1, 2.5]]) == TArray(T_FLOAT)
+        assert finalize(fold_examples([[1, 2.5]]))[0] == TArray(T_FLOAT)
 
     def test_empty_array_publishes_any(self):
-        assert infer_from_examples([[]]) == TArray(T_ANY)
+        assert finalize(fold_examples([[]]))[0] == TArray(T_ANY)
 
     def test_object_fields_required(self):
-        assert infer_from_examples([{"a": 1, "b": None}]) == obj(("a", T_INT, True), ("b", T_NULL, True))
+        assert finalize(fold_examples([{"a": 1, "b": None}]))[0] == obj(("a", T_INT, True), ("b", T_NULL, True))
 
     def test_scalars(self):
         for value, expected in ((None, T_NULL), (True, T_BOOL), (3, T_INT), (2.5, T_FLOAT), ("x", T_STRING)):
-            assert infer_from_examples([value]) == expected
+            assert finalize(fold_examples([value]))[0] == expected
 
 
 class TestUnify:
@@ -172,23 +171,23 @@ class TestFreshName:
 class TestInferFromExamples:
     def test_union_rule(self):
         docs = [{"a": 1}, {"a": None}]
-        assert infer_from_examples(docs) == obj(("a", TUnion((T_NULL, T_INT)), True))
+        assert finalize(fold_examples(docs))[0] == obj(("a", TUnion((T_NULL, T_INT)), True))
 
     def test_optionality_rule(self):
         docs = [{"a": 1}, {}]
-        assert infer_from_examples(docs) == obj(("a", T_INT, False))
+        assert finalize(fold_examples(docs))[0] == obj(("a", T_INT, False))
 
     def test_empty_docs_give_any(self):
-        assert infer_from_examples([]) == T_ANY
+        assert finalize(fold_examples([]))[0] == T_ANY
 
     def test_empty_array_sample_does_not_erase_element_type(self):
-        assert infer_from_examples([[], [1]]) == TArray(T_INT)
+        assert finalize(fold_examples([[], [1]]))[0] == TArray(T_INT)
 
     def test_union_invariants_hold_everywhere(self):
         rng = random.Random(5)
         for _ in range(300):
             docs = [gen_json_doc(rng, 2, allow_empty_arrays=True) for _ in range(rng.randint(1, 4))]
-            _assert_normalized(infer_from_examples(docs))
+            _assert_normalized(finalize(fold_examples(docs))[0])
 
 
 def _assert_normalized(t, inside_composite=False):
@@ -253,7 +252,7 @@ class TestSoundness:
         rng = random.Random(23)
         for _ in range(300):
             docs = [gen_json_doc(rng, 2, allow_empty_arrays=True) for _ in range(rng.randint(1, 4))]
-            inferred = infer_from_examples(docs)
+            inferred = finalize(fold_examples(docs))[0]
             for doc in docs:
                 assert inhabits(doc, inferred), (docs, inferred)
 
@@ -277,7 +276,7 @@ def test_order_insensitive(seeds):
     rng = random.Random(0)
     shuffled = docs[:]
     rng.shuffle(shuffled)
-    assert infer_from_examples(docs) == infer_from_examples(shuffled)
+    assert finalize(fold_examples(docs))[0] == finalize(fold_examples(shuffled))[0]
 
 
 def lift(t, base_name, **kwargs):
@@ -289,7 +288,7 @@ def lift(t, base_name, **kwargs):
 
 class TestLift:
     def test_nested_naming(self):
-        t = infer_from_examples([{"user": {"id": 1}}])
+        t = finalize(fold_examples([{"user": {"id": 1}}]))[0]
         lifted, decls, issues = lift(t, "CreateMsgRequest")
         assert lifted == TRef("CreateMsgRequest")
         assert sorted(d.name for d in decls) == ["CreateMsgRequest", "CreateMsgRequestUser"]
@@ -302,20 +301,20 @@ class TestLift:
         assert lifted == T_INT and decls == [] and issues == []
 
     def test_array_hop_names_item(self):
-        t = infer_from_examples([{"items": [{"id": 1}]}])
+        t = finalize(fold_examples([{"items": [{"id": 1}]}]))[0]
         _, decls, _ = lift(t, "Resp")
         assert sorted(d.name for d in decls) == ["Resp", "RespItemsItem"]
 
     def test_decls_come_children_first(self):
-        t = infer_from_examples([{"a": {"b": {"c": 1}}}])
+        t = finalize(fold_examples([{"a": {"b": {"c": 1}}}]))[0]
         _, decls, _ = lift(t, "X")
         assert [d.name for d in decls] == ["XAB", "XA", "X"]
 
     def test_a_hit_from_a_smaller_group_rehomes_in_place(self):
-        shared = infer_from_examples([{"id": 1}])
+        shared = finalize(fold_examples([{"id": 1}]))[0]
         registry = DeclRegistry()
         lift_declarations(shared, "Shared", registry, group="b")
-        lift_declarations(infer_from_examples([{"x": True}]), "Other", registry, group="b")
+        lift_declarations(finalize(fold_examples([{"x": True}]))[0], "Other", registry, group="b")
 
         def homes():
             return [(d.name, d.group) for d in registry.by_body.values()]
