@@ -24,7 +24,7 @@ from .ingest import (
 )
 from .issues import CATALOG, Issue, Severity, Stage, make_issue
 from .params import Convention, Parameter, parse_parameter_table
-from .parse import ParseMemo, parse_record
+from .parse import parse_record
 from .pathtemplate import PathTemplate, parse_path_template, render_path_template
 from .records import ApiCallRecord, RecordId
 from .templates import TemplateSet
@@ -37,12 +37,6 @@ from .typeinfer import (
     type_of_parameter,
     unify,
 )
-from .validate import (
-    DashboardReport,
-    cross_validate,
-    dashboard,
-    merge_dashboards,
-    route,
-)
+from .validate import cross_validate, dashboard, merge_dashboards, route
 
 __version__ = "0.1.0"

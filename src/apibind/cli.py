@@ -18,15 +18,9 @@ import json
 import sys
 from pathlib import Path
 
-from .codegen import (
-    GenerationError,
-    IdentifierPolicy,
-    apply_identifier_policy,
-    build_reference,
-    render_package,
-)
+from .codegen import IdentifierPolicy, apply_identifier_policy, build_reference, render_package
 from .ingest import CorpusError, load_corpus, merge_corpus, write_stage
-from .parse import ParseMemo, parse_record
+from .parse import parse_record
 from .records import ApiCallRecord
 from .templates import RenderError, TemplateError, TemplateSet
 from .validate import (
@@ -60,7 +54,7 @@ def _refuse_overwrites(inputs: list[Path], out_dir: Path, rejects: Path) -> None
 
 def _parse_inputs(paths: list[Path]) -> list[ApiCallRecord]:
     """Load and parse every row; each distinct cell is parsed once per call."""
-    memo = ParseMemo()
+    memo: dict = {}
     return [parse_record(record, memo) for path in paths for record in load_corpus(path)]
 
 
@@ -125,9 +119,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
     report = {
         "package": {
-            "name": ir.package_meta.name,
-            "version": ir.package_meta.version,
-            "corpus_digest": ir.package_meta.corpus_digest,
+            "name": ir.package_name,
+            "version": ir.version,
+            "corpus_digest": ir.corpus_digest,
         },
         "functions": [
             {"raw_name": fn.raw_name, "record_id": list(fn.record.id.ids)} for fn in ir.functions
@@ -207,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (CorpusError, TemplateError, RenderError, GenerationError, ValueError, OSError) as exc:
+    except (CorpusError, TemplateError, RenderError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

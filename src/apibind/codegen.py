@@ -5,8 +5,10 @@ into a language-independent inventory of call functions and type
 declarations, lifting every example straight into one corpus-wide
 declaration registry; ``apply_identifier_policy`` maps every raw name to a
 legal target identifier and returns that name map; ``render_package`` writes
-the package from the ``BindingIr``, the name map and a template set. Only the
-identifier policy and the templates know anything about the target language.
+the package from the ``BindingIr``, the name map and a template set. The IR
+also carries the package's name and corpus digest, from which its version
+follows. Only the identifier policy and the templates know anything about
+the target language. A failed write raises its ``OSError`` unwrapped.
 """
 
 from __future__ import annotations
@@ -27,14 +29,11 @@ from .templates import TemplateSet
 from .typeinfer import (
     DeclRegistry,
     InferredType,
-    TArray,
-    TObject,
-    TRef,
-    TUnion,
     TypeDecl,
     T_ANY,
-    _Atom,
+    _wire_text,
     fold_examples,
+    format_type,
     fresh_name,
     lift_declarations,
     parse_json,
@@ -49,17 +48,6 @@ _CONVENTION_ORDER = (
     Convention.HEADER,
     Convention.COOKIE,
 )
-
-
-@dataclass(frozen=True)
-class PackageMeta:
-    name: str
-    corpus_digest: str
-
-    @property
-    def version(self) -> str:
-        """The corpus digest's prefix: reproducible without external state."""
-        return self.corpus_digest[:12]
 
 
 @dataclass(frozen=True)
@@ -78,8 +66,14 @@ class BindingFunction:
 class BindingIr:
     functions: tuple[BindingFunction, ...]
     decls: tuple[TypeDecl, ...]
-    package_meta: PackageMeta
     report: tuple[tuple[str, Issue], ...]  # (record id, issue) build findings
+    package_name: str
+    corpus_digest: str
+
+    @property
+    def version(self) -> str:
+        """The corpus digest's prefix: reproducible without external state."""
+        return self.corpus_digest[:12]
 
 
 _NON_ALNUM = re.compile(r"[^A-Za-z0-9]+")
@@ -219,8 +213,9 @@ def build_reference(
     return BindingIr(
         functions=tuple(functions),
         decls=tuple(registry.by_body.values()),
-        package_meta=PackageMeta(name=package_name, corpus_digest=corpus_digest(valid_records)),
         report=tuple(report),
+        package_name=package_name,
+        corpus_digest=corpus_digest(valid_records),
     )
 
 
@@ -312,43 +307,6 @@ def _identifier(raw: str, casing: str, reserved: frozenset[str], taken: dict[str
     return fresh_name(_legal_name(raw, casing, reserved), taken)
 
 
-#: Control characters and the two Unicode separators: every ``_LINE_BREAK``
-#: character among them.
-_UNPRINTABLE = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
-
-
-def _wire_text(wire: str) -> str:
-    """A wire name as a module writes it.
-
-    A name holding a character that could end the line becomes an ASCII JSON
-    string (``ensure_ascii=False`` would leave U+0085, U+2028 and U+2029 raw),
-    which still names the wire field exactly.
-    """
-    return json.dumps(wire) if _UNPRINTABLE.search(wire) else wire
-
-
-def format_type(t: InferredType, type_names: dict[str, str] | None = None) -> str:
-    """Type expression in the neutral grammar; declaration refs use final names."""
-    if isinstance(t, _Atom):
-        return t.label
-    if isinstance(t, TRef):
-        return type_names.get(t.name, t.name) if type_names else t.name
-    if isinstance(t, TArray):
-        return f"[{format_type(t.elem, type_names)}]"
-    if isinstance(t, TUnion):
-        return " | ".join(format_type(b, type_names) for b in t.branches)
-    if isinstance(t, TObject):
-        if not t.fields:
-            return "{}"
-        inner = ", ".join(
-            f"{_wire_text(name)}{'' if field.required else '?'}: "
-            f"{format_type(field.type, type_names)}"
-            for name, field in t.fields
-        )
-        return "{" + inner + "}"
-    raise TypeError(f"cannot format {t!r}")
-
-
 def apply_identifier_policy(ir: BindingIr, policy: IdentifierPolicy) -> dict:
     """The name map: every raw name of ``ir`` mapped to a final identifier.
 
@@ -397,10 +355,6 @@ def apply_identifier_policy(ir: BindingIr, policy: IdentifierPolicy) -> dict:
 # --- rendering --------------------------------------------------------------
 
 
-class GenerationError(Exception):
-    pass
-
-
 def render_package(
     ir: BindingIr, names: dict, templates: TemplateSet, out_dir: str | Path
 ) -> list[Path]:
@@ -418,15 +372,11 @@ def render_package(
     out_dir.mkdir(parents=True, exist_ok=True)
     for stale in out_dir.glob("*.txt"):
         if stale.is_file():
-            try:
-                stale.unlink()
-            except OSError as exc:
-                raise GenerationError(f"cannot remove {stale}: {exc}") from exc
-    meta = ir.package_meta
+            stale.unlink()
     base_ctx = {
-        "package_name": meta.name,
-        "package_version": meta.version,
-        "corpus_digest": meta.corpus_digest,
+        "package_name": ir.package_name,
+        "package_version": ir.version,
+        "corpus_digest": ir.corpus_digest,
     }
 
     group_fns: dict[str, list[BindingFunction]] = {}
@@ -450,7 +400,7 @@ def render_package(
             parts.append(templates.doc_comment.render({**base_ctx, **_doc_ctx(fn)}))
             parts.append(templates.function.render({**base_ctx, **_fn_ctx(fn, names)}))
         path = out_dir / file_name
-        _write(path, "".join(parts))
+        path.write_text("".join(parts), encoding="utf-8")
         written.append(path)
         module_entries.append({"module_file": file_name})
 
@@ -463,16 +413,9 @@ def render_package(
         }
     )
     manifest_path = out_dir / "manifest.txt"
-    _write(manifest_path, manifest_text)
+    manifest_path.write_text(manifest_text, encoding="utf-8")
     written.append(manifest_path)
     return written
-
-
-def _write(path: Path, text: str) -> None:
-    try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise GenerationError(f"cannot write {path}: {exc}") from exc
 
 
 def _type_ctx(decl: TypeDecl, names: dict) -> dict:

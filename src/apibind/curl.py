@@ -224,7 +224,8 @@ def parse_curl(raw: str) -> tuple[CurlRequest | None, list[Issue]]:
         elif tok.startswith("-") and tok != "-":
             if tok in _IGNORED_WITH_ARG:
                 arg = take_arg()
-                warn(f"option {tok} {arg!r} skipped")
+                if arg is not None:
+                    warn(f"option {tok} {arg!r} skipped")
             elif "=" in tok and tok.startswith("--"):
                 warn(f"option {tok!r} skipped")
             else:

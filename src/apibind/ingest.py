@@ -45,7 +45,7 @@ ID_SEPARATOR = "|"
 
 
 class CorpusError(Exception):
-    """Unreadable file or malformed CSV framing; the only fatal error class."""
+    """Unreadable corpus or malformed CSV framing; a failed stage write raises its ``OSError``."""
 
 
 def load_corpus(path: str | Path) -> list[ApiCallRecord]:
@@ -229,12 +229,8 @@ def write_stage(records: list[ApiCallRecord], path: str | Path) -> None:
     all issues. The parser outputs are not serialized; ``parse_record``
     derives them again from the raw cells.
     """
-    path = Path(path)
-    try:
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            fh.write(stage_csv_text(records))
-    except OSError as exc:
-        raise CorpusError(f"cannot write stage file {path}: {exc}") from exc
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write(stage_csv_text(records))
 
 
 def _record_to_row(record: ApiCallRecord) -> list[str]:

@@ -9,10 +9,12 @@ checked here: their decoded documents are dropped, and ``build_reference``
 decodes those of gate-passing records again.
 
 Every sub-parser is a pure function of its cell text (and, for parameter
-tables, the record's method) and returns frozen values. A ``ParseMemo``
+tables, the record's method) and returns frozen values. A memo dict
 shared by the rows of one run therefore parses each distinct cell once:
 rows with equal cells share one result, and each row still gets its own
-tags.
+tags. The memo holds every distinct cell text and parse product of the
+run; findings are kept as tuples (most are ``()``, which costs nothing to
+keep), and a JSON check keeps only its message.
 """
 
 from __future__ import annotations
@@ -49,58 +51,45 @@ def _json_fault(text: str) -> str | None:
     return None
 
 
-class ParseMemo:
-    """One memo per sub-parser, keyed on what that parser reads.
-
-    Make one per run and drop it when parsing ends: it holds every distinct
-    cell text and parse product of the run. Findings are kept as tuples
-    (most are ``()``, which costs nothing to keep), and a JSON check keeps
-    only its message.
-    """
-
-    def __init__(self) -> None:
-        self.paths: dict = {}
-        self.curls: dict = {}
-        self.tables: dict = {}  # keyed on (table text, http_method)
-        self.json_faults: dict = {}
-
-
 def _once(memo: dict, compute, key):
-    """``compute(key)``, run only the first time ``memo`` sees ``key``."""
+    """``compute(key)``, run only the first time ``memo`` sees it for ``compute``.
+
+    ``memo`` holds one inner dict per sub-parser, keyed on that parser's input.
+    """
+    results = memo.setdefault(compute, {})
     try:
-        return memo[key]
+        return results[key]
     except KeyError:
-        result = memo[key] = compute(key)
+        result = results[key] = compute(key)
         return result
 
 
-def parse_record(record: ApiCallRecord, memo: ParseMemo | None = None) -> ApiCallRecord:
+def parse_record(record: ApiCallRecord, memo: dict | None = None) -> ApiCallRecord:
     """Set the record's parser outputs and tag every parser finding.
 
-    ``memo`` carries parse results between the rows of one run; without
-    one, the record is parsed on its own.
+    ``memo`` carries parse results between the rows of one run: pass the
+    same ``{}`` for every row, and drop it when parsing ends. Without one,
+    the record is parsed on its own.
     """
     if memo is None:
-        memo = ParseMemo()
+        memo = {}
     issues: list[Issue] = []
 
     path_template = None
     if record.raw_path:
-        path_template, path_issues = _once(memo.paths, _path, record.raw_path)
+        path_template, path_issues = _once(memo, _path, record.raw_path)
         issues.extend(path_issues)
     else:
         issues.append(make_issue("E_PATH_SYNTAX", Stage.PARSE, "record has no path", field="path"))
 
     curl_request = None
     if record.raw_curl is not None:
-        curl_request, curl_issues = _once(memo.curls, _curl, record.raw_curl)
+        curl_request, curl_issues = _once(memo, _curl, record.raw_curl)
         issues.extend(curl_issues)
 
     parameters = None
     if record.raw_parameters is not None:
-        parameters, param_issues = _once(
-            memo.tables, _table, (record.raw_parameters, record.http_method)
-        )
+        parameters, param_issues = _once(memo, _table, (record.raw_parameters, record.http_method))
         issues.extend(param_issues)
 
     for column, text in (
@@ -109,7 +98,7 @@ def parse_record(record: ApiCallRecord, memo: ParseMemo | None = None) -> ApiCal
     ):
         if text is None:
             continue
-        fault = _once(memo.json_faults, _json_fault, text)
+        fault = _once(memo, _json_fault, text)
         if fault is not None:
             issues.append(make_issue("E_JSON_CELL", Stage.PARSE, fault, field=column))
 

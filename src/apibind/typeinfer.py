@@ -20,6 +20,7 @@ without a registry.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
@@ -101,6 +102,43 @@ class TRef(InferredType):
     """Named reference to a lifted object declaration (post-lift trees only)."""
 
     name: str
+
+
+#: Control characters and the two Unicode separators: every character that
+#: ``str.splitlines`` breaks on is among them.
+_UNPRINTABLE = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+
+
+def _wire_text(wire: str) -> str:
+    """A wire name as a module writes it.
+
+    A name holding a character that could end the line becomes an ASCII JSON
+    string (``ensure_ascii=False`` would leave U+0085, U+2028 and U+2029 raw),
+    which still names the wire field exactly.
+    """
+    return json.dumps(wire) if _UNPRINTABLE.search(wire) else wire
+
+
+def format_type(t: InferredType, type_names: dict[str, str] | None = None) -> str:
+    """Type expression in the neutral grammar; declaration refs use final names."""
+    if isinstance(t, _Atom):
+        return t.label
+    if isinstance(t, TRef):
+        return type_names.get(t.name, t.name) if type_names else t.name
+    if isinstance(t, TArray):
+        return f"[{format_type(t.elem, type_names)}]"
+    if isinstance(t, TUnion):
+        return " | ".join(format_type(b, type_names) for b in t.branches)
+    if isinstance(t, TObject):
+        if not t.fields:
+            return "{}"
+        inner = ", ".join(
+            f"{_wire_text(name)}{'' if field.required else '?'}: "
+            f"{format_type(field.type, type_names)}"
+            for name, field in t.fields
+        )
+        return "{" + inner + "}"
+    raise TypeError(f"cannot format {t!r}")
 
 
 class JsonParseError(ValueError):
@@ -468,8 +506,8 @@ def type_of_parameter(param: Parameter) -> tuple[InferredType, list[Issue]]:
                 make_issue(
                     "W_PARAM_TYPE_CONFLICT",
                     Stage.INFER,
-                    f"parameter {param.name!r}: example types as {inferred!r} but docs declare "
-                    f"{param.declared_type!r}; the example wins",
+                    f"parameter {param.name!r}: example types as {format_type(inferred)} "
+                    f"but docs declare {param.declared_type!r}; the example wins",
                     field=param.name,
                 )
             )

@@ -3,14 +3,14 @@
 Every check runs on every record regardless of what already failed (late
 filtering), so issue co-occurrence stays observable. Partitioning happens
 only afterwards: records with any error go to the alternate output, and
-nothing is ever silently dropped.
+nothing is ever silently dropped. The dashboard is a plain dict: the JSON
+document ``dashboard.json`` holds.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 
 from .issues import Issue, Stage, make_issue, severity_of
 from .params import Convention
@@ -124,27 +124,14 @@ def route(
     return valid, rejected
 
 
-@dataclass(frozen=True)
-class CodeFrequency:
-    code: str
-    count: int  # records carrying at least one issue with this code
-    percent: float  # of total records
-
-
-@dataclass(frozen=True)
-class DashboardReport:
-    total_records: int
-    valid_records: int
-    percent_valid: float | None
-    issue_frequency: tuple[CodeFrequency, ...]
-    per_stage_counts: tuple[tuple[str, int], ...]
-
-
-def dashboard(records: list[ApiCallRecord]) -> DashboardReport:
+def dashboard(records: list[ApiCallRecord]) -> dict:
     """Summary of corpus health: percent-correct plus issues ranked by impact.
 
-    Impact is the number of records a code affects, which also breaks down
-    the percentages; ties are ordered alphabetically by code.
+    The report is the JSON document ``dashboard.json`` holds:
+    ``total_records``, ``valid_records``, ``percent_valid`` (absent for an
+    empty corpus), ``issue_frequency`` and ``per_stage_counts``. Impact is
+    the number of records a code affects, which also breaks down the
+    percentages; ties are ordered alphabetically by code.
     """
     affected = Counter(code for r in records for code in {issue.code for issue in r.issues})
     stage_counts = Counter(issue.stage.value for r in records for issue in r.issues)
@@ -152,69 +139,57 @@ def dashboard(records: list[ApiCallRecord]) -> DashboardReport:
     return _report(len(records), valid, affected, stage_counts)
 
 
-def merge_dashboards(a: DashboardReport, b: DashboardReport) -> DashboardReport:
+def merge_dashboards(a: dict, b: dict) -> dict:
     """Combine reports over disjoint record sets; equals the dashboard of the union."""
     affected: Counter[str] = Counter()
     stage_counts: Counter[str] = Counter()
     for report in (a, b):
-        affected.update({entry.code: entry.count for entry in report.issue_frequency})
-        stage_counts.update(dict(report.per_stage_counts))
-    total = a.total_records + b.total_records
-    return _report(total, a.valid_records + b.valid_records, affected, stage_counts)
+        affected.update({entry["code"]: entry["count"] for entry in report["issue_frequency"]})
+        stage_counts.update(report["per_stage_counts"])
+    total = a["total_records"] + b["total_records"]
+    return _report(total, a["valid_records"] + b["valid_records"], affected, stage_counts)
 
 
-def _report(
-    total: int, valid: int, affected: Counter[str], stage_counts: Counter[str]
-) -> DashboardReport:
+def _report(total: int, valid: int, affected: Counter[str], stage_counts: Counter[str]) -> dict:
     """The report of ``total`` records; every percentage is computed here."""
+    report: dict = {"total_records": total, "valid_records": valid}
+    if total:
+        report["percent_valid"] = valid / total * 100.0
     entries = [
-        CodeFrequency(code=code, count=count, percent=(count / total * 100.0) if total else 0.0)
+        {"code": code, "count": count, "percent": count / total * 100.0}
         for code, count in affected.items()
     ]
-    entries.sort(key=lambda e: (-e.count, e.code))
-    return DashboardReport(
-        total_records=total,
-        valid_records=valid,
-        percent_valid=(valid / total * 100.0) if total else None,
-        issue_frequency=tuple(entries),
-        per_stage_counts=tuple((stage.value, stage_counts[stage.value]) for stage in Stage),
-    )
+    entries.sort(key=lambda e: (-e["count"], e["code"]))
+    report["issue_frequency"] = entries
+    report["per_stage_counts"] = {stage.value: stage_counts[stage.value] for stage in Stage}
+    return report
 
 
-def dashboard_to_json(report: DashboardReport) -> str:
-    """JSON document form; ``percent_valid`` is absent for an empty corpus."""
-    doc: dict = {
-        "total_records": report.total_records,
-        "valid_records": report.valid_records,
-    }
-    if report.percent_valid is not None:
-        doc["percent_valid"] = report.percent_valid
-    doc["issue_frequency"] = [
-        {"code": e.code, "count": e.count, "percent": e.percent} for e in report.issue_frequency
-    ]
-    doc["per_stage_counts"] = dict(report.per_stage_counts)
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+def dashboard_to_json(report: dict) -> str:
+    """The text of ``dashboard.json``."""
+    return json.dumps(report, indent=2, ensure_ascii=False) + "\n"
 
 
-def render_dashboard_text(report: DashboardReport) -> str:
+def render_dashboard_text(report: dict) -> str:
     """Aligned plain-text table for terminals and stage directories."""
     lines = []
-    percent = f"{report.percent_valid:.1f}%" if report.percent_valid is not None else "n/a"
-    lines.append(f"records      {report.total_records}")
-    lines.append(f"valid        {report.valid_records} ({percent})")
+    percent = f"{report['percent_valid']:.1f}%" if "percent_valid" in report else "n/a"
+    lines.append(f"records      {report['total_records']}")
+    lines.append(f"valid        {report['valid_records']} ({percent})")
     lines.append("")
-    if report.issue_frequency:
-        code_width = max(len(e.code) for e in report.issue_frequency)
+    entries = report["issue_frequency"]
+    if entries:
+        code_width = max(len(e["code"]) for e in entries)
         code_width = max(code_width, len("issue"))
         lines.append(f"{'issue':<{code_width}}  {'severity':<8}  {'records':>7}  {'pct':>6}")
-        for e in report.issue_frequency:
-            severity = severity_of(e.code).value
+        for e in entries:
+            severity = severity_of(e["code"]).value
             lines.append(
-                f"{e.code:<{code_width}}  {severity:<8}  {e.count:>7}  {e.percent:>5.1f}%"
+                f"{e['code']:<{code_width}}  {severity:<8}  {e['count']:>7}  {e['percent']:>5.1f}%"
             )
     else:
         lines.append("no issues")
     lines.append("")
-    stages = "  ".join(f"{name}:{count}" for name, count in report.per_stage_counts)
+    stages = "  ".join(f"{name}:{count}" for name, count in report["per_stage_counts"].items())
     lines.append(f"issues by stage  {stages}")
     return "\n".join(lines) + "\n"

@@ -448,6 +448,29 @@ def duplicate_call_corpus(corpus12_path: Path, path: Path, rows: int) -> Path:
     return path
 
 
+class TestFailedWrite:
+    """A write the OS refuses ends the run with one ``error:`` line naming the path."""
+
+    def assert_one_error_line(self, err: str, path: Path) -> None:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(path) in err
+        assert "Traceback" not in err
+
+    def test_generate_module_path_is_a_directory(self, corpus12_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        blocked = out / "package" / "users.txt"
+        blocked.mkdir(parents=True)
+        assert run(["generate", "--input", corpus12_path, "--out-dir", out]) == 1
+        self.assert_one_error_line(capsys.readouterr().err, blocked)
+
+    def test_analyze_rejects_path_is_a_directory(self, corpus12_path, tmp_path, capsys):
+        rejects = tmp_path / "rejects"
+        rejects.mkdir()
+        out = tmp_path / "out"
+        assert run(["analyze", "--input", corpus12_path, "--out-dir", out, "--rejects", rejects]) == 1
+        self.assert_one_error_line(capsys.readouterr().err, rejects)
+
+
 class TestScale:
     def test_duplicate_calls_generate_in_linear_time(self, corpus12_path, tmp_path):
         # Every row renders the same function name and declaration names, so

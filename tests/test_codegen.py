@@ -164,9 +164,9 @@ class TestBuildReference:
 
     def test_version_is_digest_prefix(self, corpus12_path):
         ir = build_reference(valid_records(corpus12_path))
-        assert ir.package_meta.version == ir.package_meta.corpus_digest[:12]
+        assert ir.version == ir.corpus_digest[:12]
         again = build_reference(valid_records(corpus12_path))
-        assert again.package_meta.corpus_digest == ir.package_meta.corpus_digest
+        assert again.corpus_digest == ir.corpus_digest
 
     def test_structurally_equal_siblings_share(self):
         rec = make_valid("u", response_example='{"home":{"city":"a"},"work":{"city":"b"}}')
@@ -568,8 +568,9 @@ class TestIdentifierPolicy:
         doctored = BindingIr(
             functions=(replace(fn, raw_name="get_user-id"), replace(fn, raw_name="get_user_id")),
             decls=ir.decls,
-            package_meta=ir.package_meta,
             report=(),
+            package_name=ir.package_name,
+            corpus_digest=ir.corpus_digest,
         )
         names = apply_identifier_policy(doctored, IdentifierPolicy())
         assert list(names["functions"].values()) == ["getUserId", "getUserId_2"]

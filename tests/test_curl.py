@@ -148,6 +148,31 @@ class TestParseCurl:
         request, issues = parse_curl("curl -o out.json https://h/x")
         assert codes(issues) == ["W_CURL_OPT_IGNORED"]
         assert request.url == "https://h/x"
+        # A trailing option missing its argument warns once, not twice.
+        request, issues = parse_curl("curl https://h/x -o")
+        assert [i.message for i in issues] == ["option -o is missing its argument"]
+        assert request.url == "https://h/x"
+
+    @pytest.mark.parametrize(
+        "line, url, findings",
+        [
+            ("curl https://h/x -H", "https://h/x",
+             [("W_CURL_OPT_IGNORED", "option -H is missing its argument")]),
+            ("curl https://h/x -F", None,
+             [("E_CURL_UNSUPPORTED", "multipart option -F is not supported"),
+              ("W_CURL_OPT_IGNORED", "option -F is missing its argument")]),
+            ("curl --url https://h/x --url https://h/y", "https://h/x",
+             [("W_CURL_OPT_IGNORED", "extra URL 'https://h/y' ignored")]),
+            ("curl --max-time=3 https://h/x", "https://h/x",
+             [("W_CURL_OPT_IGNORED", "option '--max-time=3' skipped")]),
+            ("curl -X BREW https://h/x", None,
+             [("E_CURL_UNSUPPORTED", "unsupported HTTP method 'BREW'")]),
+        ],
+    )
+    def test_option_findings(self, line, url, findings):
+        request, issues = parse_curl(line)
+        assert (request.url if request else None) == url
+        assert [(i.code, i.message) for i in issues] == findings
 
     def test_multipart_unsupported(self):
         request, issues = parse_curl("curl -F 'file=@x' https://h/x")

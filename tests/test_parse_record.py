@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from apibind.curl import HttpMethod
 from apibind.issues import Stage
-from apibind.parse import ParseMemo, parse_record
+from apibind.parse import parse_record
 from apibind.records import ApiCallRecord, RecordId
 
 
@@ -128,5 +128,5 @@ def _rows(draw) -> list[ApiCallRecord]:
 @given(_rows(), st.randoms(use_true_random=False))
 def test_shared_memo_parses_like_each_row_alone(rows, rng):
     rng.shuffle(rows)
-    memo = ParseMemo()
+    memo = {}
     assert [parse_record(row, memo) for row in rows] == [parse_record(row) for row in rows]

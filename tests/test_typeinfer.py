@@ -11,6 +11,7 @@ from apibind.params import Convention, Parameter
 from apibind.typeinfer import (
     BOTTOM,
     DeclRegistry,
+    FieldType,
     JsonParseError,
     MAX_JSON_DEPTH,
     TArray,
@@ -344,6 +345,17 @@ class TestTypeOfParameter:
         t, issues = type_of_parameter(self.param(declared_type="string", example=True))
         assert t == T_BOOL
         assert [i.code for i in issues] == ["W_PARAM_TYPE_CONFLICT"]
+        assert issues[0].message == (
+            "parameter 'p': example types as bool but docs declare 'string'; the example wins"
+        )
+        # A structured example reads in the neutral type grammar, not as a repr.
+        t, issues = type_of_parameter(self.param(declared_type="integer", example={"x": [1]}))
+        assert t == TObject((("x", FieldType(TArray(T_INT), True)),))
+        assert [i.code for i in issues] == ["W_PARAM_TYPE_CONFLICT"]
+        assert issues[0].message == (
+            "parameter 'p': example types as {x: [int]} but docs declare 'integer'; "
+            "the example wins"
+        )
 
     def test_compatible_example_no_conflict(self):
         t, issues = type_of_parameter(self.param(declared_type="number", example=3))

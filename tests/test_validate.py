@@ -164,31 +164,31 @@ class TestDashboard:
             tagged(n_errors=1, atom=f"bad{i}") for i in range(2)
         ]
         report = dashboard(records)
-        assert report.total_records == 10
-        assert report.valid_records == 8
-        assert report.percent_valid == 80.0
+        assert report["total_records"] == 10
+        assert report["valid_records"] == 8
+        assert report["percent_valid"] == 80.0
 
     def test_empty_corpus_percent_absent(self):
         report = dashboard([])
-        assert report.total_records == 0
-        assert report.percent_valid is None
+        assert report["total_records"] == 0
+        assert "percent_valid" not in report
         assert '"percent_valid"' not in dashboard_to_json(report)
 
     def test_tie_broken_alphabetically(self):
         records = [tagged(n_errors=1, n_warnings=1, atom="x")]
         report = dashboard(records)
-        assert [e.code for e in report.issue_frequency] == ["E_PATH_SYNTAX", "W_NO_EXAMPLE"]
-        assert all(e.count == 1 for e in report.issue_frequency)
+        assert [e["code"] for e in report["issue_frequency"]] == ["E_PATH_SYNTAX", "W_NO_EXAMPLE"]
+        assert all(e["count"] == 1 for e in report["issue_frequency"])
 
     def test_count_is_records_affected(self):
         records = [tagged(n_errors=3, atom="multi")]
         report = dashboard(records)
-        (entry,) = report.issue_frequency
-        assert entry.count == 1  # three tags on one record still affect one record
+        (entry,) = report["issue_frequency"]
+        assert entry["count"] == 1  # three tags on one record still affect one record
 
     def test_per_stage_counts_all_stages_present(self):
         report = dashboard([tagged(n_errors=1, n_warnings=2)])
-        counts = dict(report.per_stage_counts)
+        counts = report["per_stage_counts"]
         assert set(counts) == {"Ingest", "Parse", "Infer", "Validate", "Generate"}
         assert counts["Parse"] == 1 and counts["Validate"] == 2
 
