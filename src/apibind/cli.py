@@ -147,10 +147,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_dashboard(args: argparse.Namespace) -> int:
     report = dashboard([record for path in args.input for record in load_corpus(path)])
-    if args.dashboard_format in ("text", "both"):
-        sys.stdout.write(render_dashboard_text(report))
-    if args.dashboard_format in ("json", "both"):
-        sys.stdout.write(dashboard_to_json(report))
+    render = dashboard_to_json if args.dashboard_format == "json" else render_dashboard_text
+    sys.stdout.write(render(report))
     return 0
 
 
@@ -191,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dashboard = sub.add_parser(
         "dashboard", parents=[inputs], help="recompute and print the dashboard from any stage CSV"
     )
-    p_dashboard.add_argument("--dashboard-format", choices=("text", "json", "both"), default="text")
+    p_dashboard.add_argument("--dashboard-format", choices=("text", "json"), default="text")
     p_dashboard.set_defaults(run=cmd_dashboard)
 
     return parser

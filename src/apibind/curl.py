@@ -1,15 +1,27 @@
 """Parse documented ``curl`` command lines into structured HTTP requests.
 
-Documentation snippets carry a practical subset of curl's surface:
-``-X/--request``, ``-H/--header``, ``-d/--data/--data-raw/--data-urlencode``,
-``-G/--get``, ``-b/--cookie``, ``-u/--user``, ``--url`` and a positional URL.
-Anything else is skipped with a warning; multipart (``-F``) is rejected
-because it has no passing convention in this pipeline.
+``tokenize_shell`` splits a line into words as a POSIX shell would; a leading
+``curl`` is dropped and every other word is read against one table,
+``_OPTIONS``. It understands ``-X/--request``, ``-H/--header``,
+``-d/--data/--data-raw``, ``--data-urlencode``, ``-G/--get``, ``-b/--cookie``,
+``-u/--user``, ``--url`` and a positional URL. Multipart (``-F``, ``--form``,
+``--form-string``) is rejected: it has no passing convention in this pipeline.
+Common display and transport options (``-s``, ``-L``, ``-o FILE``, ...) are
+skipped together with their argument.
+
+As in curl, short options cluster and take attached values: ``-sSXPOST`` is
+``-s -S -X POST``. A word starting with one ``-`` is read letter by letter
+until a letter takes an argument, which is the rest of the word or else the
+next word; a cluster holding a letter the table does not know stays one
+unknown option. A skipped or unknown option, a ``--name=value`` word, a
+cookie file, a second URL and an option missing its argument each tag
+``W_CURL_OPT_IGNORED``.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 import urllib.parse
 from dataclasses import dataclass
 
@@ -50,6 +62,23 @@ class TokenizeError(ValueError):
         self.position = position
 
 
+# One alternative per lexical class, tried in this order. The double-quoted
+# body is unrolled (plain run, then escape + plain run, repeated) so an
+# unterminated quote fails in linear time instead of backtracking.
+_LEXEME = re.compile(
+    r"""(?P<blank>[ \t\n\r]+)
+      | (?P<continuation>\\\n)
+      | '(?P<single>[^']*)'
+      | "(?P<double>[^"\\]*(?:\\.[^"\\]*)*)"
+      | \\(?P<escape>.)
+      | (?P<plain>[^ \t\n\r'"\\]+|\\\Z)
+      | (?P<unterminated>['"])""",
+    re.DOTALL | re.VERBOSE,
+)
+# Inside double quotes only \" and \\ are escapes, and backslash-newline vanishes.
+_DOUBLE_ESCAPE = re.compile(r'\\(?:(["\\])|\n)')
+
+
 def tokenize_shell(raw: str) -> list[str]:
     """Split a command line into words, shell-style.
 
@@ -58,84 +87,79 @@ def tokenize_shell(raw: str) -> list[str]:
     before a newline (outside single quotes) is a line continuation and
     disappears. Raises TokenizeError on an unterminated quote.
     """
-    tokens: list[str] = []
-    current: list[str] = []
-    started = False
-    i = 0
-    n = len(raw)
-    while i < n:
-        ch = raw[i]
-        if ch in " \t\n\r":
-            if started:
-                tokens.append("".join(current))
-                current, started = [], False
-            i += 1
-        elif ch == "\\" and i + 1 < n and raw[i + 1] == "\n":
-            i += 2
-        elif ch == "'":
-            started = True
-            end = raw.find("'", i + 1)
-            if end == -1:
-                raise TokenizeError("unterminated single quote", i)
-            current.append(raw[i + 1 : end])
-            i = end + 1
-        elif ch == '"':
-            started = True
-            start = i
-            i += 1
-            while True:
-                if i >= n:
-                    raise TokenizeError("unterminated double quote", start)
-                c = raw[i]
-                if c == '"':
-                    i += 1
-                    break
-                if c == "\\" and i + 1 < n and raw[i + 1] in ('"', "\\"):
-                    current.append(raw[i + 1])
-                    i += 2
-                elif c == "\\" and i + 1 < n and raw[i + 1] == "\n":
-                    i += 2
-                else:
-                    current.append(c)
-                    i += 1
-        elif ch == "\\" and i + 1 < n:
-            started = True
-            current.append(raw[i + 1])
-            i += 2
-        else:
-            started = True
-            current.append(ch)
-            i += 1
-    if started:
-        tokens.append("".join(current))
-    return tokens
+    words: list[str] = []
+    word: list[str] | None = None
+    for match in _LEXEME.finditer(raw):
+        kind = match.lastgroup
+        if kind == "blank":
+            if word is not None:
+                words.append("".join(word))
+                word = None
+        elif kind == "unterminated":
+            quote = "single" if match.group() == "'" else "double"
+            raise TokenizeError(f"unterminated {quote} quote", match.start())
+        elif kind != "continuation":
+            text = match.group(kind)
+            if kind == "double":
+                text = _DOUBLE_ESCAPE.sub(r"\1", text)
+            if word is None:
+                word = []
+            word.append(text)
+    if word is not None:
+        words.append("".join(word))
+    return words
 
 
-# Spellings for the options this parser understands.
-_METHOD_OPTS = {"-X", "--request"}
-_HEADER_OPTS = {"-H", "--header"}
-_DATA_OPTS = {"-d", "--data", "--data-raw"}
-_DATA_URLENCODE = {"--data-urlencode"}
-_GET_OPTS = {"-G", "--get"}
-_COOKIE_OPTS = {"-b", "--cookie"}
-_USER_OPTS = {"-u", "--user"}
-_URL_OPTS = {"--url"}
-_UNSUPPORTED_OPTS = {"-F", "--form", "--form-string"}
-
-# Common display-only or transport flags seen in documentation, used to skip
-# unknown options together with their argument when they take one.
-_IGNORED_NO_ARG = {
-    "-s", "--silent", "-S", "--show-error", "-v", "--verbose", "-i", "--include",
-    "-k", "--insecure", "-L", "--location", "-f", "--fail", "-g", "--globoff",
-    "--compressed", "--http1.1", "--http2", "-I", "--head", "-#", "--progress-bar",
+# Every spelling this parser understands, mapped to its action. ``get`` and
+# ``skip`` are flags; every other action takes an argument. ``skip`` and
+# ``skip_arg`` are display-only or transport options seen in documentation.
+_OPTIONS: dict[str, str] = {
+    spelling: action
+    for action, spellings in {
+        "method": "-X --request",
+        "header": "-H --header",
+        "data": "-d --data --data-raw",
+        "urlencode": "--data-urlencode",
+        "get": "-G --get",
+        "cookie": "-b --cookie",
+        "user": "-u --user",
+        "url": "--url",
+        "form": "-F --form --form-string",
+        "skip": "-s --silent -S --show-error -v --verbose -i --include -k --insecure"
+        " -L --location -f --fail -g --globoff --compressed --http1.1 --http2"
+        " -I --head -# --progress-bar",
+        "skip_arg": "-o --output -A --user-agent -e --referer -m --max-time"
+        " --connect-timeout --retry --cacert --capath --cert --key -c --cookie-jar"
+        " -w --write-out -T --upload-file --limit-rate",
+    }.items()
+    for spelling in spellings.split()
 }
-_IGNORED_WITH_ARG = {
-    "-o", "--output", "-A", "--user-agent", "-e", "--referer", "-m", "--max-time",
-    "--connect-timeout", "--retry", "--cacert", "--capath", "--cert", "--key",
-    "-c", "--cookie-jar", "-w", "--write-out", "-T", "--upload-file", "--limit-rate",
-}
+_FLAGS = ("get", "skip")
 
 _JSON_CONTENT = ("application/json",)
+
+
+def _options_in(word: str) -> list[tuple[str | None, str, str | None]]:
+    """``(action, spelling, attached argument)`` for each option in ``word``.
+
+    A positional word is the argument of a ``url`` action; an unknown option,
+    short cluster included, is one entry whose action is None.
+    """
+    if word.startswith("--"):
+        return [(_OPTIONS.get(word), word, None)]
+    if not word.startswith("-") or word == "-":
+        return [("url", word, word)]
+    options = []
+    for end, letter in enumerate(word[1:], 2):
+        spelling = "-" + letter
+        action = _OPTIONS.get(spelling)
+        if action is None:
+            return [(None, word, None)]
+        if action not in _FLAGS:
+            options.append((action, spelling, word[end:] or None))
+            break
+        options.append((action, spelling, None))
+    return options
 
 
 def parse_curl(raw: str) -> tuple[CurlRequest | None, list[Issue]]:
@@ -161,89 +185,57 @@ def parse_curl(raw: str) -> tuple[CurlRequest | None, list[Issue]]:
     auth_user: str | None = None
     url: str | None = None
 
-    def warn(msg: str) -> None:
-        issues.append(make_issue("W_CURL_OPT_IGNORED", Stage.PARSE, msg, field="curl_example"))
+    def tag(message: str, code: str = "W_CURL_OPT_IGNORED") -> None:
+        issues.append(make_issue(code, Stage.PARSE, message, field="curl_example"))
 
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-
-        def take_arg() -> str | None:
-            nonlocal i
-            if i + 1 >= len(tokens):
-                warn(f"option {tok} is missing its argument")
-                return None
-            i += 1
-            return tokens[i]
-
-        if tok in _METHOD_OPTS:
-            arg = take_arg()
-            if arg is not None:
+    words = iter(tokens)
+    for word in words:
+        for action, spelling, arg in _options_in(word):
+            if action is None:
+                if spelling.startswith("--") and "=" in spelling:
+                    tag(f"option {spelling!r} skipped")
+                else:
+                    tag(f"unknown option {spelling} skipped")
+                continue
+            if action == "form":  # its argument is read below and dropped
+                tag(f"multipart option {spelling} is not supported", "E_CURL_UNSUPPORTED")
+            if action == "get":
+                force_get = True
+                continue
+            if action == "skip":
+                tag(f"option {spelling} skipped")
+                continue
+            if arg is None:
+                arg = next(words, None)
+            if arg is None:
+                tag(f"option {spelling} is missing its argument")
+            elif action == "method":
                 explicit_method = arg.upper()
-        elif tok in _HEADER_OPTS:
-            arg = take_arg()
-            if arg is not None:
+            elif action == "header":
                 headers.append(_split_header(arg))
-        elif tok in _DATA_OPTS:
-            arg = take_arg()
-            if arg is not None:
+            elif action == "data":
                 data_parts.append(arg)
-        elif tok in _DATA_URLENCODE:
-            arg = take_arg()
-            if arg is not None:
+            elif action == "urlencode":
                 data_parts.append(_urlencode_data(arg))
-        elif tok in _GET_OPTS:
-            force_get = True
-        elif tok in _COOKIE_OPTS:
-            arg = take_arg()
-            if arg is not None:
+            elif action == "cookie":
                 if "=" in arg:
                     cookies.extend(_split_cookies(arg))
                 else:
-                    warn(f"cookie file {arg!r} not supported, option skipped")
-        elif tok in _USER_OPTS:
-            arg = take_arg()
-            if arg is not None:
+                    tag(f"cookie file {arg!r} not supported, option skipped")
+            elif action == "user":
                 auth_user = arg
-        elif tok in _URL_OPTS:
-            arg = take_arg()
-            if arg is not None and url is None:
-                url = arg
-            elif arg is not None:
-                warn(f"extra URL {arg!r} ignored")
-        elif tok in _UNSUPPORTED_OPTS:
-            issues.append(
-                make_issue(
-                    "E_CURL_UNSUPPORTED",
-                    Stage.PARSE,
-                    f"multipart option {tok} is not supported",
-                    field="curl_example",
-                )
-            )
-            take_arg()
-        elif tok.startswith("-") and tok != "-":
-            if tok in _IGNORED_WITH_ARG:
-                arg = take_arg()
-                if arg is not None:
-                    warn(f"option {tok} {arg!r} skipped")
-            elif "=" in tok and tok.startswith("--"):
-                warn(f"option {tok!r} skipped")
-            else:
-                if tok not in _IGNORED_NO_ARG:
-                    warn(f"unknown option {tok} skipped")
+            elif action == "url":
+                if url is None:
+                    url = arg
                 else:
-                    warn(f"option {tok} skipped")
-        else:
-            if url is None:
-                url = tok
-            else:
-                warn(f"extra URL {tok!r} ignored")
-        i += 1
+                    tag(f"extra URL {arg!r} ignored")
+            elif action == "skip_arg":
+                tag(f"option {spelling} {arg!r} skipped")
 
     if any(issue.code == "E_CURL_UNSUPPORTED" for issue in issues):
         return None, issues
     if url is None:
-        issues.append(make_issue("E_CURL_NO_URL", Stage.PARSE, "no URL in curl command", field="curl_example"))
+        tag("no URL in curl command", "E_CURL_NO_URL")
         return None, issues
 
     base_url, query = _split_url(url)
@@ -261,14 +253,7 @@ def parse_curl(raw: str) -> tuple[CurlRequest | None, list[Issue]]:
         try:
             method = HttpMethod(explicit_method)
         except ValueError:
-            issues.append(
-                make_issue(
-                    "E_CURL_UNSUPPORTED",
-                    Stage.PARSE,
-                    f"unsupported HTTP method {explicit_method!r}",
-                    field="curl_example",
-                )
-            )
+            tag(f"unsupported HTTP method {explicit_method!r}", "E_CURL_UNSUPPORTED")
             return None, issues
     elif body is not None:
         method = HttpMethod.POST

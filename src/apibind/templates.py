@@ -1,8 +1,8 @@
 """Deliberately small template engine: substitution and list repetition only.
 
-``{{name}}`` substitutes a context value; ``{{#name}}...{{/name}}`` repeats
-its body once per item of a list of dicts. There is no logic beyond that,
-which keeps rendered output predictable enough for byte-exact golden tests.
+``{{name}}`` substitutes a context string or number; ``{{#name}}...{{/name}}``
+repeats its body once per item of a list of dicts. There is no logic beyond
+that, which keeps rendered output predictable enough for byte-exact golden tests.
 A placeholder the context cannot resolve is a hard rendering error, never
 silent emptiness.
 
@@ -108,7 +108,14 @@ class Template:
             if value is _MISSING:
                 raise RenderError(self.name, f"unknown placeholder {node.name!r}")
             if kind is _Var:
-                out.append(value if type(value) is str else self._format(value))
+                if type(value) is str:
+                    out.append(value)
+                elif type(value) in (int, float):
+                    out.append(str(value))
+                else:
+                    raise RenderError(
+                        self.name, f"placeholder {node.name!r} is a {type(value).__name__}, not a value"
+                    )
                 continue
             if not isinstance(value, list):
                 raise RenderError(self.name, f"section {node.name!r} is not a list")
@@ -116,15 +123,6 @@ class Template:
                 if not isinstance(item, dict):
                     raise RenderError(self.name, f"section {node.name!r} items must be objects")
                 self._emit(node.children, {**context, **item}, out)
-
-    def _format(self, value) -> str:
-        if isinstance(value, str):
-            return value
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, (int, float)):
-            return str(value)
-        raise RenderError(self.name, f"value {value!r} is not renderable")
 
 
 @dataclass(frozen=True)

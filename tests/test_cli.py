@@ -279,6 +279,21 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "manifest.tpl" in err and "mystery" in err
 
+    def test_list_placeholder_fails_with_one_line_naming_it(self, corpus12_path, tmp_path, capsys):
+        tpl_dir = tmp_path / "tpl"
+        tpl_dir.mkdir()
+        from apibind.templates import NEUTRAL_TEMPLATES
+
+        for name, source in NEUTRAL_TEMPLATES.items():
+            (tpl_dir / name).write_text(source, encoding="utf-8")
+        (tpl_dir / "type.tpl").write_text("type {{type_name}} = {{fields}}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = run(["generate", "--input", corpus12_path, "--out-dir", out, "--templates", tpl_dir])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: template 'type.tpl': placeholder 'fields' is a list, not a value\n"
+        )
+
     @pytest.mark.parametrize(
         "option, name, text",
         [

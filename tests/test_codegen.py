@@ -712,6 +712,21 @@ class TestRenderPackage:
         note = next(line for line in lines if line.startswith("  a_function_evil_any"))
         assert json.loads(note[note.index('"') : -1]) == "a\nfunction evil() -> any"
 
+    def test_optional_and_empty_object_params(self, tmp_path):
+        table = [
+            {"name": "limit", "in": "query", "type": "integer", "required": False},
+            {"name": "filter", "in": "query", "example": {}},
+        ]
+        rec = make_valid(
+            "x", path="/v1/x", raw_parameters=json.dumps(table), response_example='{"ok":true}'
+        )
+        ir = build_reference([rec])
+        names = apply_identifier_policy(ir, IdentifierPolicy())
+        render_package(ir, names, TemplateSet.neutral(), tmp_path)
+        lines = (tmp_path / "misc.txt").read_text(encoding="utf-8").splitlines()
+        assert "function getV1X(limit: int, filter: {}) -> GetV1XResponse" in lines
+        assert "  param limit via Query optional" in lines
+
     def test_shared_decl_emitted_once(self, tmp_path, corpus12_path):
         ir = build_reference(valid_records(corpus12_path))
         names = apply_identifier_policy(ir, IdentifierPolicy())

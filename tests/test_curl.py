@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import subprocess
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apibind.curl import (
     BodyKind,
@@ -51,6 +53,43 @@ class TestTokenizer:
         assert exc.value.position == 5
         with pytest.raises(TokenizeError):
             tokenize_shell('curl "oops')
+
+
+# Lexemes of a POSIX shell word list, drawn so that sh and tokenize_shell
+# must agree. A newline appears outside quotes only as a line continuation:
+# sh ends a command at a bare newline, while a documentation line only wraps.
+# "\r" is left out because sh does not split words on it, and "$", "`",
+# globs, "#", "~" and braces because sh expands them and tokenize_shell never does.
+_PLAIN = st.text(alphabet="ab-=:./,", min_size=1)
+_SINGLE = st.text(alphabet="ab \t\n\\\"").map(lambda body: f"'{body}'")
+_DOUBLE = st.lists(
+    st.one_of(
+        st.text(alphabet="ab \t\n'", min_size=1),
+        st.sampled_from(['\\"', "\\\\", "\\\n", "\\a", "\\'"]),
+    ),
+    max_size=4,
+).map(lambda pieces: '"' + "".join(pieces) + '"')
+_ESCAPE = st.sampled_from("ab '\"\\\t").map(lambda c: "\\" + c)
+_BLANK = st.text(alphabet=" \t", min_size=1)
+_LINE = st.tuples(
+    st.lists(st.one_of(_PLAIN, _SINGLE, _DOUBLE, _ESCAPE, _BLANK, st.just("\\\n")), max_size=8),
+    st.sampled_from(["", "", "", "'", '"', "'a b", '"a b']),  # an unterminated quote
+).map(lambda parts: "".join(parts[0]) + parts[1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_LINE)
+def test_tokenizer_splits_like_sh(line):
+    proc = subprocess.run(
+        ["sh", "-c", "printf '%s\\0' X " + line], capture_output=True, timeout=30, check=False
+    )
+    try:
+        words = tokenize_shell(line)
+    except TokenizeError:
+        assert proc.returncode != 0, (line, proc.stdout)
+        return
+    assert proc.returncode == 0, (line, proc.stderr)
+    assert proc.stdout.decode().split("\0")[1:-1] == words
 
 
 class TestParseCurl:
@@ -167,6 +206,19 @@ class TestParseCurl:
              [("W_CURL_OPT_IGNORED", "option '--max-time=3' skipped")]),
             ("curl -X BREW https://h/x", None,
              [("E_CURL_UNSUPPORTED", "unsupported HTTP method 'BREW'")]),
+            # A short-option cluster tags each option alone; one unknown
+            # letter keeps the whole word one unknown option.
+            ("curl -sS https://h/x", "https://h/x",
+             [("W_CURL_OPT_IGNORED", "option -s skipped"),
+              ("W_CURL_OPT_IGNORED", "option -S skipped")]),
+            ("curl https://h/x -sX", "https://h/x",
+             [("W_CURL_OPT_IGNORED", "option -s skipped"),
+              ("W_CURL_OPT_IGNORED", "option -X is missing its argument")]),
+            ("curl -sZ https://h/x", "https://h/x",
+             [("W_CURL_OPT_IGNORED", "unknown option -sZ skipped")]),
+            ("curl -sofile https://h/x", "https://h/x",
+             [("W_CURL_OPT_IGNORED", "option -s skipped"),
+              ("W_CURL_OPT_IGNORED", "option -o 'file' skipped")]),
         ],
     )
     def test_option_findings(self, line, url, findings):
@@ -193,6 +245,35 @@ class TestParseCurl:
         request, issues = parse_curl("curl https://h/x https://h/y")
         assert request.url == "https://h/x"
         assert codes(issues) == ["W_CURL_OPT_IGNORED"]
+
+
+class TestShortOptionClusters:
+    """Short options cluster and take attached values, as curl reads them."""
+
+    @pytest.mark.parametrize(
+        "line, method, url, body",
+        [
+            ("curl -XPOST https://h/x", HttpMethod.POST, "https://h/x", None),
+            ("curl -d'{\"a\":1}' https://h/x", HttpMethod.POST, "https://h/x", (BodyKind.JSON, '{"a":1}')),
+            ("curl -sSX POST https://h/x", HttpMethod.POST, "https://h/x", None),
+            ("curl -sSXPOST https://h/x", HttpMethod.POST, "https://h/x", None),
+            ("curl -sXPUT -d x=1 https://h/x", HttpMethod.PUT, "https://h/x", (BodyKind.URL_ENCODED, "x=1")),
+            ("curl -Gd q=1 https://h/x", HttpMethod.GET, "https://h/x", None),
+            ("curl -d -sS https://h/x", HttpMethod.POST, "https://h/x", (BodyKind.URL_ENCODED, "-sS")),
+        ],
+    )
+    def test_method_url_and_body(self, line, method, url, body):
+        request, _ = parse_curl(line)
+        assert (request.method, request.url, request.body) == (method, url, body)
+
+    def test_attached_header_user_and_cookie(self):
+        request, issues = parse_curl("curl -HX-A:1 -ua:b -bk=v https://h/x")
+        assert issues == []
+        assert request.headers == (("X-A", "1"),)
+        assert request.auth_user == "a:b"
+        assert request.cookies == (("k", "v"),)
+        request, _ = parse_curl("curl -Gd q=1 https://h/x")
+        assert request.query == (("q", "1"),)
 
 
 def _line(method_flag, body, get_flag):
