@@ -3,11 +3,13 @@
 ``tokenize_shell`` splits a line into words as a POSIX shell would; a leading
 ``curl`` is dropped and every other word is read against one table,
 ``_OPTIONS``. It understands ``-X/--request``, ``-H/--header``,
-``-d/--data/--data-raw``, ``--data-urlencode``, ``-G/--get``, ``-b/--cookie``,
-``-u/--user``, ``--url`` and a positional URL. Multipart (``-F``, ``--form``,
-``--form-string``) is rejected: it has no passing convention in this pipeline.
-Common display and transport options (``-s``, ``-L``, ``-o FILE``, ...) are
-skipped together with their argument.
+``-d/--data/--data-binary/--data-ascii/--data-raw``, ``--data-urlencode``,
+``-G/--get``, ``-b/--cookie``, ``-u/--user``, ``--url`` and a positional URL.
+Multipart (``-F``, ``--form``, ``--form-string``) is rejected: it has no
+passing convention in this pipeline. So is a body curl would read from a
+file (``-d @FILE``, ``--data-urlencode name@FILE``): its content is unknown
+here. Common display and transport options (``-s``, ``-L``, ``-o FILE``,
+``-x PROXY``, ...) are skipped together with their argument.
 
 As in curl, short options cluster and take attached values: ``-sSXPOST`` is
 ``-s -S -X POST``. A word starting with one ``-`` is read letter by letter
@@ -118,7 +120,8 @@ _OPTIONS: dict[str, str] = {
     for action, spellings in {
         "method": "-X --request",
         "header": "-H --header",
-        "data": "-d --data --data-raw",
+        "data": "-d --data --data-binary --data-ascii",
+        "raw": "--data-raw",
         "urlencode": "--data-urlencode",
         "get": "-G --get",
         "cookie": "-b --cookie",
@@ -130,11 +133,13 @@ _OPTIONS: dict[str, str] = {
         " -I --head -# --progress-bar",
         "skip_arg": "-o --output -A --user-agent -e --referer -m --max-time"
         " --connect-timeout --retry --cacert --capath --cert --key -c --cookie-jar"
-        " -w --write-out -T --upload-file --limit-rate",
+        " -w --write-out -T --upload-file --limit-rate -x --proxy -U --proxy-user"
+        " --resolve --connect-to",
     }.items()
     for spelling in spellings.split()
 }
 _FLAGS = ("get", "skip")
+_URLENCODE_FILE = re.compile(r"[^=@]*@")
 
 _JSON_CONTENT = ("application/json",)
 
@@ -213,10 +218,11 @@ def parse_curl(raw: str) -> tuple[CurlRequest | None, list[Issue]]:
                 explicit_method = arg.upper()
             elif action == "header":
                 headers.append(_split_header(arg))
-            elif action == "data":
-                data_parts.append(arg)
-            elif action == "urlencode":
-                data_parts.append(_urlencode_data(arg))
+            elif action in ("data", "raw", "urlencode"):
+                if _names_file(action, arg):
+                    message = f"option {spelling} {arg!r} reads a file, which is not supported"
+                    tag(message, "E_CURL_UNSUPPORTED")
+                data_parts.append(_urlencode_data(arg) if action == "urlencode" else arg)
             elif action == "cookie":
                 if "=" in arg:
                     cookies.extend(_split_cookies(arg))
@@ -293,14 +299,27 @@ def _split_cookies(arg: str) -> list[tuple[str, str]]:
     return pairs
 
 
+def _names_file(action: str, arg: str) -> bool:
+    """Whether curl reads this data argument from a file rather than sending it.
+
+    ``-d @f`` and its aliases read ``f``; ``--data-urlencode`` reads one for
+    ``@f`` and ``name@f`` (an ``@`` before any ``=``); ``--data-raw`` never does.
+    """
+    if action == "urlencode":
+        return _URLENCODE_FILE.match(arg) is not None
+    return action == "data" and arg.startswith("@")
+
+
 def _urlencode_data(arg: str) -> str:
-    # curl --data-urlencode: "name=content" encodes content, bare "content"
-    # encodes the whole argument; the name is passed through untouched.
-    # curl form-encodes (space becomes '+'), verified against curl 7.81.
-    if "=" in arg:
-        name, value = arg.split("=", 1)
-        return f"{name}={urllib.parse.quote_plus(value)}"
-    return urllib.parse.quote_plus(arg)
+    # curl --data-urlencode: "name=content" encodes content and passes the
+    # name through untouched; "=content" and a bare "content" send the
+    # encoded content alone. curl form-encodes (space becomes '+'), verified
+    # against curl 7.81 and 7.88.
+    name, sep, content = arg.partition("=")
+    if not sep:
+        return urllib.parse.quote_plus(arg)
+    encoded = urllib.parse.quote_plus(content)
+    return f"{name}={encoded}" if name else encoded
 
 
 def _split_url(url: str) -> tuple[str, tuple[tuple[str, str], ...]]:

@@ -62,7 +62,7 @@ def load_corpus(path: str | Path) -> list[ApiCallRecord]:
         # also why splitting the text ourselves would corrupt exotic cells.
         # utf-8-sig drops the byte-order mark spreadsheet exports write.
         with path.open(encoding="utf-8-sig", newline="") as fh:
-            rows = list(csv.reader(fh))
+            rows = list(csv.reader(fh, strict=True))
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
     except csv.Error as exc:
@@ -200,16 +200,12 @@ def merge_records(a: ApiCallRecord, b: ApiCallRecord) -> ApiCallRecord:
 
 def merge_corpus(records: list[ApiCallRecord]) -> list[ApiCallRecord]:
     """Fold together all parsed records sharing a merge key, in input order."""
+    # Reassigning a key keeps its place, so the dict holds the first-seen order.
     merged: dict[tuple[str, str], ApiCallRecord] = {}
-    order: list[tuple[str, str]] = []
     for record in records:
         key = merge_key(record)
-        if key in merged:
-            merged[key] = merge_records(merged[key], record)
-        else:
-            merged[key] = record
-            order.append(key)
-    return [merged[key] for key in order]
+        merged[key] = merge_records(merged[key], record) if key in merged else record
+    return list(merged.values())
 
 
 def stage_csv_text(records: list[ApiCallRecord]) -> str:

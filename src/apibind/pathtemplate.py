@@ -11,9 +11,27 @@ import re
 from dataclasses import dataclass
 
 from .issues import Issue, Stage, make_issue
+from .typeinfer import UNPRINTABLE
 
-_BRACE_VAR = re.compile(r"^\{([^{}]+)\}$")
-_SUSPECT_ANGLE = re.compile(r"^<[^<>]+>$")
+# One alternative per segment class, tried in this order: an empty variable
+# (``{}`` or a bare ``:``), ``{name}``, ``:name``, a ``:`` name holding braces,
+# braces mixed with literal text, ``<name>`` or ``$name``, and a plain literal.
+# ``\Z`` ends the segment; ``$`` would also match before a trailing newline.
+_SEGMENT = re.compile(
+    r"""(?P<empty>\{\}|:)\Z
+      | \{(?P<brace>[^{}]+)\}\Z
+      | :(?P<colon>[^{}]+)\Z
+      | (?P<colon_braced>:)
+      | (?P<braced>[^{}]*[{}])
+      | (?P<sigil><[^<>]+>\Z|\$)
+      | (?P<literal>)""",
+    re.DOTALL | re.VERBOSE,
+)
+#: Why a literal segment of each suspect class is tagged W_PATH_SUSPECT.
+_SUSPECT = {
+    "braced": "mixes braces with literal text",
+    "sigil": "looks like an unrecognized variable syntax",
+}
 
 
 @dataclass(frozen=True)
@@ -60,79 +78,49 @@ def parse_path_template(raw: str) -> tuple[PathTemplate | None, list[Issue]]:
     Returns ``(template, issues)``; the template is None exactly when an
     E_PATH_SYNTAX error was found. Segments that merely look variable-ish
     (``<name>``, ``$name``, partial braces) stay literal and add a
-    W_PATH_SUSPECT warning.
+    W_PATH_SUSPECT warning. A control character or line separator anywhere
+    in the path is an error: a rendered module would break its line there.
     """
-    issues: list[Issue] = []
     if not raw:
-        return None, [make_issue("E_PATH_SYNTAX", Stage.PARSE, "empty path", field="path")]
+        return _syntax_error("empty path")
+    control = UNPRINTABLE.search(raw)
+    if control:
+        return _syntax_error(f"control character {control.group()!r} at offset {control.start()}")
 
     body = raw[1:] if raw.startswith("/") else raw
     # A single trailing slash is tolerated and dropped from the canonical form.
     if body.endswith("/"):
         body = body[:-1]
 
+    issues: list[Issue] = []
     segments: list[Segment] = []
     seen: set[str] = set()
     pos = len(raw) - len(body)  # char offset of the current segment in raw
     for part in body.split("/") if body else []:
-        err = _classify_segment(part, pos, segments, seen, issues)
-        if err is not None:
-            return None, [err]
+        match = _SEGMENT.match(part)
+        kind = match.lastgroup
+        if kind in ("brace", "colon"):
+            name = match.group(kind)
+            if name in seen:
+                return _syntax_error(f"duplicate variable {name!r} at offset {pos}")
+            seen.add(name)
+            segments.append(Variable(name))
+        elif kind == "empty":
+            return _syntax_error(f"empty variable name at offset {pos}")
+        elif kind == "colon_braced" or (kind == "braced" and not _braces_balanced(part)):
+            return _syntax_error(f"unbalanced braces at offset {pos}")
+        else:
+            if kind in _SUSPECT:
+                message = f"segment {part!r} {_SUSPECT[kind]}"
+                issues.append(make_issue("W_PATH_SUSPECT", Stage.PARSE, message, field="path"))
+            segments.append(Literal(part))
         pos += len(part) + 1
 
     return PathTemplate(segments=tuple(segments)), issues
 
 
-def _classify_segment(
-    part: str,
-    pos: int,
-    segments: list[Segment],
-    seen: set[str],
-    issues: list[Issue],
-) -> Issue | None:
-    def syntax(msg: str) -> Issue:
-        return make_issue("E_PATH_SYNTAX", Stage.PARSE, f"{msg} at offset {pos}", field="path")
-
-    if part == "{}" or part == ":":
-        return syntax("empty variable name")
-
-    m = _BRACE_VAR.match(part)
-    if m:
-        name = m.group(1)
-    elif part.startswith(":"):
-        name = part[1:]
-        if "{" in name or "}" in name:
-            return syntax("unbalanced braces")
-    else:
-        if "{" in part or "}" in part:
-            if _braces_balanced(part):
-                issues.append(
-                    make_issue(
-                        "W_PATH_SUSPECT",
-                        Stage.PARSE,
-                        f"segment {part!r} mixes braces with literal text",
-                        field="path",
-                    )
-                )
-            else:
-                return syntax("unbalanced braces")
-        elif _SUSPECT_ANGLE.match(part) or part.startswith("$"):
-            issues.append(
-                make_issue(
-                    "W_PATH_SUSPECT",
-                    Stage.PARSE,
-                    f"segment {part!r} looks like an unrecognized variable syntax",
-                    field="path",
-                )
-            )
-        segments.append(Literal(part))
-        return None
-
-    if name in seen:
-        return syntax(f"duplicate variable {name!r}")
-    seen.add(name)
-    segments.append(Variable(name))
-    return None
+def _syntax_error(message: str) -> tuple[None, list[Issue]]:
+    return None, [make_issue("E_PATH_SYNTAX", Stage.PARSE, message, field="path")]
 
 
 def _braces_balanced(text: str) -> bool:

@@ -34,11 +34,7 @@ class RecordId:
         return cls(ids=(atom,))
 
     def merge(self, other: RecordId) -> RecordId:
-        merged = list(self.ids)
-        for atom in other.ids:
-            if atom not in merged:
-                merged.append(atom)
-        return RecordId(ids=tuple(merged))
+        return RecordId(ids=tuple(dict.fromkeys(self.ids + other.ids)))
 
     def __str__(self) -> str:
         return "|".join(self.ids)

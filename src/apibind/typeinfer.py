@@ -106,7 +106,7 @@ class TRef(InferredType):
 
 #: Control characters and the two Unicode separators: every character that
 #: ``str.splitlines`` breaks on is among them.
-_UNPRINTABLE = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+UNPRINTABLE = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 
 def _wire_text(wire: str) -> str:
@@ -116,7 +116,7 @@ def _wire_text(wire: str) -> str:
     string (``ensure_ascii=False`` would leave U+0085, U+2028 and U+2029 raw),
     which still names the wire field exactly.
     """
-    return json.dumps(wire) if _UNPRINTABLE.search(wire) else wire
+    return json.dumps(wire) if UNPRINTABLE.search(wire) else wire
 
 
 def format_type(t: InferredType, type_names: dict[str, str] | None = None) -> str:

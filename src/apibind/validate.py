@@ -1,10 +1,16 @@
 """Cross-checks, the generation gate, and the validation dashboard.
 
-Every check runs on every record regardless of what already failed (late
-filtering), so issue co-occurrence stays observable. Partitioning happens
-only afterwards: records with any error go to the alternate output, and
-nothing is ever silently dropped. The dashboard is a plain dict: the JSON
-document ``dashboard.json`` holds.
+``cross_validate`` checks each parsed record for consistency: path
+variables against declared path parameters, in both directions; duplicate
+parameters per convention; the declared method against the curl
+example's; a body on GET or HEAD; and a call with no example. Every check
+runs on every record regardless of what already failed (late filtering):
+a check reads the parser outputs and the raw cells, never the tags, so a
+record gets the same findings whatever it already carries, and issue
+co-occurrence stays observable. Partitioning happens only afterwards:
+records with any error go to the alternate output, and nothing is ever
+silently dropped. The dashboard is a plain dict: the JSON document
+``dashboard.json`` holds.
 """
 
 from __future__ import annotations
@@ -16,30 +22,21 @@ from .issues import Issue, Stage, make_issue, severity_of
 from .params import Convention
 from .records import ApiCallRecord
 
-#: Names of the individual cross-checks, for selective runs in tests.
-ALL_CHECKS = frozenset(
-    {"pathvar_declared", "path_param_used", "dup_param", "method_match", "body_on_get", "examples"}
-)
 
-
-def cross_validate(
-    record: ApiCallRecord, checks: frozenset[str] = ALL_CHECKS
-) -> ApiCallRecord:
+def cross_validate(record: ApiCallRecord) -> ApiCallRecord:
     """Run the consistency checks and append their findings.
 
     Expects ``parse_record`` to have run; checks whose inputs are absent are
-    vacuously satisfied. ``checks`` narrows the set of checks that run and
-    exists for check-independence testing.
+    vacuously satisfied.
     """
     template, curl, params = record.path, record.curl, record.params
-
-    path_vars = set(template.variables()) if template is not None else set()
     path_params = [p.name for p in params or () if p.convention is Convention.PATH]
 
     issues: list[Issue] = []
 
-    if "pathvar_declared" in checks and template is not None:
-        for name in template.variables():
+    if template is not None:
+        path_vars = template.variables()
+        for name in path_vars:
             if name not in path_params:
                 issues.append(
                     make_issue(
@@ -49,8 +46,6 @@ def cross_validate(
                         field=name,
                     )
                 )
-
-    if "path_param_used" in checks and template is not None:
         for name in path_params:
             if name not in path_vars:
                 issues.append(
@@ -62,7 +57,7 @@ def cross_validate(
                     )
                 )
 
-    if "dup_param" in checks and params:
+    if params:
         seen: dict[tuple[Convention, str], int] = {}
         for p in params:
             seen[(p.convention, p.name)] = seen.get((p.convention, p.name), 0) + 1
@@ -77,7 +72,7 @@ def cross_validate(
                     )
                 )
 
-    if "method_match" in checks and curl is not None and curl.method != record.http_method:
+    if curl is not None and curl.method != record.http_method:
         issues.append(
             make_issue(
                 "E_METHOD_MISMATCH",
@@ -86,7 +81,7 @@ def cross_validate(
             )
         )
 
-    if "body_on_get" in checks and record.http_method.value in ("GET", "HEAD"):
+    if record.http_method.value in ("GET", "HEAD"):
         if (curl is not None and curl.body is not None) or record.request_example is not None:
             issues.append(
                 make_issue(
@@ -96,7 +91,7 @@ def cross_validate(
                 )
             )
 
-    if "examples" in checks and record.request_example is None and record.response_example is None:
+    if record.request_example is None and record.response_example is None:
         issues.append(
             make_issue(
                 "W_NO_EXAMPLE",

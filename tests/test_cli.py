@@ -77,6 +77,18 @@ class TestAnalyze:
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
 
+    def test_unterminated_quote_aborts_the_run(self, tmp_path, capsys):
+        corpus = tmp_path / "c.csv"
+        # The quote opened in r1's first cell is never closed.
+        rows = [",".join(STAGE_COLUMNS[:-1]), '"r1,https://x,GET,/a,,,,,,']
+        rows += ["r2,https://x,GET,/b,,,,,,", "r3,https://x,GET,/c,,,,,,"]
+        corpus.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["analyze", "--input", corpus, "--out-dir", out]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: malformed CSV in {corpus}: unexpected end of data\n"
+
     def test_all_records_erring_still_exits_zero(self, tmp_path):
         corpus = tmp_path / "bad.csv"
         corpus.write_text(
@@ -651,6 +663,41 @@ class TestHostileCells:
         rejected = Counter(a for ids in report["rejected_record_ids"] for a in ids)
         assert passed + rejected == record_id_census(load_corpus(corpus))
         assert set(passed) == {"c", "at"}
+
+    def test_line_break_in_a_path_writes_no_module_line(self, tmp_path):
+        corpus = write_cells(
+            tmp_path / "paths.csv",
+            [
+                {"record_id": "ok", "path": "/v1/ok", "response_example": '{"ok":true}'},
+                {
+                    "record_id": "evil",
+                    "path": "/u\nfunction evil() -> any/x",
+                    "response_example": '{"a":1}',
+                },
+                {
+                    "record_id": "var",
+                    "path": "/v/{a\nb}",
+                    "parameters": json.dumps([{"name": "a\nb", "in": "path"}]),
+                    "response_example": '{"b":1}',
+                },
+            ],
+        )
+        out = tmp_path / "out"
+        assert run(["generate", "--input", corpus, "--out-dir", out]) == 0
+        lines = [
+            line
+            for module in sorted((out / "package").iterdir())
+            for line in module.read_text(encoding="utf-8").splitlines()
+        ]
+        assert "function evil() -> any/x" not in lines and "b}" not in lines
+        rejected = load_corpus(out / "rejects.csv")
+        parse_tags = [
+            (str(r.id), i.code, i.message) for r in rejected for i in r.issues if i.stage.value == "Parse"
+        ]
+        assert parse_tags == [
+            ("evil", "E_PATH_SYNTAX", "control character '\\n' at offset 2"),
+            ("var", "E_PATH_SYNTAX", "control character '\\n' at offset 5"),
+        ]
 
     def test_cells_over_128_kib(self, tmp_path):
         big = json.dumps({"blob": "x" * (200 * 1024)})

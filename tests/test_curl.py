@@ -151,14 +151,22 @@ class TestParseCurl:
         request, _ = parse_curl("curl 'https://h/p?a=1&b=x%20y&flag'")
         assert request.url == "https://h/p"
         assert request.query == (("a", "1"), ("b", "x y"), ("flag", ""))
+        request, _ = parse_curl("curl 'https://h/p?a=1&&b=2'")
+        assert request.query == (("a", "1"), ("b", "2"))
 
     def test_data_urlencode(self):
         request, _ = parse_curl("curl --data-urlencode 'q=hello world' https://h/x")
         assert request.body == (BodyKind.URL_ENCODED, "q=hello+world")
+        request, _ = parse_curl("curl --data-urlencode 'hello world' https://h/x")
+        assert request.body == (BodyKind.URL_ENCODED, "hello+world")
+        request, _ = parse_curl("curl --data-urlencode '=hello world' https://h/x")
+        assert request.body == (BodyKind.URL_ENCODED, "hello+world")
 
     def test_cookies(self):
         request, _ = parse_curl("curl -b 'session=abc; theme=dark' https://h/x")
         assert request.cookies == (("session", "abc"), ("theme", "dark"))
+        request, _ = parse_curl("curl -b 'a=1;; flag' https://h/x")
+        assert request.cookies == (("a", "1"), ("flag", ""))
 
     def test_cookie_file_skipped(self):
         request, issues = parse_curl("curl -b cookies.txt https://h/x")
@@ -168,6 +176,26 @@ class TestParseCurl:
     def test_user(self):
         request, _ = parse_curl("curl -u 'alice:secret' https://h/x")
         assert request.auth_user == "alice:secret"
+
+    def test_header_without_colon(self):
+        request, issues = parse_curl("curl -H 'X-Flag' https://h/x")
+        assert issues == []
+        assert request.headers == (("X-Flag", ""),)
+
+    @pytest.mark.parametrize(
+        "option, value, body",
+        [
+            *[
+                (option, '{"a":1}', (BodyKind.JSON, '{"a":1}'))
+                for option in ("-d", "--data", "--data-binary", "--data-ascii", "--data-raw")
+            ],
+            ("--data-raw", "@x", (BodyKind.URL_ENCODED, "@x")),  # never read as a file name
+        ],
+    )
+    def test_data_spellings(self, option, value, body):
+        request, issues = parse_curl(f"curl {option} '{value}' https://h/x")
+        assert issues == []
+        assert (request.method, request.url, request.body) == (HttpMethod.POST, "https://h/x", body)
 
     def test_url_flag(self):
         request, _ = parse_curl("curl --url https://h/x")
@@ -219,6 +247,30 @@ class TestParseCurl:
             ("curl -sofile https://h/x", "https://h/x",
              [("W_CURL_OPT_IGNORED", "option -s skipped"),
               ("W_CURL_OPT_IGNORED", "option -o 'file' skipped")]),
+            # Transport options: their argument is never the URL.
+            ("curl -x http://p:8080 https://h/x", "https://h/x",
+             [("W_CURL_OPT_IGNORED", "option -x 'http://p:8080' skipped")]),
+            ("curl --proxy http://p:8080 -U u:p https://h/x", "https://h/x",
+             [("W_CURL_OPT_IGNORED", "option --proxy 'http://p:8080' skipped"),
+              ("W_CURL_OPT_IGNORED", "option -U 'u:p' skipped")]),
+            ("curl --resolve h:443:10.0.0.1 --connect-to h:443:g:8443 https://h/x", "https://h/x",
+             [("W_CURL_OPT_IGNORED", "option --resolve 'h:443:10.0.0.1' skipped"),
+              ("W_CURL_OPT_IGNORED", "option --connect-to 'h:443:g:8443' skipped")]),
+            # A body read from a file is unknown here, as a multipart one is.
+            ("curl -d @body.json https://h/x", None,
+             [("E_CURL_UNSUPPORTED", "option -d '@body.json' reads a file, which is not supported")]),
+            ("curl -d@b https://h/x", None,
+             [("E_CURL_UNSUPPORTED", "option -d '@b' reads a file, which is not supported")]),
+            ("curl --data @b --data-binary @c https://h/x", None,
+             [("E_CURL_UNSUPPORTED", "option --data '@b' reads a file, which is not supported"),
+              ("E_CURL_UNSUPPORTED", "option --data-binary '@c' reads a file, which is not supported")]),
+            ("curl --data-ascii @b https://h/x", None,
+             [("E_CURL_UNSUPPORTED", "option --data-ascii '@b' reads a file, which is not supported")]),
+            ("curl --data-urlencode @b --data-urlencode q@c https://h/x", None,
+             [("E_CURL_UNSUPPORTED", "option --data-urlencode '@b' reads a file, which is not supported"),
+              ("E_CURL_UNSUPPORTED", "option --data-urlencode 'q@c' reads a file, which is not supported")]),
+            # An '=' before the '@' makes the rest content, sent encoded.
+            ("curl --data-urlencode q=a@c https://h/x", "https://h/x", []),
         ],
     )
     def test_option_findings(self, line, url, findings):

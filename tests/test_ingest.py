@@ -119,6 +119,22 @@ def test_ragged_long_row_is_corpus_error(tmp_path):
         load_corpus(path)
 
 
+def test_framing_faults_name_the_file(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("", encoding="utf-8")
+    # The quote opened in r1's first cell is never closed.
+    unterminated = write_csv(
+        tmp_path, '"r1,https://x,GET,/a,,,,,,\nr2,https://x,GET,/b,,,,,,\nr3,https://x,GET,/c,,,,,,\n'
+    )
+    for path, message in (
+        (empty, f"{empty} has no header row"),
+        (unterminated, f"malformed CSV in {unterminated}: unexpected end of data"),
+    ):
+        with pytest.raises(CorpusError) as caught:
+            load_corpus(path)
+        assert str(caught.value) == message
+
+
 def make_record(atom="r1", **kwargs):
     """A parsed record, as ``merge_records`` expects."""
     defaults = dict(

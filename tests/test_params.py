@@ -49,7 +49,9 @@ def test_alias_spellings():
     raw = json.dumps(
         [
             {"Parameter": "a", "Location": "header", "Type": "string", "Mandatory": True,
-             "Notes": "note text", "Example": "x"}
+             "Notes": "note text", "Example": "x"},
+            # A type or description that is not a string is kept as its JSON text.
+            {"name": "b", "in": "query", "type": {"enum": [1, 2]}, "description": ["see", 1]},
         ]
     )
     params, issues = parse_parameter_table(raw)
@@ -61,6 +63,9 @@ def test_alias_spellings():
     assert p.required is True
     assert p.description == "note text"
     assert p.example == "x" and p.has_example
+    assert params[1] == Parameter(
+        name="b", convention=Convention.QUERY, declared_type='{"enum": [1, 2]}', description='["see", 1]'
+    )
 
 
 def test_convention_spellings():

@@ -51,10 +51,29 @@ def test_render_empty_is_root():
 
 
 def test_unbalanced_braces():
-    for raw in ("/a/{x", "/a/x}", "/a/{x}}"):
+    for raw, offset in (("/a/{x", 3), ("/a/x}", 3), ("/a/{x}}", 3), ("/:a{b}", 1)):
         template, issues = parse_path_template(raw)
         assert template is None, raw
-        assert codes(issues) == ["E_PATH_SYNTAX"]
+        assert [(i.code, i.message) for i in issues] == [
+            ("E_PATH_SYNTAX", f"unbalanced braces at offset {offset}")
+        ]
+
+
+def test_control_characters_are_syntax_errors():
+    # A line break would end the line a rendered module writes the path on.
+    for raw, shown, offset in (
+        ("/u\nfunction evil() -> any/x", "'\\n'", 2),
+        ("/v/{a\nb}", "'\\n'", 5),
+        ("/v/{a}\n", "'\\n'", 6),  # `$` once matched before this newline
+        ("/a\tb", "'\\t'", 2),
+        ("/x/y\u2028z", "'\\u2028'", 4),
+        ("/x/{y}/\x85", "'\\x85'", 7),
+    ):
+        template, issues = parse_path_template(raw)
+        assert template is None, raw
+        assert [(i.code, i.message) for i in issues] == [
+            ("E_PATH_SYNTAX", f"control character {shown} at offset {offset}")
+        ]
 
 
 def test_error_reports_position():

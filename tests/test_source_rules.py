@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "apibind"
@@ -39,3 +40,49 @@ def test_no_string_regex_patterns_in_apibind():
     for path in sorted(SOURCE.glob("*.py")):
         found += string_pattern_calls(path.read_text(encoding="utf-8"), path.name)
     assert found == [], "compile these patterns at module level: " + ", ".join(found)
+
+
+#: One lexical unit of a pattern: an escape, a whole character class (a ``]``
+#: right after ``[`` or ``[^`` is literal), or any other single character.
+_PATTERN_UNIT = re.compile(r"\\.|\[\^?\]?(?:\\.|[^\]\\])*\]|.", re.DOTALL)
+
+
+def dollar_anchors(source: str, filename: str) -> list[str]:
+    """``re.compile`` calls whose pattern has a bare ``$`` outside a class, as ``file:line``.
+
+    ``$`` also matches before a trailing newline; ``\\Z`` matches only at the end.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "re"
+            and node.func.attr == "compile"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+        ):
+            continue
+        if "$" in _PATTERN_UNIT.findall(node.args[0].value):
+            found.append(f"{filename}:{node.lineno}")
+    return found
+
+
+def test_rule_sees_dollar_anchors():
+    source = r"""
+re.compile(r"^a$")
+re.compile(r"a\Z|[$]|\$|[^$a]")
+re.compile(r"[]$]x|[^]$]")
+re.compile(r"[\]$]")
+re.compile("b$", re.M)
+"""
+    assert dollar_anchors(source, "probe.py") == ["probe.py:2", "probe.py:6"]
+
+
+def test_no_dollar_anchors_in_apibind():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        found += dollar_anchors(path.read_text(encoding="utf-8"), path.name)
+    assert found == [], "end these patterns with \\Z, not $: " + ", ".join(found)

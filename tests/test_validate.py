@@ -1,18 +1,15 @@
 from __future__ import annotations
 
-import itertools
 import random
-from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
 from apibind.curl import HttpMethod
-from apibind.ingest import record_id_census
+from apibind.ingest import load_corpus, record_id_census
 from apibind.issues import Stage, make_issue
 from apibind.parse import parse_record
 from apibind.records import ApiCallRecord, RecordId
 from apibind.validate import (
-    ALL_CHECKS,
     cross_validate,
     dashboard,
     dashboard_to_json,
@@ -90,28 +87,25 @@ class TestCrossValidate:
         out = cross_validate(rec)
         assert "W_NO_EXAMPLE" not in new_codes(rec, out)
 
-    def test_check_independence_powerset(self, analyzed12):
-        # over the fixture corpus, the issues added by any subset of checks
-        # are exactly the union of what each check adds alone
-        from apibind.ingest import load_corpus
-        from apibind.parse import parse_record as pr
-
-        base = [pr(r) for r in load_corpus("tests/data/corpus12.csv")]
-        singles = {
-            rec.id.ids: {
-                check: Counter(new_codes(rec, cross_validate(rec, frozenset({check}))))
-                for check in ALL_CHECKS
-            }
-            for rec in base
-        }
-        for subset_size in range(len(ALL_CHECKS) + 1):
-            for subset in itertools.combinations(sorted(ALL_CHECKS), subset_size):
-                for rec in base:
-                    got = Counter(new_codes(rec, cross_validate(rec, frozenset(subset))))
-                    expected = Counter()
-                    for check in subset:
-                        expected.update(singles[rec.id.ids][check])
-                    assert got == expected, (rec.id, subset)
+    def test_late_filtering(self, corpus12_path):
+        # A check reads the parser outputs and cells, never the tags: a
+        # record gets the same Validate findings whatever it already carries.
+        rng = random.Random(14)
+        records = [parse_record(r) for r in load_corpus(corpus12_path)]
+        records += [parse_record(r) for r in gen_corpus(rng, 300)]
+        unrelated = (
+            make_issue("E_PATH_SYNTAX", Stage.PARSE, "planted", field="path"),
+            make_issue("E_JSON_CELL", Stage.PARSE, "planted", field="response_example"),
+            make_issue("W_MERGE_CONFLICT", Stage.INGEST, "planted", field="group"),
+        )
+        found = 0
+        for rec in records:
+            added = cross_validate(rec).issues[len(rec.issues):]
+            found += bool(added)
+            for planted in [(tag,) for tag in unrelated] + [unrelated]:
+                tagged = rec.with_issues(*planted)
+                assert cross_validate(tagged).issues[len(tagged.issues):] == added, rec.id
+        assert found >= len(records) // 2
 
 
 class TestRoute:
