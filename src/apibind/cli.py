@@ -5,6 +5,12 @@ layout (``OUT_FILES`` beside ``PACKAGE_DIR``). A run whose outputs would
 overwrite or remove an input or its rejects file is refused before anything
 is written, and so is a bad ``--templates`` or ``--identifier-policy``.
 
+Every file either command writes goes through one ``_AllOrNone`` writer:
+each text goes to a temp file beside its target as soon as it exists, and
+the targets are replaced only once every write has succeeded. A run that
+fails therefore changes no file. Only after a successful ``generate`` are the
+earlier ``package/*.txt`` modules it did not write removed.
+
 Data-quality problems are report content, not process failures: ``analyze``
 exits zero even when every record errs. A nonzero exit means the run itself
 failed (unreadable corpus, broken templates, colliding paths, nothing to
@@ -14,8 +20,13 @@ generate).
 from __future__ import annotations
 
 import argparse
+import errno
+import itertools
 import json
+import os
 import sys
+import tempfile
+from collections.abc import Collection
 from pathlib import Path
 
 from .codegen import IdentifierPolicy, apply_identifier_policy, build_reference, render_package
@@ -52,6 +63,66 @@ def _refuse_overwrites(inputs: list[Path], out_dir: Path, rejects: Path) -> None
         raise ValueError(f"rejects path {rejects} is an input")
 
 
+def _remove_stale_modules(out_dir: Path, written: Collection[str]) -> None:
+    """Remove the ``PACKAGE_DIR/*.txt`` files a successful ``generate`` did not write."""
+    for stale in (out_dir / PACKAGE_DIR).glob("*.txt"):
+        if stale.name not in written and stale.is_file():
+            stale.unlink()
+
+
+class _AllOrNone:
+    """Write a run's outputs so that a failed run changes no file.
+
+    ``path(target)`` creates a temp file beside ``target`` (``tempfile.mkstemp``,
+    so it never collides with an existing file) and returns its path for the
+    caller to write; ``text(target, text)`` writes ``text`` there. A target
+    that is a directory is refused at once. When the ``with`` block ends
+    normally, every temp file replaces its target; on any exception, the temp
+    files and the directories made for them are removed and every target
+    stays as it was.
+    """
+
+    def __init__(self) -> None:
+        self.staged: list[tuple[Path, Path]] = []  # (temp file, target)
+        self.made_dirs: list[Path] = []
+        umask = os.umask(0)
+        os.umask(umask)
+        self.mode = 0o666 & ~umask  # what a plain open() would have created
+
+    def __enter__(self) -> _AllOrNone:
+        return self
+
+    def path(self, target: Path) -> Path:
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+        parent = target.parent
+        missing = list(itertools.takewhile(lambda d: not d.exists(), (parent, *parent.parents)))
+        self.made_dirs += reversed(missing)
+        parent.mkdir(parents=True, exist_ok=True)
+        fd, name = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=parent)
+        os.close(fd)
+        temp = Path(name)
+        self.staged.append((temp, target))
+        temp.chmod(self.mode)
+        return temp
+
+    def text(self, target: Path, text: str) -> None:
+        self.path(target).write_text(text, encoding="utf-8")
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            for temp, target in self.staged:
+                os.replace(temp, target)
+            return
+        for temp, _ in self.staged:
+            temp.unlink(missing_ok=True)
+        for made in reversed(self.made_dirs):
+            try:
+                made.rmdir()
+            except OSError:
+                pass
+
+
 def _parse_inputs(paths: list[Path]) -> list[ApiCallRecord]:
     """Load and parse every row; each distinct cell is parsed once per call."""
     memo: dict = {}
@@ -60,11 +131,11 @@ def _parse_inputs(paths: list[Path]) -> list[ApiCallRecord]:
 
 def _gate(
     args: argparse.Namespace,
-) -> tuple[list[ApiCallRecord], list[ApiCallRecord], list[ApiCallRecord]]:
-    """Check the paths, run every record to the gate and write the rejects.
+) -> tuple[Path, list[ApiCallRecord], list[ApiCallRecord], list[ApiCallRecord]]:
+    """Check the paths and run every record to the gate.
 
-    Returns ``(records, valid, rejected)``: every record after
-    cross-validation, and the two sides of ``route``.
+    Returns ``(rejects, records, valid, rejected)``: the rejects path, every
+    record after cross-validation, and the two sides of ``route``.
     """
     rejects = args.rejects or args.out_dir / "rejects.csv"
     _refuse_overwrites(args.input, args.out_dir, rejects)
@@ -73,20 +144,18 @@ def _gate(
         records = merge_corpus(records)
     records = [cross_validate(record) for record in records]
     valid, rejected = route(records, strict=args.strict)
-
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    rejects.parent.mkdir(parents=True, exist_ok=True)
-    write_stage(rejected, rejects)
-    return records, valid, rejected
+    return rejects, records, valid, rejected
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    records, valid, rejected = _gate(args)
-    write_stage(records, args.out_dir / STAGE)
-    report = dashboard(records)
-    text = render_dashboard_text(report)
-    (args.out_dir / DASHBOARD_TEXT).write_text(text, encoding="utf-8")
-    (args.out_dir / DASHBOARD_JSON).write_text(dashboard_to_json(report), encoding="utf-8")
+    rejects, records, valid, rejected = _gate(args)
+    with _AllOrNone() as out:
+        write_stage(rejected, out.path(rejects))
+        write_stage(records, out.path(args.out_dir / STAGE))
+        report = dashboard(records)
+        text = render_dashboard_text(report)
+        out.text(args.out_dir / DASHBOARD_TEXT, text)
+        out.text(args.out_dir / DASHBOARD_JSON, dashboard_to_json(report))
     sys.stdout.write(text)
     sys.stdout.write(
         f"stage written: {args.out_dir / STAGE} ({len(valid)} valid, {len(rejected)} rejected)\n"
@@ -105,42 +174,45 @@ def cmd_generate(args: argparse.Namespace) -> int:
         if args.identifier_policy is not None
         else IdentifierPolicy()
     )
-    _, valid, rejected = _gate(args)
+    rejects, _, valid, rejected = _gate(args)
     for record in rejected:
         codes = ",".join(sorted({i.code for i in record.issues})) or "-"
         sys.stdout.write(f"rejected {record.id}: {codes}\n")
-    if not valid:
+    if not valid:  # nothing is written, not even the rejects
         sys.stderr.write("no valid records; nothing to generate\n")
         return 1
 
-    ir = build_reference(valid, package_name=args.input[0].stem)
-    names = apply_identifier_policy(ir, policy)
-    written = render_package(ir, names, templates, args.out_dir / PACKAGE_DIR)
-
-    report = {
-        "package": {
-            "name": ir.package_name,
-            "version": ir.version,
-            "corpus_digest": ir.corpus_digest,
-        },
-        "functions": [
-            {"raw_name": fn.raw_name, "record_id": list(fn.record.id.ids)} for fn in ir.functions
-        ],
-        "issues": [
-            {"record_id": record_id, **issue.to_json()} for record_id, issue in ir.report
-        ],
-        "rejected_record_ids": [list(record.id.ids) for record in rejected],
-    }
-    (args.out_dir / BUILD_REPORT).write_text(
-        json.dumps(report, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
-    (args.out_dir / NAME_MAP).write_text(json.dumps(names, sort_keys=True) + "\n", encoding="utf-8")
+    with _AllOrNone() as out:
+        write_stage(rejected, out.path(rejects))
+        ir = build_reference(valid, package_name=args.input[0].stem)
+        names = apply_identifier_policy(ir, policy)
+        report = {
+            "package": {
+                "name": ir.package_name,
+                "version": ir.version,
+                "corpus_digest": ir.corpus_digest,
+            },
+            "functions": [
+                {"raw_name": fn.raw_name, "record_id": list(fn.record.id.ids)}
+                for fn in ir.functions
+            ],
+            "issues": [
+                {"record_id": record_id, **issue.to_json()} for record_id, issue in ir.report
+            ],
+            "rejected_record_ids": [list(record.id.ids) for record in rejected],
+        }
+        out.text(args.out_dir / BUILD_REPORT, json.dumps(report, ensure_ascii=False) + "\n")
+        out.text(args.out_dir / NAME_MAP, json.dumps(names, sort_keys=True) + "\n")
+        files = render_package(ir, names, templates)
+        for file_name, text in files.items():
+            out.text(args.out_dir / PACKAGE_DIR / file_name, text)
+    _remove_stale_modules(args.out_dir, files)
 
     for issue_record, issue in ir.report:
         sys.stdout.write(f"note {issue_record}: {issue.code} {issue.message}\n")
     sys.stdout.write(
         f"package: {len(ir.functions)} functions, {len(ir.decls)} types, "
-        f"{len(written)} files in {args.out_dir / PACKAGE_DIR}\n"
+        f"{len(files)} files in {args.out_dir / PACKAGE_DIR}\n"
     )
     return 0
 

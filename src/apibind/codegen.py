@@ -4,11 +4,13 @@ Three steps, cleanly separated: ``build_reference`` folds valid records
 into a language-independent inventory of call functions and type
 declarations, lifting every example straight into one corpus-wide
 declaration registry; ``apply_identifier_policy`` maps every raw name to a
-legal target identifier and returns that name map; ``render_package`` writes
-the package from the ``BindingIr``, the name map and a template set. The IR
-also carries the package's name and corpus digest, from which its version
-follows. Only the identifier policy and the templates know anything about
-the target language. A failed write raises its ``OSError`` unwrapped.
+legal target identifier and returns that name map; ``render_package`` renders
+the package's files to text from the ``BindingIr``, the name map and a
+template set, and leaves writing them to the caller. The IR also carries the
+package's name and corpus digest, from which its version follows. Only the
+identifier policy and the templates know anything about the target language.
+Nothing in this module touches the file system except
+``IdentifierPolicy.from_json_file``, which reads its file.
 """
 
 from __future__ import annotations
@@ -355,24 +357,15 @@ def apply_identifier_policy(ir: BindingIr, policy: IdentifierPolicy) -> dict:
 # --- rendering --------------------------------------------------------------
 
 
-def render_package(
-    ir: BindingIr, names: dict, templates: TemplateSet, out_dir: str | Path
-) -> list[Path]:
-    """Write the package tree; returns written paths, manifest last.
+def render_package(ir: BindingIr, names: dict, templates: TemplateSet) -> dict[str, str]:
+    """The package's files: each file name mapped to its text, manifest last.
 
-    One module per group, in sorted order: the group's declarations in
-    registry order, then its functions in input order. ``names`` is
-    ``apply_identifier_policy``'s map for ``ir``. Output is a pure function
-    of (ir, names, templates): rendering the same inputs twice produces
-    byte-identical trees. Every file written is a ``.txt`` file, and those
-    left in ``out_dir`` by an earlier run are removed first, so the directory
-    holds only this package's modules.
+    One ``.txt`` module per group, in sorted order: the group's declarations
+    in registry order, then its functions in input order. ``names`` is
+    ``apply_identifier_policy``'s map for ``ir``. A pure function of (ir,
+    names, templates): it touches no file, and the same inputs give the same
+    texts.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for stale in out_dir.glob("*.txt"):
-        if stale.is_file():
-            stale.unlink()
     base_ctx = {
         "package_name": ir.package_name,
         "package_version": ir.version,
@@ -388,34 +381,26 @@ def render_package(
 
     module_reserved = frozenset({"manifest"})  # manifest.txt is not a module
     module_taken: dict[str, int] = {}
-    written: list[Path] = []
-    module_entries = []
+    files: dict[str, str] = {}
     for group in sorted(group_fns):
         module_name = _identifier(group, "snake", module_reserved, module_taken)
-        file_name = f"{module_name}.txt"
         parts = [templates.module_header.render({**base_ctx, "module_name": module_name})]
         for decl in group_decls.get(group, ()):
             parts.append(templates.type.render({**base_ctx, **_type_ctx(decl, names)}))
         for fn in group_fns[group]:
             parts.append(templates.doc_comment.render({**base_ctx, **_doc_ctx(fn)}))
             parts.append(templates.function.render({**base_ctx, **_fn_ctx(fn, names)}))
-        path = out_dir / file_name
-        path.write_text("".join(parts), encoding="utf-8")
-        written.append(path)
-        module_entries.append({"module_file": file_name})
+        files[f"{module_name}.txt"] = "".join(parts)
 
-    manifest_text = templates.manifest.render(
+    files["manifest.txt"] = templates.manifest.render(
         {
             **base_ctx,
             "function_count": len(ir.functions),
             "type_count": len(ir.decls),
-            "modules": module_entries,
+            "modules": [{"module_file": file_name} for file_name in files],
         }
     )
-    manifest_path = out_dir / "manifest.txt"
-    manifest_path.write_text(manifest_text, encoding="utf-8")
-    written.append(manifest_path)
-    return written
+    return files
 
 
 def _type_ctx(decl: TypeDecl, names: dict) -> dict:

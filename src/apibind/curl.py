@@ -16,8 +16,10 @@ As in curl, short options cluster and take attached values: ``-sSXPOST`` is
 until a letter takes an argument, which is the rest of the word or else the
 next word; a cluster holding a letter the table does not know stays one
 unknown option. A skipped or unknown option, a ``--name=value`` word, a
-cookie file, a second URL and an option missing its argument each tag
-``W_CURL_OPT_IGNORED``.
+cookie file, a second URL, an option missing its argument and a header curl
+would not send (``-H 'X-Flag'``: no ``:`` and no trailing ``;``) each tag
+``W_CURL_OPT_IGNORED``. As in curl, ``-H 'X-Empty;'`` sends ``X-Empty`` with
+an empty value, and ``-H 'Accept:'`` removes a header, so it adds none.
 """
 
 from __future__ import annotations
@@ -217,7 +219,11 @@ def parse_curl(raw: str) -> tuple[CurlRequest | None, list[Issue]]:
             elif action == "method":
                 explicit_method = arg.upper()
             elif action == "header":
-                headers.append(_split_header(arg))
+                header = _split_header(arg)
+                if header is not None:
+                    headers.append(header)
+                elif ":" not in arg:
+                    tag(f"header {arg!r} has no ':' and is not sent")
             elif action in ("data", "raw", "urlencode"):
                 if _names_file(action, arg):
                     message = f"option {spelling} {arg!r} reads a file, which is not supported"
@@ -278,11 +284,18 @@ def parse_curl(raw: str) -> tuple[CurlRequest | None, list[Issue]]:
     return request, issues
 
 
-def _split_header(arg: str) -> tuple[str, str]:
-    if ":" in arg:
-        name, value = arg.split(":", 1)
-        return name.strip(), value.strip()
-    return arg.strip(), ""
+def _split_header(arg: str) -> tuple[str, str] | None:
+    """The header curl sends for ``-H arg``, or ``None`` when it sends none.
+
+    ``Name: value`` is sent; a blank value removes the header instead.
+    Without a ``:``, only ``Name;`` is sent, with an empty value.
+    """
+    name, colon, value = arg.partition(":")
+    if colon:
+        value = value.strip()
+        return (name.strip(), value) if name and value else None
+    name, semicolon, rest = arg.partition(";")
+    return (name.strip(), "") if name and semicolon and not rest else None
 
 
 def _split_cookies(arg: str) -> list[tuple[str, str]]:

@@ -39,7 +39,6 @@ class RenderError(Exception):
 
     def __init__(self, template_name: str, detail: str):
         super().__init__(f"template {template_name!r}: {detail}")
-        self.template_name = template_name
 
 
 @dataclass(frozen=True)

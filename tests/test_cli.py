@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import csv
+import errno
 import json
+import os
+import stat
 import time
 from collections import Counter
 from pathlib import Path
@@ -485,10 +488,16 @@ class TestFailedWrite:
 
     def test_generate_module_path_is_a_directory(self, corpus12_path, tmp_path, capsys):
         out = tmp_path / "out"
+        assert run(["generate", "--input", corpus12_path, "--out-dir", out]) == 0
         blocked = out / "package" / "users.txt"
-        blocked.mkdir(parents=True)
+        blocked.unlink()
+        blocked.mkdir()
+        before = read_tree(out)
+        capsys.readouterr()
         assert run(["generate", "--input", corpus12_path, "--out-dir", out]) == 1
         self.assert_one_error_line(capsys.readouterr().err, blocked)
+        assert read_tree(out) == before
+        assert blocked.is_dir()
 
     def test_analyze_rejects_path_is_a_directory(self, corpus12_path, tmp_path, capsys):
         rejects = tmp_path / "rejects"
@@ -496,6 +505,89 @@ class TestFailedWrite:
         out = tmp_path / "out"
         assert run(["analyze", "--input", corpus12_path, "--out-dir", out, "--rejects", rejects]) == 1
         self.assert_one_error_line(capsys.readouterr().err, rejects)
+
+
+class TestFailedRunChangesNothing:
+    """A run that exits nonzero leaves every file under the out dir and at
+    ``--rejects`` as it was, and no temp file beside them."""
+
+    @pytest.fixture
+    def generated(self, corpus12_path, tmp_path) -> tuple[Path, Path]:
+        """An out dir holding a generated package, and a rejects file outside it."""
+        out, rejects = tmp_path / "out", tmp_path / "ext" / "rejects.csv"
+        argv = ["generate", "--input", corpus12_path, "--out-dir", out, "--rejects", rejects]
+        assert run(argv) == 0
+        return out, rejects
+
+    def assert_fails_changing_nothing(self, argv, out: Path, rejects: Path) -> None:
+        before = read_tree(out), read_tree(rejects.parent)
+        assert run([*argv, "--out-dir", out, "--rejects", rejects]) == 1
+        assert (read_tree(out), read_tree(rejects.parent)) == before
+
+    @pytest.mark.parametrize("broken", ["manifest.tpl", "function.tpl"])
+    def test_unresolvable_placeholder(self, broken, generated, corpus12_path, tmp_path, capsys):
+        tpl_dir = tmp_path / "tpl"
+        tpl_dir.mkdir()
+        from apibind.templates import NEUTRAL_TEMPLATES
+
+        for name, source in NEUTRAL_TEMPLATES.items():
+            (tpl_dir / name).write_text(source, encoding="utf-8")
+        (tpl_dir / broken).write_text("{{mystery}}", encoding="utf-8")
+        # --strict rejects more records, so a rejects file written early would differ.
+        argv = ["generate", "--strict", "--input", corpus12_path, "--templates", tpl_dir]
+        self.assert_fails_changing_nothing(argv, *generated)
+        assert f"error: template {broken!r}: unknown placeholder 'mystery'" in capsys.readouterr().err
+        # Into a fresh out dir, the directories made for the run are removed too.
+        fresh = tmp_path / "fresh" / "out"
+        assert run([*argv, "--out-dir", fresh]) == 1
+        assert not (tmp_path / "fresh").exists()
+
+    def test_zero_valid_records_write_nothing(self, generated, tmp_path, capsys):
+        corpus = write_stage(
+            tmp_path / "bad.csv",
+            [("b1", "/v1/{x}/{x}", "", []), ("b2", "/v1/ok", "{", [])],
+        )
+        capsys.readouterr()
+        self.assert_fails_changing_nothing(["generate", "--input", corpus], *generated)
+        captured = capsys.readouterr()
+        assert captured.out == "rejected b1: E_PATH_SYNTAX,W_NO_EXAMPLE\nrejected b2: E_JSON_CELL\n"
+        assert captured.err == "no valid records; nothing to generate\n"
+
+    def test_failed_write_of_the_second_module(
+        self, generated, corpus12_path, tmp_path, capsys, monkeypatch
+    ):
+        package_writes = []
+        write_text = Path.write_text
+
+        def failing(path, *args, **kwargs):
+            if path.parent.name == "package":
+                package_writes.append(path)
+                if len(package_writes) == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing)
+        capsys.readouterr()
+        argv = ["generate", "--strict", "--input", corpus12_path]
+        self.assert_fails_changing_nothing(argv, *generated)
+        assert len(package_writes) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 28] No space left on device") and err.count("\n") == 1
+
+    def test_analyze_leaves_the_package_alone(self, generated, corpus12_path):
+        out, _ = generated
+        (out / "package" / "extra.txt").write_text("not a module of this run", encoding="utf-8")
+        package = read_tree(out / "package")
+        assert run(["analyze", "--input", corpus12_path, "--out-dir", out]) == 0
+        assert read_tree(out / "package") == package
+        assert {"analyzed.csv", "dashboard.txt", "dashboard.json"} < set(read_tree(out))
+
+    def test_outputs_get_the_mode_open_would_give(self, generated):
+        umask = os.umask(0)
+        os.umask(umask)
+        out, rejects = generated
+        for path in (rejects, out / "name_map.json", out / "package" / "users.txt"):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
 
 
 class TestScale:

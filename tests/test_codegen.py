@@ -3,9 +3,7 @@ from __future__ import annotations
 import json
 import random
 import re
-import tempfile
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -350,9 +348,8 @@ def test_each_declaration_renders_once_in_the_first_module_reaching_it(seeds):
         records.append(make_valid(f"r{i}", path=f"/v1/r{i}", group=group, **examples))
     ir = build_reference(records)
     names = apply_identifier_policy(ir, IdentifierPolicy())
-    with tempfile.TemporaryDirectory() as tmp:
-        render_package(ir, names, TemplateSet.neutral(), tmp)
-        modules = {p.stem: p.read_text(encoding="utf-8") for p in Path(tmp).glob("*.txt")}
+    files = render_package(ir, names, TemplateSet.neutral())
+    modules = {name.removesuffix(".txt"): text for name, text in files.items()}
 
     bodies = {d.name: d.body for d in ir.decls}
     reached: dict[str, set[str]] = {}
@@ -458,11 +455,8 @@ def test_identifiers_are_distinct_legal_and_rendered_as_mapped(drawn):
     ]
     ir = build_reference(records)
     names = apply_identifier_policy(ir, IdentifierPolicy())
-    with tempfile.TemporaryDirectory() as tmp:
-        render_package(ir, names, TemplateSet.neutral(), tmp)
-        modules = [
-            p.read_text(encoding="utf-8") for p in Path(tmp).glob("*.txt") if p.name != "manifest.txt"
-        ]
+    files = render_package(ir, names, TemplateSet.neutral())
+    modules = [text for name, text in files.items() if name != "manifest.txt"]
     fields, signatures, param_lines = {}, {}, {}
     for module in modules:
         module_fields, module_signatures, module_params = rendered_names(module)
@@ -622,76 +616,69 @@ class TestFormatType:
 
 
 class TestRenderPackage:
-    def test_single_function_package(self, tmp_path):
+    def test_single_function_package(self):
         ir = build_reference([make_valid("p", response_example='{"ok":true}')])
         names = apply_identifier_policy(ir, IdentifierPolicy())
-        written = render_package(ir, names, TemplateSet.neutral(), tmp_path)
-        assert [p.name for p in written] == ["misc.txt", "manifest.txt"]
-        module = (tmp_path / "misc.txt").read_text(encoding="utf-8")
+        files = render_package(ir, names, TemplateSet.neutral())
+        assert list(files) == ["misc.txt", "manifest.txt"]
+        module = files["misc.txt"]
         assert "https://docs.example.com/p" in module
         assert "function getV1Ping() -> GetV1PingResponse" in module
         assert "type GetV1PingResponse = {" in module
 
-    def test_deterministic(self, tmp_path, corpus12_path):
+    def test_deterministic(self, corpus12_path):
         ir = build_reference(valid_records(corpus12_path))
         names = apply_identifier_policy(ir, IdentifierPolicy())
-        first = tmp_path / "one"
-        second = tmp_path / "two"
-        render_package(ir, names, TemplateSet.neutral(), first)
-        render_package(ir, names, TemplateSet.neutral(), second)
-        files_a = sorted(p.relative_to(first) for p in first.rglob("*"))
-        files_b = sorted(p.relative_to(second) for p in second.rglob("*"))
-        assert files_a == files_b
-        for rel in files_a:
-            assert (first / rel).read_bytes() == (second / rel).read_bytes()
+        first = render_package(ir, names, TemplateSet.neutral())
+        second = render_package(ir, names, TemplateSet.neutral())
+        assert list(first.items()) == list(second.items())
 
-    def test_unknown_placeholder_names_template(self, tmp_path):
+    def test_unknown_placeholder_names_template(self):
         sources = dict(NEUTRAL_TEMPLATES)
         sources["function.tpl"] = "function {{not_a_thing}}\n"
         broken = TemplateSet.from_sources(sources)
         ir = build_reference([make_valid("p")])
         names = apply_identifier_policy(ir, IdentifierPolicy())
         with pytest.raises(Exception) as exc:
-            render_package(ir, names, broken, tmp_path)
+            render_package(ir, names, broken)
         assert "function.tpl" in str(exc.value)
         assert "not_a_thing" in str(exc.value)
 
-    def test_empty_ir_renders_manifest_only(self, tmp_path):
+    def test_empty_ir_renders_manifest_only(self):
         ir = build_reference([])
         names = apply_identifier_policy(ir, IdentifierPolicy())
-        written = render_package(ir, names, TemplateSet.neutral(), tmp_path)
-        assert [p.name for p in written] == ["manifest.txt"]
-        manifest = written[0].read_text(encoding="utf-8")
+        files = render_package(ir, names, TemplateSet.neutral())
+        assert list(files) == ["manifest.txt"]
+        manifest = files["manifest.txt"]
         assert "functions 0" in manifest
 
-    def test_group_named_manifest_keeps_its_functions(self, tmp_path):
+    def test_group_named_manifest_keeps_its_functions(self):
         records = [
             make_valid("m", path="/v1/m", group="manifest", response_example='{"ok":true}'),
             make_valid("u", path="/v1/u", group="users"),
         ]
         ir = build_reference(records)
         names = apply_identifier_policy(ir, IdentifierPolicy())
-        written = render_package(ir, names, TemplateSet.neutral(), tmp_path)
-        assert [p.name for p in written] == ["manifest_.txt", "users.txt", "manifest.txt"]
-        modules = "".join((tmp_path / p.name).read_text(encoding="utf-8") for p in written[:-1])
+        files = render_package(ir, names, TemplateSet.neutral())
+        assert list(files) == ["manifest_.txt", "users.txt", "manifest.txt"]
+        modules = files["manifest_.txt"] + files["users.txt"]
         for name in names["functions"].values():
             assert f"function {name}(" in modules, name
-        assert "manifest_.txt" in (tmp_path / "manifest.txt").read_text(encoding="utf-8")
+        assert "manifest_.txt" in files["manifest.txt"]
 
-    def test_line_breaks_stay_inside_the_doc_comment(self, tmp_path):
+    def test_line_breaks_stay_inside_the_doc_comment(self):
         rec = make_valid("d", description="List things.\nfunction evil() -> any")
         rec = replace(rec, source_url="https://d/x\r\nfunction url() -> any")
         ir = build_reference([rec])
         names = apply_identifier_policy(ir, IdentifierPolicy())
-        render_package(ir, names, TemplateSet.neutral(), tmp_path)
-        lines = (tmp_path / "misc.txt").read_text(encoding="utf-8").splitlines()
+        lines = render_package(ir, names, TemplateSet.neutral())["misc.txt"].splitlines()
         assert [line for line in lines if line.startswith("function ")] == [
             "function getV1Ping() -> any"
         ]
         assert "-- List things. function evil() -> any" in lines
         assert "-- docs: https://d/x function url() -> any" in lines
 
-    def test_wire_names_with_line_breaks_stay_on_their_line(self, tmp_path):
+    def test_wire_names_with_line_breaks_stay_on_their_line(self):
         table = [
             {"name": "q\nfunction p() -> any", "in": "query"},
             {"name": "o", "in": "query", "example": {"k\u2028function obj() -> any": 1}},
@@ -700,8 +687,7 @@ class TestRenderPackage:
         rec = make_valid("w", raw_parameters=json.dumps(table), response_example=json.dumps(response))
         ir = build_reference([rec])
         names = apply_identifier_policy(ir, IdentifierPolicy())
-        render_package(ir, names, TemplateSet.neutral(), tmp_path)
-        lines = (tmp_path / "misc.txt").read_text(encoding="utf-8").splitlines()
+        lines = render_package(ir, names, TemplateSet.neutral())["misc.txt"].splitlines()
         assert [line for line in lines if line.startswith("function ")] == [
             'function getV1Ping(q_function_p_any: string, o: {"k\\u2028function obj() -> any": int})'
             " -> GetV1PingResponse"
@@ -712,7 +698,7 @@ class TestRenderPackage:
         note = next(line for line in lines if line.startswith("  a_function_evil_any"))
         assert json.loads(note[note.index('"') : -1]) == "a\nfunction evil() -> any"
 
-    def test_optional_and_empty_object_params(self, tmp_path):
+    def test_optional_and_empty_object_params(self):
         table = [
             {"name": "limit", "in": "query", "type": "integer", "required": False},
             {"name": "filter", "in": "query", "example": {}},
@@ -722,15 +708,13 @@ class TestRenderPackage:
         )
         ir = build_reference([rec])
         names = apply_identifier_policy(ir, IdentifierPolicy())
-        render_package(ir, names, TemplateSet.neutral(), tmp_path)
-        lines = (tmp_path / "misc.txt").read_text(encoding="utf-8").splitlines()
+        lines = render_package(ir, names, TemplateSet.neutral())["misc.txt"].splitlines()
         assert "function getV1X(limit: int, filter: {}) -> GetV1XResponse" in lines
         assert "  param limit via Query optional" in lines
 
-    def test_shared_decl_emitted_once(self, tmp_path, corpus12_path):
+    def test_shared_decl_emitted_once(self, corpus12_path):
         ir = build_reference(valid_records(corpus12_path))
         names = apply_identifier_policy(ir, IdentifierPolicy())
-        render_package(ir, names, TemplateSet.neutral(), tmp_path)
-        text = "".join(p.read_text(encoding="utf-8") for p in tmp_path.glob("*.txt"))
+        text = "".join(render_package(ir, names, TemplateSet.neutral()).values())
         for name in names["types"].values():
             assert text.count(f"type {name} = ") == 1

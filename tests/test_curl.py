@@ -178,9 +178,26 @@ class TestParseCurl:
         assert request.auth_user == "alice:secret"
 
     def test_header_without_colon(self):
+        # curl 7.88.1 sends no header for a word without ':' or a trailing ';'.
         request, issues = parse_curl("curl -H 'X-Flag' https://h/x")
+        assert [(i.code, i.message) for i in issues] == [
+            ("W_CURL_OPT_IGNORED", "header 'X-Flag' has no ':' and is not sent")
+        ]
+        assert request.headers == ()
+
+    @pytest.mark.parametrize(
+        "arg, headers",
+        [
+            ("X-Empty;", (("X-Empty", ""),)),  # sent with an empty value
+            ("Accept:", ()),  # removes the header
+            ("Accept:   ", ()),
+            ("X-A: b:c ", (("X-A", "b:c"),)),
+        ],
+    )
+    def test_header_with_empty_value(self, arg, headers):
+        request, issues = parse_curl(f"curl -H '{arg}' https://h/x")
         assert issues == []
-        assert request.headers == (("X-Flag", ""),)
+        assert request.headers == headers
 
     @pytest.mark.parametrize(
         "option, value, body",
