@@ -6,10 +6,13 @@ overwrite or remove an input or its rejects file is refused before anything
 is written, and so is a bad ``--templates`` or ``--identifier-policy``.
 
 Every file either command writes goes through one ``_AllOrNone`` writer:
-each text goes to a temp file beside its target as soon as it exists, and
-the targets are replaced only once every write has succeeded. A run that
-fails therefore changes no file. Only after a successful ``generate`` are the
-earlier ``package/*.txt`` modules it did not write removed.
+each output is streamed into a temp file beside its target, the stage CSVs
+row by row (``write_stage``) and the JSON reports member by member
+(``write_json``), so no large output is ever held whole as text. The targets
+are replaced only once every write has succeeded; a run that fails, even
+partway through a file, therefore changes no file. Only after a successful
+``generate`` are the earlier ``package/*.txt`` modules it did not write
+removed.
 
 Data-quality problems are report content, not process failures: ``analyze``
 exits zero even when every record errs. A nonzero exit means the run itself
@@ -50,6 +53,10 @@ OUT_FILES = (
 STAGE, DASHBOARD_TEXT, DASHBOARD_JSON, BUILD_REPORT, NAME_MAP = OUT_FILES
 PACKAGE_DIR = "package"
 
+#: Entries per ``encode`` call when ``write_json`` streams a list or dict
+#: member: a few kilobytes of text at a time, each one C-encoder call.
+JSON_SLICE = 256
+
 
 def _refuse_overwrites(inputs: list[Path], out_dir: Path, rejects: Path) -> None:
     """Raise ``ValueError`` if the run would write over or delete an input or ``rejects``."""
@@ -70,12 +77,50 @@ def _remove_stale_modules(out_dir: Path, written: Collection[str]) -> None:
             stale.unlink()
 
 
+def write_json(path: Path, value: dict[str, object], **options) -> None:
+    """Write ``json.dumps(value, **options) + "\\n"`` to ``path``, never holding it whole.
+
+    ``value`` is a dict with ``str`` keys, written one member at a time; a
+    member that is a list or dict is written in slices of ``JSON_SLICE``
+    entries. Each slice is one ``encode`` call of one reused ``JSONEncoder``
+    (the C encoder, which ``json.dump`` and ``iterencode`` do not use) with
+    its brackets stripped, so the bytes equal ``json.dumps``'s.
+    """
+    encoder = json.JSONEncoder(**options)
+    sep = encoder.item_separator
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write("{")
+        for index, key in enumerate(sorted(value) if encoder.sort_keys else value):
+            member = value[key]
+            fh.write((sep if index else "") + encoder.encode(key) + encoder.key_separator)
+            if not isinstance(member, (dict, list)):
+                fh.write(encoder.encode(member))
+                continue
+            brackets = "{}" if isinstance(member, dict) else "[]"
+            fh.write(brackets[0])
+            for position, piece in enumerate(_json_slices(member, encoder.sort_keys)):
+                fh.write((sep if position else "") + encoder.encode(piece)[1:-1])
+            fh.write(brackets[1])
+        fh.write("}\n")
+
+
+def _json_slices(member: dict | list, sort_keys: bool):
+    """``member``'s entries in order, ``JSON_SLICE`` at a time, as dicts or lists like it."""
+    if isinstance(member, dict):
+        keys = sorted(member) if sort_keys else list(member)
+        for start in range(0, len(keys), JSON_SLICE):
+            yield {key: member[key] for key in keys[start:start + JSON_SLICE]}
+    else:
+        for start in range(0, len(member), JSON_SLICE):
+            yield member[start:start + JSON_SLICE]
+
+
 class _AllOrNone:
     """Write a run's outputs so that a failed run changes no file.
 
     ``path(target)`` creates a temp file beside ``target`` (``tempfile.mkstemp``,
     so it never collides with an existing file) and returns its path for the
-    caller to write; ``text(target, text)`` writes ``text`` there. A target
+    caller to stream into; ``text(target, text)`` writes ``text`` there. A target
     that is a directory is refused at once. When the ``with`` block ends
     normally, every temp file replaces its target; on any exception, the temp
     files and the directories made for them are removed and every target
@@ -201,8 +246,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             ],
             "rejected_record_ids": [list(record.id.ids) for record in rejected],
         }
-        out.text(args.out_dir / BUILD_REPORT, json.dumps(report, ensure_ascii=False) + "\n")
-        out.text(args.out_dir / NAME_MAP, json.dumps(names, sort_keys=True) + "\n")
+        write_json(out.path(args.out_dir / BUILD_REPORT), report, ensure_ascii=False)
+        write_json(out.path(args.out_dir / NAME_MAP), names, sort_keys=True)
         files = render_package(ir, names, templates)
         for file_name, text in files.items():
             out.text(args.out_dir / PACKAGE_DIR / file_name, text)

@@ -20,9 +20,10 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 from .curl import HttpMethod
-from .ingest import stage_csv_text
+from .ingest import write_stage_rows
 from .issues import Issue, Stage, make_issue
 from .params import Convention, Parameter
 from .pathtemplate import PathTemplate, Variable
@@ -99,7 +100,13 @@ def ordered_params(params: tuple[Parameter, ...]) -> list[Parameter]:
 
 
 def corpus_digest(records: list[ApiCallRecord]) -> str:
-    return hashlib.sha256(stage_csv_text(records).encode("utf-8")).hexdigest()
+    """SHA-256 hex digest of ``stage_csv_text(records)`` in UTF-8, hashed row by row.
+
+    The stage rows go straight into the hash, so the text is never held whole.
+    """
+    digest = hashlib.sha256()
+    write_stage_rows(records, SimpleNamespace(write=lambda row: digest.update(row.encode("utf-8"))))
+    return digest.hexdigest()
 
 
 def build_reference(

@@ -288,14 +288,16 @@ def _split_header(arg: str) -> tuple[str, str] | None:
     """The header curl sends for ``-H arg``, or ``None`` when it sends none.
 
     ``Name: value`` is sent; a blank value removes the header instead.
-    Without a ``:``, only ``Name;`` is sent, with an empty value.
+    Without a ``:``, only ``Name;`` is sent, with an empty value. The name
+    is kept exactly as written: curl sends ``' X-Q: 1'`` and ``'X-Q : 1'``
+    as lines whose name is not ``X-Q``, so neither is that header.
     """
     name, colon, value = arg.partition(":")
     if colon:
         value = value.strip()
-        return (name.strip(), value) if name and value else None
+        return (name, value) if name and value else None
     name, semicolon, rest = arg.partition(";")
-    return (name.strip(), "") if name and semicolon and not rest else None
+    return (name, "") if name and semicolon and not rest else None
 
 
 def _split_cookies(arg: str) -> list[tuple[str, str]]:

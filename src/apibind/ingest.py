@@ -208,25 +208,37 @@ def merge_corpus(records: list[ApiCallRecord]) -> list[ApiCallRecord]:
     return list(merged.values())
 
 
-def stage_csv_text(records: list[ApiCallRecord]) -> str:
-    """Canonical stage-CSV serialization (also the basis of corpus digests)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
+def write_stage_rows(records: list[ApiCallRecord], out) -> None:
+    """Write the canonical stage CSV, header first, one ``out.write`` call per row.
+
+    ``out`` is anything with a ``write(str)`` method: an open text file, a
+    ``StringIO`` or a digest sink. No more than one row is ever held as text.
+    """
+    writer = csv.writer(out)
     writer.writerow(STAGE_COLUMNS)
-    for record in records:
-        writer.writerow(_record_to_row(record))
+    writer.writerows(map(_record_to_row, records))
+
+
+def stage_csv_text(records: list[ApiCallRecord]) -> str:
+    """The canonical stage CSV as one string: ``write_stage_rows`` over a ``StringIO``.
+
+    The CLI never builds this string: ``write_stage`` streams the same rows into
+    the file and ``codegen.corpus_digest`` into a hash, so each equals this text.
+    """
+    buffer = io.StringIO()
+    write_stage_rows(records, buffer)
     return buffer.getvalue()
 
 
 def write_stage(records: list[ApiCallRecord], path: str | Path) -> None:
-    """Materialize records as a stage CSV (input schema plus ``issues``).
+    """Materialize records as a stage CSV (input schema plus ``issues``), row by row.
 
     ``load_corpus(write_stage(rs))`` reproduces every CSV-carried field and
     all issues. The parser outputs are not serialized; ``parse_record``
     derives them again from the raw cells.
     """
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(stage_csv_text(records))
+        write_stage_rows(records, fh)
 
 
 def _record_to_row(record: ApiCallRecord) -> list[str]:

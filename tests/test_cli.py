@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from apibind import ingest, params, parse
+from apibind import cli, ingest, params, parse
 from apibind.cli import main
 from apibind.curl import HttpMethod
 from apibind.ingest import STAGE_COLUMNS, load_corpus, record_id_census
@@ -573,6 +573,50 @@ class TestFailedRunChangesNothing:
         assert len(package_writes) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno 28] No space left on device") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, streamed",
+        [
+            ("generate", "rejects.csv"),
+            ("generate", "build_report.json"),
+            ("generate", "name_map.json"),
+            ("analyze", "analyzed.csv"),
+        ],
+    )
+    def test_failed_write_partway_through_a_streamed_output(
+        self, command, streamed, generated, corpus12_path, capsys, monkeypatch
+    ):
+        # Two pieces reach the temp file of `streamed`, then the disk fills up.
+        monkeypatch.setattr(cli, "JSON_SLICE", 2)
+        writes = []
+        open_path = Path.open
+
+        class FillsUp:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return self.fh.__exit__(*exc_info)
+
+            def write(self, text):
+                writes.append(text)
+                if len(writes) == 3:
+                    raise OSError(errno.ENOSPC, "No space left on device", self.fh.name)
+                return self.fh.write(text)
+
+        def opening(path, *args, **kwargs):
+            fh = open_path(path, *args, **kwargs)
+            return FillsUp(fh) if path.name.startswith(f".{streamed}.") else fh
+
+        monkeypatch.setattr(Path, "open", opening)
+        capsys.readouterr()
+        argv = [command, "--strict", "--input", corpus12_path]
+        self.assert_fails_changing_nothing(argv, *generated)
+        assert len(writes) == 3
+        assert capsys.readouterr().err.startswith("error: [Errno 28] No space left on device")
 
     def test_analyze_leaves_the_package_alone(self, generated, corpus12_path):
         out, _ = generated

@@ -199,6 +199,20 @@ class TestParseCurl:
         assert issues == []
         assert request.headers == headers
 
+    # curl 7.88.1 sends a header name exactly as written, so a loopback server
+    # sees no X-Q header for either of these lines.
+    def test_header_name_with_leading_space_is_kept(self):
+        request, _ = parse_curl("curl -H ' X-Q: 1' https://h/x")
+        assert request.headers == ((" X-Q", "1"),)
+
+    def test_header_name_with_space_before_colon_is_kept(self):
+        request, _ = parse_curl("curl -H 'X-Q : 1' https://h/x")
+        assert request.headers == (("X-Q ", "1"),)
+
+    def test_spaced_content_type_does_not_decide_the_body_kind(self):
+        request, _ = parse_curl("curl -H 'Content-Type : text/plain' -d '{\"a\":1}' https://h/x")
+        assert request.body == (BodyKind.JSON, '{"a":1}')
+
     @pytest.mark.parametrize(
         "option, value, body",
         [

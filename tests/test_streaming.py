@@ -1,0 +1,144 @@
+"""Outputs are streamed: byte-identical to the whole-text serializations, in bounded memory."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import tracemalloc
+
+from hypothesis import given, settings, strategies as st
+
+from apibind import cli
+from apibind.cli import write_json
+from apibind.codegen import corpus_digest
+from apibind.curl import HttpMethod
+from apibind.ingest import load_corpus, stage_csv_text, write_stage
+from apibind.issues import Stage, make_issue
+from apibind.parse import parse_record
+from apibind.records import ApiCallRecord, RecordId
+
+from .gen import gen_record
+
+#: The two option sets the CLI writes with: build_report.json, name_map.json.
+CLI_OPTIONS = ({"ensure_ascii": False}, {"sort_keys": True})
+
+SLICE = cli.JSON_SLICE
+MEMBER_COUNTS = (0, 1, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE)
+
+# Surrogates cannot be written as UTF-8; every other code point can, control
+# characters and non-ASCII text included.
+_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_scalar = st.none() | st.booleans() | st.integers() | st.floats() | _text
+_value = st.recursive(
+    _scalar,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_text, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _member(draw):
+    """A list or dict of one of ``MEMBER_COUNTS`` entries, or any JSON value."""
+    kind = draw(st.sampled_from(["list", "dict", "value"]))
+    if kind == "value":
+        return draw(_value)
+    count = draw(st.sampled_from(MEMBER_COUNTS))
+    pool = draw(st.lists(_value, min_size=1, max_size=4))
+    entries = [pool[i % len(pool)] for i in range(count)]
+    if kind == "list":
+        return entries
+    stem = draw(_text)
+    # Distinct keys whose sorted order differs from their insertion order.
+    return {f"{stem}{(i * 7919) % count}": entry for i, entry in enumerate(entries)}
+
+
+def _assert_streams_like_dumps(path, value, options) -> None:
+    write_json(path, value, **options)
+    assert path.read_bytes() == (json.dumps(value, **options) + "\n").encode("utf-8")
+
+
+@settings(max_examples=80, deadline=None)
+@given(value=st.dictionaries(_text, _member(), max_size=4), options=st.sampled_from(CLI_OPTIONS))
+def test_write_json_equals_dumps(tmp_path_factory, value, options):
+    _assert_streams_like_dumps(tmp_path_factory.mktemp("json") / "out.json", value, options)
+
+
+def test_write_json_every_member_count(tmp_path):
+    for options in CLI_OPTIONS:
+        _assert_streams_like_dumps(tmp_path / "out.json", {}, options)
+        for count in MEMBER_COUNTS:
+            value = {
+                "é\x00": [{"k": i, "\n": "ü\x1f"} for i in range(count)],
+                "d": {f"kéy\t{(i * 31) % count}": [i, None] for i in range(count)},
+                "": {},
+                "s": " \"\\",
+                "l": [],
+            }
+            _assert_streams_like_dumps(tmp_path / "out.json", value, options)
+
+
+def _traced_peak(write) -> int:
+    """Peak bytes allocated by Python while ``write()`` runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """Whole-text serialization peaks at over twice the output; streaming stays well below it."""
+
+    def test_write_stage_peak_is_below_a_quarter_of_the_file(self, tmp_path):
+        rng = random.Random(7)
+        records = [gen_record(rng, i) for i in range(4000)]
+        path = tmp_path / "stage.csv"
+        peak = _traced_peak(lambda: write_stage(records, path))
+        written = path.stat().st_size
+        assert written > 1_000_000
+        assert peak < written / 4, (peak, written)
+
+    def test_write_json_peak_is_below_the_file(self, tmp_path):
+        raws = [f"get_v1_widget_{i}_parts" for i in range(20_000)]
+        names = {
+            "functions": {raw: f"getV1Widget{i}Parts" for i, raw in enumerate(raws)},
+            "types": {f"Widget{i}": f"Widget{i}" for i in range(2000)},
+            "fields": {f"Widget{i}": {"part_id": "partId"} for i in range(2000)},
+            "params": {raw: ["id", "body"] for raw in raws},
+        }
+        path = tmp_path / "name_map.json"
+        peak = _traced_peak(lambda: write_json(path, names, sort_keys=True))
+        written = path.stat().st_size
+        assert peak < written, (peak, written)
+
+
+class TestCorpusDigest:
+    """``corpus_digest`` hashes the stage rows as they are written; the digest is unchanged."""
+
+    @staticmethod
+    def assert_pinned(records: list[ApiCallRecord]) -> None:
+        text = stage_csv_text(records)
+        assert corpus_digest(records) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def test_corpus12(self, corpus12_path):
+        self.assert_pinned([parse_record(record) for record in load_corpus(corpus12_path)])
+
+    def test_awkward_cells(self):
+        cells = ["unicode-é中\U0001f600", 'say "hi", then \'bye\'', "cr\rlf\r\nlf\n", '"\r\n"']
+        records = [
+            ApiCallRecord(
+                id=RecordId.single(f"r{i}"),
+                source_url="https://d/ü",
+                http_method=HttpMethod.GET,
+                raw_path=f"/v1/{cell}",
+                description=cell,
+                group=cell,
+                issues=(make_issue("W_NO_EXAMPLE", Stage.PARSE, cell),),
+            )
+            for i, cell in enumerate(cells)
+        ]
+        self.assert_pinned(records)
+        self.assert_pinned([])
