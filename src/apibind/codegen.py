@@ -32,6 +32,7 @@ from .templates import TemplateSet
 from .typeinfer import (
     DeclRegistry,
     InferredType,
+    TObject,
     TypeDecl,
     T_ANY,
     _wire_text,
@@ -40,6 +41,7 @@ from .typeinfer import (
     fresh_name,
     lift_declarations,
     parse_json,
+    share_decl,
     type_of_parameter,
 )
 
@@ -51,6 +53,7 @@ _CONVENTION_ORDER = (
     Convention.HEADER,
     Convention.COOKIE,
 )
+_CONVENTION_RANK = {conv: i for i, conv in enumerate(_CONVENTION_ORDER)}
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,7 @@ def function_raw_name(method: HttpMethod, template: PathTemplate) -> str:
 
 def ordered_params(params: tuple[Parameter, ...]) -> list[Parameter]:
     """Group by passing convention, preserving documentation order within each."""
-    rank = {conv: i for i, conv in enumerate(_CONVENTION_ORDER)}
-    return sorted(params, key=lambda p: rank[p.convention])
+    return sorted(params, key=lambda p: _CONVENTION_RANK[p.convention])
 
 
 def corpus_digest(records: list[ApiCallRecord]) -> str:
@@ -118,40 +120,52 @@ def build_reference(
     examples and lifted into declarations through one registry created here,
     so structurally identical bodies share one declaration across the whole
     corpus. Each function and each declaration carries the group whose
-    module renders it. Each distinct example text is decoded and folded at
-    most twice per call: its raw type is kept from its second occurrence
-    on. Records must have been loaded, parsed and routed: a
-    record without a parsed path, or with an example that is not standard
-    JSON (parse tags those E_JSON_CELL and the gate rejects them), is a
-    caller error here, not a data issue.
+    module renders it.
+
+    The build pays once per distinct example text and parameter table, not
+    once per row. An example text is decoded, folded and lifted at most
+    twice: from its second occurrence on, its lifted type, unpopulated
+    arrays and declaration trail are kept, and each later row replays the
+    trail (one W_DECL_SHARED per declaration, named from the row's own
+    function, and a rehome when the row's group is less) instead of
+    walking again. A corpus that never repeats an example keeps nothing
+    extra. A parameter table is typed once per (table text, method), the
+    key its parse is memoized under. Records must have been loaded, parsed
+    and routed: a record without a parsed path, or with an example that is
+    not standard JSON (parse tags those E_JSON_CELL and the gate rejects
+    them), is a caller error here, not a data issue.
     """
     functions: list[BindingFunction] = []
     report: list[tuple[str, Issue]] = []
     taken_fn: dict[str, int] = {}
     registry = DeclRegistry()
-    # Example text -> raw type, kept once a text turns up a second time, so
-    # a corpus that never repeats an example holds no raw type past its lift.
-    raw_types: dict[str, InferredType] = {}
+    # Example text -> (lifted type, unpopulated paths, declaration trail).
+    lifts: dict[str, tuple[InferredType, list[str], list[tuple[str, TObject]]]] = {}
     seen: set[str] = set()
-
-    def raw_type(text: str) -> InferredType:
-        raw = raw_types.get(text)
-        if raw is None:
-            raw = fold_examples([parse_json(text)])
-            if text in seen:
-                raw_types[text] = raw
-            else:
-                seen.add(text)
-        return raw
+    # (parameter table, method) -> (typed signature in convention order, its issues).
+    signatures: dict[tuple, tuple[tuple[tuple[Parameter, InferredType], ...], list[Issue]]] = {}
 
     def example_type(
         rid: str, group: str, text: str | None, base: str, column: str
     ) -> InferredType | None:
         if text is None:
             return None
-        lifted, unpopulated, lift_issues = lift_declarations(
-            raw_type(text), base, registry, group=group
-        )
+        kept = lifts.get(text)
+        if kept is None:
+            trail: list[tuple[str, TObject]] = []
+            lifted, unpopulated, lift_issues = lift_declarations(
+                fold_examples([parse_json(text)]), base, registry, group=group, trail=trail
+            )
+            if text in seen:
+                lifts[text] = (lifted, unpopulated, trail)
+            else:
+                seen.add(text)
+        else:
+            lifted, unpopulated, trail = kept
+            lift_issues = [
+                share_decl(registry, registry.by_body[body], base + suffix, group)
+                for suffix, body in trail
+            ]
         for path in unpopulated:
             message = f"{column} has an empty array at {path}; element type unknown"
             report.append((rid, make_issue("W_EMPTY_ARRAY", Stage.INFER, message, field=column)))
@@ -181,11 +195,17 @@ def build_reference(
                 )
             )
 
-        typed_params: list[tuple[Parameter, InferredType]] = []
-        for param in ordered_params(record.params or ()):
-            param_type, param_issues = type_of_parameter(param)
-            typed_params.append((param, param_type))
-            report.extend((rid, issue) for issue in param_issues)
+        key = (record.raw_parameters, record.http_method)
+        if key not in signatures:
+            typed: list[tuple[Parameter, InferredType]] = []
+            issues: list[Issue] = []
+            for param in ordered_params(record.params or ()):
+                param_type, param_issues = type_of_parameter(param)
+                typed.append((param, param_type))
+                issues.extend(param_issues)
+            signatures[key] = (tuple(typed), issues)
+        typed_params, param_issues = signatures[key]
+        report.extend((rid, issue) for issue in param_issues)
 
         camel = _upper_camel(raw_name)
         request_type = example_type(
@@ -211,7 +231,7 @@ def build_reference(
         functions.append(
             BindingFunction(
                 raw_name=raw_name,
-                params=tuple(typed_params),
+                params=typed_params,
                 request_type=request_type,
                 response_type=response_type,
                 group=group,

@@ -390,6 +390,7 @@ def lift_declarations(
     registry: DeclRegistry | None,
     *,
     group: str = "misc",
+    trail: list[tuple[str, TObject]] | None = None,
 ) -> tuple[InferredType, list[str], list[Issue]]:
     """Publish a raw type; returns it, the paths of its unpopulated arrays, and issues.
 
@@ -398,54 +399,91 @@ def lift_declarations(
     hop). With a registry, every object node becomes a named reference to a
     registry declaration; without one, objects stay inline. Names grow from
     ``base_name`` along the field path (array hops add ``Item``). A body
-    already in ``registry`` is shared, which is reported as a W_DECL_SHARED
-    issue; a new body takes ``fresh_name`` of its path name against the
-    names the registry has already handed out. Children are registered
+    already in ``registry`` is shared (see ``share_decl``); a new body takes
+    ``fresh_name`` of its path name against the names the registry has
+    already handed out, and is homed in ``group``. Children are registered
     before their parents, so every reference a body carries is a final name,
     and the lookups of one call are exactly the declarations its result
-    reaches. A new declaration is homed in ``group``; one found is rehomed
-    there when ``group`` is less, by name, than its home. Reassigning a key
-    keeps its place, so registry order and names do not depend on homes.
+    reaches.
+
+    ``trail``, when given, receives one ``(name suffix, body)`` pair per
+    lookup, in walk order: the name is ``base_name`` plus the suffix, and
+    the body is the registry's key. The registry only grows and never
+    renames, so a later lift of the same raw type finds every one of these
+    bodies in the same order; replaying the trail through ``share_decl``
+    gives that lift's registry effects and issues without walking again.
     """
-    unpopulated: list[str] = []
-    issues: list[Issue] = []
+    lift = _Lift(registry, group, base_name, trail)
+    return lift.walk(t, "", "$"), lift.unpopulated, lift.issues
 
-    def add_decl(body: TObject, name: str) -> str:
-        kept = registry.by_body.get(body)
-        if kept is not None:
-            issues.append(
-                make_issue(
-                    "W_DECL_SHARED",
-                    Stage.INFER,
-                    f"type {name!r} is structurally identical to {kept.name!r}; "
-                    "sharing one declaration",
-                )
-            )
-            if group < kept.group:
-                registry.by_body[body] = replace(kept, group=group)
-            return kept.name
-        final = fresh_name(name, registry.taken)
-        registry.by_body[body] = TypeDecl(name=final, body=body, group=group)
-        return final
 
-    def walk(node: InferredType, name_path: str, json_path: str) -> InferredType:
+def share_decl(registry: DeclRegistry, kept: TypeDecl, name: str, group: str) -> Issue:
+    """Share ``kept``, a registered declaration, with a type named ``name`` in ``group``.
+
+    ``kept`` is rehomed in ``group`` when ``group`` is less, by name, than its
+    home. Reassigning a key keeps its place, so registry order and names do
+    not depend on homes. Returns the W_DECL_SHARED issue of the share.
+    """
+    if group < kept.group:
+        registry.by_body[kept.body] = replace(kept, group=group)
+    return make_issue(
+        "W_DECL_SHARED",
+        Stage.INFER,
+        f"type {name!r} is structurally identical to {kept.name!r}; sharing one declaration",
+    )
+
+
+class _Lift:
+    """The state of one ``lift_declarations`` walk.
+
+    A class rather than nested functions: a nested function that calls
+    itself holds a reference cycle that only the cyclic GC frees.
+    """
+
+    __slots__ = ("registry", "group", "base_name", "trail", "unpopulated", "issues")
+
+    def __init__(
+        self,
+        registry: DeclRegistry | None,
+        group: str,
+        base_name: str,
+        trail: list[tuple[str, TObject]] | None,
+    ):
+        self.registry = registry
+        self.group = group
+        self.base_name = base_name
+        self.trail = trail
+        self.unpopulated: list[str] = []
+        self.issues: list[Issue] = []
+
+    def walk(self, node: InferredType, suffix: str, json_path: str) -> InferredType:
         if isinstance(node, TArray):
             if node.elem is BOTTOM:
-                unpopulated.append(json_path)
-            return TArray(walk(node.elem, name_path + "Item", json_path + "[]"))
+                self.unpopulated.append(json_path)
+            return TArray(self.walk(node.elem, suffix + "Item", json_path + "[]"))
         if isinstance(node, TUnion):
-            return TUnion(tuple(walk(b, name_path, json_path) for b in node.branches))
+            return TUnion(tuple(self.walk(b, suffix, json_path) for b in node.branches))
         if isinstance(node, TObject):
-            body = TObject(
-                tuple(
-                    (n, FieldType(walk(f.type, name_path + _cap(n), f"{json_path}.{n}"), f.required))
-                    for n, f in node.fields
-                )
-            )
-            return body if registry is None else TRef(add_decl(body, name_path))
+            fields = []
+            for n, f in node.fields:
+                lifted = self.walk(f.type, suffix + _cap(n), f"{json_path}.{n}")
+                fields.append((n, FieldType(lifted, f.required)))
+            body = TObject(tuple(fields))
+            return body if self.registry is None else TRef(self.add_decl(body, suffix))
         return T_ANY if node is BOTTOM else node
 
-    return walk(t, base_name, "$"), unpopulated, issues
+    def add_decl(self, body: TObject, suffix: str) -> str:
+        registry = self.registry
+        name = self.base_name + suffix
+        kept = registry.by_body.get(body)
+        if kept is None:
+            final = fresh_name(name, registry.taken)
+            registry.by_body[body] = kept = TypeDecl(name=final, body=body, group=self.group)
+        else:
+            self.issues.append(share_decl(registry, kept, name, self.group))
+        if self.trail is not None:
+            self.trail.append((suffix, kept.body))
+        return kept.name
 
 
 def fresh_name(name: str, taken: dict[str, int]) -> str:
@@ -483,6 +521,17 @@ _DECLARED_TYPES: dict[str, InferredType] = {
 }
 
 
+def _conforms(inferred: InferredType, declared: InferredType) -> bool:
+    """Whether an example's type fits a declared type.
+
+    The declared ``array`` and ``object`` say nothing of their contents, so
+    any array, and any object, conforms to them.
+    """
+    if isinstance(declared, TObject):
+        return isinstance(inferred, TObject)
+    return unify(inferred, declared) == declared
+
+
 def type_of_parameter(param: Parameter) -> tuple[InferredType, list[Issue]]:
     """Type a documented parameter: its example wins over its declared type."""
     issues: list[Issue] = []
@@ -501,7 +550,7 @@ def type_of_parameter(param: Parameter) -> tuple[InferredType, list[Issue]]:
                     field=param.name,
                 )
             )
-        if declared is not None and unify(inferred, declared) != declared:
+        if declared is not None and not _conforms(inferred, declared):
             issues.append(
                 make_issue(
                     "W_PARAM_TYPE_CONFLICT",

@@ -8,24 +8,29 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import apibind.codegen
 from apibind.codegen import (
     _IDENTIFIER,
+    BindingFunction,
     IdentifierPolicy,
     apply_casing,
     apply_identifier_policy,
     build_reference,
     format_type,
     function_raw_name,
+    ordered_params,
     render_package,
     split_words,
 )
 from apibind.curl import HttpMethod
 from apibind.ingest import load_corpus
+from apibind.issues import Stage, make_issue
 from apibind.parse import parse_record
 from apibind.pathtemplate import parse_path_template
 from apibind.records import ApiCallRecord, RecordId
 from apibind.templates import TemplateSet, NEUTRAL_TEMPLATES
 from apibind.typeinfer import (
+    DeclRegistry,
     FieldType,
     TArray,
     TObject,
@@ -37,8 +42,11 @@ from apibind.typeinfer import (
     T_STRING,
     finalize,
     fold_examples,
+    fresh_name,
     inhabits,
+    lift_declarations,
     parse_json,
+    type_of_parameter,
 )
 from apibind.validate import cross_validate, route
 
@@ -718,3 +726,152 @@ class TestRenderPackage:
         text = "".join(render_package(ir, names, TemplateSet.neutral()).values())
         for name in names["types"].values():
             assert text.count(f"type {name} = ") == 1
+
+
+def build_without_memos(records):
+    """``build_reference``'s functions, declarations and report, every row typed afresh.
+
+    Each example is decoded, folded and lifted straight into one registry, and
+    each parameter typed on its own, however often its text or table recurs.
+    """
+    registry = DeclRegistry()
+    taken: dict[str, int] = {}
+    functions, report = [], []
+    for record in records:
+        rid, group = str(record.id), record.group or "misc"
+        base = function_raw_name(record.http_method, record.path)
+        raw_name = fresh_name(base, taken)
+        if raw_name != base:
+            message = f"function name {base!r} already taken; this record renders as {raw_name!r}"
+            report.append((rid, make_issue("W_MERGE_CONFLICT", Stage.GENERATE, message)))
+        params = []
+        for param in ordered_params(record.params or ()):
+            param_type, issues = type_of_parameter(param)
+            params.append((param, param_type))
+            report.extend((rid, issue) for issue in issues)
+        camel = "".join(word.capitalize() for word in split_words(raw_name))
+        types = {}
+        for column, suffix in (("request_example", "Request"), ("response_example", "Response")):
+            text = getattr(record, column)
+            if text is None:
+                types[column] = None
+                continue
+            raw = fold_examples([parse_json(text)])
+            types[column], unpopulated, issues = lift_declarations(
+                raw, camel + suffix, registry, group=group
+            )
+            for path in unpopulated:
+                message = f"{column} has an empty array at {path}; element type unknown"
+                issue = make_issue("W_EMPTY_ARRAY", Stage.INFER, message, field=column)
+                report.append((rid, issue))
+            report.extend((rid, issue) for issue in issues)
+        response_type = types["response_example"]
+        if response_type is None:
+            message = "no response example; response type is unconstrained"
+            issue = make_issue("W_NO_EXAMPLE", Stage.INFER, message, field="response_example")
+            report.append((rid, issue))
+            response_type = T_ANY
+        functions.append(
+            BindingFunction(
+                raw_name, tuple(params), types["request_example"], response_type, group, record
+            )
+        )
+    return functions, list(registry.by_body.values()), report
+
+
+_memo_docs = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from(("s", "")),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.sampled_from(_PROPERTY_FIELDS), inner, max_size=3),
+    max_leaves=6,
+)
+_memo_params = st.fixed_dictionaries(
+    {"name": st.sampled_from(("id", "q", "body"))},
+    optional={
+        "in": st.sampled_from(("path", "query", "header", "body", "nowhere")),
+        "type": st.sampled_from(("string", "integer", "object", "array")),
+        "example": _memo_docs,
+    },
+)
+#: (path, method, group, request, response, table): the last three index
+#: into pools of example texts and parameter tables, or are None.
+_memo_rows = st.tuples(
+    st.sampled_from(_PROPERTY_PATHS),
+    st.sampled_from((HttpMethod.GET, HttpMethod.POST)),
+    st.sampled_from(("b", "a", "c", None)),
+    st.none() | st.integers(0, 2),
+    st.none() | st.integers(0, 2),
+    st.none() | st.integers(0, 1),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_memo_docs.map(json.dumps), min_size=3, max_size=3),
+    st.lists(st.lists(_memo_params, max_size=3).map(json.dumps), min_size=2, max_size=2),
+    st.lists(_memo_rows, min_size=1, max_size=10),
+)
+@example(
+    # One nested text four times, its group falling after it first rises.
+    ['{"a": {"b": [{"a": 1}]}, "A": []}', '{"a": 1}', "[]"],
+    ['[{"name": "id", "type": "object", "example": {"a": 1}}]', '[{"name": "q"}]'],
+    [
+        ("/v1/a", HttpMethod.GET, "b", 0, 0, 0),
+        ("/v1/b", HttpMethod.POST, "c", 1, 0, 0),
+        ("/v1/a", HttpMethod.GET, "a", None, 0, 1),
+        ("/v/1/a", HttpMethod.POST, None, 0, 2, 0),
+    ],
+)
+def test_build_reference_equals_a_build_without_memos(texts, tables, rows):
+    records = [
+        make_valid(
+            f"r{i}",
+            path=path,
+            method=method,
+            group=group,
+            request_example=None if request is None else texts[request],
+            response_example=None if response is None else texts[response],
+            raw_parameters=None if table is None else tables[table],
+        )
+        for i, (path, method, group, request, response, table) in enumerate(rows)
+    ]
+    ir = build_reference(records)
+    functions, decls, report = build_without_memos(records)
+    assert list(ir.functions) == functions
+    assert [(d.name, d.group) for d in ir.decls] == [(d.name, d.group) for d in decls]
+    assert list(ir.decls) == decls
+    assert list(ir.report) == report
+
+
+def test_build_lifts_each_text_at_most_twice_and_types_each_table_once(monkeypatch):
+    counts = {"lift": 0, "param": 0}
+
+    def counted(key, function):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(apibind.codegen, "lift_declarations", counted("lift", lift_declarations))
+    monkeypatch.setattr(apibind.codegen, "type_of_parameter", counted("param", type_of_parameter))
+    texts = ['{"a": {"b": 1}}', '{"a": []}', '{"b": [{"a": 1}]}', '{"c": {"b": 1}}']
+    tables = [json.dumps([{"name": "id"}, {"name": "q", "in": "query"}]), '[{"name": "x"}]']
+    records = [
+        make_valid(
+            f"r{i}",
+            path=f"/v1/r{i}",
+            method=(HttpMethod.GET, HttpMethod.POST)[i % 2],
+            group=("b", "a")[i % 2],
+            request_example=texts[0] if i % 3 == 0 else None,
+            response_example=texts[0 if i < 10 else 1 if i < 12 else 2 if i < 19 else 3],
+            raw_parameters=tables[0] if i % 2 == 0 or i % 5 == 0 else tables[1],
+        )
+        for i in range(20)
+    ]
+    ir = build_reference(records)
+    # Three texts recur (17, 2 and 7 times): two lifts each. One occurs once.
+    assert counts["lift"] == 2 + 2 + 2 + 1
+    # (tables[0], GET), (tables[0], POST) and (tables[1], POST): 2 + 2 + 1 parameters.
+    assert counts["param"] == 5
+    assert build_without_memos(records) == (list(ir.functions), list(ir.decls), list(ir.report))

@@ -86,3 +86,58 @@ def test_no_dollar_anchors_in_apibind():
     for path in sorted(SOURCE.glob("*.py")):
         found += dollar_anchors(path.read_text(encoding="utf-8"), path.name)
     assert found == [], "end these patterns with \\Z, not $: " + ", ".join(found)
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def self_referring_nested_functions(source: str, filename: str) -> list[str]:
+    """Functions defined inside a function that use their own name, as ``file:line``.
+
+    Such a function reaches itself through its closure cell, so every call of
+    the outer function leaves a function-cell cycle for the cyclic GC.
+    """
+    nested = {}  # line -> function defined inside another function
+    for outer in ast.walk(ast.parse(source, filename)):
+        if isinstance(outer, _FUNCTIONS):
+            for node in ast.walk(outer):
+                if node is not outer and isinstance(node, _FUNCTIONS):
+                    nested[node.lineno] = node
+    return [
+        f"{filename}:{line}"
+        for line, node in sorted(nested.items())
+        if any(isinstance(n, ast.Name) and n.id == node.name for n in ast.walk(node))
+    ]
+
+
+def test_rule_sees_self_referring_nested_functions():
+    source = """
+def outer():
+    def walk(n):
+        return walk(n - 1) if n else 0
+    def helper():
+        return walk(1)
+    return helper()
+
+def top(n):
+    return top(n - 1) if n else 0
+
+class C:
+    def method(self):
+        return self.method
+
+def outer2():
+    def inner():
+        async def deeper():
+            return deeper
+        return deeper
+    return inner
+"""
+    assert self_referring_nested_functions(source, "probe.py") == ["probe.py:3", "probe.py:18"]
+
+
+def test_no_self_referring_nested_functions_in_apibind():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        found += self_referring_nested_functions(path.read_text(encoding="utf-8"), path.name)
+    assert found == [], "make these module-level functions or methods: " + ", ".join(found)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import pickle
 import random
 
@@ -30,6 +31,7 @@ from apibind.typeinfer import (
     inhabits,
     lift_declarations,
     parse_json,
+    share_decl,
     type_of_parameter,
     unify,
 )
@@ -325,6 +327,39 @@ class TestLift:
         lift_declarations(shared, "Late", registry, group="c")
         assert homes() == [("Shared", "a"), ("Other", "b")]
 
+    def test_replaying_a_trail_repeats_a_lift(self):
+        raw = fold_examples([{"a": {"b": [{"c": 1}]}, "d": {"c": 1}}])
+        walked, replayed = DeclRegistry(), DeclRegistry()
+        for registry in (walked, replayed):
+            lift_declarations(fold_examples([{"c": 1}]), "Seed", registry, group="m")
+        trail = []
+        first = lift_declarations(raw, "First", replayed, group="m", trail=trail)
+        assert [suffix for suffix, _ in trail] == ["ABItem", "A", "D", ""]
+        assert all(replayed.by_body[body].body is body for _, body in trail)
+        lift_declarations(raw, "First", walked, group="m")
+
+        again = lift_declarations(raw, "Again", walked, group="b")
+        issues = [
+            share_decl(replayed, replayed.by_body[body], "Again" + suffix, "b")
+            for suffix, body in trail
+        ]
+        assert again == (first[0], first[1], issues)
+        assert list(walked.by_body.values()) == list(replayed.by_body.values())
+        assert {d.group for d in walked.by_body.values()} == {"b"}
+
+    def test_lifts_leave_no_cyclic_garbage(self):
+        raw = fold_examples([{"a": {"b": [1, {"c": []}]}, "d": [{"e": None}], "f": [[]]}])
+        gc.collect()
+        gc.disable()
+        try:
+            registry = DeclRegistry()
+            for i in range(50):
+                lift_declarations(raw, f"T{i % 7}", registry, group=f"g{i % 3}", trail=[])
+                finalize(raw)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestTypeOfParameter:
     def param(self, **kwargs):
@@ -370,6 +405,22 @@ class TestTypeOfParameter:
         t, issues = type_of_parameter(self.param(declared_type="object"))
         assert t == TObject(())
         assert [i.code for i in issues] == ["W_PARAM_TYPE_OPAQUE"]
+
+    def test_any_object_example_conforms_to_a_declared_object(self):
+        # Like a declared array, a declared object says nothing of its contents.
+        for example in ({"a": 1}, {}, {"a": {"b": [1]}, "c": None}):
+            t, issues = type_of_parameter(self.param(declared_type="object", example=example))
+            assert t == finalize(fold_examples([example]))[0]
+            assert issues == [], example
+
+    def test_a_non_object_example_conflicts_with_a_declared_object(self):
+        for example, shown in ((3, "int"), (None, "null"), ([{"a": 1}], "[{a: int}]")):
+            t, issues = type_of_parameter(self.param(declared_type="object", example=example))
+            assert [i.code for i in issues] == ["W_PARAM_TYPE_CONFLICT"], example
+            assert issues[0].message == (
+                f"parameter 'p': example types as {shown} but docs declare 'object'; "
+                "the example wins"
+            )
 
     def test_unknown_declared_type_defaults(self):
         t, issues = type_of_parameter(self.param(declared_type="uuid"))
