@@ -3,7 +3,8 @@
 ``analyze`` and ``generate`` share one gate (``_gate``) and one out-dir
 layout (``OUT_FILES`` beside ``PACKAGE_DIR``). A run whose outputs would
 overwrite or remove an input or its rejects file is refused before anything
-is written, and so is a bad ``--templates`` or ``--identifier-policy``.
+is written, and so is a bad ``--templates`` or ``--identifier-policy``, or
+a ``generate`` input whose file stem, the package name, is not printable.
 
 Every file either command writes goes through one ``_AllOrNone`` writer:
 each output is streamed into a temp file beside its target, the stage CSVs
@@ -37,6 +38,7 @@ from .ingest import CorpusError, load_corpus, merge_corpus, write_stage
 from .parse import parse_record
 from .records import ApiCallRecord
 from .templates import RenderError, TemplateError, TemplateSet
+from .typeinfer import SURROGATE, UNPRINTABLE
 from .validate import (
     cross_validate,
     dashboard,
@@ -68,6 +70,20 @@ def _refuse_overwrites(inputs: list[Path], out_dir: Path, rejects: Path) -> None
             raise ValueError(f"{path} would be overwritten or removed by a run into {out_dir}")
     if rejects.resolve() in {path.resolve() for path in inputs}:
         raise ValueError(f"rejects path {rejects} is an input")
+
+
+def _package_name(path: Path) -> str:
+    """``path``'s stem, which names the package; ``ValueError`` if it is not printable text.
+
+    The name is written into the manifest and every module header, so a stem
+    with a line break or another control character would add lines to them,
+    and one with a surrogate (from a file-name byte that is not UTF-8) could
+    not be written at all.
+    """
+    name = path.stem
+    if UNPRINTABLE.search(name) or SURROGATE.search(name):
+        raise ValueError(f"package name {name!r} (the stem of {str(path)!r}) is not printable text")
+    return name
 
 
 def _remove_stale_modules(out_dir: Path, written: Collection[str]) -> None:
@@ -209,6 +225,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    package_name = _package_name(args.input[0])
     templates = (
         TemplateSet.load_dir(args.templates)
         if args.templates is not None
@@ -229,7 +246,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
     with _AllOrNone() as out:
         write_stage(rejected, out.path(rejects))
-        ir = build_reference(valid, package_name=args.input[0].stem)
+        ir = build_reference(valid, package_name=package_name)
         names = apply_identifier_policy(ir, policy)
         report = {
             "package": {

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -64,8 +64,12 @@ class BindingFunction:
     params: tuple[tuple[Parameter, InferredType], ...]
     request_type: InferredType | None
     response_type: InferredType
-    group: str  # the record's documentation group, "misc" when it has none
     record: ApiCallRecord
+
+    @property
+    def group(self) -> str:
+        """The record's documentation group, "misc" when it has none."""
+        return self.record.group or "misc"
 
 
 @dataclass(frozen=True)
@@ -123,17 +127,15 @@ def build_reference(
     module renders it.
 
     The build pays once per distinct example text and parameter table, not
-    once per row. An example text is decoded, folded and lifted at most
-    twice: from its second occurrence on, its lifted type, unpopulated
-    arrays and declaration trail are kept, and each later row replays the
-    trail (one W_DECL_SHARED per declaration, named from the row's own
-    function, and a rehome when the row's group is less) instead of
-    walking again. A corpus that never repeats an example keeps nothing
-    extra. A parameter table is typed once per (table text, method), the
-    key its parse is memoized under. Records must have been loaded, parsed
-    and routed: a record without a parsed path, or with an example that is
-    not standard JSON (parse tags those E_JSON_CELL and the gate rejects
-    them), is a caller error here, not a data issue.
+    once per row. Each distinct example text is decoded, folded and lifted
+    once: its lifted type, unpopulated arrays and declaration trail are kept,
+    and each later row replays the trail (one W_DECL_SHARED per declaration,
+    named from the row's own function, and a rehome when the row's group is
+    less) instead of walking again. A parameter table is typed once per
+    (table text, method), the key its parse is memoized under. Records must
+    have been loaded, parsed and routed: a record without a parsed path, or
+    with an example that is not standard JSON (parse tags those E_JSON_CELL
+    and the gate rejects them), is a caller error here, not a data issue.
     """
     functions: list[BindingFunction] = []
     report: list[tuple[str, Issue]] = []
@@ -141,36 +143,8 @@ def build_reference(
     registry = DeclRegistry()
     # Example text -> (lifted type, unpopulated paths, declaration trail).
     lifts: dict[str, tuple[InferredType, list[str], list[tuple[str, TObject]]]] = {}
-    seen: set[str] = set()
     # (parameter table, method) -> (typed signature in convention order, its issues).
     signatures: dict[tuple, tuple[tuple[tuple[Parameter, InferredType], ...], list[Issue]]] = {}
-
-    def example_type(
-        rid: str, group: str, text: str | None, base: str, column: str
-    ) -> InferredType | None:
-        if text is None:
-            return None
-        kept = lifts.get(text)
-        if kept is None:
-            trail: list[tuple[str, TObject]] = []
-            lifted, unpopulated, lift_issues = lift_declarations(
-                fold_examples([parse_json(text)]), base, registry, group=group, trail=trail
-            )
-            if text in seen:
-                lifts[text] = (lifted, unpopulated, trail)
-            else:
-                seen.add(text)
-        else:
-            lifted, unpopulated, trail = kept
-            lift_issues = [
-                share_decl(registry, registry.by_body[body], base + suffix, group)
-                for suffix, body in trail
-            ]
-        for path in unpopulated:
-            message = f"{column} has an empty array at {path}; element type unknown"
-            report.append((rid, make_issue("W_EMPTY_ARRAY", Stage.INFER, message, field=column)))
-        report.extend((rid, issue) for issue in lift_issues)
-        return lifted
 
     for record in valid_records:
         template = record.path
@@ -207,13 +181,33 @@ def build_reference(
         typed_params, param_issues = signatures[key]
         report.extend((rid, issue) for issue in param_issues)
 
-        camel = _upper_camel(raw_name)
-        request_type = example_type(
-            rid, group, record.request_example, camel + "Request", "request_example"
-        )
-        response_type = example_type(
-            rid, group, record.response_example, camel + "Response", "response_example"
-        )
+        camel = apply_casing(raw_name, "upper-camel")
+        types: dict[str, InferredType | None] = {}
+        for column, kind in (("request_example", "Request"), ("response_example", "Response")):
+            text = getattr(record, column)
+            if text is None:
+                types[column] = None
+                continue
+            kept = lifts.get(text)
+            if kept is None:
+                trail: list[tuple[str, TObject]] = []
+                lifted, unpopulated, lift_issues = lift_declarations(
+                    fold_examples([parse_json(text)]), camel + kind, registry, group=group, trail=trail
+                )
+                lifts[text] = (lifted, unpopulated, trail)
+            else:
+                lifted, unpopulated, trail = kept
+                lift_issues = [
+                    share_decl(registry, registry.by_body[body], camel + kind + suffix, group)
+                    for suffix, body in trail
+                ]
+            for path in unpopulated:
+                message = f"{column} has an empty array at {path}; element type unknown"
+                report.append((rid, make_issue("W_EMPTY_ARRAY", Stage.INFER, message, field=column)))
+            report.extend((rid, issue) for issue in lift_issues)
+            types[column] = lifted
+
+        response_type = types["response_example"]
         if response_type is None:
             report.append(
                 (
@@ -232,9 +226,8 @@ def build_reference(
             BindingFunction(
                 raw_name=raw_name,
                 params=typed_params,
-                request_type=request_type,
+                request_type=types["request_example"],
                 response_type=response_type,
-                group=group,
                 record=record,
             )
         )
@@ -246,10 +239,6 @@ def build_reference(
         package_name=package_name,
         corpus_digest=corpus_digest(valid_records),
     )
-
-
-def _upper_camel(raw: str) -> str:
-    return "".join(word.capitalize() for word in split_words(raw))
 
 
 # --- identifier policy ------------------------------------------------------
@@ -282,15 +271,16 @@ class IdentifierPolicy:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
             raise ValueError(f"identifier policy {path} is not a JSON object")
+        keys = [field.name for field in dataclass_fields(cls)]
+        unknown = sorted(set(doc) - set(keys))
+        if unknown:
+            raise ValueError(
+                f"identifier policy {path}: unknown key {unknown[0]!r}; expected {', '.join(keys)}"
+            )
         reserved = doc.get("reserved_words", sorted(_DEFAULT_RESERVED))
         if not isinstance(reserved, list) or not all(isinstance(w, str) for w in reserved):
             raise ValueError(f"identifier policy {path}: reserved_words is not a list of strings")
-        return cls(
-            casing_function=doc.get("casing_function", "lower-camel"),
-            casing_type=doc.get("casing_type", "upper-camel"),
-            casing_field=doc.get("casing_field", "snake"),
-            reserved_words=frozenset(reserved),
-        )
+        return cls(**{**doc, "reserved_words": frozenset(reserved)})
 
 
 #: One word: an acronym before a non-lowercase character, a capitalised

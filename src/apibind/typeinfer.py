@@ -108,6 +108,10 @@ class TRef(InferredType):
 #: ``str.splitlines`` breaks on is among them.
 UNPRINTABLE = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
+#: A surrogate code point, which is never half of a pair in a ``str``: UTF-8
+#: cannot encode one, so no output file could hold it.
+SURROGATE = re.compile("[\ud800-\udfff]")
+
 
 def _wire_text(wire: str) -> str:
     """A wire name as a module writes it.
@@ -154,6 +158,10 @@ class JsonParseError(ValueError):
 MAX_JSON_DEPTH = 128
 _TOO_DEEP = f"document nested deeper than {MAX_JSON_DEPTH} levels"
 
+#: The escape of a surrogate code point, ``\\uD800`` to ``\\uDFFF``: a
+#: strict UTF-8 text can hold a surrogate only through one.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
 
 def _reject_constant(token: str):
     raise JsonParseError(f"non-standard JSON token {token}", 0)
@@ -168,7 +176,9 @@ def parse_json(text: str):
 
     A lexeme with a decimal point or exponent is non-integral even when its
     value is whole (``1e3`` types as float). NaN/Infinity are rejected, and
-    so are documents nested deeper than ``MAX_JSON_DEPTH``.
+    so are documents nested deeper than ``MAX_JSON_DEPTH`` and documents
+    with a key or string that holds a lone surrogate (a ``\\u`` escape of
+    half a surrogate pair), which no UTF-8 output can carry.
     """
     try:
         doc = _DECODER.decode(text)
@@ -179,6 +189,11 @@ def parse_json(text: str):
     # Only a text with that many brackets can nest that deep.
     if text.count("[") + text.count("{") > MAX_JSON_DEPTH and _depth(doc) > MAX_JSON_DEPTH:
         raise JsonParseError(_TOO_DEEP, 0)
+    # Re-encoded without escapes, every key and string of the document shows as it is.
+    if _SURROGATE_ESCAPE.search(text):
+        lone = SURROGATE.search(json.dumps(doc, ensure_ascii=False))
+        if lone:
+            raise JsonParseError(f"lone surrogate \\u{ord(lone.group()):04x} in a string", 0)
     return doc
 
 

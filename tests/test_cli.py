@@ -314,6 +314,7 @@ class TestGenerate:
         [
             ("--templates", "tpl", None),
             ("--identifier-policy", "policy.json", "[]"),
+            ("--identifier-policy", "misspelt.json", '{"casing_fucntion": "snake"}'),
             ("--identifier-policy", "absent.json", None),
         ],
     )
@@ -363,6 +364,7 @@ class TestGenerate:
             ("[]", "not a JSON object"),
             ('{"reserved_words": "def"}', "reserved_words"),
             ('{"reserved_words": ["def", 1]}', "reserved_words"),
+            ('{"casing_fucntion": "snake"}', "unknown key 'casing_fucntion'"),
         ):
             policy.write_text(text, encoding="utf-8")
             argv = ["generate", "--input", corpus12_path, "--out-dir", tmp_path / "out"]
@@ -552,6 +554,24 @@ class TestFailedRunChangesNothing:
         captured = capsys.readouterr()
         assert captured.out == "rejected b1: E_PATH_SYNTAX,W_NO_EXAMPLE\nrejected b2: E_JSON_CELL\n"
         assert captured.err == "no valid records; nothing to generate\n"
+
+    @pytest.mark.parametrize(
+        "stem", ["evil\nfunction pwn() -> any", "tab\tstop", os.fsdecode(b"latin\xe9")]
+    )
+    def test_unprintable_package_name(self, stem, generated, corpus12_path, tmp_path, capsys):
+        """The input's stem names the package in the manifest and every module
+        header: one that would add a line, or that is no text, is refused."""
+        corpus = tmp_path / f"{stem}.csv"
+        corpus.write_bytes(corpus12_path.read_bytes())
+        capsys.readouterr()
+        self.assert_fails_changing_nothing(["generate", "--input", corpus], *generated)
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: package name {stem!r} ")
+        # Refused before the corpus is read: an absent file gets the same error.
+        absent = tmp_path / "gone" / f"{stem}.csv"
+        assert run(["generate", "--input", absent, "--out-dir", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: package name {stem!r} ")
+        assert not (tmp_path / "o").exists()
 
     def test_failed_write_of_the_second_module(
         self, generated, corpus12_path, tmp_path, capsys, monkeypatch
@@ -834,6 +854,66 @@ class TestHostileCells:
             ("evil", "E_PATH_SYNTAX", "control character '\\n' at offset 2"),
             ("var", "E_PATH_SYNTAX", "control character '\\n' at offset 5"),
         ]
+
+    def test_lone_surrogate_is_tagged_not_fatal(self, tmp_path):
+        """A JSON cell whose ``\\u`` escape decodes to half a surrogate pair is
+        E_JSON_CELL; no output has to carry the surrogate, and the other rows
+        come out exactly as they do without these."""
+        lone = '{"\\ud800x": 1}'
+        ok = '{"ok":true}'
+        kept = [
+            {"record_id": "ok", "path": "/v1/ok", "response_example": ok},
+            {
+                "record_id": "curl",
+                "http_method": "POST",
+                "path": "/v1/curl",
+                "curl_example": f"curl -d '{lone}' https://api.example.com/v1/curl",
+                "response_example": ok,
+            },
+        ]
+        surrogates = [
+            {"record_id": "resp", "path": "/v1/resp", "response_example": lone},
+            {"record_id": "req", "path": "/v1/req", "request_example": lone, "response_example": ok},
+            {
+                "record_id": "par",
+                "path": "/v1/par",
+                "parameters": '[{"name": "\\ud800q", "in": "path"}]',
+                "response_example": ok,
+            },
+            {
+                "record_id": "iss",
+                "path": "/v1/iss",
+                "response_example": ok,
+                "issues": '[{"code": "W_NO_EXAMPLE", "stage": "Infer", "message": "\\udc80"}]',
+            },
+        ]
+        (tmp_path / "all").mkdir()
+        (tmp_path / "kept").mkdir()
+        corpus = write_cells(tmp_path / "all" / "c.csv", kept + surrogates)
+        control = write_cells(tmp_path / "kept" / "c.csv", kept)
+        for name, path in (("all", corpus), ("kept", control)):
+            assert run(["analyze", "--input", path, "--out-dir", tmp_path / name / "a"]) == 0
+            assert run(["generate", "--input", path, "--out-dir", tmp_path / name / "g"]) == 0
+
+        rejected = {str(r.id): r for r in load_corpus(tmp_path / "all" / "a" / "rejects.csv")}
+        assert sorted(rejected) == ["iss", "par", "req", "resp"]
+        for rid, column in (
+            ("resp", "response_example"),
+            ("req", "request_example"),
+            ("par", "parameters"),
+            ("iss", "issues"),
+        ):
+            tags = [(i.code, i.field) for i in rejected[rid].issues]
+            assert ("E_JSON_CELL", column) in tags, rid
+            assert any("lone surrogate" in i.message for i in rejected[rid].issues), rid
+        stage = (tmp_path / "all" / "a" / "analyzed.csv").read_text(encoding="utf-8")
+        control_stage = (tmp_path / "kept" / "a" / "analyzed.csv").read_text(encoding="utf-8")
+        assert stage.splitlines()[: len(kept) + 1] == control_stage.splitlines()
+        assert read_tree(tmp_path / "all" / "g" / "package") == read_tree(
+            tmp_path / "kept" / "g" / "package"
+        )
+        names = [(tmp_path / d / "g" / "name_map.json").read_bytes() for d in ("all", "kept")]
+        assert names[0] == names[1]
 
     def test_cells_over_128_kib(self, tmp_path):
         big = json.dumps({"blob": "x" * (200 * 1024)})

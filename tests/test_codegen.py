@@ -773,7 +773,7 @@ def build_without_memos(records):
             response_type = T_ANY
         functions.append(
             BindingFunction(
-                raw_name, tuple(params), types["request_example"], response_type, group, record
+                raw_name, tuple(params), types["request_example"], response_type, record
             )
         )
     return functions, list(registry.by_body.values()), report
@@ -843,7 +843,7 @@ def test_build_reference_equals_a_build_without_memos(texts, tables, rows):
     assert list(ir.report) == report
 
 
-def test_build_lifts_each_text_at_most_twice_and_types_each_table_once(monkeypatch):
+def test_build_lifts_each_text_once_and_types_each_table_once(monkeypatch):
     counts = {"lift": 0, "param": 0}
 
     def counted(key, function):
@@ -870,8 +870,8 @@ def test_build_lifts_each_text_at_most_twice_and_types_each_table_once(monkeypat
         for i in range(20)
     ]
     ir = build_reference(records)
-    # Three texts recur (17, 2 and 7 times): two lifts each. One occurs once.
-    assert counts["lift"] == 2 + 2 + 2 + 1
+    # Three texts recur (17, 2 and 7 times) and one occurs once: one lift each.
+    assert counts["lift"] == 4
     # (tables[0], GET), (tables[0], POST) and (tables[1], POST): 2 + 2 + 1 parameters.
     assert counts["param"] == 5
     assert build_without_memos(records) == (list(ir.functions), list(ir.decls), list(ir.report))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import json
 import pickle
 import random
 
@@ -40,6 +41,12 @@ from .gen import gen_json_doc, nested_json
 from .universe import enumerate_universe, lattice_le, obj
 
 
+#: Strings of high and low surrogates and their neighbours: pairs, lone halves and reversals.
+_near_surrogates = st.text(
+    st.sampled_from("a\ud7ff\ud800\ud83d\udbff\udc00\ude00\udfff\ue000"), max_size=4
+)
+
+
 class TestParseJson:
     def test_object_with_int(self):
         assert parse_json('{"a":1}') == {"a": 1}
@@ -71,6 +78,44 @@ class TestParseJson:
     def test_brackets_inside_strings_do_not_nest(self):
         text = '{"s": "' + "[{" * MAX_JSON_DEPTH + '"}'
         assert parse_json(text) == {"s": "[{" * MAX_JSON_DEPTH}
+
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            r'{"\ud800x": 1}',
+            r'{"a": "x\uDFFF"}',
+            r'[1, ["\udc80"]]',
+            r'"\ude00\ud83d"',
+            r'{"k": {"\ud83d": null}}',
+        ],
+    )
+    def test_lone_surrogate_rejected(self, text):
+        with pytest.raises(JsonParseError, match="lone surrogate"):
+            parse_json(text)
+
+    def test_surrogate_pair_and_escaped_backslash_accepted(self):
+        assert parse_json(r'{"\ud83d\ude00": "\uD83D\uDE00"}') == {"\U0001f600": "\U0001f600"}
+        assert parse_json(r'"\\ud800"') == "\\ud800"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.recursive(
+            _near_surrogates,
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(_near_surrogates, inner, max_size=3),
+            max_leaves=6,
+        )
+    )
+    def test_accepted_documents_encode_as_utf8(self, doc):
+        text = json.dumps(doc)  # ASCII: every surrogate is a \u escape
+        try:
+            json.dumps(json.loads(text), ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            with pytest.raises(JsonParseError, match="lone surrogate"):
+                parse_json(text)
+        else:
+            assert parse_json(text) == json.loads(text)
 
 
 class TestInferValueType:
