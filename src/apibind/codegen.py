@@ -356,7 +356,7 @@ def apply_identifier_policy(ir: BindingIr, policy: IdentifierPolicy) -> dict:
     for decl in ir.decls:
         taken: dict[str, int] = {}
         fields[types[decl.name]] = {
-            wire: field_identifier(wire, taken) for wire, _ in decl.body.fields
+            wire: field_identifier(wire, taken) for wire, _, _ in decl.body.fields
         }
     fn_taken: dict[str, int] = {}
     functions = {}
@@ -428,11 +428,11 @@ def _type_ctx(decl: TypeDecl, names: dict) -> dict:
         "fields": [
             {
                 "field_name": field_names[wire],
-                "optional_mark": "" if field.required else "?",
-                "field_type": format_type(field.type, names["types"]),
+                "optional_mark": "" if required else "?",
+                "field_type": format_type(field_type, names["types"]),
                 "wire_note": f"  (wire {_wire_text(wire)})" if field_names[wire] != wire else "",
             }
-            for wire, field in decl.body.fields
+            for wire, field_type, required in decl.body.fields
         ],
     }
 

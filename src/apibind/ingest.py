@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -53,9 +54,13 @@ def load_corpus(path: str | Path) -> list[ApiCallRecord]:
 
     Accepts both raw input files and stage outputs (which carry the extra
     ``issues`` column). A bad ``http_method`` or ``issues`` cell tags the
-    record; every other cell is kept as raw text for ``parse_record``.
+    record; every other cell is kept as raw text for ``parse_record``. A row
+    without a ``record_id`` is named ``<file stem>:<row number>``; a stem
+    byte that is not UTF-8 is written as a ``\\xNN`` escape, so every id can
+    be written to a UTF-8 output.
     """
     path = Path(path)
+    stem = os.fsencode(path.stem).decode("utf-8", "backslashreplace")
     csv.field_size_limit(1 << 30)  # a large example is data, not broken framing
     try:
         # newline="" leaves quoted line breaks to the csv module, which is
@@ -84,7 +89,7 @@ def load_corpus(path: str | Path) -> list[ApiCallRecord]:
             name: (row[i] if i < len(row) and row[i] != "" else None)
             for name, i in index.items()
         }
-        records.append(_record_from_cells(cells, path.stem, row_number))
+        records.append(_record_from_cells(cells, stem, row_number))
     return records
 
 

@@ -55,21 +55,17 @@ class PathTemplate:
         return tuple(s.name for s in self.segments if isinstance(s, Variable))
 
     def render(self) -> str:
-        return render_path_template(self)
+        """Canonical string form: '/'-joined segments with a leading '/'.
 
-
-def render_path_template(template: PathTemplate) -> str:
-    """Canonical string form: '/'-joined segments with a leading '/'.
-
-    The empty template renders as the root path '/'.
-    """
-    parts = []
-    for seg in template.segments:
-        if isinstance(seg, Variable):
-            parts.append("{" + seg.name + "}")
-        else:
-            parts.append(seg.text)
-    return "/" + "/".join(parts)
+        The empty template renders as the root path '/'.
+        """
+        parts = []
+        for seg in self.segments:
+            if isinstance(seg, Variable):
+                parts.append("{" + seg.name + "}")
+            else:
+                parts.append(seg.text)
+        return "/" + "/".join(parts)
 
 
 def parse_path_template(raw: str) -> tuple[PathTemplate | None, list[Issue]]:

@@ -5,7 +5,9 @@ two types, and a set of example documents is typed by folding ``unify``
 over the per-document types starting from the bottom seed. Heterogeneous
 scalars meet in unions, object types merge field-wise (a field missing on
 one side becomes optional), and integers widen to floats rather than
-forming a union, matching every target language's numeric tower.
+forming a union, matching every target language's numeric tower. An object
+type's fields are plain ``(wire name, type, required)`` triples, sorted by
+name, so equality and hashing are structural.
 
 The bottom seed is internal: any residue it leaves (an array no example
 ever populated) is published as the unconstrained type.
@@ -66,23 +68,15 @@ def _atom(label: str) -> _Atom:
 
 
 @dataclass(frozen=True)
-class FieldType:
-    type: InferredType
-    required: bool
-
-
-@dataclass(frozen=True)
 class TArray(InferredType):
     elem: InferredType
 
 
 @dataclass(frozen=True)
 class TObject(InferredType):
-    #: (name, field) pairs, sorted by name by every builder so equality is structural.
-    fields: tuple[tuple[str, FieldType], ...]
-
-    def field_map(self) -> dict[str, FieldType]:
-        return dict(self.fields)
+    #: (wire name, type, required) triples, sorted by name by every builder so
+    #: equality is structural.
+    fields: tuple[tuple[str, InferredType, bool], ...]
 
 
 @dataclass(frozen=True)
@@ -137,9 +131,8 @@ def format_type(t: InferredType, type_names: dict[str, str] | None = None) -> st
         if not t.fields:
             return "{}"
         inner = ", ".join(
-            f"{_wire_text(name)}{'' if field.required else '?'}: "
-            f"{format_type(field.type, type_names)}"
-            for name, field in t.fields
+            f"{_wire_text(name)}{'' if required else '?'}: {format_type(field_type, type_names)}"
+            for name, field_type, required in t.fields
         )
         return "{" + inner + "}"
     raise TypeError(f"cannot format {t!r}")
@@ -277,17 +270,16 @@ def _normalize(branches: tuple[InferredType, ...]) -> InferredType:
 
 
 def _merge_objects(a: TObject, b: TObject) -> TObject:
-    left, right = a.field_map(), b.field_map()
+    right = {name: (t, required) for name, t, required in b.fields}
     fields = []
-    for name in sorted(set(left) | set(right)):
-        fa, fb = left.get(name), right.get(name)
-        if fa is not None and fb is not None:
-            fields.append((name, FieldType(unify(fa.type, fb.type), fa.required and fb.required)))
+    for name, t, required in a.fields:
+        if name in right:
+            t_b, required_b = right.pop(name)
+            fields.append((name, unify(t, t_b), required and required_b))
         else:
-            present = fa if fa is not None else fb
-            assert present is not None
-            fields.append((name, FieldType(present.type, False)))
-    return TObject(tuple(fields))
+            fields.append((name, t, False))
+    fields.extend((name, t, False) for name, (t, _) in right.items())
+    return TObject(tuple(sorted(fields, key=lambda field: field[0])))
 
 
 def fold_examples(docs: list[Any]) -> InferredType:
@@ -315,10 +307,7 @@ def _infer_raw(value: Any) -> InferredType:
             elem = unify(elem, _infer_raw(item))
         return TArray(elem)
     if isinstance(value, dict):
-        fields = tuple(
-            (name, FieldType(_infer_raw(item), True)) for name, item in sorted(value.items())
-        )
-        return TObject(fields)
+        return TObject(tuple((n, _infer_raw(item), True) for n, item in sorted(value.items())))
     raise TypeError(f"not a JSON value: {value!r}")
 
 
@@ -358,16 +347,15 @@ def inhabits(value: Any, t: InferredType) -> bool:
     if isinstance(t, TObject):
         if not isinstance(value, dict):
             return False
-        declared = t.field_map()
-        if any(key not in declared for key in value):
-            return False
-        for name, field in declared.items():
+        present = 0  # declared names the document holds; any other key is undeclared
+        for name, field_type, required in t.fields:
             if name in value:
-                if not inhabits(value[name], field.type):
+                present += 1
+                if not inhabits(value[name], field_type):
                     return False
-            elif field.required:
+            elif required:
                 return False
-        return True
+        return present == len(value)
     if isinstance(t, TUnion):
         return any(inhabits(value, b) for b in t.branches)
     raise TypeError(f"cannot check membership of {t!r}")
@@ -479,11 +467,12 @@ class _Lift:
         if isinstance(node, TUnion):
             return TUnion(tuple(self.walk(b, suffix, json_path) for b in node.branches))
         if isinstance(node, TObject):
-            fields = []
-            for n, f in node.fields:
-                lifted = self.walk(f.type, suffix + _cap(n), f"{json_path}.{n}")
-                fields.append((n, FieldType(lifted, f.required)))
-            body = TObject(tuple(fields))
+            body = TObject(
+                tuple(
+                    (n, self.walk(t, suffix + _cap(n), f"{json_path}.{n}"), required)
+                    for n, t, required in node.fields
+                )
+            )
             return body if self.registry is None else TRef(self.add_decl(body, suffix))
         return T_ANY if node is BOTTOM else node
 

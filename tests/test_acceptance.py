@@ -18,7 +18,7 @@ from apibind.curl import HttpMethod, parse_curl, tokenize_shell
 from apibind.ingest import load_corpus, record_id_census, write_stage
 from apibind.issues import CATALOG, Severity, Stage, make_issue
 from apibind.parse import parse_record
-from apibind.pathtemplate import parse_path_template, render_path_template
+from apibind.pathtemplate import parse_path_template
 from apibind.records import ApiCallRecord, RecordId
 from apibind.typeinfer import BOTTOM, T_ANY, finalize, fold_examples, inhabits, unify
 from apibind.validate import cross_validate, dashboard, merge_dashboards, route
@@ -177,7 +177,7 @@ def test_criterion_5_round_trips(tmp_path):
     template_trials = 1000
     for _ in range(template_trials):
         template = gen_template(rng)
-        parsed, issues = parse_path_template(render_path_template(template))
+        parsed, issues = parse_path_template(template.render())
         assert not [i for i in issues if i.severity is Severity.ERROR]
         assert parsed == template
 

@@ -4,6 +4,7 @@ import csv
 import errno
 import json
 import os
+import random
 import stat
 import time
 from collections import Counter
@@ -17,7 +18,7 @@ from apibind.curl import HttpMethod
 from apibind.ingest import STAGE_COLUMNS, load_corpus, record_id_census
 from apibind.typeinfer import MAX_JSON_DEPTH, parse_json
 
-from .gen import nested_json
+from .gen import gen_record, nested_json
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -782,6 +783,27 @@ class TestDashboardCommand:
 
 
 class TestHostileCells:
+    def test_undecodable_file_stem_is_escaped_in_row_ids(self, corpus12_path, tmp_path, capsys):
+        """A row without a record_id is named ``<file stem>:<row>``; a stem byte that is
+        not UTF-8 is written as an escape, so the id can go into every output."""
+        corpus = write_cells(
+            tmp_path / os.fsdecode(b"bad\xff.csv"),
+            [{"path": "/v1/ok", "response_example": '{"ok":true}'}, {"path": "/v1/{x}/{x}"}],
+        )
+        analyzed = tmp_path / "analyzed"
+        assert run(["analyze", "--input", corpus, "--out-dir", analyzed]) == 0
+        stage = load_corpus(analyzed / "analyzed.csv")
+        assert [str(r.id) for r in stage] == ["bad\\xff:1", "bad\\xff:2"]
+        assert [str(r.id) for r in load_corpus(analyzed / "rejects.csv")] == ["bad\\xff:2"]
+        # The stem names the package only as the first input.
+        generated = tmp_path / "generated"
+        capsys.readouterr()
+        argv = ["generate", "--input", corpus12_path, "--input", corpus, "--out-dir", generated]
+        assert run(argv) == 0
+        assert "rejected bad\\xff:2: E_PATH_SYNTAX" in capsys.readouterr().out
+        rejects = [str(r.id) for r in load_corpus(generated / "rejects.csv")]
+        assert rejects == ["r11", "r12", "bad\\xff:2"]
+
     def test_deep_json_is_tagged_not_fatal(self, tmp_path):
         deep = nested_json(3000)
         at_bound = nested_json(MAX_JSON_DEPTH)
@@ -1009,3 +1031,35 @@ class TestParseBeforeMerge:
         with (out / "analyzed.csv").open(encoding="utf-8", newline="") as fh:
             stage = list(csv.DictReader(fh))
         assert decoded == Counter(row["issues"] for row in stage)
+
+
+class TestStageIsAFixedPoint:
+    """``generate`` from the stage file of ``analyze --merge``, saved under the
+    corpus's own stem (the package name), does what ``generate --merge`` does
+    from the corpus itself."""
+
+    def generate(self, argv, out_dir: Path, capsys) -> tuple[int, str, dict[str, bytes]]:
+        capsys.readouterr()
+        code = run([*argv, "--out-dir", out_dir])
+        stdout = capsys.readouterr().out.replace(str(out_dir), "OUT")
+        return code, stdout, read_tree(out_dir) if out_dir.exists() else {}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_generated_corpus(self, seed, tmp_path, capsys):
+        # Cells with commas, quotes, line breaks, non-ASCII text and prior issue tags.
+        rng = random.Random(seed)
+        corpus = tmp_path / "raw" / "corpus.csv"
+        corpus.parent.mkdir()
+        ingest.write_stage([gen_record(rng, i) for i in range(60)], corpus)
+        direct = self.generate(["generate", "--merge", "--input", corpus], tmp_path / "a", capsys)
+
+        assert run(["analyze", "--merge", "--input", corpus, "--out-dir", tmp_path / "s"]) == 0
+        restaged = tmp_path / "restaged" / "corpus.csv"
+        restaged.parent.mkdir()
+        restaged.write_bytes((tmp_path / "s" / "analyzed.csv").read_bytes())
+        again = self.generate(["generate", "--input", restaged], tmp_path / "b", capsys)
+
+        assert again == direct
+        # A run with zero valid records exits 1 and writes nothing, on both sides alike.
+        code, _, tree = direct
+        assert code == (0 if "package/manifest.txt" in tree else 1)

@@ -31,7 +31,6 @@ from apibind.records import ApiCallRecord, RecordId
 from apibind.templates import TemplateSet, NEUTRAL_TEMPLATES
 from apibind.typeinfer import (
     DeclRegistry,
-    FieldType,
     TArray,
     TObject,
     TRef,
@@ -180,9 +179,7 @@ class TestBuildReference:
         assert [d.name for d in ir.decls] == ["GetV1PingResponseHome", "GetV1PingResponse"]
         assert [i.code for _, i in ir.report] == ["W_DECL_SHARED"]
         home = TRef("GetV1PingResponseHome")
-        assert ir.decls[-1].body == TObject(
-            (("home", FieldType(home, True)), ("work", FieldType(home, True)))
-        )
+        assert ir.decls[-1].body == TObject((("home", home, True), ("work", home, True)))
 
     def test_shared_messages_name_published_declarations(self):
         a = make_valid("a", path="/v1/a", response_example='{"home":{"city":"a"}}')
@@ -209,7 +206,7 @@ class TestBuildReference:
 
     def test_array_populated_by_a_sibling_not_tagged(self):
         ir = build_reference([make_valid("a", response_example='{"a": [[], [1]]}')])
-        assert ir.decls[0].body == TObject((("a", FieldType(TArray(TArray(T_INT)), True)),))
+        assert ir.decls[0].body == TObject((("a", TArray(TArray(T_INT)), True),))
         assert [i.code for _, i in ir.report] == []
 
     def test_empty_array_tagged_once_per_type_position(self):
@@ -232,7 +229,7 @@ def refs_in(t) -> list[str]:
     if isinstance(t, TArray):
         return refs_in(t.elem)
     if isinstance(t, TObject):
-        return [name for _, field in t.fields for name in refs_in(field.type)]
+        return [name for _, field_type, _ in t.fields for name in refs_in(field_type)]
     if isinstance(t, TUnion):
         return [name for branch in t.branches for name in refs_in(branch)]
     return []
@@ -245,9 +242,7 @@ def expand(t, bodies: dict):
     if isinstance(t, TArray):
         return TArray(expand(t.elem, bodies))
     if isinstance(t, TObject):
-        return TObject(
-            tuple((n, FieldType(expand(f.type, bodies), f.required)) for n, f in t.fields)
-        )
+        return TObject(tuple((n, expand(ft, bodies), required) for n, ft, required in t.fields))
     if isinstance(t, TUnion):
         return TUnion(tuple(expand(b, bodies) for b in t.branches))
     return t
@@ -261,7 +256,7 @@ def array_at(t, path: str):
         if step == "[]":
             t = branch_of(t, TArray).elem
         else:
-            t = branch_of(t, TObject).field_map()[step[1:]].type
+            (t,) = [ft for n, ft, _ in branch_of(t, TObject).fields if n == step[1:]]
     return branch_of(t, TArray)
 
 

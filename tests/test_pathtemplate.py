@@ -9,7 +9,6 @@ from apibind.pathtemplate import (
     PathTemplate,
     Variable,
     parse_path_template,
-    render_path_template,
 )
 
 from .gen import gen_template
@@ -40,11 +39,11 @@ def test_duplicate_variable_is_syntax_error():
 
 
 def test_render_basic():
-    assert render_path_template(PathTemplate((Literal("users"), Variable("id")))) == "/users/{id}"
+    assert PathTemplate((Literal("users"), Variable("id"))).render() == "/users/{id}"
 
 
 def test_render_empty_is_root():
-    assert render_path_template(PathTemplate(())) == "/"
+    assert PathTemplate(()).render() == "/"
     template, issues = parse_path_template("/")
     assert template == PathTemplate(())
     assert issues == []
@@ -123,7 +122,7 @@ def test_seeded_round_trip():
     rng = random.Random(7)
     for _ in range(300):
         template = gen_template(rng)
-        parsed, issues = parse_path_template(render_path_template(template))
+        parsed, issues = parse_path_template(template.render())
         assert not [i for i in issues if i.code.startswith("E_")]
         assert parsed == template
 
@@ -148,14 +147,14 @@ def templates(draw):
 
 @given(templates())
 def test_parse_render_identity(template):
-    parsed, issues = parse_path_template(render_path_template(template))
+    parsed, issues = parse_path_template(template.render())
     assert not [i for i in issues if i.code.startswith("E_")]
     assert parsed == template
 
 
 @given(templates())
 def test_canonicalization_idempotent(template):
-    rendered = render_path_template(template)
+    rendered = template.render()
     once, _ = parse_path_template(rendered)
-    twice, _ = parse_path_template(render_path_template(once))
+    twice, _ = parse_path_template(once.render())
     assert once == twice

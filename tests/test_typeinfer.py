@@ -13,7 +13,6 @@ from apibind.params import Convention, Parameter
 from apibind.typeinfer import (
     BOTTOM,
     DeclRegistry,
-    FieldType,
     JsonParseError,
     MAX_JSON_DEPTH,
     TArray,
@@ -180,8 +179,8 @@ class TestAtoms:
         tree = obj(("a", TArray(T_INT), True), ("b", TUnion((T_NULL, T_STRING)), False))
         for clone in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
             assert clone == tree
-            assert clone.fields[0][1].type.elem is T_INT
-            assert clone.fields[1][1].type.branches[1] is T_STRING
+            assert clone.fields[0][1].elem is T_INT
+            assert clone.fields[1][1].branches[1] is T_STRING
             assert unify(clone, tree) == tree
 
 
@@ -253,8 +252,8 @@ def _assert_normalized(t, inside_composite=False):
     elif isinstance(t, TArray):
         _assert_normalized(t.elem, True)
     elif isinstance(t, TObject):
-        for _, field in t.fields:
-            _assert_normalized(field.type, True)
+        for _, field_type, _ in t.fields:
+            _assert_normalized(field_type, True)
 
 
 def _family(t):
@@ -430,7 +429,7 @@ class TestTypeOfParameter:
         )
         # A structured example reads in the neutral type grammar, not as a repr.
         t, issues = type_of_parameter(self.param(declared_type="integer", example={"x": [1]}))
-        assert t == TObject((("x", FieldType(TArray(T_INT), True)),))
+        assert t == TObject((("x", TArray(T_INT), True),))
         assert [i.code for i in issues] == ["W_PARAM_TYPE_CONFLICT"]
         assert issues[0].message == (
             "parameter 'p': example types as {x: [int]} but docs declare 'integer'; "

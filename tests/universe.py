@@ -12,7 +12,6 @@ from itertools import combinations, product
 
 from apibind.typeinfer import (
     BOTTOM,
-    FieldType,
     InferredType,
     TArray,
     TObject,
@@ -31,7 +30,7 @@ SCALARS = (T_NULL, T_BOOL, T_INT, T_FLOAT, T_STRING)
 
 
 def obj(*fields: tuple[str, InferredType, bool]) -> TObject:
-    return TObject(tuple((name, FieldType(t, required)) for name, t, required in fields))
+    return TObject(fields)
 
 
 def enumerate_universe() -> list[InferredType]:
