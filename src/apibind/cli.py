@@ -187,7 +187,9 @@ class _AllOrNone:
 def _parse_inputs(paths: list[Path]) -> list[ApiCallRecord]:
     """Load and parse every row; each distinct cell is parsed once per call."""
     memo: dict = {}
-    return [parse_record(record, memo) for path in paths for record in load_corpus(path)]
+    stems: dict[str, int] = {}
+    records = (record for path in paths for record in load_corpus(path, taken_stems=stems))
+    return [parse_record(record, memo) for record in records]
 
 
 def _gate(

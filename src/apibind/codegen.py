@@ -45,15 +45,7 @@ from .typeinfer import (
     type_of_parameter,
 )
 
-_CONVENTION_ORDER = (
-    Convention.PATH,
-    Convention.QUERY,
-    Convention.BODY_JSON,
-    Convention.BODY_TEXT,
-    Convention.HEADER,
-    Convention.COOKIE,
-)
-_CONVENTION_RANK = {conv: i for i, conv in enumerate(_CONVENTION_ORDER)}
+_CONVENTION_RANK = {conv: i for i, conv in enumerate(Convention)}
 
 
 @dataclass(frozen=True)
@@ -106,7 +98,7 @@ def ordered_params(params: tuple[Parameter, ...]) -> list[Parameter]:
 
 
 def corpus_digest(records: list[ApiCallRecord]) -> str:
-    """SHA-256 hex digest of ``stage_csv_text(records)`` in UTF-8, hashed row by row.
+    """SHA-256 hex digest of the bytes ``write_stage`` writes for ``records``.
 
     The stage rows go straight into the hash, so the text is never held whole.
     """

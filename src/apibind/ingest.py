@@ -14,7 +14,6 @@ the parse stage, which decodes each of them once. Ingest decodes just the
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 from collections import Counter
@@ -23,8 +22,8 @@ from pathlib import Path
 
 from .curl import HttpMethod
 from .issues import Issue, Stage, make_issue
-from .records import ApiCallRecord, RecordId
-from .typeinfer import parse_json
+from .records import ID_SEPARATOR, ApiCallRecord, RecordId
+from .typeinfer import fresh_name, parse_json
 
 #: Input column order; stage outputs append ``issues``.
 COLUMNS = (
@@ -41,15 +40,14 @@ COLUMNS = (
 )
 STAGE_COLUMNS = COLUMNS + ("issues",)
 
-#: Separator for multiple id atoms in the record_id cell of stage files.
-ID_SEPARATOR = "|"
-
 
 class CorpusError(Exception):
     """Unreadable corpus or malformed CSV framing; a failed stage write raises its ``OSError``."""
 
 
-def load_corpus(path: str | Path) -> list[ApiCallRecord]:
+def load_corpus(
+    path: str | Path, *, taken_stems: dict[str, int] | None = None
+) -> list[ApiCallRecord]:
     """Load one CSV corpus; one record per data row, rows never skipped.
 
     Accepts both raw input files and stage outputs (which carry the extra
@@ -57,10 +55,15 @@ def load_corpus(path: str | Path) -> list[ApiCallRecord]:
     record; every other cell is kept as raw text for ``parse_record``. A row
     without a ``record_id`` is named ``<file stem>:<row number>``; a stem
     byte that is not UTF-8 is written as a ``\\xNN`` escape, so every id can
-    be written to a UTF-8 output.
+    be written to a UTF-8 output. A stem in ``taken_stems`` (the stems a run's
+    earlier inputs took, kept by ``fresh_name``) becomes its next free form,
+    ``a_2``, so no two inputs give rows one id. Text that is not UTF-8 is a
+    ``CorpusError``.
     """
     path = Path(path)
     stem = os.fsencode(path.stem).decode("utf-8", "backslashreplace")
+    if taken_stems is not None:
+        stem = fresh_name(stem, taken_stems)
     csv.field_size_limit(1 << 30)  # a large example is data, not broken framing
     try:
         # newline="" leaves quoted line breaks to the csv module, which is
@@ -72,6 +75,8 @@ def load_corpus(path: str | Path) -> list[ApiCallRecord]:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
     except csv.Error as exc:
         raise CorpusError(f"malformed CSV in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"cannot read corpus {path}: not UTF-8 text: {exc}") from exc
     if not rows:
         raise CorpusError(f"{path} has no header row")
 
@@ -224,17 +229,6 @@ def write_stage_rows(records: list[ApiCallRecord], out) -> None:
     writer.writerows(map(_record_to_row, records))
 
 
-def stage_csv_text(records: list[ApiCallRecord]) -> str:
-    """The canonical stage CSV as one string: ``write_stage_rows`` over a ``StringIO``.
-
-    The CLI never builds this string: ``write_stage`` streams the same rows into
-    the file and ``codegen.corpus_digest`` into a hash, so each equals this text.
-    """
-    buffer = io.StringIO()
-    write_stage_rows(records, buffer)
-    return buffer.getvalue()
-
-
 def write_stage(records: list[ApiCallRecord], path: str | Path) -> None:
     """Materialize records as a stage CSV (input schema plus ``issues``), row by row.
 
@@ -248,7 +242,7 @@ def write_stage(records: list[ApiCallRecord], path: str | Path) -> None:
 
 def _record_to_row(record: ApiCallRecord) -> list[str]:
     return [
-        ID_SEPARATOR.join(record.id.ids),
+        str(record.id),
         record.source_url,
         record.http_method.value,
         record.raw_path,

@@ -2,7 +2,7 @@
 
 Every data-quality finding is a tag on a record, never an exception: records
 keep flowing and carry their full issue history. The catalog below is the
-single source of truth for which codes exist and what severity they carry.
+single source of truth for which codes exist; a code's prefix is its severity.
 """
 
 from __future__ import annotations
@@ -24,38 +24,41 @@ class Stage(enum.Enum):
     GENERATE = "Generate"
 
 
-#: code -> (severity, description). E_* codes are errors and reject a record
-#: at the generation gate; W_* codes are warnings and pass the default gate.
-CATALOG: dict[str, tuple[Severity, str]] = {
-    "E_JSON_CELL": (Severity.ERROR, "CSV cell expected to hold JSON does not parse"),
-    "E_PATH_SYNTAX": (Severity.ERROR, "path template violates the template grammar"),
-    "E_CURL_TOKENIZE": (Severity.ERROR, "curl command line cannot be tokenized"),
-    "E_CURL_NO_URL": (Severity.ERROR, "curl command has no URL"),
-    "E_CURL_UNSUPPORTED": (Severity.ERROR, "curl command uses an unsupported feature"),
-    "E_PARAM_NO_NAME": (Severity.ERROR, "parameter table entry has no name"),
-    "E_PATHVAR_UNDECLARED": (Severity.ERROR, "path variable has no declared path parameter"),
-    "E_PARAM_PATH_UNUSED": (Severity.ERROR, "path parameter does not appear in the path template"),
-    "E_DUP_PARAM": (Severity.ERROR, "duplicate parameter name within one passing convention"),
-    "E_METHOD_MISMATCH": (Severity.ERROR, "curl example method differs from the declared method"),
-    "E_MERGE_KEY_MISMATCH": (Severity.ERROR, "merge refused: records describe different calls"),
-    "E_METHOD_UNKNOWN": (Severity.ERROR, "http_method cell is not a supported HTTP method"),
-    "W_CURL_OPT_IGNORED": (Severity.WARNING, "curl option not understood and skipped"),
-    "W_PARAM_CONV_UNKNOWN": (Severity.WARNING, "parameter passing convention defaulted"),
-    "W_PARAM_TYPE_DEFAULTED": (Severity.WARNING, "parameter type defaulted to string"),
-    "W_PARAM_TYPE_CONFLICT": (Severity.WARNING, "parameter example conflicts with declared type"),
-    "W_PARAM_TYPE_OPAQUE": (Severity.WARNING, "parameter declared as object with unknown fields"),
-    "W_NO_EXAMPLE": (Severity.WARNING, "no example available"),
-    "W_BODY_ON_GET": (Severity.WARNING, "request body present on a GET/HEAD call"),
-    "W_MERGE_CONFLICT": (Severity.WARNING, "conflicting field values; first record's kept"),
-    "W_PATH_SUSPECT": (Severity.WARNING, "path segment looks like an unrecognized variable syntax"),
-    "W_EMPTY_ARRAY": (Severity.WARNING, "array no example populates; tagged once, at its type path"),
-    "W_DECL_SHARED": (Severity.WARNING, "structurally identical type declarations were shared"),
+#: code -> meaning. The prefix is the severity: E_* codes are errors and reject
+#: a record at the generation gate; W_* codes are warnings and pass the default gate.
+CATALOG: dict[str, str] = {
+    "E_JSON_CELL": "CSV cell expected to hold JSON does not parse",
+    "E_PATH_SYNTAX": "path template violates the template grammar",
+    "E_CURL_TOKENIZE": "curl command line cannot be tokenized",
+    "E_CURL_NO_URL": "curl command has no URL",
+    "E_CURL_UNSUPPORTED": "curl command uses an unsupported feature (e.g. `-F`)",
+    "E_PARAM_NO_NAME": "parameter table entry has no name",
+    "E_PATHVAR_UNDECLARED": "path variable has no declared path parameter",
+    "E_PARAM_PATH_UNUSED": "path parameter does not appear in the path template",
+    "E_DUP_PARAM": "duplicate parameter name within one passing convention",
+    "E_METHOD_MISMATCH": "curl example method differs from the declared method",
+    "E_MERGE_KEY_MISMATCH": "merge refused: records describe different calls",
+    "E_METHOD_UNKNOWN": "http_method cell is not a supported HTTP method",
+    "W_CURL_OPT_IGNORED": "curl option not understood and skipped",
+    "W_PARAM_CONV_UNKNOWN": "parameter passing convention defaulted",
+    "W_PARAM_TYPE_DEFAULTED": "parameter type defaulted to string",
+    "W_PARAM_TYPE_CONFLICT": "parameter example conflicts with declared type",
+    "W_PARAM_TYPE_OPAQUE": "parameter declared as object with unknown fields",
+    "W_NO_EXAMPLE": "no example available",
+    "W_BODY_ON_GET": "request body present on a GET/HEAD call",
+    "W_MERGE_CONFLICT": "conflicting field values; first record's kept",
+    "W_PATH_SUSPECT": "path segment looks like an unrecognized variable syntax",
+    "W_EMPTY_ARRAY": "array no example populates; tagged once, at its type path",
+    "W_DECL_SHARED": "structurally identical type declarations were shared",
 }
+
+#: code -> severity, read from each code's prefix once, when the module loads.
+_SEVERITY = {code: Severity.ERROR if code.startswith("E_") else Severity.WARNING for code in CATALOG}
 
 
 @dataclass(frozen=True)
 class Issue:
-    """One error/warning tag. Severity is not stored: it is read from the catalog."""
+    """One error/warning tag. Severity is not stored: it is read from the code's prefix."""
 
     code: str
     stage: Stage
@@ -98,4 +101,5 @@ def make_issue(code: str, stage: Stage, message: str, field: str | None = None) 
 
 
 def severity_of(code: str) -> Severity:
-    return CATALOG[code][0]
+    """The severity a catalogued code's prefix names; KeyError for a code outside the catalog."""
+    return _SEVERITY[code]

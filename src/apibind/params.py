@@ -27,6 +27,7 @@ class _Missing:
 _MISSING = _Missing()
 
 
+# The declaration order is the rendered signature order (``codegen.ordered_params``).
 class Convention(enum.Enum):
     PATH = "Path"
     QUERY = "Query"

@@ -16,6 +16,9 @@ from .issues import Issue, Severity
 from .params import Parameter
 from .pathtemplate import PathTemplate
 
+#: Separator for multiple id atoms in the record_id cell of stage files.
+ID_SEPARATOR = "|"
+
 
 @dataclass(frozen=True)
 class RecordId:
@@ -37,7 +40,7 @@ class RecordId:
         return RecordId(ids=tuple(dict.fromkeys(self.ids + other.ids)))
 
     def __str__(self) -> str:
-        return "|".join(self.ids)
+        return ID_SEPARATOR.join(self.ids)
 
 
 @dataclass(frozen=True)

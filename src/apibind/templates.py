@@ -138,11 +138,7 @@ class TemplateSet:
         if missing:
             raise TemplateError(f"template set incomplete, missing: {', '.join(missing)}")
         return cls(
-            manifest=Template("manifest.tpl", sources["manifest.tpl"]),
-            module_header=Template("module_header.tpl", sources["module_header.tpl"]),
-            function=Template("function.tpl", sources["function.tpl"]),
-            type=Template("type.tpl", sources["type.tpl"]),
-            doc_comment=Template("doc_comment.tpl", sources["doc_comment.tpl"]),
+            **{name.removesuffix(".tpl"): Template(name, sources[name]) for name in TEMPLATE_NAMES}
         )
 
     @classmethod

@@ -556,6 +556,18 @@ class TestFailedRunChangesNothing:
         assert captured.out == "rejected b1: E_PATH_SYNTAX,W_NO_EXAMPLE\nrejected b2: E_JSON_CELL\n"
         assert captured.err == "no valid records; nothing to generate\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "generate"])
+    def test_corpus_that_is_not_utf8(self, command, generated, corpus12_path, tmp_path, capsys):
+        corpus = tmp_path / "latin.csv"
+        header = ",".join(STAGE_COLUMNS[:-1]).encode()
+        corpus.write_bytes(header + b"\nr1,https://d/caf\xe9,GET,/v1/x,,,,,,\n")
+        capsys.readouterr()
+        argv = [command, "--input", corpus12_path, "--input", corpus]
+        self.assert_fails_changing_nothing(argv, *generated)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read corpus {corpus}: not UTF-8 text: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "stem", ["evil\nfunction pwn() -> any", "tab\tstop", os.fsdecode(b"latin\xe9")]
     )
@@ -803,6 +815,29 @@ class TestHostileCells:
         assert "rejected bad\\xff:2: E_PATH_SYNTAX" in capsys.readouterr().out
         rejects = [str(r.id) for r in load_corpus(generated / "rejects.csv")]
         assert rejects == ["r11", "r12", "bad\\xff:2"]
+
+    @pytest.mark.parametrize("merge", [[], ["--merge"]])
+    def test_inputs_with_one_file_stem_get_distinct_row_ids(self, merge, tmp_path):
+        """The first input with a stem names its rows ``<stem>:<row>``; a later one
+        takes the stem's next free form, so no two rows share an id atom."""
+        rows = [{"path": "/v1/x", "response_example": '{"ok":true}'}, {"path": "/v1/{y}"}]
+        inputs = []
+        for directory in ("d1", "d2"):
+            (tmp_path / directory).mkdir()
+            inputs += ["--input", write_cells(tmp_path / directory / "a.csv", rows)]
+        expected = Counter(["a:1", "a:2", "a_2:1", "a_2:2"])
+
+        analyzed = tmp_path / "analyzed"
+        assert run(["analyze", *merge, *inputs, "--out-dir", analyzed]) == 0
+        assert record_id_census(load_corpus(analyzed / "analyzed.csv")) == expected
+        rejected = record_id_census(load_corpus(analyzed / "rejects.csv"))
+        assert rejected == Counter(["a:2", "a_2:2"])
+
+        generated = tmp_path / "generated"
+        assert run(["generate", *merge, *inputs, "--out-dir", generated]) == 0
+        report = json.loads((generated / "build_report.json").read_text(encoding="utf-8"))
+        ids = [fn["record_id"] for fn in report["functions"]] + report["rejected_record_ids"]
+        assert Counter(atom for atoms in ids for atom in atoms) == expected
 
     def test_deep_json_is_tagged_not_fatal(self, tmp_path):
         deep = nested_json(3000)

@@ -13,7 +13,6 @@ from apibind.ingest import (
     merge_corpus,
     merge_records,
     record_id_census,
-    stage_csv_text,
     write_stage,
 )
 from apibind.issues import Stage, make_issue
@@ -88,6 +87,18 @@ def test_missing_record_id_synthesized(tmp_path):
     assert [str(r.id) for r in records] == ["things:1", "things:2"]
 
 
+def test_inputs_with_one_stem_get_distinct_fallback_ids(tmp_path):
+    body = ",https://d/x,GET,/v1/x,,,,,,\n"
+    taken: dict[str, int] = {}
+    ids = []
+    for directory in ("d1", "d2", "d3"):
+        (tmp_path / directory).mkdir()
+        path = write_csv(tmp_path / directory, body, name="a.csv")
+        ids += [str(record.id) for record in load_corpus(path, taken_stems=taken)]
+    assert ids == ["a:1", "a_2:1", "a_3:1"]
+    assert [str(record.id) for record in load_corpus(path)] == ["a:1"]
+
+
 @settings(max_examples=60)
 @given(cells=st.lists(st.text(alphabet="ab|", max_size=6), min_size=1, max_size=4))
 def test_record_ids_survive_a_stage_round_trip(tmp_path_factory, cells):
@@ -117,6 +128,14 @@ def test_ragged_long_row_is_corpus_error(tmp_path):
     path = write_csv(tmp_path, "a,b,GET,/x,,,,,,,EXTRA,MORE\n")
     with pytest.raises(CorpusError):
         load_corpus(path)
+
+
+def test_text_that_is_not_utf8_is_corpus_error(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(HEADER.encode() + b"\nr1,https://d/caf\xe9,GET,/v1/x,,,,,,\n")
+    with pytest.raises(CorpusError) as caught:
+        load_corpus(path)
+    assert str(caught.value).startswith(f"cannot read corpus {path}: not UTF-8 text: ")
 
 
 def test_framing_faults_name_the_file(tmp_path):
@@ -252,10 +271,13 @@ class TestWriteStage:
         write_stage(records, out)
         assert load_corpus(out) == records
 
-    def test_stage_text_deterministic(self):
+    def test_stage_text_deterministic(self, tmp_path):
         rng = random.Random(3)
         records = [gen_record(rng, i) for i in range(5)]
-        assert stage_csv_text(records) == stage_csv_text(records)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_stage(records, first)
+        write_stage(records, second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 _cell = st.text(

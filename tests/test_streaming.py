@@ -13,7 +13,7 @@ from apibind import cli
 from apibind.cli import write_json
 from apibind.codegen import corpus_digest
 from apibind.curl import HttpMethod
-from apibind.ingest import load_corpus, stage_csv_text, write_stage
+from apibind.ingest import load_corpus, write_stage
 from apibind.issues import Stage, make_issue
 from apibind.parse import parse_record
 from apibind.records import ApiCallRecord, RecordId
@@ -116,17 +116,18 @@ class TestBoundedMemory:
 
 
 class TestCorpusDigest:
-    """``corpus_digest`` hashes the stage rows as they are written; the digest is unchanged."""
+    """``corpus_digest`` is the SHA-256 of the bytes ``write_stage`` writes."""
 
     @staticmethod
-    def assert_pinned(records: list[ApiCallRecord]) -> None:
-        text = stage_csv_text(records)
-        assert corpus_digest(records) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    def assert_pinned(records: list[ApiCallRecord], path) -> None:
+        write_stage(records, path)
+        assert corpus_digest(records) == hashlib.sha256(path.read_bytes()).hexdigest()
 
-    def test_corpus12(self, corpus12_path):
-        self.assert_pinned([parse_record(record) for record in load_corpus(corpus12_path)])
+    def test_corpus12(self, corpus12_path, tmp_path):
+        records = [parse_record(record) for record in load_corpus(corpus12_path)]
+        self.assert_pinned(records, tmp_path / "stage.csv")
 
-    def test_awkward_cells(self):
+    def test_awkward_cells(self, tmp_path):
         cells = ["unicode-é中\U0001f600", 'say "hi", then \'bye\'', "cr\rlf\r\nlf\n", '"\r\n"']
         records = [
             ApiCallRecord(
@@ -140,5 +141,5 @@ class TestCorpusDigest:
             )
             for i, cell in enumerate(cells)
         ]
-        self.assert_pinned(records)
-        self.assert_pinned([])
+        self.assert_pinned(records, tmp_path / "stage.csv")
+        self.assert_pinned([], tmp_path / "empty.csv")
