@@ -9,7 +9,9 @@ a ``generate`` input whose file stem, the package name, is not printable.
 Every file either command writes goes through one ``_AllOrNone`` writer:
 each output is streamed into a temp file beside its target, the stage CSVs
 row by row (``write_stage``) and the JSON reports member by member
-(``write_json``), so no large output is ever held whole as text. The targets
+(``write_json``), so no large output is ever held whole as text. ``analyze``
+writes ``analyzed.csv`` and the rejects file in one pass: each row is
+formatted once, and a rejected record's line goes to both files. The targets
 are replaced only once every write has succeeded; a run that fails, even
 partway through a file, therefore changes no file. Only after a successful
 ``generate`` are the earlier ``package/*.txt`` modules it did not write
@@ -213,8 +215,7 @@ def _gate(
 def cmd_analyze(args: argparse.Namespace) -> int:
     rejects, records, valid, rejected = _gate(args)
     with _AllOrNone() as out:
-        write_stage(rejected, out.path(rejects))
-        write_stage(records, out.path(args.out_dir / STAGE))
+        write_stage(records, out.path(args.out_dir / STAGE), (rejected, out.path(rejects)))
         report = dashboard(records)
         text = render_dashboard_text(report)
         out.text(args.out_dir / DASHBOARD_TEXT, text)

@@ -5,11 +5,16 @@ append-only through ``with_issues``, the one dedup rule of the pipeline,
 and the parser outputs (``path``, ``curl``, ``params``) are set in the same
 copy as the parse tags. A merge of two parsed records carries both rows'
 issues. All types here are immutable; stages return new records.
+``with_issues`` runs for every record in ingest, parse and validate, so its
+copy reads the fields with one ``attrgetter`` call and passes them to
+``__init__`` by position; ``dataclasses.replace`` cost twice as much per row.
+Records have ``__slots__``, which keeps both the copy and the record small.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .curl import CurlRequest, HttpMethod
 from .issues import Issue, Severity
@@ -18,6 +23,9 @@ from .pathtemplate import PathTemplate
 
 #: Separator for multiple id atoms in the record_id cell of stage files.
 ID_SEPARATOR = "|"
+
+#: The fields ``with_issues`` may set besides ``issues``: the parser outputs.
+PARSER_OUTPUTS = frozenset({"path", "curl", "params"})
 
 
 @dataclass(frozen=True)
@@ -43,7 +51,7 @@ class RecordId:
         return ID_SEPARATOR.join(self.ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApiCallRecord:
     id: RecordId
     source_url: str
@@ -67,12 +75,26 @@ class ApiCallRecord:
 
         An exact duplicate of an existing tag is skipped: skipping identical
         re-emissions keeps reruns over already-analyzed stage files
-        idempotent without ever removing another stage's tags.
+        idempotent without ever removing another stage's tags. Returns
+        ``self`` when there is nothing to add or set; a name in ``parsed``
+        outside ``PARSER_OUTPUTS`` is a ``TypeError``. The copy is a frozen
+        record like ``self``.
         """
+        if not PARSER_OUTPUTS.issuperset(parsed):
+            unknown = ", ".join(sorted(parsed.keys() - PARSER_OUTPUTS))
+            raise TypeError(f"with_issues() cannot set {unknown}; only {sorted(PARSER_OUTPUTS)}")
         added = tuple(issue for issue in new_issues if issue not in self.issues)
         if not added and not parsed:
             return self
-        return replace(self, issues=self.issues + added, **parsed)
+        values = dict(zip(_FIELDS, _field_values(self)))
+        values.update(parsed)  # replacing a key keeps its place: the values stay in field order
+        values["issues"] = self.issues + added
+        return ApiCallRecord(*values.values())
 
     def error_count(self) -> int:
         return sum(1 for issue in self.issues if issue.severity is Severity.ERROR)
+
+
+#: A record's field names in ``__init__``'s order, and one call that reads their values.
+_FIELDS = tuple(field.name for field in fields(ApiCallRecord))
+_field_values = attrgetter(*_FIELDS)

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import csv
 import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from apibind import ingest
 from apibind.curl import HttpMethod
 from apibind.ingest import (
+    STAGE_COLUMNS,
     CorpusError,
     load_corpus,
     merge_corpus,
@@ -79,6 +82,36 @@ def test_unknown_method_tagged_and_defaulted(tmp_path):
     (record,) = load_corpus(path)
     assert [i.code for i in record.issues] == ["E_METHOD_UNKNOWN"]
     assert record.http_method is HttpMethod.GET
+
+
+def test_rows_sharing_an_issues_cell_each_get_its_tags(tmp_path):
+    """Each distinct ``issues`` cell is decoded once per file, a failed decode too:
+    every row sharing a malformed cell gets its own Ingest E_JSON_CELL tag."""
+    bogus = json.dumps([{"code": "E_BOGUS", "severity": "Error", "stage": "Parse", "message": "m"}])
+    good = json.dumps([make_issue("W_NO_EXAMPLE", Stage.PARSE, "m").to_json()])
+    cells = [bogus, "not-json", bogus, good, "not-json", bogus, good, "[]", bogus]
+    methods = ["GET"] * (len(cells) - 1) + ["FETCH"]
+
+    def stage_file(name: str, indices: list[int]):
+        path = tmp_path / name
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(STAGE_COLUMNS)
+            for i in indices:
+                writer.writerow([f"r{i}", "https://d/x", methods[i], "/v1/x", *[""] * 6, cells[i]])
+        return path
+
+    records = load_corpus(stage_file("shared.csv", list(range(len(cells)))))
+    # Each row reads back as it does from a file of its own.
+    alone = [load_corpus(stage_file(f"alone{i}.csv", [i]))[0] for i in range(len(cells))]
+    assert records == alone
+    tags = [[(i.code, i.stage, i.field) for i in r.issues] for r in records]
+    cell_fault = ("E_JSON_CELL", Stage.INGEST, "issues")
+    assert tags[0] == tags[1] == tags[2] == tags[4] == tags[5] == [cell_fault]
+    assert tags[3] == tags[6] == [("W_NO_EXAMPLE", Stage.PARSE, None)]
+    assert tags[7] == []
+    assert tags[8] == [("E_METHOD_UNKNOWN", Stage.INGEST, "http_method"), cell_fault]
+    assert "E_BOGUS" in records[0].issues[0].message
 
 
 def test_missing_record_id_synthesized(tmp_path):
@@ -236,8 +269,6 @@ class TestWriteStage:
         assert load_corpus(out) == []
 
     def test_issue_cell_is_json_array(self, tmp_path):
-        import csv
-
         record = make_record(
             issues=(
                 make_issue("W_NO_EXAMPLE", Stage.PARSE, "m1"),
@@ -252,6 +283,27 @@ class TestWriteStage:
         assert len(issues) == 2
         assert issues[0]["code"] == "W_NO_EXAMPLE"
         assert issues[1]["field"] == "parameters"
+
+    def test_issue_cells_equal_json_dumps_through_the_memo(self, tmp_path, monkeypatch):
+        """Each issues cell is ``json.dumps(..., ensure_ascii=False)`` of its tags, also
+        when repeats outnumber the memo and entries are evicted."""
+        monkeypatch.setattr(ingest, "ISSUES_MEMO", 2)
+        tags = [
+            make_issue("W_NO_EXAMPLE", Stage.PARSE, "ü \"quoted\", \n 中"),
+            make_issue("E_JSON_CELL", Stage.INGEST, "m", field="parameters"),
+            make_issue("W_NO_EXAMPLE", Stage.VALIDATE, "\x00\u2028"),
+        ]
+        choices = [(), tags[:1], tags[1:], tags, tags[::-1], tags[2:], tags[:2]]
+        rng = random.Random(5)
+        records = [make_record(f"r{i}", issues=tuple(rng.choice(choices))) for i in range(60)]
+        out = tmp_path / "stage.csv"
+        write_stage(records, out)
+        with out.open(encoding="utf-8", newline="") as fh:
+            cells = [row[-1] for row in list(csv.reader(fh))[1:]]
+        assert cells == [
+            json.dumps([issue.to_json() for issue in record.issues], ensure_ascii=False)
+            for record in records
+        ]
 
     def test_round_trip_corpus12(self, corpus12_path, tmp_path):
         # plus a row with a broken JSON cell: re-parsing must not tag it twice

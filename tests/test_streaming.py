@@ -7,18 +7,20 @@ import json
 import random
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from apibind import cli
 from apibind.cli import write_json
 from apibind.codegen import corpus_digest
 from apibind.curl import HttpMethod
-from apibind.ingest import load_corpus, write_stage
+from apibind.ingest import load_corpus, merge_corpus, write_stage
 from apibind.issues import Stage, make_issue
 from apibind.parse import parse_record
 from apibind.records import ApiCallRecord, RecordId
+from apibind.validate import cross_validate, route
 
-from .gen import gen_record
+from .gen import gen_corpus, gen_record
 
 #: The two option sets the CLI writes with: build_report.json, name_map.json.
 CLI_OPTIONS = ({"ensure_ascii": False}, {"sort_keys": True})
@@ -101,6 +103,17 @@ class TestBoundedMemory:
         assert written > 1_000_000
         assert peak < written / 4, (peak, written)
 
+    def test_one_pass_write_peak_is_below_a_quarter_of_the_file(self, tmp_path):
+        """Writing a subset file beside the stage file, with the issues-cell memo, stays bounded."""
+        rng = random.Random(7)
+        records = [gen_record(rng, i) for i in range(4000)]
+        _, rejected = route(records)
+        path, rejects = tmp_path / "stage.csv", tmp_path / "rejects.csv"
+        peak = _traced_peak(lambda: write_stage(records, path, (rejected, rejects)))
+        written = path.stat().st_size
+        assert written > 1_000_000 and rejects.stat().st_size > written / 4
+        assert peak < written / 4, (peak, written)
+
     def test_write_json_peak_is_below_the_file(self, tmp_path):
         raws = [f"get_v1_widget_{i}_parts" for i in range(20_000)]
         names = {
@@ -143,3 +156,34 @@ class TestCorpusDigest:
         ]
         self.assert_pinned(records, tmp_path / "stage.csv")
         self.assert_pinned([], tmp_path / "empty.csv")
+
+
+class TestOnePassStageWrite:
+    """``analyze`` writes ``analyzed.csv`` and the rejects file in one pass; each holds
+    the bytes ``write_stage`` writes for its own records."""
+
+    @pytest.mark.parametrize("strict", [[], ["--strict"]])
+    def test_outputs_equal_separate_writes(self, strict, tmp_path):
+        corpus = tmp_path / "corpus.csv"
+        write_stage(gen_corpus(random.Random(5), 300), corpus)
+        out = tmp_path / "out"
+        argv = ["analyze", "--merge", *strict, "--input", str(corpus), "--out-dir", str(out)]
+        assert cli.main(argv) == 0
+
+        memo: dict = {}
+        records = merge_corpus([parse_record(record, memo) for record in load_corpus(corpus)])
+        assert len(records) < 300  # merge groups folded
+        records = [cross_validate(record) for record in records]
+        _, rejected = route(records, strict=bool(strict))
+        assert 0 < len(rejected) < len(records)
+        write_stage(records, tmp_path / "records.csv")
+        write_stage(rejected, tmp_path / "rejected.csv")
+        assert (out / "analyzed.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+        assert (out / "rejects.csv").read_bytes() == (tmp_path / "rejected.csv").read_bytes()
+
+    def test_subset_out_of_order_is_refused(self, tmp_path):
+        records = [gen_record(random.Random(3), i) for i in range(4)]
+        stranger = gen_record(random.Random(4), 9)
+        for subset in ([records[2], records[1]], [records[0], records[0]], [stranger]):
+            with pytest.raises(ValueError, match="not in order"):
+                write_stage(records, tmp_path / "stage.csv", (subset, tmp_path / "subset.csv"))
