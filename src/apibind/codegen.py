@@ -20,10 +20,9 @@ import json
 import re
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
-from types import SimpleNamespace
 
 from .curl import HttpMethod
-from .ingest import write_stage_rows
+from .ingest import stage_lines
 from .issues import Issue, Stage, make_issue
 from .params import Convention, Parameter
 from .pathtemplate import PathTemplate, Variable
@@ -100,10 +99,12 @@ def ordered_params(params: tuple[Parameter, ...]) -> list[Parameter]:
 def corpus_digest(records: list[ApiCallRecord]) -> str:
     """SHA-256 hex digest of the bytes ``write_stage`` writes for ``records``.
 
-    The stage rows go straight into the hash, so the text is never held whole.
+    Each line of ``stage_lines`` goes straight into the hash, so the text is
+    never held whole.
     """
     digest = hashlib.sha256()
-    write_stage_rows(records, SimpleNamespace(write=lambda row: digest.update(row.encode("utf-8"))))
+    for line in stage_lines(records):
+        digest.update(line.encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -438,7 +439,7 @@ def _doc_ctx(fn: BindingFunction) -> dict:
     summary = record.description or f"{record.http_method.value} {record.path.render()}"
     return {
         "summary": _LINE_BREAK.sub(" ", summary),
-        "doc_url": _LINE_BREAK.sub(" ", record.source_url),
+        "doc_url": _LINE_BREAK.sub(" ", record.source_url or ""),
     }
 
 

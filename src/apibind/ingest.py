@@ -6,16 +6,19 @@ an ``issues`` column, so intermediate data is always open for examination.
 Only unreadable files or broken CSV framing abort a run; anything wrong
 inside a row becomes an issue tag on that row's record.
 
-Loading reads CSV only: the documentation cells are kept as raw text for
+The stage row is one table: a record's leading fields (``STAGE_FIELDS``) are
+the ``STAGE_COLUMNS`` in order, a text cell being ``None`` exactly when it is
+empty. Loading reads CSV only: the documentation cells are kept as raw text for
 the parse stage, which decodes each of them once. Ingest decodes just the
 ``issues`` cell of a stage file, each distinct cell text once per file, and
 checks the ``http_method`` cell.
 
-Writing formats each stage row once: one ``csv.writer`` turns a row into its
-line of text, which goes to every file that holds the record, and one
-``JSONEncoder`` with a bounded memo encodes each distinct ``issues`` tuple
-once per write. Rows of a corpus share few distinct issue tuples (the same
-parse finding on the same cell text), so the memo hits on most rows.
+Writing formats each stage row once (``stage_lines``): one ``csv.writer``
+turns a row into its line of text, which goes to every file that holds the
+record and to the corpus digest, and one ``JSONEncoder`` with a bounded memo
+encodes each distinct ``issues`` tuple once per write. Rows of a corpus share
+few distinct issue tuples (the same parse finding on the same cell text), so
+the memo hits on most rows.
 """
 
 from __future__ import annotations
@@ -24,13 +27,15 @@ import csv
 import json
 import os
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 from functools import lru_cache
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .curl import HttpMethod
 from .issues import Issue, Stage, make_issue
-from .records import ID_SEPARATOR, ApiCallRecord, RecordId
+from .records import ID_SEPARATOR, STAGE_FIELDS, ApiCallRecord, RecordId
 from .typeinfer import fresh_name, parse_json
 
 #: Input column order; stage outputs append ``issues``.
@@ -48,10 +53,29 @@ COLUMNS = (
 )
 STAGE_COLUMNS = COLUMNS + ("issues",)
 
+#: Positions in a stage row of the three cells that are not text.
+_ID, _METHOD, _ISSUES = map(STAGE_COLUMNS.index, ("record_id", "http_method", "issues"))
+
+#: (column, field) of each text cell a merge fills or checks, in table order;
+#: the records of one merge key share their path.
+_MERGED_CELLS = [
+    (column, name) for column, name in zip(STAGE_COLUMNS, STAGE_FIELDS)
+    if column not in ("record_id", "http_method", "path", "issues")
+]
+
+#: A record's stage cells, in column order.
+_stage_cells = attrgetter(*STAGE_FIELDS)
+
+#: The method an ``http_method`` cell names, by its stripped, upper-cased text.
+_METHODS = {method.value: method for method in HttpMethod}
+
 #: Distinct ``issues`` tuples whose cell text one write keeps, least recently
 #: used out first. The bound keeps a write's memory flat; at 128 entries the
 #: memo still serves 2,580 of the 2,739 repeats among 3,623 mostly defective rows.
 ISSUES_MEMO = 128
+
+#: What a JSON value that is not an array is, if not its own text (true, false, null).
+_JSON_KINDS = {dict: "an object", str: "a string", int: "a number", float: "a number"}
 
 
 class CorpusError(Exception):
@@ -64,14 +88,15 @@ def load_corpus(
     """Load one CSV corpus; one record per data row, rows never skipped.
 
     Accepts both raw input files and stage outputs (which carry the extra
-    ``issues`` column). A bad ``http_method`` or ``issues`` cell tags the
-    record; every other cell is kept as raw text for ``parse_record``. A row
-    without a ``record_id`` is named ``<file stem>:<row number>``; a stem
-    byte that is not UTF-8 is written as a ``\\xNN`` escape, so every id can
-    be written to a UTF-8 output. A stem in ``taken_stems`` (the stems a run's
-    earlier inputs took, kept by ``fresh_name``) becomes its next free form,
-    ``a_2``, so no two inputs give rows one id. Text that is not UTF-8 is a
-    ``CorpusError``.
+    ``issues`` column), picking each row's cells by header position; an
+    absent or empty cell reads as ``None``. A bad ``http_method`` or
+    ``issues`` cell tags the record; every other cell is kept as raw text for
+    ``parse_record``. A row without a ``record_id`` is named ``<file
+    stem>:<row number>``; a stem byte that is not UTF-8 is written as a
+    ``\\xNN`` escape, so every id can be written to a UTF-8 output. A stem in
+    ``taken_stems`` (the stems a run's earlier inputs took, kept by
+    ``fresh_name``) becomes its next free form, ``a_2``, so no two inputs give
+    rows one id. Text that is not UTF-8 is a ``CorpusError``.
     """
     path = Path(path)
     stem = os.fsencode(path.stem).decode("utf-8", "backslashreplace")
@@ -97,17 +122,20 @@ def load_corpus(
     missing = [c for c in COLUMNS if c not in header]
     if missing:
         raise CorpusError(f"{path} is missing columns: {', '.join(missing)}")
-    index = {name: header.index(name) for name in header}
+    # Short rows are padded to ``width``; a raw input's rows get one more
+    # empty cell, which stands in for the ``issues`` column it lacks.
+    width = len(header) + ("issues" not in header)
+    pick = itemgetter(*(header.index(c) if c in header else width - 1 for c in STAGE_COLUMNS))
 
     records = []
-    decoded: dict[str, tuple[tuple[Issue, ...], Issue | None]] = {}
+    # What each distinct issues cell decodes to; an empty cell, None, holds no issues.
+    decoded: dict[str | None, tuple[tuple[Issue, ...], Issue | None]] = {None: ((), None)}
     for row_number, row in enumerate(rows[1:], start=1):
-        if len(row) > len(header):
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        elif len(row) > len(header):
             raise CorpusError(f"{path} row {row_number}: more cells than header columns")
-        cells = {
-            name: (row[i] if i < len(row) and row[i] != "" else None)
-            for name, i in index.items()
-        }
+        cells = [cell or None for cell in pick(row)]
         records.append(_record_from_cells(cells, stem, row_number, decoded))
     return records
 
@@ -115,7 +143,11 @@ def load_corpus(
 def _decode_issues(cell: str) -> tuple[tuple[Issue, ...], Issue | None]:
     """The issues a stage file's ``issues`` cell holds, and None; or ``()`` and the tag why not."""
     try:
-        return tuple(Issue.from_json(obj) for obj in parse_json(cell)), None
+        entries = parse_json(cell)
+        if not isinstance(entries, list):
+            kind = _JSON_KINDS.get(type(entries)) or json.dumps(entries)
+            raise TypeError(f"expected a JSON array, found {kind}")
+        return tuple(Issue.from_json(entry) for entry in entries), None
     except (ValueError, KeyError, TypeError) as exc:
         return (), make_issue(
             "E_JSON_CELL",
@@ -126,59 +158,43 @@ def _decode_issues(cell: str) -> tuple[tuple[Issue, ...], Issue | None]:
 
 
 def _record_from_cells(
-    cells: dict[str, str | None],
+    cells: list[str | None],
     stem: str,
     row_number: int,
-    decoded: dict[str, tuple[tuple[Issue, ...], Issue | None]],
+    decoded: dict[str | None, tuple[tuple[Issue, ...], Issue | None]],
 ) -> ApiCallRecord:
-    """One row's record; ``decoded`` memoizes ``_decode_issues`` for the rows of one file."""
+    """One row's record from its stage cells; ``decoded`` memoizes ``_decode_issues`` per file."""
     issues: list[Issue] = []
 
-    raw_id = cells.get("record_id") or ""
     # An empty atom is dropped: written back, it would vanish from the cell.
-    atoms = tuple(dict.fromkeys(filter(None, raw_id.split(ID_SEPARATOR))))
-    record_id = RecordId(ids=atoms) if atoms else RecordId.single(f"{stem}:{row_number}")
+    atoms = tuple(dict.fromkeys(filter(None, (cells[_ID] or "").split(ID_SEPARATOR))))
+    cells[_ID] = RecordId(ids=atoms) if atoms else RecordId.single(f"{stem}:{row_number}")
 
-    method_cell = cells.get("http_method")
-    try:
-        method = HttpMethod((method_cell or "").strip().upper())
-    except ValueError:
+    method = _METHODS.get((cells[_METHOD] or "").strip().upper())
+    if method is None:
         issues.append(
             make_issue(
                 "E_METHOD_UNKNOWN",
                 Stage.INGEST,
-                f"http_method {method_cell!r} is not a supported method; assuming GET",
+                f"http_method {cells[_METHOD]!r} is not a supported method; assuming GET",
                 field="http_method",
             )
         )
         method = HttpMethod.GET
+    cells[_METHOD] = method
 
-    prior: tuple[Issue, ...] = ()
-    issues_cell = cells.get("issues")
-    if issues_cell is not None:
-        try:
-            prior, fault = decoded[issues_cell]
-        except KeyError:
-            prior, fault = decoded[issues_cell] = _decode_issues(issues_cell)
-        if fault is not None:
-            issues.append(fault)
+    entry = decoded.get(cells[_ISSUES])
+    if entry is None:
+        entry = decoded[cells[_ISSUES]] = _decode_issues(cells[_ISSUES])
+    cells[_ISSUES], fault = entry
+    if fault is not None:
+        issues.append(fault)
 
-    return ApiCallRecord(
-        id=record_id,
-        source_url=cells.get("source_url") or "",
-        http_method=method,
-        raw_path=cells.get("path") or "",
-        raw_curl=cells.get("curl_example"),
-        raw_parameters=cells.get("parameters"),
-        request_example=cells.get("request_example"),
-        response_example=cells.get("response_example"),
-        description=cells.get("description"),
-        group=cells.get("group"),
-        issues=prior,
-    ).with_issues(*issues)  # a re-read stage file already carries its ingest tags
+    # A re-read stage file already carries its ingest tags, which with_issues skips.
+    return ApiCallRecord(*cells).with_issues(*issues)
 
 
-def merge_key(record: ApiCallRecord) -> tuple[str, str]:
+def merge_key(record: ApiCallRecord) -> tuple[str, str | None]:
     """Method and rendered path template of a parsed record (the raw path if it did not parse)."""
     template = record.path
     return record.http_method.value, template.render() if template is not None else record.raw_path
@@ -188,12 +204,12 @@ def merge_records(a: ApiCallRecord, b: ApiCallRecord) -> ApiCallRecord:
     """Merge two parsed records describing the same call (equal merge keys).
 
     Identifiers are concatenated and deduped, and missing cells filled from
-    ``b``. Conflicting present cells keep ``a``'s and tag W_MERGE_CONFLICT;
-    the parsed ``curl`` and ``params`` come from the row whose cell is kept.
-    ``b``'s tags are all kept, also those about cells the merge drops, so
-    every row's findings reach the gate. If the records describe different
-    calls the merge is refused: ``a`` comes back tagged E_MERGE_KEY_MISMATCH
-    and both records survive separately.
+    ``b``. Conflicting present cells keep ``a``'s and tag W_MERGE_CONFLICT,
+    one per cell in column order; the parsed ``curl`` and ``params`` come
+    from the row whose cell is kept. ``b``'s tags are all kept, also those
+    about cells the merge drops, so every row's findings reach the gate. If
+    the records describe different calls the merge is refused: ``a`` comes
+    back tagged E_MERGE_KEY_MISMATCH and both records survive separately.
     """
     if merge_key(a) != merge_key(b):
         return a.with_issues(
@@ -204,42 +220,32 @@ def merge_records(a: ApiCallRecord, b: ApiCallRecord) -> ApiCallRecord:
             )
         )
 
+    changes = {
+        "id": a.id.merge(b.id),
+        "curl": (a if a.raw_curl is not None else b).curl,
+        "params": (a if a.raw_parameters is not None else b).params,
+    }
     conflicts: list[Issue] = []
-
-    def pick(field_name: str, left, right):
+    for column, name in _MERGED_CELLS:
+        left, right = getattr(a, name), getattr(b, name)
         if left is None:
-            return right
-        if right is not None and left != right:
+            changes[name] = right
+        elif right is not None and left != right:
             conflicts.append(
                 make_issue(
                     "W_MERGE_CONFLICT",
                     Stage.INGEST,
-                    f"field {field_name} differs between {a.id} and {b.id}; keeping the first",
-                    field=field_name,
+                    f"field {column} differs between {a.id} and {b.id}; keeping the first",
+                    field=column,
                 )
             )
-        return left
-
-    merged = replace(
-        a,
-        id=a.id.merge(b.id),
-        source_url=pick("source_url", a.source_url or None, b.source_url or None) or "",
-        raw_curl=pick("curl_example", a.raw_curl, b.raw_curl),
-        raw_parameters=pick("parameters", a.raw_parameters, b.raw_parameters),
-        request_example=pick("request_example", a.request_example, b.request_example),
-        response_example=pick("response_example", a.response_example, b.response_example),
-        description=pick("description", a.description, b.description),
-        group=pick("group", a.group, b.group),
-        curl=(a if a.raw_curl is not None else b).curl,
-        params=(a if a.raw_parameters is not None else b).params,
-    )
-    return merged.with_issues(*b.issues, *conflicts)
+    return replace(a, **changes).with_issues(*b.issues, *conflicts)
 
 
 def merge_corpus(records: list[ApiCallRecord]) -> list[ApiCallRecord]:
     """Fold together all parsed records sharing a merge key, in input order."""
     # Reassigning a key keeps its place, so the dict holds the first-seen order.
-    merged: dict[tuple[str, str], ApiCallRecord] = {}
+    merged: dict[tuple[str, str | None], ApiCallRecord] = {}
     for record in records:
         key = merge_key(record)
         merged[key] = merge_records(merged[key], record) if key in merged else record
@@ -254,20 +260,12 @@ class _Echo:
         return line
 
 
-def write_stage_rows(
-    records: list[ApiCallRecord], out, subset: tuple[list[ApiCallRecord], object] | None = None
-) -> None:
-    """Write the canonical stage CSV, header first, one ``out.write`` call per row.
+def stage_lines(records: Iterable[ApiCallRecord]) -> Iterator[str]:
+    """The stage CSV of ``records`` as lines of text: the header, then one line per record.
 
-    ``out`` is anything with a ``write(str)`` method: an open text file, a
-    ``StringIO`` or a digest sink. No more than one row is ever held as text.
-    ``subset``, a pair ``(members, subset_out)``, also writes ``members`` to
-    ``subset_out`` as a stage CSV of their own; each row is formatted once
-    and written to both. ``members`` must be a subsequence of ``records``,
-    the same objects in the same order (as ``route`` returns its sides), or
-    the write ends in a ``ValueError``.
+    ``None`` cells are written empty, and each distinct ``issues`` tuple is
+    encoded once per call (an LRU of ``ISSUES_MEMO`` cells).
     """
-    members, subset_out = subset if subset is not None else ((), None)
     line = csv.writer(_Echo()).writerow
     encoder = json.JSONEncoder(ensure_ascii=False)  # the bytes of json.dumps(..., ensure_ascii=False)
 
@@ -275,20 +273,13 @@ def write_stage_rows(
     def issues_cell(issues: tuple[Issue, ...]) -> str:
         return encoder.encode([issue.to_json() for issue in issues])
 
-    header = line(STAGE_COLUMNS)
-    out.write(header)
-    if subset_out is not None:
-        subset_out.write(header)
-    pending = iter(members)
-    member = next(pending, None)
+    yield line(STAGE_COLUMNS)
     for record in records:
-        text = line(_record_to_row(record, issues_cell))
-        out.write(text)
-        if record is member:
-            subset_out.write(text)
-            member = next(pending, None)
-    if member is not None:
-        raise ValueError(f"record {member.id} of the subset is not in order among the records")
+        row = list(_stage_cells(record))
+        row[_ID] = str(row[_ID])
+        row[_METHOD] = row[_METHOD].value
+        row[_ISSUES] = issues_cell(row[_ISSUES])
+        yield line(row)
 
 
 def write_stage(
@@ -296,38 +287,36 @@ def write_stage(
     path: str | Path,
     subset: tuple[list[ApiCallRecord], str | Path] | None = None,
 ) -> None:
-    """Materialize records as a stage CSV (input schema plus ``issues``), row by row.
+    """Write the lines of ``stage_lines(records)`` to ``path``, one at a time.
 
     ``load_corpus(write_stage(rs))`` reproduces every CSV-carried field and
     all issues. The parser outputs are not serialized; ``parse_record``
     derives them again from the raw cells. ``subset``, a pair ``(members,
     subset_path)``, also writes ``members`` to ``subset_path`` in the same
-    pass, the bytes ``write_stage(members, subset_path)`` writes; see
-    ``write_stage_rows``.
+    pass, the bytes ``write_stage(members, subset_path)`` writes. ``members``
+    must be a subsequence of ``records``, the same objects in the same order
+    (as ``route`` returns its sides), or the write ends in a ``ValueError``.
     """
+    lines = stage_lines(records)
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         if subset is None:
-            write_stage_rows(records, fh)
+            for text in lines:
+                fh.write(text)
             return
         members, subset_path = subset
         with Path(subset_path).open("w", encoding="utf-8", newline="") as subset_fh:
-            write_stage_rows(records, fh, (members, subset_fh))
-
-
-def _record_to_row(record: ApiCallRecord, issues_cell) -> list[str]:
-    return [
-        str(record.id),
-        record.source_url,
-        record.http_method.value,
-        record.raw_path,
-        record.raw_curl or "",
-        record.raw_parameters or "",
-        record.request_example or "",
-        record.response_example or "",
-        record.description or "",
-        record.group or "",
-        issues_cell(record.issues),
-    ]
+            header = next(lines)
+            fh.write(header)
+            subset_fh.write(header)
+            pending = iter(members)
+            member = next(pending, None)
+            for record, text in zip(records, lines):
+                fh.write(text)
+                if record is member:
+                    subset_fh.write(text)
+                    member = next(pending, None)
+    if member is not None:
+        raise ValueError(f"record {member.id} of the subset is not in order among the records")
 
 
 def record_id_census(records: list[ApiCallRecord]) -> Counter:

@@ -84,8 +84,13 @@ class Issue:
     def from_json(cls, obj: dict) -> Issue:
         """Inverse of ``to_json``; a stored ``severity`` is ignored.
 
-        Raises KeyError for a code outside the catalog.
+        Raises KeyError for a code outside the catalog, and TypeError for an
+        entry that is not an object or whose message or field is not a string.
         """
+        if not isinstance(obj, dict):
+            raise TypeError("an issue entry is not an object")
+        if not isinstance(obj["message"], str) or not isinstance(obj.get("field", ""), str):
+            raise TypeError("an issue's message and field must be strings")
         return make_issue(obj["code"], Stage(obj["stage"]), obj["message"], obj.get("field"))
 
 

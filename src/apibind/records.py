@@ -53,10 +53,11 @@ class RecordId:
 
 @dataclass(frozen=True, slots=True)
 class ApiCallRecord:
+    # The stage row's cells, in column order (STAGE_FIELDS); a text cell is None when empty.
     id: RecordId
-    source_url: str
+    source_url: str | None
     http_method: HttpMethod
-    raw_path: str
+    raw_path: str | None
     raw_curl: str | None = None
     raw_parameters: str | None = None
     request_example: str | None = None
@@ -98,3 +99,6 @@ class ApiCallRecord:
 #: A record's field names in ``__init__``'s order, and one call that reads their values.
 _FIELDS = tuple(field.name for field in fields(ApiCallRecord))
 _field_values = attrgetter(*_FIELDS)
+
+#: The fields of a stage row, ``id`` through ``issues``, one per ``ingest.STAGE_COLUMNS`` column.
+STAGE_FIELDS = _FIELDS[: _FIELDS.index("issues") + 1]

@@ -981,6 +981,36 @@ class TestHostileCells:
         assert run(["analyze", "--input", corpus, "--out-dir", out]) == 0
         assert run(["dashboard", "--input", out / "analyzed.csv"]) == 0
 
+    @pytest.mark.parametrize("command", ["analyze", "generate"])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"code": "W_NO_EXAMPLE", "stage": "Parse", "message": ["x"]},
+            {"code": "W_NO_EXAMPLE", "stage": "Parse", "message": "m", "field": 7},
+            "W_NO_EXAMPLE",
+        ],
+    )
+    def test_issue_entry_that_is_not_an_issue_tags_its_row(self, command, entry, tmp_path):
+        """An ``issues`` entry that is not an object, or whose message or field is not
+        text, rejects its row with E_JSON_CELL; the run goes on."""
+        corpus = write_cells(
+            tmp_path / "c.csv",
+            [
+                {"record_id": "ok", "path": "/v1/ok", "response_example": '{"ok":true}'},
+                {
+                    "record_id": "bad",
+                    "path": "/v1/bad",
+                    "response_example": '{"ok":true}',
+                    "issues": json.dumps([entry]),
+                },
+            ],
+        )
+        out = tmp_path / "out"
+        assert run([command, "--input", corpus, "--out-dir", out]) == 0
+        (rejected,) = load_corpus(out / "rejects.csv")
+        assert str(rejected.id) == "bad"
+        assert [(i.code, i.field) for i in rejected.issues] == [("E_JSON_CELL", "issues")]
+
 
 class TestParseBeforeMerge:
     def test_dropped_row_keeps_its_curl_fault(self, tmp_path):

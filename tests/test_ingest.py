@@ -20,7 +20,7 @@ from apibind.ingest import (
 )
 from apibind.issues import Stage, make_issue
 from apibind.parse import parse_record
-from apibind.records import ApiCallRecord, RecordId
+from apibind.records import STAGE_FIELDS, ApiCallRecord, RecordId
 
 from .gen import gen_record
 
@@ -34,6 +34,23 @@ def write_csv(tmp_path, body: str, name: str = "corpus.csv"):
     path = tmp_path / name
     path.write_text(HEADER + "\n" + body, encoding="utf-8")
     return path
+
+
+def test_stage_columns_are_the_records_leading_fields():
+    assert len(STAGE_COLUMNS) == len(STAGE_FIELDS)
+    assert list(zip(STAGE_COLUMNS, STAGE_FIELDS)) == [
+        ("record_id", "id"),
+        ("source_url", "source_url"),
+        ("http_method", "http_method"),
+        ("path", "raw_path"),
+        ("curl_example", "raw_curl"),
+        ("parameters", "raw_parameters"),
+        ("request_example", "request_example"),
+        ("response_example", "response_example"),
+        ("description", "description"),
+        ("group", "group"),
+        ("issues", "issues"),
+    ]
 
 
 def test_load_corpus12(corpus12_path):
@@ -112,6 +129,30 @@ def test_rows_sharing_an_issues_cell_each_get_its_tags(tmp_path):
     assert tags[7] == []
     assert tags[8] == [("E_METHOD_UNKNOWN", Stage.INGEST, "http_method"), cell_fault]
     assert "E_BOGUS" in records[0].issues[0].message
+
+
+@pytest.mark.parametrize(
+    "cell, found",
+    [
+        ("{}", "an object"),
+        ('""', "a string"),
+        ('{"code": "W_NO_EXAMPLE", "stage": "Parse", "message": "m"}', "an object"),
+        ("7", "a number"),
+        ("null", "null"),
+    ],
+)
+def test_issues_cell_that_is_not_an_array_is_tagged(tmp_path, cell, found):
+    path = tmp_path / "stage.csv"
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(STAGE_COLUMNS)
+        writer.writerow(["r1", "https://d/x", "GET", "/v1/x", *[""] * 6, cell])
+    (record,) = load_corpus(path)
+    assert [(i.code, i.stage, i.field) for i in record.issues] == [
+        ("E_JSON_CELL", Stage.INGEST, "issues")
+    ]
+    expected = f"issues cell is not a valid issue list: expected a JSON array, found {found}"
+    assert record.issues[0].message == expected
 
 
 def test_missing_record_id_synthesized(tmp_path):
@@ -339,22 +380,19 @@ _cell = st.text(
 )
 
 
+#: The record fields of the stage's eight text cells: each is None exactly when its cell is empty.
+_TEXT_FIELDS = [name for name in STAGE_FIELDS if name not in ("id", "http_method", "issues")]
+
+
 @settings(max_examples=60)
 @given(
     atom=st.from_regex(r"[a-zA-Z0-9_.:-]{1,12}", fullmatch=True),
-    description=st.none() | _cell,
-    group=st.none() | _cell,
+    texts=st.fixed_dictionaries({name: st.none() | _cell for name in _TEXT_FIELDS}),
     method=st.sampled_from(list(HttpMethod)),
 )
-def test_round_trip_hypothesis(tmp_path_factory, atom, description, group, method):
-    record = ApiCallRecord(
-        id=RecordId.single(atom),
-        source_url="https://d/x",
-        http_method=method,
-        raw_path="/v1/x",
-        description=description,
-        group=group,
-    )
+def test_round_trip_hypothesis(tmp_path_factory, atom, texts, method):
+    assert len(texts) == 8
+    record = ApiCallRecord(id=RecordId.single(atom), http_method=method, **texts)
     out = tmp_path_factory.mktemp("rt") / "stage.csv"
     write_stage([record], out)
     assert load_corpus(out) == [record]
