@@ -25,7 +25,7 @@ from .curl import HttpMethod
 from .ingest import stage_lines
 from .issues import Issue, Stage, make_issue
 from .params import Convention, Parameter
-from .pathtemplate import PathTemplate, Variable
+from .pathtemplate import PathTemplate
 from .records import ApiCallRecord
 from .templates import TemplateSet
 from .typeinfer import (
@@ -81,14 +81,12 @@ _NON_ALNUM = re.compile(r"[^A-Za-z0-9]+")
 
 
 def function_raw_name(method: HttpMethod, template: PathTemplate) -> str:
-    """Deterministic raw name: lowercased method plus path words, '_'-joined."""
-    parts = [method.value.lower()]
-    for segment in template.segments:
-        text = segment.name if isinstance(segment, Variable) else segment.text
-        word = _NON_ALNUM.sub("_", text).strip("_").lower()
-        if word:
-            parts.append(word)
-    return "_".join(parts)
+    """Deterministic raw name: lowercased method plus path words, '_'-joined.
+
+    The words are the text's alphanumeric runs: '/', '{' and '}' separate
+    them like any other punctuation, so a variable contributes its name.
+    """
+    return "_".join(filter(None, (method.value, *_NON_ALNUM.split(template.text)))).lower()
 
 
 def ordered_params(params: tuple[Parameter, ...]) -> list[Parameter]:
@@ -436,7 +434,7 @@ _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 def _doc_ctx(fn: BindingFunction) -> dict:
     record = fn.record
-    summary = record.description or f"{record.http_method.value} {record.path.render()}"
+    summary = record.description or f"{record.http_method.value} {record.path.text}"
     return {
         "summary": _LINE_BREAK.sub(" ", summary),
         "doc_url": _LINE_BREAK.sub(" ", record.source_url or ""),
@@ -477,6 +475,6 @@ def _fn_ctx(fn: BindingFunction, names: dict) -> dict:
         "signature_params": signature,
         "response_type": format_type(fn.response_type, type_names),
         "http_method": fn.record.http_method.value,
-        "path_template": fn.record.path.render(),
+        "path_template": fn.record.path.text,
         "param_lines": param_lines,
     }

@@ -195,9 +195,9 @@ def _record_from_cells(
 
 
 def merge_key(record: ApiCallRecord) -> tuple[str, str | None]:
-    """Method and rendered path template of a parsed record (the raw path if it did not parse)."""
+    """Method and canonical path text of a parsed record (the raw path if it did not parse)."""
     template = record.path
-    return record.http_method.value, template.render() if template is not None else record.raw_path
+    return record.http_method.value, template.text if template is not None else record.raw_path
 
 
 def merge_records(a: ApiCallRecord, b: ApiCallRecord) -> ApiCallRecord:

@@ -72,7 +72,7 @@ _CONVENTIONS: dict[str, Convention] = {
     "cookie": Convention.COOKIE,
 }
 
-_TRUE_WORDS = {"yes", "true", "required"}
+_TRUE_WORDS = {"yes", "true", "required", "1"}
 _FALSE_WORDS = {"no", "false", "optional", "0"}
 
 

@@ -1,8 +1,8 @@
 """HTTP request path templates: literal segments mixed with variables.
 
 Documentation writes path variables as ``{name}`` or ``:name``; both are
-canonicalized to the ``{name}`` form. Rendering a template reproduces its
-canonical source string, so parse/render round-trips are exact.
+canonicalized to the ``{name}`` form. A parsed template's text is that
+canonical form, so parsing it again gives the same template.
 """
 
 from __future__ import annotations
@@ -35,37 +35,17 @@ _SUSPECT = {
 
 
 @dataclass(frozen=True)
-class Literal:
-    text: str
-
-
-@dataclass(frozen=True)
-class Variable:
-    name: str
-
-
-Segment = Literal | Variable
-
-
-@dataclass(frozen=True)
 class PathTemplate:
-    segments: tuple[Segment, ...]
+    """A parsed path: its canonical text and its variable names in path order.
 
-    def variables(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.segments if isinstance(s, Variable))
+    ``text`` is the '/'-joined segments with a leading '/' and each variable
+    written ``{name}``; the empty template is the root path '/'. The names are
+    kept beside the text because a literal segment may hold balanced braces
+    (``a{b}c``, ``{a}{b}``), so no simple scan of the text recovers them.
+    """
 
-    def render(self) -> str:
-        """Canonical string form: '/'-joined segments with a leading '/'.
-
-        The empty template renders as the root path '/'.
-        """
-        parts = []
-        for seg in self.segments:
-            if isinstance(seg, Variable):
-                parts.append("{" + seg.name + "}")
-            else:
-                parts.append(seg.text)
-        return "/" + "/".join(parts)
+    text: str
+    variables: tuple[str, ...]
 
 
 def parse_path_template(raw: str) -> tuple[PathTemplate | None, list[Issue]]:
@@ -83,24 +63,24 @@ def parse_path_template(raw: str) -> tuple[PathTemplate | None, list[Issue]]:
     if control:
         return _syntax_error(f"control character {control.group()!r} at offset {control.start()}")
 
-    body = raw[1:] if raw.startswith("/") else raw
+    pos = 1 if raw.startswith("/") else 0  # char offset of the current segment in raw
+    body = raw[pos:]
     # A single trailing slash is tolerated and dropped from the canonical form.
     if body.endswith("/"):
         body = body[:-1]
 
     issues: list[Issue] = []
-    segments: list[Segment] = []
-    seen: set[str] = set()
-    pos = len(raw) - len(body)  # char offset of the current segment in raw
+    parts: list[str] = []
+    variables: dict[str, None] = {}  # path order; the keys catch a repeated name
     for part in body.split("/") if body else []:
         match = _SEGMENT.match(part)
         kind = match.lastgroup
         if kind in ("brace", "colon"):
             name = match.group(kind)
-            if name in seen:
+            if name in variables:
                 return _syntax_error(f"duplicate variable {name!r} at offset {pos}")
-            seen.add(name)
-            segments.append(Variable(name))
+            variables[name] = None
+            parts.append("{" + name + "}")
         elif kind == "empty":
             return _syntax_error(f"empty variable name at offset {pos}")
         elif kind == "colon_braced" or (kind == "braced" and not _braces_balanced(part)):
@@ -109,10 +89,10 @@ def parse_path_template(raw: str) -> tuple[PathTemplate | None, list[Issue]]:
             if kind in _SUSPECT:
                 message = f"segment {part!r} {_SUSPECT[kind]}"
                 issues.append(make_issue("W_PATH_SUSPECT", Stage.PARSE, message, field="path"))
-            segments.append(Literal(part))
+            parts.append(part)
         pos += len(part) + 1
 
-    return PathTemplate(segments=tuple(segments)), issues
+    return PathTemplate("/" + "/".join(parts), tuple(variables)), issues
 
 
 def _syntax_error(message: str) -> tuple[None, list[Issue]]:

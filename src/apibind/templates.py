@@ -8,7 +8,9 @@ silent emptiness.
 
 A template set is five named templates; the built-in neutral set renders a
 plain-text typed-interface description. Real-language sets are plain files
-in a directory, so adding a target language is configuration, not code.
+in a directory, so a target language's layout is configuration, not code.
+Its type expressions are not: ``typeinfer.format_type`` writes every type in
+one fixed grammar (``[string]``, ``int | null``), whatever the template set.
 """
 
 from __future__ import annotations
@@ -42,11 +44,6 @@ class RenderError(Exception):
 
 
 @dataclass(frozen=True)
-class _Text:
-    text: str
-
-
-@dataclass(frozen=True)
 class _Var:
     name: str
 
@@ -67,7 +64,7 @@ class Template:
         pos = 0
         for match in _TAG.finditer(source):
             if match.start() > pos:
-                stack[-1][1].append(_Text(source[pos : match.start()]))
+                stack[-1][1].append(source[pos : match.start()])
             kind, name = match.groups()
             if kind == "#":
                 stack.append((name, []))
@@ -82,7 +79,7 @@ class Template:
                 stack[-1][1].append(_Var(name))
             pos = match.end()
         if pos < len(source):
-            stack[-1][1].append(_Text(source[pos:]))
+            stack[-1][1].append(source[pos:])
         if len(stack) != 1:
             raise TemplateError(f"template {self.name!r}: unclosed section {stack[-1][0]!r}")
         return tuple(stack[0][1])
@@ -100,8 +97,8 @@ class Template:
         """
         for node in nodes:
             kind = type(node)
-            if kind is _Text:
-                out.append(node.text)
+            if kind is str:
+                out.append(node)
                 continue
             value = context.get(node.name, _MISSING)
             if value is _MISSING:

@@ -35,7 +35,7 @@ def cross_validate(record: ApiCallRecord) -> ApiCallRecord:
     issues: list[Issue] = []
 
     if template is not None:
-        path_vars = template.variables()
+        path_vars = template.variables
         for name in path_vars:
             if name not in path_params:
                 issues.append(

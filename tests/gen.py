@@ -8,7 +8,7 @@ import string
 
 from apibind.curl import HttpMethod
 from apibind.issues import CATALOG, Stage, make_issue
-from apibind.pathtemplate import Literal, PathTemplate, Variable
+from apibind.pathtemplate import PathTemplate
 from apibind.records import ApiCallRecord, RecordId
 
 _WORD_CHARS = string.ascii_lowercase + string.digits
@@ -19,23 +19,24 @@ def gen_word(rng: random.Random, min_len: int = 1, max_len: int = 8) -> str:
 
 
 def gen_template(rng: random.Random) -> PathTemplate:
+    """Canonical template text and its variable names, built side by side."""
     segments = []
-    used: set[str] = set()
+    variables: list[str] = []
     for _ in range(rng.randint(0, 6)):
         if rng.random() < 0.4:
             name = gen_word(rng)
             if rng.random() < 0.3:
                 name += "-" + gen_word(rng)
-            if name in used:
+            if name in variables:
                 continue
-            used.add(name)
-            segments.append(Variable(name))
+            variables.append(name)
+            segments.append("{" + name + "}")
         else:
             text = gen_word(rng)
             if rng.random() < 0.2:
                 text += rng.choice((".json", "-v2", "~x"))
-            segments.append(Literal(text))
-    return PathTemplate(tuple(segments))
+            segments.append(text)
+    return PathTemplate("/" + "/".join(segments), tuple(variables))
 
 
 def gen_json_doc(

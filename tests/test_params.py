@@ -87,9 +87,9 @@ def test_convention_spellings():
 
 def test_required_spellings():
     for value, expected in (
-        ("yes", True), ("TRUE", True), ("required", True),
-        ("no", False), ("false", False), ("optional", False),
-        (True, True), (False, False), ("maybe", None),
+        ("yes", True), ("TRUE", True), ("required", True), ("1", True),
+        ("no", False), ("false", False), ("optional", False), ("0", False),
+        (True, True), (False, False), ("maybe", None), (1, None), (0, None),
     ):
         params, _ = parse_parameter_table(json.dumps([{"name": "x", "in": "query", "required": value}]))
         assert params[0].required is expected, value

@@ -8,7 +8,7 @@ import pytest
 
 from apibind.curl import HttpMethod
 from apibind.issues import Stage, make_issue
-from apibind.pathtemplate import Literal, PathTemplate
+from apibind.pathtemplate import PathTemplate
 from apibind.records import ApiCallRecord, RecordId
 
 TAG = make_issue("W_NO_EXAMPLE", Stage.VALIDATE, "no example")
@@ -57,7 +57,7 @@ class TestWithIssues:
         assert copy.with_issues(moved).issues == (TAG, OTHER, moved)
 
     def test_copy_sets_parser_outputs_and_equals_a_built_record(self):
-        path = PathTemplate((Literal("v1"), Literal("x")))
+        path = PathTemplate("/v1/x", ())
         rec = record()
         copy = rec.with_issues(TAG, path=path, curl=None, params=())
         assert type(copy) is ApiCallRecord
