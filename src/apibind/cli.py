@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import itertools
 import json
 import os
@@ -333,12 +334,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; the cyclic collector is off meanwhile.
+
+    A run's objects form no cycles that grow with the corpus, so collection
+    passes would only re-scan live data. The caller's collector state is
+    restored however the run ends, ``SystemExit`` from argument parsing included.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        return args.run(args)
-    except (CorpusError, TemplateError, RenderError, ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        args = build_parser().parse_args(argv)
+        try:
+            return args.run(args)
+        except (CorpusError, TemplateError, RenderError, ValueError, OSError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

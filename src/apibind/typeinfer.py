@@ -17,6 +17,13 @@ seeds, records where, and turns objects into references to declarations
 hash-consed in a ``DeclRegistry`` shared by every tree of a build, so
 identical bodies get one declaration corpus-wide. ``finalize`` is that walk
 without a registry.
+
+Both tree walks are per-node kernels. Every node kind is a slotted frozen
+dataclass, so no node carries a ``__dict__``. The fold (``_infer_raw``) and
+the lift (``_Lift.walk``) dispatch on a node's exact type, commonest kind
+first; the lift keeps an atom field as it is, without a call. A decoded
+value of a subclass of a JSON type (an ``OrderedDict``, an ``int``
+subclass) falls through to an ``isinstance`` chain and types as its base.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ class InferredType:
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class _Atom(InferredType):
     """A scalar type. Each is one module singleton, so atoms compare by identity."""
 
@@ -67,19 +74,19 @@ def _atom(label: str) -> _Atom:
     return _ATOMS[label]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TArray(InferredType):
     elem: InferredType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TObject(InferredType):
     #: (wire name, type, required) triples, sorted by name by every builder so
     #: equality is structural.
     fields: tuple[tuple[str, InferredType, bool], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TUnion(InferredType):
     #: Canonical order, as ``_normalize`` builds it: null, bool, the numeric
     #: type, string, one array, one object. ``lift_declarations`` builds
@@ -91,7 +98,7 @@ class TUnion(InferredType):
             raise ValueError("a union needs at least two branches")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TRef(InferredType):
     """Named reference to a lifted object declaration (post-lift trees only)."""
 
@@ -112,9 +119,10 @@ def _wire_text(wire: str) -> str:
 
     A name holding a character that could end the line becomes an ASCII JSON
     string (``ensure_ascii=False`` would leave U+0085, U+2028 and U+2029 raw),
-    which still names the wire field exactly.
+    which still names the wire field exactly. So does the empty name, which
+    written bare would show nothing.
     """
-    return json.dumps(wire) if UNPRINTABLE.search(wire) else wire
+    return json.dumps(wire) if not wire or UNPRINTABLE.search(wire) else wire
 
 
 def format_type(t: InferredType, type_names: dict[str, str] | None = None) -> str:
@@ -291,23 +299,41 @@ def fold_examples(docs: list[Any]) -> InferredType:
 
 
 def _infer_raw(value: Any) -> InferredType:
+    # Exact types first, the commonest first; subclasses take the chain below.
+    kind = type(value)
+    if kind is dict:
+        return TObject(tuple([(n, _infer_raw(item), True) for n, item in sorted(value.items())]))
+    if kind is list:
+        elem: InferredType = BOTTOM
+        for item in value:
+            t = _infer_raw(item)
+            # Types from _infer_raw are normalized and unify is idempotent, so
+            # a first or repeated element type is already the join.
+            if elem is BOTTOM or elem is t:
+                elem = t
+            else:
+                elem = unify(elem, t)
+        return TArray(elem)
+    if kind is str:
+        return T_STRING
+    if kind is int:
+        return T_INT
     if value is None:
         return T_NULL
-    if isinstance(value, bool):
+    if kind is bool:
         return T_BOOL
-    if isinstance(value, int):
+    if kind is float:
+        return T_FLOAT
+    if isinstance(value, int):  # bool is final, so this is never one
         return T_INT
     if isinstance(value, float):
         return T_FLOAT
     if isinstance(value, str):
         return T_STRING
     if isinstance(value, list):
-        elem: InferredType = BOTTOM
-        for item in value:
-            elem = unify(elem, _infer_raw(item))
-        return TArray(elem)
+        return _infer_raw(list(value))
     if isinstance(value, dict):
-        return TObject(tuple((n, _infer_raw(item), True) for n, item in sorted(value.items())))
+        return _infer_raw(dict(value.items()))
     raise TypeError(f"not a JSON value: {value!r}")
 
 
@@ -361,7 +387,7 @@ def inhabits(value: Any, t: InferredType) -> bool:
     raise TypeError(f"cannot check membership of {t!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeDecl:
     """A named object type lifted out of an inferred tree (name pre-mangling).
 
@@ -460,20 +486,23 @@ class _Lift:
         self.issues: list[Issue] = []
 
     def walk(self, node: InferredType, suffix: str, json_path: str) -> InferredType:
-        if isinstance(node, TArray):
+        kind = type(node)
+        if kind is TObject:
+            # A field typed by an atom other than bottom publishes as it is.
+            fields = [
+                (n, t, required)
+                if type(t) is _Atom and t is not BOTTOM
+                else (n, self.walk(t, suffix + n[:1].upper() + n[1:], f"{json_path}.{n}"), required)
+                for n, t, required in node.fields
+            ]
+            body = TObject(tuple(fields))
+            return body if self.registry is None else TRef(self.add_decl(body, suffix))
+        if kind is TArray:
             if node.elem is BOTTOM:
                 self.unpopulated.append(json_path)
             return TArray(self.walk(node.elem, suffix + "Item", json_path + "[]"))
-        if isinstance(node, TUnion):
-            return TUnion(tuple(self.walk(b, suffix, json_path) for b in node.branches))
-        if isinstance(node, TObject):
-            body = TObject(
-                tuple(
-                    (n, self.walk(t, suffix + _cap(n), f"{json_path}.{n}"), required)
-                    for n, t, required in node.fields
-                )
-            )
-            return body if self.registry is None else TRef(self.add_decl(body, suffix))
+        if kind is TUnion:
+            return TUnion(tuple([self.walk(b, suffix, json_path) for b in node.branches]))
         return T_ANY if node is BOTTOM else node
 
     def add_decl(self, body: TObject, suffix: str) -> str:
@@ -508,10 +537,6 @@ def fresh_name(name: str, taken: dict[str, int]) -> str:
     taken[name] = suffix + 1
     taken[final] = 2
     return final
-
-
-def _cap(name: str) -> str:
-    return name[:1].upper() + name[1:] if name else name
 
 
 _DECLARED_TYPES: dict[str, InferredType] = {

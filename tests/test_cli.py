@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import gc
 import json
 import os
 import random
@@ -18,7 +19,7 @@ from apibind.curl import HttpMethod
 from apibind.ingest import STAGE_COLUMNS, load_corpus, record_id_census
 from apibind.typeinfer import MAX_JSON_DEPTH, parse_json
 
-from .gen import gen_record, nested_json
+from .gen import gen_corpus, gen_record, nested_json
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -681,6 +682,57 @@ class TestScale:
         generate_seconds(50)  # warm imports and caches outside the timed runs
         small, large = generate_seconds(2000), generate_seconds(8000)
         assert large / small < 8, (small, large)
+
+
+class TestCollectorState:
+    """``main`` runs with the cyclic collector off and hands back the caller's state."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("case", ["success", "missing-corpus", "help", "unknown-option"])
+    def test_main_restores_the_callers_gc_state(
+        self, corpus12_path, tmp_path, monkeypatch, capsys, case, enabled
+    ):
+        argv = {
+            "success": ["generate", "--input", corpus12_path, "--out-dir", tmp_path / "out"],
+            "missing-corpus": ["analyze", "--input", tmp_path / "absent.csv", "--out-dir", tmp_path],
+            "help": ["--help"],
+            "unknown-option": ["generate", "--no-such-option"],
+        }[case]
+        during = []  # the collector's state when the command reads its corpus
+        read_corpus = cli.load_corpus
+
+        def load_corpus(*args, **kwargs):
+            during.append(gc.isenabled())
+            return read_corpus(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_corpus", load_corpus)
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if case in ("help", "unknown-option"):
+                with pytest.raises(SystemExit):
+                    run(argv)
+            else:
+                assert run(argv) == (0 if case == "success" else 1)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert during == ([False] if case in ("success", "missing-corpus") else [])
+
+    def test_cyclic_garbage_does_not_grow_with_the_corpus(self, tmp_path, capsys):
+        def garbage(rows: int) -> int:
+            corpus = tmp_path / f"gen{rows}.csv"
+            ingest.write_stage(gen_corpus(random.Random(2), rows), corpus)
+            gc.collect()
+            before = gc.isenabled()
+            gc.disable()  # so that nothing is collected between the run and the count
+            try:
+                assert run(["generate", "--input", corpus, "--out-dir", tmp_path / f"o{rows}"]) == 0
+                return gc.collect()
+            finally:
+                (gc.enable if before else gc.disable)()
+
+        assert garbage(30) == garbage(300)
 
 
 class TestParseMemo:

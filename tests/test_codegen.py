@@ -701,6 +701,17 @@ class TestRenderPackage:
         note = next(line for line in lines if line.startswith("  a_function_evil_any"))
         assert json.loads(note[note.index('"') : -1]) == "a\nfunction evil() -> any"
 
+    def test_an_empty_wire_name_is_quoted(self):
+        # Written bare, the empty name would leave "(wire )" and "{: int}".
+        table = [{"name": "o", "in": "query", "example": {"": 1}}]
+        rec = make_valid("e", raw_parameters=json.dumps(table), response_example='{"": 1, "a": 2}')
+        ir = build_reference([rec])
+        names = apply_identifier_policy(ir, IdentifierPolicy())
+        lines = render_package(ir, names, TemplateSet.neutral())["misc.txt"].splitlines()
+        assert 'function getV1Ping(o: {"": int}) -> GetV1PingResponse' in lines
+        assert '  x: int  (wire "")' in lines
+        assert "  a: int" in lines
+
     def test_optional_and_empty_object_params(self):
         table = [
             {"name": "limit", "in": "query", "type": "integer", "required": False},

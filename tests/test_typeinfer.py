@@ -5,10 +5,13 @@ import gc
 import json
 import pickle
 import random
+from collections import OrderedDict
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from apibind import typeinfer
 from apibind.params import Convention, Parameter
 from apibind.typeinfer import (
     BOTTOM,
@@ -19,6 +22,7 @@ from apibind.typeinfer import (
     TObject,
     TRef,
     TUnion,
+    TypeDecl,
     T_ANY,
     T_BOOL,
     T_FLOAT,
@@ -487,3 +491,147 @@ def test_empty_array_paths():
     # b's first item is populated by its second; the [] inside that one is not
     doc = {"a": [], "b": [[], [1, []]], "c": {"d": []}}
     assert finalize(fold_examples([doc]))[1] == ["$.a", "$.b[][]", "$.c.d"]
+
+
+# The isinstance-based kernels that exact-type dispatch replaced in
+# ``_infer_raw`` and ``_Lift.walk``, kept as the reference they must agree with.
+def _reference_infer_raw(value):
+    if value is None:
+        return T_NULL
+    if isinstance(value, bool):
+        return T_BOOL
+    if isinstance(value, int):
+        return T_INT
+    if isinstance(value, float):
+        return T_FLOAT
+    if isinstance(value, str):
+        return T_STRING
+    if isinstance(value, list):
+        elem = BOTTOM
+        for item in value:
+            elem = unify(elem, _reference_infer_raw(item))
+        return TArray(elem)
+    if isinstance(value, dict):
+        return TObject(
+            tuple((n, _reference_infer_raw(item), True) for n, item in sorted(value.items()))
+        )
+    raise TypeError(f"not a JSON value: {value!r}")
+
+
+def _reference_fold(docs):
+    result = BOTTOM
+    for doc in docs:
+        result = unify(result, _reference_infer_raw(doc))
+    return result
+
+
+class _ReferenceLift(typeinfer._Lift):
+    def walk(self, node, suffix, json_path):
+        if isinstance(node, TArray):
+            if node.elem is BOTTOM:
+                self.unpopulated.append(json_path)
+            return TArray(self.walk(node.elem, suffix + "Item", json_path + "[]"))
+        if isinstance(node, TUnion):
+            return TUnion(tuple(self.walk(b, suffix, json_path) for b in node.branches))
+        if isinstance(node, TObject):
+            body = TObject(
+                tuple(
+                    (n, self.walk(t, suffix + n[:1].upper() + n[1:], f"{json_path}.{n}"), required)
+                    for n, t, required in node.fields
+                )
+            )
+            return body if self.registry is None else TRef(self.add_decl(body, suffix))
+        return T_ANY if node is BOTTOM else node
+
+
+def _reference_lift(t, base_name, registry, *, group="misc", trail=None):
+    lift = _ReferenceLift(registry, group, base_name, trail)
+    return lift.walk(t, "", "$"), lift.unpopulated, lift.issues
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([0.5, 2.0, -1.25]),
+    st.sampled_from(["", "x", "yz"]),
+)
+_keys = st.sampled_from(["", "a", "b", "id", "items", "x-y"])
+_json_docs = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),  # empty arrays included
+        st.dictionaries(_keys, inner, max_size=4),
+        st.lists(st.dictionaries(_keys, inner, max_size=3), min_size=1, max_size=3),
+        st.lists(_scalars, min_size=1, max_size=3).map(lambda xs: xs * 2),  # repeated scalars
+        st.lists(st.integers(-2, 2) | st.sampled_from([1.5, -0.0]), min_size=1, max_size=4),
+        st.lists(st.lists(inner, max_size=2), max_size=2),  # nested arrays
+    ),
+    max_leaves=16,
+)
+
+
+class TestKernelsAgreeWithReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_json_docs, max_size=4), _json_docs)
+    def test_fold_finalize_and_lift_agree(self, docs, seed_doc):
+        raw = fold_examples(docs)
+        assert raw == _reference_fold(docs)
+        assert finalize(raw) == _reference_lift(raw, "", None)[:2]
+
+        trail, reference_trail = [], []
+        assert lift_declarations(raw, "Resp", None, trail=trail) == _reference_lift(
+            raw, "Resp", None, trail=reference_trail
+        )
+        assert trail == reference_trail == []
+
+        # A seeded registry makes some lookups shares, with issues and rehoming.
+        registry, reference = DeclRegistry(), DeclRegistry()
+        seed = fold_examples([seed_doc])
+        lift_declarations(seed, "Seed", registry, group="m")
+        _reference_lift(seed, "Seed", reference, group="m")
+        for base_name, group in (("Resp", "b"), ("Again", "a")):
+            trail, reference_trail = [], []
+            assert lift_declarations(
+                raw, base_name, registry, group=group, trail=trail
+            ) == _reference_lift(raw, base_name, reference, group=group, trail=reference_trail)
+            assert trail == reference_trail
+            assert list(registry.by_body.items()) == list(reference.by_body.items())
+            assert registry.taken == reference.taken
+
+    def test_subclasses_type_as_their_base(self):
+        class Items(list):
+            pass
+
+        class Count(int):
+            pass
+
+        class Text(str):
+            pass
+
+        class Ratio(float):
+            pass
+
+        doc = OrderedDict(
+            [("z", Items([Count(1), Ratio(2.5)])), ("a", Text("x")), ("m", {"k": Count(3)})]
+        )
+        plain = {"z": [1, 2.5], "a": "x", "m": {"k": 3}}
+        assert fold_examples([doc]) == _reference_fold([doc]) == fold_examples([plain])
+        assert fold_examples([Items([]), Count(0)]) == _reference_fold([[], 0])
+        with pytest.raises(TypeError):
+            fold_examples([{"a": object()}])
+
+    def test_a_bottom_field_lifts_to_any(self):
+        hand_built = TObject((("a", BOTTOM, True), ("b", T_INT, False)))
+        expected = TObject((("a", T_ANY, True), ("b", T_INT, False)))
+        assert finalize(hand_built) == (expected, [])
+        assert lift_declarations(hand_built, "X", None) == _reference_lift(hand_built, "X", None)
+
+    def test_nodes_are_slotted(self):
+        body = TObject((("a", TArray(T_INT), True),))
+        decl = TypeDecl(name="X", body=body, group="g")
+        for node in (T_INT, TArray(T_INT), body, TUnion((T_NULL, T_INT)), TRef("X"), decl):
+            assert not hasattr(node, "__dict__"), node
+        moved = replace(decl, group="h")
+        for clone in (copy.copy(moved), copy.deepcopy(moved), pickle.loads(pickle.dumps(moved))):
+            assert clone == moved and hash(clone) == hash(moved)
