@@ -40,7 +40,7 @@ from .codegen import IdentifierPolicy, apply_identifier_policy, build_reference,
 from .ingest import CorpusError, load_corpus, merge_corpus, write_stage
 from .parse import parse_record
 from .records import ApiCallRecord
-from .templates import RenderError, TemplateError, TemplateSet
+from .templates import TemplateError, TemplateSet
 from .typeinfer import SURROGATE, UNPRINTABLE
 from .validate import (
     cross_validate,
@@ -346,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         try:
             return args.run(args)
-        except (CorpusError, TemplateError, RenderError, ValueError, OSError) as exc:
+        except (CorpusError, TemplateError, ValueError, OSError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 1
     finally:

@@ -7,9 +7,11 @@ declaration registry; ``apply_identifier_policy`` maps every raw name to a
 legal target identifier and returns that name map; ``render_package`` renders
 the package's files to text from the ``BindingIr``, the name map and a
 template set, and leaves writing them to the caller. The IR also carries the
-package's name and corpus digest, from which its version follows. Only the
-identifier policy and the templates know anything about the target language.
-Nothing in this module touches the file system except
+package's name and corpus digest, from which its version follows. The
+identifier policy and the templates hold the target language's names and
+layout, but not its type expressions: ``typeinfer.format_type`` writes
+every type in one neutral grammar (``[string]``, ``int | null``), whatever
+the target. Nothing in this module touches the file system except
 ``IdentifierPolicy.from_json_file``, which reads its file.
 """
 
@@ -259,7 +261,13 @@ class IdentifierPolicy:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> IdentifierPolicy:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        """The policy a JSON file describes; every fault is a ``ValueError`` naming the file."""
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"identifier policy {path}: not UTF-8 text: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"identifier policy {path}: not JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ValueError(f"identifier policy {path} is not a JSON object")
         keys = [field.name for field in dataclass_fields(cls)]
@@ -271,7 +279,10 @@ class IdentifierPolicy:
         reserved = doc.get("reserved_words", sorted(_DEFAULT_RESERVED))
         if not isinstance(reserved, list) or not all(isinstance(w, str) for w in reserved):
             raise ValueError(f"identifier policy {path}: reserved_words is not a list of strings")
-        return cls(**{**doc, "reserved_words": frozenset(reserved)})
+        try:
+            return cls(**{**doc, "reserved_words": frozenset(reserved)})
+        except ValueError as exc:
+            raise ValueError(f"identifier policy {path}: {exc}") from exc
 
 
 #: One word: an acronym before a non-lowercase character, a capitalised

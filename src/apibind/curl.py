@@ -1,10 +1,12 @@
 """Parse documented ``curl`` command lines into structured HTTP requests.
 
-``tokenize_shell`` splits a line into words as a POSIX shell would; a leading
-``curl`` is dropped and every other word is read against one table,
-``_OPTIONS``. It understands ``-X/--request``, ``-H/--header``,
-``-d/--data/--data-binary/--data-ascii/--data-raw``, ``--data-urlencode``,
-``-G/--get``, ``-b/--cookie``, ``-u/--user``, ``--url`` and a positional URL.
+``tokenize_shell`` splits a line into words as a POSIX shell would, and
+raises ``ValueError`` on an unterminated quote, which ``parse_curl`` tags
+``E_CURL_TOKENIZE``. A leading ``curl`` is dropped and every other word is
+read against one table, ``_OPTIONS``. It understands ``-X/--request``,
+``-H/--header``, ``-d/--data/--data-binary/--data-ascii/--data-raw``,
+``--data-urlencode``, ``-G/--get``, ``-b/--cookie``, ``-u/--user``,
+``--url`` and a positional URL.
 Multipart (``-F``, ``--form``, ``--form-string``) is rejected: it has no
 passing convention in this pipeline. So is a body curl would read from a
 file (``-d @FILE``, ``--data-urlencode name@FILE``): its content is unknown
@@ -60,12 +62,6 @@ class CurlRequest:
     auth_user: str | None = None
 
 
-class TokenizeError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} at offset {position}")
-        self.position = position
-
-
 # One alternative per lexical class, tried in this order. The double-quoted
 # body is unrolled (plain run, then escape + plain run, repeated) so an
 # unterminated quote fails in linear time instead of backtracking.
@@ -89,7 +85,7 @@ def tokenize_shell(raw: str) -> list[str]:
     Whitespace separates words; single quotes are fully literal; inside
     double quotes a backslash escapes only ``"`` and ``\\``; a backslash
     before a newline (outside single quotes) is a line continuation and
-    disappears. Raises TokenizeError on an unterminated quote.
+    disappears. Raises ValueError on an unterminated quote, naming its offset.
     """
     words: list[str] = []
     word: list[str] | None = None
@@ -101,7 +97,7 @@ def tokenize_shell(raw: str) -> list[str]:
                 word = None
         elif kind == "unterminated":
             quote = "single" if match.group() == "'" else "double"
-            raise TokenizeError(f"unterminated {quote} quote", match.start())
+            raise ValueError(f"unterminated {quote} quote at offset {match.start()}")
         elif kind != "continuation":
             text = match.group(kind)
             if kind == "double":
@@ -169,7 +165,7 @@ def _options_in(word: str) -> list[tuple[str | None, str, str | None]]:
     return options
 
 
-def parse_curl(raw: str) -> tuple[CurlRequest | None, list[Issue]]:
+def parse_curl(raw: str) -> tuple[CurlRequest | None, tuple[Issue, ...]]:
     """Parse one curl command line.
 
     Returns ``(request, issues)``; the request is None when the line could
@@ -179,8 +175,8 @@ def parse_curl(raw: str) -> tuple[CurlRequest | None, list[Issue]]:
     issues: list[Issue] = []
     try:
         tokens = tokenize_shell(raw)
-    except TokenizeError as exc:
-        return None, [make_issue("E_CURL_TOKENIZE", Stage.PARSE, str(exc), field="curl_example")]
+    except ValueError as exc:
+        return None, (make_issue("E_CURL_TOKENIZE", Stage.PARSE, str(exc), field="curl_example"),)
     if tokens and tokens[0] == "curl":
         tokens = tokens[1:]
 
@@ -245,17 +241,20 @@ def parse_curl(raw: str) -> tuple[CurlRequest | None, list[Issue]]:
                 tag(f"option {spelling} {arg!r} skipped")
 
     if any(issue.code == "E_CURL_UNSUPPORTED" for issue in issues):
-        return None, issues
+        return None, tuple(issues)
     if url is None:
         tag("no URL in curl command", "E_CURL_NO_URL")
-        return None, issues
+        return None, tuple(issues)
 
-    base_url, query = _split_url(url)
+    # Query pairs are stored form-decoded ('+' means space), matching how
+    # the data curl moves into the query with -G was encoded.
+    base_url, _, qs = url.partition("?")
+    query = urllib.parse.parse_qsl(qs, keep_blank_values=True)
     body: tuple[BodyKind, str] | None = None
     if data_parts:
         data = "&".join(data_parts)
         if force_get:
-            query = query + _split_query(data)
+            query += urllib.parse.parse_qsl(data, keep_blank_values=True)
         else:
             body = (_classify_body(data, headers), data)
 
@@ -266,7 +265,7 @@ def parse_curl(raw: str) -> tuple[CurlRequest | None, list[Issue]]:
             method = HttpMethod(explicit_method)
         except ValueError:
             tag(f"unsupported HTTP method {explicit_method!r}", "E_CURL_UNSUPPORTED")
-            return None, issues
+            return None, tuple(issues)
     elif body is not None:
         method = HttpMethod.POST
     else:
@@ -281,7 +280,7 @@ def parse_curl(raw: str) -> tuple[CurlRequest | None, list[Issue]]:
         query=tuple(query),
         auth_user=auth_user,
     )
-    return request, issues
+    return request, tuple(issues)
 
 
 def _split_header(arg: str) -> tuple[str, str] | None:
@@ -335,28 +334,6 @@ def _urlencode_data(arg: str) -> str:
         return urllib.parse.quote_plus(arg)
     encoded = urllib.parse.quote_plus(content)
     return f"{name}={encoded}" if name else encoded
-
-
-def _split_url(url: str) -> tuple[str, tuple[tuple[str, str], ...]]:
-    if "?" not in url:
-        return url, ()
-    base, _, qs = url.partition("?")
-    return base, _split_query(qs)
-
-
-def _split_query(qs: str) -> tuple[tuple[str, str], ...]:
-    # Query pairs are stored form-decoded ('+' means space), matching how
-    # the data curl moves into the query with -G was encoded.
-    pairs = []
-    for chunk in qs.split("&"):
-        if not chunk:
-            continue
-        if "=" in chunk:
-            key, value = chunk.split("=", 1)
-        else:
-            key, value = chunk, ""
-        pairs.append((urllib.parse.unquote_plus(key), urllib.parse.unquote_plus(value)))
-    return tuple(pairs)
 
 
 def _classify_body(data: str, headers: list[tuple[str, str]]) -> BodyKind:

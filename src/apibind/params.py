@@ -89,7 +89,7 @@ def default_convention(method: HttpMethod | None) -> Convention:
 
 def parse_parameter_table(
     raw: str, method: HttpMethod | None = None
-) -> tuple[list[Parameter], list[Issue]]:
+) -> tuple[tuple[Parameter, ...], tuple[Issue, ...]]:
     """Parse a JSON-array parameter table into Parameters.
 
     Entries without a usable name are dropped to an E_PARAM_NO_NAME issue;
@@ -103,12 +103,12 @@ def parse_parameter_table(
         issue = make_issue(
             "E_JSON_CELL", Stage.PARSE, f"parameter table is not JSON: {exc}", field="parameters"
         )
-        return [], [issue]
+        return (), (issue,)
     if not isinstance(doc, list):
         issue = make_issue(
             "E_JSON_CELL", Stage.PARSE, "parameter table is not a JSON array", field="parameters"
         )
-        return [], [issue]
+        return (), (issue,)
 
     params: list[Parameter] = []
     for index, entry in enumerate(doc):
@@ -153,7 +153,7 @@ def parse_parameter_table(
                 example=fields.get("example", _MISSING),
             )
         )
-    return params, issues
+    return tuple(params), tuple(issues)
 
 
 def _normalize_keys(entry: dict) -> dict[str, Any]:

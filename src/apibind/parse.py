@@ -9,37 +9,25 @@ checked here: their decoded documents are dropped, and ``build_reference``
 decodes those of gate-passing records again.
 
 Every sub-parser is a pure function of its cell text (and, for parameter
-tables, the record's method) and returns frozen values. A memo dict
-shared by the rows of one run therefore parses each distinct cell once:
-rows with equal cells share one result, and each row still gets its own
-tags. The memo holds every distinct cell text and parse product of the
-run; findings are kept as tuples (most are ``()``, which costs nothing to
-keep), and a JSON check keeps only its message.
+tables, the record's method) and returns frozen values: a
+``(result, issues)`` pair of a value or tuple and a tuple of issues (most
+are ``()``, which costs nothing to keep). One memo dict shared by the rows
+of one run, keyed on the parser and its arguments, therefore parses each
+distinct cell once: rows with equal cells share one result, and each row
+still gets its own tags. The memo holds every distinct cell text and parse
+product of the run; a JSON check keeps only its message. The parsers are
+looked up in this module's globals at each call, so a wrapper put in their
+place after import sees every parse.
 """
 
 from __future__ import annotations
 
-from .curl import CurlRequest, HttpMethod, parse_curl
+from .curl import parse_curl
 from .issues import Issue, Stage, make_issue
-from .params import Parameter, parse_parameter_table
-from .pathtemplate import PathTemplate, parse_path_template
+from .params import parse_parameter_table
+from .pathtemplate import parse_path_template
 from .records import ApiCallRecord
 from .typeinfer import parse_json
-
-
-def _path(raw: str) -> tuple[PathTemplate | None, tuple[Issue, ...]]:
-    template, issues = parse_path_template(raw)
-    return template, tuple(issues)
-
-
-def _curl(raw: str) -> tuple[CurlRequest | None, tuple[Issue, ...]]:
-    request, issues = parse_curl(raw)
-    return request, tuple(issues)
-
-
-def _table(key: tuple[str, HttpMethod]) -> tuple[tuple[Parameter, ...], tuple[Issue, ...]]:
-    parsed, issues = parse_parameter_table(*key)
-    return tuple(parsed), tuple(issues)
 
 
 def _json_fault(text: str) -> str | None:
@@ -51,16 +39,13 @@ def _json_fault(text: str) -> str | None:
     return None
 
 
-def _once(memo: dict, compute, key):
-    """``compute(key)``, run only the first time ``memo`` sees it for ``compute``.
-
-    ``memo`` holds one inner dict per sub-parser, keyed on that parser's input.
-    """
-    results = memo.setdefault(compute, {})
+def _once(memo: dict, compute, *args):
+    """``compute(*args)``, run only the first time ``memo`` sees these arguments for ``compute``."""
+    key = (compute, *args)
     try:
-        return results[key]
+        return memo[key]
     except KeyError:
-        result = results[key] = compute(key)
+        result = memo[key] = compute(*args)
         return result
 
 
@@ -77,19 +62,21 @@ def parse_record(record: ApiCallRecord, memo: dict | None = None) -> ApiCallReco
 
     path_template = None
     if record.raw_path:
-        path_template, path_issues = _once(memo, _path, record.raw_path)
+        path_template, path_issues = _once(memo, parse_path_template, record.raw_path)
         issues.extend(path_issues)
     else:
         issues.append(make_issue("E_PATH_SYNTAX", Stage.PARSE, "record has no path", field="path"))
 
     curl_request = None
     if record.raw_curl is not None:
-        curl_request, curl_issues = _once(memo, _curl, record.raw_curl)
+        curl_request, curl_issues = _once(memo, parse_curl, record.raw_curl)
         issues.extend(curl_issues)
 
     parameters = None
     if record.raw_parameters is not None:
-        parameters, param_issues = _once(memo, _table, (record.raw_parameters, record.http_method))
+        parameters, param_issues = _once(
+            memo, parse_parameter_table, record.raw_parameters, record.http_method
+        )
         issues.extend(param_issues)
 
     for column, text in (

@@ -48,7 +48,7 @@ class PathTemplate:
     variables: tuple[str, ...]
 
 
-def parse_path_template(raw: str) -> tuple[PathTemplate | None, list[Issue]]:
+def parse_path_template(raw: str) -> tuple[PathTemplate | None, tuple[Issue, ...]]:
     """Parse a documented request path into a template.
 
     Returns ``(template, issues)``; the template is None exactly when an
@@ -92,11 +92,11 @@ def parse_path_template(raw: str) -> tuple[PathTemplate | None, list[Issue]]:
             parts.append(part)
         pos += len(part) + 1
 
-    return PathTemplate("/" + "/".join(parts), tuple(variables)), issues
+    return PathTemplate("/" + "/".join(parts), tuple(variables)), tuple(issues)
 
 
-def _syntax_error(message: str) -> tuple[None, list[Issue]]:
-    return None, [make_issue("E_PATH_SYNTAX", Stage.PARSE, message, field="path")]
+def _syntax_error(message: str) -> tuple[None, tuple[Issue, ...]]:
+    return None, (make_issue("E_PATH_SYNTAX", Stage.PARSE, message, field="path"),)
 
 
 def _braces_balanced(text: str) -> bool:

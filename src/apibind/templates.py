@@ -33,14 +33,8 @@ _MISSING = object()  # a context value no template can hold
 
 
 class TemplateError(Exception):
-    """Malformed template or incomplete template set."""
-
-
-class RenderError(Exception):
-    """A placeholder or section could not be resolved against the context."""
-
-    def __init__(self, template_name: str, detail: str):
-        super().__init__(f"template {template_name!r}: {detail}")
+    """A malformed template, an incomplete or unreadable template set, or a
+    placeholder or section the context cannot resolve."""
 
 
 @dataclass(frozen=True)
@@ -102,22 +96,25 @@ class Template:
                 continue
             value = context.get(node.name, _MISSING)
             if value is _MISSING:
-                raise RenderError(self.name, f"unknown placeholder {node.name!r}")
+                raise TemplateError(f"template {self.name!r}: unknown placeholder {node.name!r}")
             if kind is _Var:
                 if type(value) is str:
                     out.append(value)
                 elif type(value) in (int, float):
                     out.append(str(value))
                 else:
-                    raise RenderError(
-                        self.name, f"placeholder {node.name!r} is a {type(value).__name__}, not a value"
+                    raise TemplateError(
+                        f"template {self.name!r}: placeholder {node.name!r}"
+                        f" is a {type(value).__name__}, not a value"
                     )
                 continue
             if not isinstance(value, list):
-                raise RenderError(self.name, f"section {node.name!r} is not a list")
+                raise TemplateError(f"template {self.name!r}: section {node.name!r} is not a list")
             for item in value:
                 if not isinstance(item, dict):
-                    raise RenderError(self.name, f"section {node.name!r} items must be objects")
+                    raise TemplateError(
+                        f"template {self.name!r}: section {node.name!r} items must be objects"
+                    )
                 self._emit(node.children, {**context, **item}, out)
 
 
@@ -145,7 +142,10 @@ class TemplateSet:
         for name in TEMPLATE_NAMES:
             path = directory / name
             if path.is_file():
-                sources[name] = path.read_text(encoding="utf-8")
+                try:
+                    sources[name] = path.read_text(encoding="utf-8")
+                except UnicodeDecodeError as exc:
+                    raise TemplateError(f"template {path}: not UTF-8 text: {exc}") from exc
         return cls.from_sources(sources)
 
     @classmethod

@@ -146,14 +146,6 @@ def format_type(t: InferredType, type_names: dict[str, str] | None = None) -> st
     raise TypeError(f"cannot format {t!r}")
 
 
-class JsonParseError(ValueError):
-    """The decoder's own message, plus the character offset of the fault."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(message)
-        self.offset = offset
-
-
 #: Deepest nesting of arrays and objects a document may have. Deeper ones
 #: are rejected like malformed ones, so no recursive walk ever sees them.
 MAX_JSON_DEPTH = 128
@@ -165,7 +157,7 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def _reject_constant(token: str):
-    raise JsonParseError(f"non-standard JSON token {token}", 0)
+    raise ValueError(f"non-standard JSON token {token}")
 
 
 #: Built once: ``json.loads`` with a keyword argument builds a decoder per call.
@@ -180,21 +172,22 @@ def parse_json(text: str):
     so are documents nested deeper than ``MAX_JSON_DEPTH`` and documents
     with a key or string that holds a lone surrogate (a ``\\u`` escape of
     half a surrogate pair), which no UTF-8 output can carry.
+
+    Every fault raises ``ValueError``; a decode fault raises the decoder's
+    ``json.JSONDecodeError``, whose ``.pos`` is the fault's offset in ``text``.
     """
     try:
         doc = _DECODER.decode(text)
-    except json.JSONDecodeError as exc:
-        raise JsonParseError(str(exc), exc.pos) from exc
     except RecursionError:
-        raise JsonParseError(_TOO_DEEP, 0) from None
+        raise ValueError(_TOO_DEEP) from None
     # Only a text with that many brackets can nest that deep.
     if text.count("[") + text.count("{") > MAX_JSON_DEPTH and _depth(doc) > MAX_JSON_DEPTH:
-        raise JsonParseError(_TOO_DEEP, 0)
+        raise ValueError(_TOO_DEEP)
     # Re-encoded without escapes, every key and string of the document shows as it is.
     if _SURROGATE_ESCAPE.search(text):
         lone = SURROGATE.search(json.dumps(doc, ensure_ascii=False))
         if lone:
-            raise JsonParseError(f"lone surrogate \\u{ord(lone.group()):04x} in a string", 0)
+            raise ValueError(f"lone surrogate \\u{ord(lone.group()):04x} in a string")
     return doc
 
 

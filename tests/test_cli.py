@@ -570,6 +570,35 @@ class TestFailedRunChangesNothing:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "option, content, complaint",
+        [
+            ("--identifier-policy", b'{"casing_type": ', "not JSON: Expecting value"),
+            ("--identifier-policy", b"\xff", "not UTF-8 text: "),
+            ("--identifier-policy", b'{"casing_type": "kebab"}', "unknown casing 'kebab'"),
+            ("--templates", b"\xff", "not UTF-8 text: "),
+        ],
+    )
+    def test_unreadable_configuration_names_its_file(
+        self, option, content, complaint, generated, corpus12_path, tmp_path, capsys
+    ):
+        if option == "--templates":
+            from apibind.templates import NEUTRAL_TEMPLATES
+
+            config = tmp_path / "tpl"
+            config.mkdir()
+            for name, source in NEUTRAL_TEMPLATES.items():
+                (config / name).write_text(source, encoding="utf-8")
+            bad = config / "type.tpl"
+        else:
+            config = bad = tmp_path / "policy.json"
+        bad.write_bytes(content)
+        capsys.readouterr()
+        argv = ["generate", "--input", corpus12_path, option, config]
+        self.assert_fails_changing_nothing(argv, *generated)
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and str(bad) in line and complaint in line, line
+
+    @pytest.mark.parametrize(
         "stem", ["evil\nfunction pwn() -> any", "tab\tstop", os.fsdecode(b"latin\xe9")]
     )
     def test_unprintable_package_name(self, stem, generated, corpus12_path, tmp_path, capsys):

@@ -12,13 +12,13 @@ def codes(issues):
 
 def test_alias_table():
     params, issues = parse_parameter_table('[{"name":"user-id","in":"path","required":"yes"}]')
-    assert issues == []
-    assert params == [Parameter(name="user-id", convention=Convention.PATH, required=True)]
+    assert issues == ()
+    assert params == (Parameter(name="user-id", convention=Convention.PATH, required=True),)
 
 
 def test_too_deep_table_is_json_cell():
     params, issues = parse_parameter_table("[" * 3000 + "]" * 3000)
-    assert params == []
+    assert params == ()
     assert codes(issues) == ["E_JSON_CELL"]
 
 
@@ -55,7 +55,7 @@ def test_alias_spellings():
         ]
     )
     params, issues = parse_parameter_table(raw)
-    assert issues == []
+    assert issues == ()
     p = params[0]
     assert p.name == "a"
     assert p.convention is Convention.HEADER
@@ -82,7 +82,7 @@ def test_convention_spellings():
     for spelling, expected in table.items():
         params, issues = parse_parameter_table(json.dumps([{"name": "x", "in": spelling.upper()}]))
         assert params[0].convention is expected
-        assert issues == []
+        assert issues == ()
 
 
 def test_required_spellings():
@@ -113,13 +113,13 @@ def test_no_example_key():
 
 def test_not_json_is_cell_error():
     params, issues = parse_parameter_table("not-json")
-    assert params == []
+    assert params == ()
     assert codes(issues) == ["E_JSON_CELL"]
 
 
 def test_non_array_is_cell_error():
     params, issues = parse_parameter_table('{"name":"x"}')
-    assert params == []
+    assert params == ()
     assert codes(issues) == ["E_JSON_CELL"]
 
 

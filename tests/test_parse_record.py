@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from apibind.curl import HttpMethod
+from apibind.curl import HttpMethod, parse_curl
 from apibind.issues import Stage
+from apibind.params import parse_parameter_table
 from apibind.parse import parse_record
+from apibind.pathtemplate import parse_path_template
 from apibind.records import ApiCallRecord, RecordId
 
 
@@ -21,6 +24,33 @@ def record(**kwargs) -> ApiCallRecord:
 
 def codes(rec):
     return sorted(i.code for i in rec.issues)
+
+
+@pytest.mark.parametrize(
+    "parse, raw, codes_out",
+    [
+        (parse_path_template, "/v1/{id}", []),
+        (parse_path_template, "/v1/<id>", ["W_PATH_SUSPECT"]),
+        (parse_path_template, "/v1/{}", ["E_PATH_SYNTAX"]),
+        (parse_curl, "curl https://h/x", []),
+        (parse_curl, "curl -s https://h/x", ["W_CURL_OPT_IGNORED"]),
+        (parse_curl, "curl 'oops", ["E_CURL_TOKENIZE"]),
+        (parse_curl, "curl -s", ["W_CURL_OPT_IGNORED", "E_CURL_NO_URL"]),
+        (parse_curl, "curl -F a=b https://h/x", ["E_CURL_UNSUPPORTED"]),
+        (parse_parameter_table, '[{"name": "a", "in": "query"}]', []),
+        (parse_parameter_table, '[{"in": "query"}]', ["E_PARAM_NO_NAME"]),
+        (parse_parameter_table, "not-json", ["E_JSON_CELL"]),
+        (parse_parameter_table, "{}", ["E_JSON_CELL"]),
+    ],
+)
+def test_parsers_return_tuples(parse, raw, codes_out):
+    """Every parser hands back frozen values, so a memoized result can be shared."""
+    result, issues = parse(raw)
+    assert type(issues) is tuple and [i.code for i in issues] == codes_out
+    if parse is parse_parameter_table:
+        assert type(result) is tuple
+    elif codes_out and codes_out[-1].startswith("E_"):
+        assert result is None
 
 
 def test_path_only_record():

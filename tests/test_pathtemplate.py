@@ -18,13 +18,13 @@ def codes(issues):
 
 def test_brace_variables():
     template, issues = parse_path_template("/users/{user-id}/messages")
-    assert issues == []
+    assert issues == ()
     assert template == PathTemplate("/users/{user-id}/messages", ("user-id",))
 
 
 def test_colon_variables_canonicalized():
     template, issues = parse_path_template("/v1/:account/balance")
-    assert issues == []
+    assert issues == ()
     assert template == PathTemplate("/v1/{account}/balance", ("account",))
 
 
@@ -38,7 +38,7 @@ def test_duplicate_variable_is_syntax_error():
 def test_render_basic():
     # Each variable is written {name} in the text, whichever syntax documented it.
     template, issues = parse_path_template("users/:id/{name}/")
-    assert issues == []
+    assert issues == ()
     assert template == PathTemplate("/users/{id}/{name}", ("id", "name"))
 
 
@@ -46,7 +46,7 @@ def test_render_empty_is_root():
     for raw in ("/", "//"):
         template, issues = parse_path_template(raw)
         assert template == PathTemplate("/", ()), raw
-        assert issues == []
+        assert issues == ()
 
 
 def test_unbalanced_braces():
@@ -125,7 +125,7 @@ def test_suspect_segments_stay_literal():
 
 def test_trailing_slash_canonicalized():
     template, issues = parse_path_template("/users/")
-    assert issues == []
+    assert issues == ()
     assert template == PathTemplate("/users", ())
 
 

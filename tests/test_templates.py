@@ -4,7 +4,6 @@ import pytest
 
 from apibind.templates import (
     NEUTRAL_TEMPLATES,
-    RenderError,
     Template,
     TemplateError,
     TemplateSet,
@@ -43,7 +42,7 @@ def test_section_item_shadows_only_inside_the_section():
 
 def test_unknown_placeholder_is_error():
     tpl = Template("broken.tpl", "{{nope}}")
-    with pytest.raises(RenderError) as exc:
+    with pytest.raises(TemplateError) as exc:
         tpl.render({})
     assert "broken.tpl" in str(exc.value)
     assert "nope" in str(exc.value)
@@ -51,9 +50,9 @@ def test_unknown_placeholder_is_error():
 
 def test_section_requires_list_of_dicts():
     tpl = Template("t", "{{#x}}{{/x}}")
-    with pytest.raises(RenderError):
+    with pytest.raises(TemplateError):
         tpl.render({"x": "not-a-list"})
-    with pytest.raises(RenderError):
+    with pytest.raises(TemplateError):
         tpl.render({"x": ["scalar"]})
 
 
