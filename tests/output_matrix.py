@@ -5,13 +5,14 @@
 
 The corpora are corpus12 plus the three ``perfbench/corpora.py`` shapes
 (low-sharing 400, high-sharing 3000 and dirty 4000 rows) at seeds 101 and 7.
-Each corpus goes through ``generate``, ``generate --merge``, ``analyze
---merge``, ``analyze --strict`` and ``analyze --merge --strict``, and then
-``dashboard`` in text and JSON over the ``analyzed.csv`` of ``analyze
---merge``. Every run gets a fresh out dir. For each run the manifest holds
-the exit code, the sha256 of stdout and of stderr (with the scratch
-directory's path replaced by ``<work>``), and the sha256 of every file the
-run wrote, by its path under the out dir. It also holds the sha256 of each
+Each corpus goes through ``generate``, ``generate --merge``, ``generate``
+under ``tests/data/snake_policy.json`` (snake types and functions, lower-camel
+fields), ``analyze --merge``, ``analyze --strict`` and ``analyze --merge
+--strict``, and then ``dashboard`` in text and JSON over the ``analyzed.csv``
+of ``analyze --merge``. Every run gets a fresh out dir. For each run the
+manifest holds the exit code, the sha256 of stdout and of stderr (with the
+scratch directory's path replaced by ``<work>``), and the sha256 of every
+file the run wrote, by its path under the out dir. It also holds the sha256 of each
 corpus, so a change in the generator shows apart from a change in apibind.
 
 The program run is the ``src/apibind`` of this script's checkout, each
@@ -31,6 +32,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS12 = ROOT / "tests" / "data" / "corpus12.csv"
 GENERATOR = ROOT / "perfbench" / "corpora.py"
+#: A non-default identifier policy, so a change in casing shows in the manifest.
+SNAKE_POLICY = ROOT / "tests" / "data" / "snake_policy.json"
 
 #: (shape, rows) of each generated corpus; each is made at every seed in SEEDS.
 SHAPES = (("low-sharing", 400), ("high-sharing", 3000), ("dirty", 4000))
@@ -40,6 +43,7 @@ SEEDS = (101, 7)
 RUNS = (
     ("generate", ["generate"]),
     ("generate-merge", ["generate", "--merge"]),
+    ("generate-snake-policy", ["generate", "--identifier-policy", str(SNAKE_POLICY)]),
     ("analyze-merge", ["analyze", "--merge"]),
     ("analyze-strict", ["analyze", "--strict"]),
     ("analyze-merge-strict", ["analyze", "--merge", "--strict"]),
