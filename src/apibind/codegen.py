@@ -43,6 +43,7 @@ from .typeinfer import (
     lift_declarations,
     parse_json,
     share_decl,
+    spell,
     type_of_parameter,
 )
 
@@ -174,7 +175,8 @@ def build_reference(
         typed_params, param_issues = signatures[key]
         report.extend((rid, issue) for issue in param_issues)
 
-        camel = apply_casing(raw_name, "upper-camel")
+        words = tuple(raw_name.split("_"))
+        camel = spell(words)
         types: dict[str, InferredType | None] = {}
         for column, kind in (("request_example", "Request"), ("response_example", "Response")):
             text = getattr(record, column)
@@ -185,7 +187,7 @@ def build_reference(
             if kept is None:
                 trail: list[tuple[str, TObject]] = []
                 lifted, unpopulated, lift_issues = lift_declarations(
-                    fold_examples([parse_json(text)]), camel + kind, registry, group=group, trail=trail
+                    fold_examples([parse_json(text)]), (*words, kind), registry, group=group, trail=trail
                 )
                 lifts[text] = (lifted, unpopulated, trail)
             else:
@@ -299,24 +301,23 @@ def split_words(raw: str) -> list[str]:
 
 
 def apply_casing(raw: str, casing: str) -> str:
-    words = split_words(raw) or ["x"]
-    if casing == "snake":
-        out = "_".join(words)
-    elif casing == "lower-camel":
-        out = words[0] + "".join(w.capitalize() for w in words[1:])
-    else:
-        out = "".join(w.capitalize() for w in words)
-    if not _LEADING.match(out):
-        out = "_" + out
-    return out
+    return _legal_name(split_words(raw), casing, frozenset())
 
 
-def _legal_name(raw: str, casing: str, reserved: frozenset[str]) -> str:
-    """``raw`` cased, with ``_`` appended while it is a reserved word.
+def _legal_name(words: list[str], casing: str, reserved: frozenset[str]) -> str:
+    """``words`` cased, ``_``-led unless a letter leads, and ``_``-suffixed while reserved.
 
     Any ``fresh_name`` of the result is legal too: a suffix is ``_`` and digits.
     """
-    name = apply_casing(raw, casing)
+    words = words or ["x"]
+    if casing == "snake":
+        name = "_".join(words)
+    elif casing == "lower-camel":
+        name = words[0] + "".join(w.capitalize() for w in words[1:])
+    else:
+        name = "".join(w.capitalize() for w in words)
+    if not _LEADING.match(name):
+        name = "_" + name
     while name in reserved:
         name += "_"
     assert _IDENTIFIER.match(name), name
@@ -325,7 +326,7 @@ def _legal_name(raw: str, casing: str, reserved: frozenset[str]) -> str:
 
 def _identifier(raw: str, casing: str, reserved: frozenset[str], taken: dict[str, int]) -> str:
     """A fresh legal identifier for ``raw`` in the namespace ``taken``."""
-    return fresh_name(_legal_name(raw, casing, reserved), taken)
+    return fresh_name(_legal_name(split_words(raw), casing, reserved), taken)
 
 
 def apply_identifier_policy(ir: BindingIr, policy: IdentifierPolicy) -> dict:
@@ -337,8 +338,9 @@ def apply_identifier_policy(ir: BindingIr, policy: IdentifierPolicy) -> dict:
     its signature's identifiers in order, the request body last; each
     declaration and each function is a namespace of its own.
 
-    Fields and parameters share one casing cache, scoped to this call: wire
-    names repeat across declarations far more than they vary.
+    A type's identifier joins its pieces' words; each distinct piece is split
+    once per call. Fields and parameters share one casing cache, also scoped
+    to this call: wire names repeat across declarations far more than they vary.
     """
     reserved = policy.reserved_words
     cased: dict[str, str] = {}  # wire name -> legal field identifier before suffixing
@@ -346,16 +348,20 @@ def apply_identifier_policy(ir: BindingIr, policy: IdentifierPolicy) -> dict:
     def field_identifier(wire: str, taken: dict[str, int]) -> str:
         name = cased.get(wire)
         if name is None:
-            name = cased[wire] = _legal_name(wire, policy.casing_field, reserved)
+            name = cased[wire] = _legal_name(split_words(wire), policy.casing_field, reserved)
         return fresh_name(name, taken)
 
+    piece_words: dict[str | None, list[str]] = {}
     type_taken: dict[str, int] = {}
-    types = {
-        decl.name: _identifier(decl.name, policy.casing_type, reserved, type_taken)
-        for decl in ir.decls
-    }
+    types = {}
     fields = {}
     for decl in ir.decls:
+        words: list[str] = []
+        for piece in decl.pieces:
+            if piece not in piece_words:
+                piece_words[piece] = split_words("Item" if piece is None else piece)
+            words += piece_words[piece]
+        types[decl.name] = fresh_name(_legal_name(words, policy.casing_type, reserved), type_taken)
         taken: dict[str, int] = {}
         fields[types[decl.name]] = {
             wire: field_identifier(wire, taken) for wire, _, _ in decl.body.fields

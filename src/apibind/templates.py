@@ -146,7 +146,10 @@ class TemplateSet:
                     sources[name] = path.read_text(encoding="utf-8")
                 except UnicodeDecodeError as exc:
                     raise TemplateError(f"template {path}: not UTF-8 text: {exc}") from exc
-        return cls.from_sources(sources)
+        try:
+            return cls.from_sources(sources)
+        except TemplateError as exc:
+            raise TemplateError(f"template directory {directory}: {exc}") from exc
 
     @classmethod
     def neutral(cls) -> TemplateSet:

@@ -336,7 +336,7 @@ def finalize(t: InferredType) -> tuple[InferredType, list[str]]:
     ``lift_declarations`` without a registry: bottom seeds widen to any,
     objects stay inline.
     """
-    published, unpopulated, _ = lift_declarations(t, "", None)
+    published, unpopulated, _ = lift_declarations(t, (), None)
     return published, unpopulated
 
 
@@ -384,11 +384,13 @@ def inhabits(value: Any, t: InferredType) -> bool:
 class TypeDecl:
     """A named object type lifted out of an inferred tree (name pre-mangling).
 
-    ``group`` is its home: the least group, by name, among the functions
-    whose examples reach it.
+    ``pieces`` spell ``name``: the lift's base, a wire name per field hop, None
+    (``Item``) per array hop, then any ``_N`` of ``fresh_name``. ``group``, its
+    home, is the least group by name among the functions whose examples reach it.
     """
 
     name: str
+    pieces: tuple[str | None, ...]
     body: TObject
     group: str
 
@@ -406,9 +408,14 @@ class DeclRegistry:
         self.taken: dict[str, int] = {}
 
 
+def spell(pieces: tuple[str, ...]) -> str:
+    """The raw name ``pieces`` spell: each piece with its first letter upper-cased."""
+    return "".join([piece[:1].upper() + piece[1:] for piece in pieces])
+
+
 def lift_declarations(
     t: InferredType,
-    base_name: str,
+    base: tuple[str, ...],
     registry: DeclRegistry | None,
     *,
     group: str = "misc",
@@ -416,27 +423,27 @@ def lift_declarations(
 ) -> tuple[InferredType, list[str], list[Issue]]:
     """Publish a raw type; returns it, the paths of its unpopulated arrays, and issues.
 
-    Each bottom seed widens to any, and the JSON path of its array is
-    recorded once per type position (``.field`` per field, ``[]`` per array
-    hop). With a registry, every object node becomes a named reference to a
-    registry declaration; without one, objects stay inline. Names grow from
-    ``base_name`` along the field path (array hops add ``Item``). A body
+    Each bottom seed widens to any, and the JSON path of its array is recorded
+    once per type position (``.field`` per field, ``[]`` per array hop). With a
+    registry, every object node becomes a named reference to a registry
+    declaration; without one, objects stay inline. Names grow from
+    ``spell(base)`` along the field path (array hops add ``Item``). A body
     already in ``registry`` is shared (see ``share_decl``); a new body takes
-    ``fresh_name`` of its path name against the names the registry has
-    already handed out, and is homed in ``group``. Children are registered
-    before their parents, so every reference a body carries is a final name,
-    and the lookups of one call are exactly the declarations its result
-    reaches.
+    ``fresh_name`` of its path name against the names the registry has already
+    handed out, keeps that name's pieces, and is homed in ``group``.
+    Children are registered before their parents, so every reference a body
+    carries is a final name, and the lookups of one call are exactly the
+    declarations its result reaches.
 
     ``trail``, when given, receives one ``(name suffix, body)`` pair per
-    lookup, in walk order: the name is ``base_name`` plus the suffix, and
+    lookup, in walk order: the name is ``spell(base)`` plus the suffix, and
     the body is the registry's key. The registry only grows and never
     renames, so a later lift of the same raw type finds every one of these
     bodies in the same order; replaying the trail through ``share_decl``
     gives that lift's registry effects and issues without walking again.
     """
-    lift = _Lift(registry, group, base_name, trail)
-    return lift.walk(t, "", "$"), lift.unpopulated, lift.issues
+    lift = _Lift(registry, group, base, trail)
+    return lift.walk(t, "", ()), lift.unpopulated, lift.issues
 
 
 def share_decl(registry: DeclRegistry, kept: TypeDecl, name: str, group: str) -> Issue:
@@ -462,49 +469,52 @@ class _Lift:
     itself holds a reference cycle that only the cyclic GC frees.
     """
 
-    __slots__ = ("registry", "group", "base_name", "trail", "unpopulated", "issues")
+    __slots__ = ("registry", "group", "base", "base_name", "trail", "unpopulated", "issues")
 
     def __init__(
         self,
         registry: DeclRegistry | None,
         group: str,
-        base_name: str,
+        base: tuple[str, ...],
         trail: list[tuple[str, TObject]] | None,
     ):
         self.registry = registry
         self.group = group
-        self.base_name = base_name
+        self.base = base
+        self.base_name = spell(base)
         self.trail = trail
         self.unpopulated: list[str] = []
         self.issues: list[Issue] = []
 
-    def walk(self, node: InferredType, suffix: str, json_path: str) -> InferredType:
+    def walk(self, node: InferredType, suffix: str, hops: tuple) -> InferredType:
         kind = type(node)
         if kind is TObject:
             # A field typed by an atom other than bottom publishes as it is.
             fields = [
                 (n, t, required)
                 if type(t) is _Atom and t is not BOTTOM
-                else (n, self.walk(t, suffix + n[:1].upper() + n[1:], f"{json_path}.{n}"), required)
+                else (n, self.walk(t, suffix + n[:1].upper() + n[1:], hops + (n,)), required)
                 for n, t, required in node.fields
             ]
             body = TObject(tuple(fields))
-            return body if self.registry is None else TRef(self.add_decl(body, suffix))
+            return body if self.registry is None else TRef(self.add_decl(body, suffix, hops))
         if kind is TArray:
             if node.elem is BOTTOM:
-                self.unpopulated.append(json_path)
-            return TArray(self.walk(node.elem, suffix + "Item", json_path + "[]"))
+                path = "".join(["[]" if hop is None else "." + hop for hop in hops])
+                self.unpopulated.append("$" + path)
+            return TArray(self.walk(node.elem, suffix + "Item", hops + (None,)))
         if kind is TUnion:
-            return TUnion(tuple([self.walk(b, suffix, json_path) for b in node.branches]))
+            return TUnion(tuple([self.walk(b, suffix, hops) for b in node.branches]))
         return T_ANY if node is BOTTOM else node
 
-    def add_decl(self, body: TObject, suffix: str) -> str:
+    def add_decl(self, body: TObject, suffix: str, hops: tuple) -> str:
         registry = self.registry
         name = self.base_name + suffix
         kept = registry.by_body.get(body)
         if kept is None:
             final = fresh_name(name, registry.taken)
-            registry.by_body[body] = kept = TypeDecl(name=final, body=body, group=self.group)
+            pieces = self.base + hops if final == name else self.base + hops + (final[len(name) :],)
+            registry.by_body[body] = kept = TypeDecl(final, pieces, body, self.group)
         else:
             self.issues.append(share_decl(registry, kept, name, self.group))
         if self.trail is not None:

@@ -599,6 +599,36 @@ class TestFailedRunChangesNothing:
         assert line.startswith("error: ") and str(bad) in line and complaint in line, line
 
     @pytest.mark.parametrize(
+        "broken, complaint",
+        [
+            (
+                None,
+                "template set incomplete, missing: manifest.tpl, module_header.tpl,"
+                " function.tpl, type.tpl, doc_comment.tpl",
+            ),
+            ("{{#a}}", "template 'type.tpl': unclosed section 'a'"),
+        ],
+    )
+    def test_a_bad_template_set_names_its_directory(
+        self, broken, complaint, generated, corpus12_path, tmp_path, capsys
+    ):
+        """A missing directory, or a template that does not parse, is refused
+        with an error that names the directory."""
+        from apibind.templates import NEUTRAL_TEMPLATES
+
+        config = tmp_path / "tpl"
+        if broken is not None:
+            config.mkdir()
+            for name, source in NEUTRAL_TEMPLATES.items():
+                (config / name).write_text(source, encoding="utf-8")
+            (config / "type.tpl").write_text(broken, encoding="utf-8")
+        capsys.readouterr()
+        argv = ["generate", "--input", corpus12_path, "--templates", config]
+        self.assert_fails_changing_nothing(argv, *generated)
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: template directory {config}: {complaint}"
+
+    @pytest.mark.parametrize(
         "stem", ["evil\nfunction pwn() -> any", "tab\tstop", os.fsdecode(b"latin\xe9")]
     )
     def test_unprintable_package_name(self, stem, generated, corpus12_path, tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import apibind.codegen
 from apibind.codegen import (
     _IDENTIFIER,
+    CASINGS,
     BindingFunction,
     IdentifierPolicy,
     apply_casing,
@@ -547,6 +548,53 @@ class TestIdentifierPolicy:
         assert camel["fields"][type_name] == {"display-name": "displayName", "userId": "userId"}
         assert camel["params"][fn.raw_name] == ["userId", "pageSize"]
 
+    def test_type_names_keep_their_function_words(self):
+        # "AB" before "Response" once read as one acronym word, so the three
+        # types were split three ways: GetAbResponse, get_a_b2_response.
+        records = [
+            make_valid(f"r{i}", path=path, response_example=json.dumps({key: 1}))
+            for i, (path, key) in enumerate((("/a/b", "x"), ("/a-b", "y"), ("/a//b", "z")))
+        ]
+        ir = build_reference(records)
+        default = apply_identifier_policy(ir, IdentifierPolicy())
+        assert list(default["functions"].values()) == ["getAB", "getAB2", "getAB3"]
+        assert list(default["types"].values()) == ["GetABResponse", "GetAB2Response", "GetAB3Response"]
+        snake = apply_identifier_policy(ir, IdentifierPolicy(casing_type="snake"))
+        assert list(snake["types"].values()) == [
+            "get_a_b_response",
+            "get_a_b_2_response",
+            "get_a_b_3_response",
+        ]
+
+    def test_each_piece_is_split_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(raw):
+            calls.append(raw)
+            return split_words(raw)
+
+        monkeypatch.setattr(apibind.codegen, "split_words", counted)
+        # "user" is a hop of every response's nested declaration, and "tags"
+        # with its array hop of every other one.
+        records = [
+            make_valid(
+                f"r{i}",
+                path=f"/v1/r{i}",
+                response_example=json.dumps({"user": {"id": i}, "tags": [{"k": i}] * (i % 2)}),
+            )
+            for i in range(6)
+        ]
+        ir = build_reference(records)
+        assert calls == []
+        pieces = {"Item" if p is None else p for decl in ir.decls for p in decl.pieces}
+        wires = {wire for decl in ir.decls for wire, _, _ in decl.body.fields}
+        raw_names = [fn.raw_name for fn in ir.functions]
+        for _ in range(2):  # the caches are scoped to one call
+            calls.clear()
+            apply_identifier_policy(ir, IdentifierPolicy())
+            assert sorted(calls) == sorted([*pieces, *wires, *raw_names])
+            assert not {decl.name for decl in ir.decls} & set(calls)
+
     def test_reserved_word_suffixed(self):
         ir = build_reference([make_valid("r", path="/type")])
         names = apply_identifier_policy(
@@ -734,6 +782,53 @@ class TestRenderPackage:
             assert text.count(f"type {name} = ") == 1
 
 
+_NAME_SEGMENTS = st.sampled_from(("a", "b", "B", "v1", "2", "2fa", "{id}", "x-y", "", "a.b"))
+_NAME_FIELDS = st.sampled_from(("a", "b", "B", "ID", "2", "x-y", "", "item", "aItem"))
+_NAME_DOCS = st.recursive(
+    st.integers(0, 1),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(_NAME_FIELDS, inner, max_size=3),
+    max_leaves=5,
+)
+
+
+_NAME_PATHS = st.lists(_NAME_SEGMENTS, min_size=1, max_size=3).map(lambda parts: "/" + "/".join(parts))
+_NAME_OBJECTS = st.dictionaries(_NAME_FIELDS, _NAME_DOCS, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_NAME_PATHS, st.none() | _NAME_OBJECTS, _NAME_OBJECTS), min_size=1, max_size=4),
+    st.sampled_from(CASINGS),
+)
+def test_type_identifiers_begin_with_their_function_words(rows, casing):
+    """Every declaration's identifier begins with the words of the function
+    that first reached it, cased in the type casing."""
+    records = [
+        make_valid(
+            f"r{i}",
+            path=path,
+            request_example=None if request is None else json.dumps(request),
+            response_example=json.dumps(response),
+        )
+        for i, (path, request, response) in enumerate(rows)
+    ]
+    ir = build_reference(route(records)[0])
+    names = apply_identifier_policy(ir, IdentifierPolicy(casing_type=casing))
+    bodies = {decl.name: decl.body for decl in ir.decls}
+    creator = {}
+    for fn in ir.functions:
+        reached = refs_in(fn.response_type) + refs_in(fn.request_type or T_ANY)
+        while reached:
+            name = reached.pop()
+            if name not in creator:
+                creator[name] = fn
+                reached.extend(refs_in(bodies[name]))
+    assert creator.keys() == bodies.keys()
+    for raw, fn in creator.items():
+        prefix = apply_casing(fn.raw_name, casing)
+        assert names["types"][raw].startswith(prefix), (fn.raw_name, raw, names["types"][raw])
+
+
 def build_without_memos(records):
     """``build_reference``'s functions, declarations and report, every row typed afresh.
 
@@ -755,7 +850,6 @@ def build_without_memos(records):
             param_type, issues = type_of_parameter(param)
             params.append((param, param_type))
             report.extend((rid, issue) for issue in issues)
-        camel = "".join(word.capitalize() for word in split_words(raw_name))
         types = {}
         for column, suffix in (("request_example", "Request"), ("response_example", "Response")):
             text = getattr(record, column)
@@ -764,7 +858,7 @@ def build_without_memos(records):
                 continue
             raw = fold_examples([parse_json(text)])
             types[column], unpopulated, issues = lift_declarations(
-                raw, camel + suffix, registry, group=group
+                raw, (*raw_name.split("_"), suffix), registry, group=group
             )
             for path in unpopulated:
                 message = f"{column} has an empty array at {path}; element type unknown"

@@ -329,17 +329,17 @@ def test_order_insensitive(seeds):
     assert finalize(fold_examples(docs))[0] == finalize(fold_examples(shuffled))[0]
 
 
-def lift(t, base_name, **kwargs):
+def lift(t, base, **kwargs):
     """Lift into a fresh registry; returns (lifted, decls in registry order, issues)."""
     registry = DeclRegistry()
-    lifted, _, issues = lift_declarations(t, base_name, registry, **kwargs)
+    lifted, _, issues = lift_declarations(t, base, registry, **kwargs)
     return lifted, list(registry.by_body.values()), issues
 
 
 class TestLift:
     def test_nested_naming(self):
         t = finalize(fold_examples([{"user": {"id": 1}}]))[0]
-        lifted, decls, issues = lift(t, "CreateMsgRequest")
+        lifted, decls, issues = lift(t, ("CreateMsgRequest",))
         assert lifted == TRef("CreateMsgRequest")
         assert sorted(d.name for d in decls) == ["CreateMsgRequest", "CreateMsgRequestUser"]
         assert issues == []
@@ -347,45 +347,45 @@ class TestLift:
         assert by_name["CreateMsgRequest"].body == obj(("user", TRef("CreateMsgRequestUser"), True))
 
     def test_scalar_passthrough(self):
-        lifted, decls, issues = lift(T_INT, "X")
+        lifted, decls, issues = lift(T_INT, ("X",))
         assert lifted == T_INT and decls == [] and issues == []
 
     def test_array_hop_names_item(self):
         t = finalize(fold_examples([{"items": [{"id": 1}]}]))[0]
-        _, decls, _ = lift(t, "Resp")
+        _, decls, _ = lift(t, ("Resp",))
         assert sorted(d.name for d in decls) == ["Resp", "RespItemsItem"]
 
     def test_decls_come_children_first(self):
         t = finalize(fold_examples([{"a": {"b": {"c": 1}}}]))[0]
-        _, decls, _ = lift(t, "X")
+        _, decls, _ = lift(t, ("X",))
         assert [d.name for d in decls] == ["XAB", "XA", "X"]
 
     def test_a_hit_from_a_smaller_group_rehomes_in_place(self):
         shared = finalize(fold_examples([{"id": 1}]))[0]
         registry = DeclRegistry()
-        lift_declarations(shared, "Shared", registry, group="b")
-        lift_declarations(finalize(fold_examples([{"x": True}]))[0], "Other", registry, group="b")
+        lift_declarations(shared, ("Shared",), registry, group="b")
+        lift_declarations(finalize(fold_examples([{"x": True}]))[0], ("Other",), registry, group="b")
 
         def homes():
             return [(d.name, d.group) for d in registry.by_body.values()]
 
-        lift_declarations(shared, "Again", registry, group="a")
+        lift_declarations(shared, ("Again",), registry, group="a")
         assert homes() == [("Shared", "a"), ("Other", "b")]
-        lift_declarations(shared, "Late", registry, group="c")
+        lift_declarations(shared, ("Late",), registry, group="c")
         assert homes() == [("Shared", "a"), ("Other", "b")]
 
     def test_replaying_a_trail_repeats_a_lift(self):
         raw = fold_examples([{"a": {"b": [{"c": 1}]}, "d": {"c": 1}}])
         walked, replayed = DeclRegistry(), DeclRegistry()
         for registry in (walked, replayed):
-            lift_declarations(fold_examples([{"c": 1}]), "Seed", registry, group="m")
+            lift_declarations(fold_examples([{"c": 1}]), ("Seed",), registry, group="m")
         trail = []
-        first = lift_declarations(raw, "First", replayed, group="m", trail=trail)
+        first = lift_declarations(raw, ("First",), replayed, group="m", trail=trail)
         assert [suffix for suffix, _ in trail] == ["ABItem", "A", "D", ""]
         assert all(replayed.by_body[body].body is body for _, body in trail)
-        lift_declarations(raw, "First", walked, group="m")
+        lift_declarations(raw, ("First",), walked, group="m")
 
-        again = lift_declarations(raw, "Again", walked, group="b")
+        again = lift_declarations(raw, ("Again",), walked, group="b")
         issues = [
             share_decl(replayed, replayed.by_body[body], "Again" + suffix, "b")
             for suffix, body in trail
@@ -401,7 +401,7 @@ class TestLift:
         try:
             registry = DeclRegistry()
             for i in range(50):
-                lift_declarations(raw, f"T{i % 7}", registry, group=f"g{i % 3}", trail=[])
+                lift_declarations(raw, (f"T{i % 7}",), registry, group=f"g{i % 3}", trail=[])
                 finalize(raw)
             assert gc.collect() == 0
         finally:
@@ -525,27 +525,31 @@ def _reference_fold(docs):
 
 
 class _ReferenceLift(typeinfer._Lift):
-    def walk(self, node, suffix, json_path):
+    def walk(self, node, suffix, hops, json_path="$"):
         if isinstance(node, TArray):
             if node.elem is BOTTOM:
                 self.unpopulated.append(json_path)
-            return TArray(self.walk(node.elem, suffix + "Item", json_path + "[]"))
+            return TArray(self.walk(node.elem, suffix + "Item", hops + (None,), json_path + "[]"))
         if isinstance(node, TUnion):
-            return TUnion(tuple(self.walk(b, suffix, json_path) for b in node.branches))
+            return TUnion(tuple(self.walk(b, suffix, hops, json_path) for b in node.branches))
         if isinstance(node, TObject):
             body = TObject(
                 tuple(
-                    (n, self.walk(t, suffix + n[:1].upper() + n[1:], f"{json_path}.{n}"), required)
+                    (
+                        n,
+                        self.walk(t, suffix + n[:1].upper() + n[1:], hops + (n,), f"{json_path}.{n}"),
+                        required,
+                    )
                     for n, t, required in node.fields
                 )
             )
-            return body if self.registry is None else TRef(self.add_decl(body, suffix))
+            return body if self.registry is None else TRef(self.add_decl(body, suffix, hops))
         return T_ANY if node is BOTTOM else node
 
 
-def _reference_lift(t, base_name, registry, *, group="misc", trail=None):
-    lift = _ReferenceLift(registry, group, base_name, trail)
-    return lift.walk(t, "", "$"), lift.unpopulated, lift.issues
+def _reference_lift(t, base, registry, *, group="misc", trail=None):
+    lift = _ReferenceLift(registry, group, base, trail)
+    return lift.walk(t, "", ()), lift.unpopulated, lift.issues
 
 
 _scalars = st.one_of(
@@ -576,24 +580,24 @@ class TestKernelsAgreeWithReference:
     def test_fold_finalize_and_lift_agree(self, docs, seed_doc):
         raw = fold_examples(docs)
         assert raw == _reference_fold(docs)
-        assert finalize(raw) == _reference_lift(raw, "", None)[:2]
+        assert finalize(raw) == _reference_lift(raw, (), None)[:2]
 
         trail, reference_trail = [], []
-        assert lift_declarations(raw, "Resp", None, trail=trail) == _reference_lift(
-            raw, "Resp", None, trail=reference_trail
+        assert lift_declarations(raw, ("Resp",), None, trail=trail) == _reference_lift(
+            raw, ("Resp",), None, trail=reference_trail
         )
         assert trail == reference_trail == []
 
         # A seeded registry makes some lookups shares, with issues and rehoming.
         registry, reference = DeclRegistry(), DeclRegistry()
         seed = fold_examples([seed_doc])
-        lift_declarations(seed, "Seed", registry, group="m")
-        _reference_lift(seed, "Seed", reference, group="m")
-        for base_name, group in (("Resp", "b"), ("Again", "a")):
+        lift_declarations(seed, ("Seed",), registry, group="m")
+        _reference_lift(seed, ("Seed",), reference, group="m")
+        for base, group in ((("Resp",), "b"), (("Again",), "a")):
             trail, reference_trail = [], []
             assert lift_declarations(
-                raw, base_name, registry, group=group, trail=trail
-            ) == _reference_lift(raw, base_name, reference, group=group, trail=reference_trail)
+                raw, base, registry, group=group, trail=trail
+            ) == _reference_lift(raw, base, reference, group=group, trail=reference_trail)
             assert trail == reference_trail
             assert list(registry.by_body.items()) == list(reference.by_body.items())
             assert registry.taken == reference.taken
@@ -624,11 +628,11 @@ class TestKernelsAgreeWithReference:
         hand_built = TObject((("a", BOTTOM, True), ("b", T_INT, False)))
         expected = TObject((("a", T_ANY, True), ("b", T_INT, False)))
         assert finalize(hand_built) == (expected, [])
-        assert lift_declarations(hand_built, "X", None) == _reference_lift(hand_built, "X", None)
+        assert lift_declarations(hand_built, ("X",), None) == _reference_lift(hand_built, ("X",), None)
 
     def test_nodes_are_slotted(self):
         body = TObject((("a", TArray(T_INT), True),))
-        decl = TypeDecl(name="X", body=body, group="g")
+        decl = TypeDecl(name="X", pieces=("X",), body=body, group="g")
         for node in (T_INT, TArray(T_INT), body, TUnion((T_NULL, T_INT)), TRef("X"), decl):
             assert not hasattr(node, "__dict__"), node
         moved = replace(decl, group="h")
