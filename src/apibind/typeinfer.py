@@ -423,17 +423,17 @@ def lift_declarations(
 ) -> tuple[InferredType, list[str], list[Issue]]:
     """Publish a raw type; returns it, the paths of its unpopulated arrays, and issues.
 
-    Each bottom seed widens to any, and the JSON path of its array is recorded
-    once per type position (``.field`` per field, ``[]`` per array hop). With a
-    registry, every object node becomes a named reference to a registry
-    declaration; without one, objects stay inline. Names grow from
+    Each bottom seed widens to any, and the JSON path of its array is
+    recorded once per type position (``.field`` per field, ``[]`` per array
+    hop). With a registry, every object node becomes a named reference to a
+    registry declaration; without one, objects stay inline. Names grow from
     ``spell(base)`` along the field path (array hops add ``Item``). A body
     already in ``registry`` is shared (see ``share_decl``); a new body takes
-    ``fresh_name`` of its path name against the names the registry has already
-    handed out, keeps that name's pieces, and is homed in ``group``.
-    Children are registered before their parents, so every reference a body
-    carries is a final name, and the lookups of one call are exactly the
-    declarations its result reaches.
+    ``fresh_name`` of its path name against the names the registry has
+    already handed out, keeps its pieces (see ``TypeDecl``), and is homed in
+    ``group``. Children are registered before their parents, so every
+    reference a body carries is a final name, and the lookups of one call
+    are exactly the declarations its result reaches.
 
     ``trail``, when given, receives one ``(name suffix, body)`` pair per
     lookup, in walk order: the name is ``spell(base)`` plus the suffix, and
@@ -486,7 +486,7 @@ class _Lift:
         self.unpopulated: list[str] = []
         self.issues: list[Issue] = []
 
-    def walk(self, node: InferredType, suffix: str, hops: tuple) -> InferredType:
+    def walk(self, node: InferredType, suffix: str, hops: tuple[str | None, ...]) -> InferredType:
         kind = type(node)
         if kind is TObject:
             # A field typed by an atom other than bottom publishes as it is.
@@ -507,7 +507,7 @@ class _Lift:
             return TUnion(tuple([self.walk(b, suffix, hops) for b in node.branches]))
         return T_ANY if node is BOTTOM else node
 
-    def add_decl(self, body: TObject, suffix: str, hops: tuple) -> str:
+    def add_decl(self, body: TObject, suffix: str, hops: tuple[str | None, ...]) -> str:
         registry = self.registry
         name = self.base_name + suffix
         kept = registry.by_body.get(body)
