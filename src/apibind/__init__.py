@@ -37,6 +37,6 @@ from .typeinfer import (
     type_of_parameter,
     unify,
 )
-from .validate import cross_validate, dashboard, merge_dashboards, route
+from .validate import cross_validate, dashboard, route
 
 __version__ = "0.1.0"

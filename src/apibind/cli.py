@@ -251,6 +251,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     with _AllOrNone() as out:
         write_stage(rejected, out.path(rejects))
         ir = build_reference(valid, package_name=package_name)
+        findings = ir.report
         names = apply_identifier_policy(ir, policy)
         report = {
             "package": {
@@ -263,7 +264,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
                 for fn in ir.functions
             ],
             "issues": [
-                {"record_id": record_id, **issue.to_json()} for record_id, issue in ir.report
+                {"record_id": record_id, **issue.to_json()} for record_id, issue in findings
             ],
             "rejected_record_ids": [list(record.id.ids) for record in rejected],
         }
@@ -274,8 +275,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             out.text(args.out_dir / PACKAGE_DIR / file_name, text)
     _remove_stale_modules(args.out_dir, files)
 
-    for issue_record, issue in ir.report:
-        sys.stdout.write(f"note {issue_record}: {issue.code} {issue.message}\n")
+    for record_id, issue in findings:
+        sys.stdout.write(f"note {record_id}: {issue.code} {issue.message}\n")
     sys.stdout.write(
         f"package: {len(ir.functions)} functions, {len(ir.decls)} types, "
         f"{len(files)} files in {args.out_dir / PACKAGE_DIR}\n"

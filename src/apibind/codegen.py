@@ -52,13 +52,21 @@ _CONVENTION_RANK = {conv: i for i, conv in enumerate(Convention)}
 
 @dataclass(frozen=True)
 class BindingFunction:
-    """One call function; its method, path, id and documentation live on ``record``."""
+    """One call function; its method, path, id and documentation live on ``record``.
+
+    ``issues`` are the build's findings about this function's record, in the
+    order the build met them: a W_MERGE_CONFLICT when its name was taken, its
+    parameters' typing issues, then per example (request, response) each
+    W_EMPTY_ARRAY and each W_DECL_SHARED, and last a W_NO_EXAMPLE when it has
+    no response example.
+    """
 
     raw_name: str
     params: tuple[tuple[Parameter, InferredType], ...]
     request_type: InferredType | None
     response_type: InferredType
     record: ApiCallRecord
+    issues: tuple[Issue, ...]
 
     @property
     def group(self) -> str:
@@ -68,9 +76,10 @@ class BindingFunction:
 
 @dataclass(frozen=True)
 class BindingIr:
+    """The package's functions and declarations; build findings live on the functions."""
+
     functions: tuple[BindingFunction, ...]
     decls: tuple[TypeDecl, ...]
-    report: tuple[tuple[str, Issue], ...]  # (record id, issue) build findings
     package_name: str
     corpus_digest: str
 
@@ -78,6 +87,11 @@ class BindingIr:
     def version(self) -> str:
         """The corpus digest's prefix: reproducible without external state."""
         return self.corpus_digest[:12]
+
+    @property
+    def report(self) -> tuple[tuple[str, Issue], ...]:
+        """Every build finding as a (record id, issue) pair, function by function."""
+        return tuple((str(fn.record.id), issue) for fn in self.functions for issue in fn.issues)
 
 
 _NON_ALNUM = re.compile(r"[^A-Za-z0-9]+")
@@ -132,7 +146,6 @@ def build_reference(
     and the gate rejects them), is a caller error here, not a data issue.
     """
     functions: list[BindingFunction] = []
-    report: list[tuple[str, Issue]] = []
     taken_fn: dict[str, int] = {}
     registry = DeclRegistry()
     # Example text -> (lifted type, unpopulated paths, declaration trail).
@@ -146,34 +159,26 @@ def build_reference(
             raise ValueError(
                 f"record {record.id} has no parsed path template; run parse and route first"
             )
-        rid = str(record.id)
         group = record.group or "misc"
 
         base = function_raw_name(record.http_method, template)
         raw_name = fresh_name(base, taken_fn)
+        issues: list[Issue] = []
         if raw_name != base:
-            report.append(
-                (
-                    rid,
-                    make_issue(
-                        "W_MERGE_CONFLICT",
-                        Stage.GENERATE,
-                        f"function name {base!r} already taken; this record renders as {raw_name!r}",
-                    ),
-                )
-            )
+            message = f"function name {base!r} already taken; this record renders as {raw_name!r}"
+            issues.append(make_issue("W_MERGE_CONFLICT", Stage.GENERATE, message))
 
         key = (record.raw_parameters, record.http_method)
         if key not in signatures:
             typed: list[tuple[Parameter, InferredType]] = []
-            issues: list[Issue] = []
+            typing_issues: list[Issue] = []
             for param in ordered_params(record.params or ()):
                 param_type, param_issues = type_of_parameter(param)
                 typed.append((param, param_type))
-                issues.extend(param_issues)
-            signatures[key] = (tuple(typed), issues)
-        typed_params, param_issues = signatures[key]
-        report.extend((rid, issue) for issue in param_issues)
+                typing_issues.extend(param_issues)
+            signatures[key] = (tuple(typed), typing_issues)
+        typed_params, typing_issues = signatures[key]
+        issues += typing_issues
 
         words = tuple(raw_name.split("_"))
         camel = spell(words)
@@ -198,23 +203,14 @@ def build_reference(
                 ]
             for path in unpopulated:
                 message = f"{column} has an empty array at {path}; element type unknown"
-                report.append((rid, make_issue("W_EMPTY_ARRAY", Stage.INFER, message, field=column)))
-            report.extend((rid, issue) for issue in lift_issues)
+                issues.append(make_issue("W_EMPTY_ARRAY", Stage.INFER, message, field=column))
+            issues += lift_issues
             types[column] = lifted
 
         response_type = types["response_example"]
         if response_type is None:
-            report.append(
-                (
-                    rid,
-                    make_issue(
-                        "W_NO_EXAMPLE",
-                        Stage.INFER,
-                        "no response example; response type is unconstrained",
-                        field="response_example",
-                    ),
-                )
-            )
+            message = "no response example; response type is unconstrained"
+            issues.append(make_issue("W_NO_EXAMPLE", Stage.INFER, message, field="response_example"))
             response_type = T_ANY
 
         functions.append(
@@ -224,13 +220,13 @@ def build_reference(
                 request_type=types["request_example"],
                 response_type=response_type,
                 record=record,
+                issues=tuple(issues),
             )
         )
 
     return BindingIr(
         functions=tuple(functions),
         decls=tuple(registry.by_body.values()),
-        report=tuple(report),
         package_name=package_name,
         corpus_digest=corpus_digest(valid_records),
     )

@@ -130,23 +130,8 @@ def dashboard(records: list[ApiCallRecord]) -> dict:
     """
     affected = Counter(code for r in records for code in {issue.code for issue in r.issues})
     stage_counts = Counter(issue.stage.value for r in records for issue in r.issues)
+    total = len(records)
     valid = sum(1 for r in records if r.error_count() == 0)
-    return _report(len(records), valid, affected, stage_counts)
-
-
-def merge_dashboards(a: dict, b: dict) -> dict:
-    """Combine reports over disjoint record sets; equals the dashboard of the union."""
-    affected: Counter[str] = Counter()
-    stage_counts: Counter[str] = Counter()
-    for report in (a, b):
-        affected.update({entry["code"]: entry["count"] for entry in report["issue_frequency"]})
-        stage_counts.update(report["per_stage_counts"])
-    total = a["total_records"] + b["total_records"]
-    return _report(total, a["valid_records"] + b["valid_records"], affected, stage_counts)
-
-
-def _report(total: int, valid: int, affected: Counter[str], stage_counts: Counter[str]) -> dict:
-    """The report of ``total`` records; every percentage is computed here."""
     report: dict = {"total_records": total, "valid_records": valid}
     if total:
         report["percent_valid"] = valid / total * 100.0

