@@ -41,7 +41,7 @@ from .ingest import CorpusError, load_corpus, merge_corpus, write_stage
 from .parse import parse_record
 from .records import ApiCallRecord
 from .templates import TemplateError, TemplateSet
-from .typeinfer import SURROGATE, UNPRINTABLE
+from .typeinfer import SURROGATE, UNPRINTABLE, _wire_text
 from .validate import (
     cross_validate,
     dashboard,
@@ -243,7 +243,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     rejects, _, valid, rejected = _gate(args)
     for record in rejected:
         codes = ",".join(sorted({i.code for i in record.issues})) or "-"
-        sys.stdout.write(f"rejected {record.id}: {codes}\n")
+        sys.stdout.write(f"rejected {_wire_text(str(record.id))}: {codes}\n")
     if not valid:  # nothing is written, not even the rejects
         sys.stderr.write("no valid records; nothing to generate\n")
         return 1
@@ -276,7 +276,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     _remove_stale_modules(args.out_dir, files)
 
     for record_id, issue in findings:
-        sys.stdout.write(f"note {record_id}: {issue.code} {issue.message}\n")
+        sys.stdout.write(f"note {_wire_text(record_id)}: {issue.code} {issue.message}\n")
     sys.stdout.write(
         f"package: {len(ir.functions)} functions, {len(ir.decls)} types, "
         f"{len(files)} files in {args.out_dir / PACKAGE_DIR}\n"

@@ -32,6 +32,7 @@ from .records import ApiCallRecord
 from .templates import TemplateSet
 from .typeinfer import (
     DeclRegistry,
+    IDENTIFIER,
     InferredType,
     TObject,
     TypeDecl,
@@ -54,11 +55,9 @@ _CONVENTION_RANK = {conv: i for i, conv in enumerate(Convention)}
 class BindingFunction:
     """One call function; its method, path, id and documentation live on ``record``.
 
-    ``issues`` are the build's findings about this function's record, in the
-    order the build met them: a W_MERGE_CONFLICT when its name was taken, its
-    parameters' typing issues, then per example (request, response) each
-    W_EMPTY_ARRAY and each W_DECL_SHARED, and last a W_NO_EXAMPLE when it has
-    no response example.
+    ``issues`` holds the build's findings about the record, in build order:
+    W_MERGE_CONFLICT, the parameters' typing issues, per example (request,
+    then response) W_EMPTY_ARRAY then W_DECL_SHARED, and W_NO_EXAMPLE.
     """
 
     raw_name: str
@@ -94,16 +93,15 @@ class BindingIr:
         return tuple((str(fn.record.id), issue) for fn in self.functions for issue in fn.issues)
 
 
-_NON_ALNUM = re.compile(r"[^A-Za-z0-9]+")
-
-
 def function_raw_name(method: HttpMethod, template: PathTemplate) -> str:
     """Deterministic raw name: lowercased method plus path words, '_'-joined.
 
-    The words are the text's alphanumeric runs: '/', '{' and '}' separate
-    them like any other punctuation, so a variable contributes its name.
+    The path's words are ``split_words`` of its text, the words an identifier
+    policy reads: punctuation ('/', '{', '}' among it) and camel-case bounds
+    separate them, so ``/v1/siviLini7`` gives ``v1``, ``sivi``, ``lini7``, and
+    a variable contributes its name's words.
     """
-    return "_".join(filter(None, (method.value, *_NON_ALNUM.split(template.text)))).lower()
+    return "_".join([method.value.lower(), *split_words(template.text)])
 
 
 def ordered_params(params: tuple[Parameter, ...]) -> list[Parameter]:
@@ -240,8 +238,6 @@ _DEFAULT_RESERVED = frozenset(
     {"type", "class", "function", "return", "import", "if", "else", "for", "while", "package"}
 )
 
-_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
 
 @dataclass(frozen=True)
 class IdentifierPolicy:
@@ -316,7 +312,7 @@ def _legal_name(words: list[str], casing: str, reserved: frozenset[str]) -> str:
         name = "_" + name
     while name in reserved:
         name += "_"
-    assert _IDENTIFIER.match(name), name
+    assert IDENTIFIER.match(name), name
     return name
 
 

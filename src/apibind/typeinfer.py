@@ -109,6 +109,9 @@ class TRef(InferredType):
 #: ``str.splitlines`` breaks on is among them.
 UNPRINTABLE = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
+#: A name that most target languages, and a JSON path's ``.name`` hop, take as it is.
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
 #: A surrogate code point, which is never half of a pair in a ``str``: UTF-8
 #: cannot encode one, so no output file could hold it.
 SURROGATE = re.compile("[\ud800-\udfff]")
@@ -424,7 +427,7 @@ def lift_declarations(
     """Publish a raw type; returns it, the paths of its unpopulated arrays, and issues.
 
     Each bottom seed widens to any, and the JSON path of its array is
-    recorded once per type position (``.field`` per field, ``[]`` per array
+    recorded once per type position (``.field``, ``["field"]`` or ``[]`` per
     hop). With a registry, every object node becomes a named reference to a
     registry declaration; without one, objects stay inline. Names grow from
     ``spell(base)`` along the field path (array hops add ``Item``). A body
@@ -500,8 +503,7 @@ class _Lift:
             return body if self.registry is None else TRef(self.add_decl(body, suffix, hops))
         if kind is TArray:
             if node.elem is BOTTOM:
-                path = "".join(["[]" if hop is None else "." + hop for hop in hops])
-                self.unpopulated.append("$" + path)
+                self.unpopulated.append("$" + "".join([_hop_text(hop) for hop in hops]))
             return TArray(self.walk(node.elem, suffix + "Item", hops + (None,)))
         if kind is TUnion:
             return TUnion(tuple([self.walk(b, suffix, hops) for b in node.branches]))
@@ -520,6 +522,16 @@ class _Lift:
         if self.trail is not None:
             self.trail.append((suffix, kept.body))
         return kept.name
+
+
+def _hop_text(hop: str | None) -> str:
+    """A JSON path hop: ``[]``, ``.name``, or ``["name"]`` for a name no ``IDENTIFIER``.
+
+    Quoted as ASCII JSON, a name never breaks a line nor reads as two hops.
+    """
+    if hop is None:
+        return "[]"
+    return "." + hop if IDENTIFIER.match(hop) else "[" + json.dumps(hop) + "]"
 
 
 def fresh_name(name: str, taken: dict[str, int]) -> str:

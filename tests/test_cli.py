@@ -404,6 +404,41 @@ class TestGenerate:
             ("p1", "response_example has an empty array at $.items[].tags; element type unknown"),
         ]
 
+    @pytest.mark.parametrize(
+        "rows, lines",
+        [
+            (  # a rejected row's id once printed a "rejected" line of its own
+                [
+                    {"record_id": "r2\nrejected r8: E_FAKE", "path": "/v1/{x}"},
+                    {"record_id": "ok", "path": "/v1/ok", "response_example": '{"ok": 1}'},
+                ],
+                ['rejected "r2\\nrejected r8: E_FAKE": E_PATHVAR_UNDECLARED,W_NO_EXAMPLE'],
+            ),
+            (  # so did a wire name in an empty array's path, and a valid row's id
+                [
+                    {
+                        "record_id": "w",
+                        "path": "/v1/w",
+                        "response_example": '{"a\\nnote r9: E_FAKE forged": []}',
+                    },
+                    {"record_id": "n\u2028note r7: E_FAKE", "path": "/v1/n"},
+                ],
+                [
+                    'note w: W_EMPTY_ARRAY response_example has an empty array at '
+                    '$["a\\nnote r9: E_FAKE forged"]; element type unknown',
+                    'note "n\\u2028note r7: E_FAKE": W_NO_EXAMPLE '
+                    "no response example; response type is unconstrained",
+                ],
+            ),
+        ],
+    )
+    def test_stdout_lines_are_never_forged(self, tmp_path, capsys, rows, lines):
+        corpus = write_cells(tmp_path / "forge.csv", rows)
+        assert run(["generate", "--input", corpus, "--out-dir", tmp_path / "out"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert all(line.startswith(("rejected ", "note ", "package: ")) for line in printed)
+        assert printed[:-1] == lines
+
     def test_repeated_parameter_wires_render_distinct_names(self, tmp_path):
         corpus = write_cells(
             tmp_path / "probe.csv",

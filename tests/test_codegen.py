@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import apibind.codegen
 from apibind.codegen import (
-    _IDENTIFIER,
     CASINGS,
     BindingFunction,
     IdentifierPolicy,
@@ -31,6 +30,7 @@ from apibind.pathtemplate import parse_path_template
 from apibind.records import ApiCallRecord, RecordId
 from apibind.templates import TemplateSet, NEUTRAL_TEMPLATES
 from apibind.typeinfer import (
+    IDENTIFIER,
     DeclRegistry,
     TArray,
     TObject,
@@ -86,6 +86,11 @@ class TestRawNames:
 
     def test_root(self):
         assert function_raw_name(HttpMethod.GET, template_of("/")) == "get"
+
+    def test_camel_case_bounds_separate_words(self):
+        # Lowercasing the path's alphanumeric runs once read "siviLini7" as one word.
+        raw = function_raw_name(HttpMethod.DELETE, template_of("/v1/siviLini7/{userID}"))
+        assert raw == "delete_v1_sivi_lini7_user_id"
 
 
 class TestBuildReference:
@@ -478,7 +483,7 @@ def test_identifiers_are_distinct_legal_and_rendered_as_mapped(drawn):
         assert len(set(param_names)) == len(param_names), param_names
         identifiers += param_names
     for identifier in identifiers:
-        assert _IDENTIFIER.match(identifier), identifier
+        assert IDENTIFIER.match(identifier), identifier
 
     assert fields == {name: list(wires.values()) for name, wires in names["fields"].items()}
     assert signatures.keys() == set(names["functions"].values())
@@ -570,6 +575,22 @@ class TestIdentifierPolicy:
             "get_a_b_3_response",
         ]
 
+    def test_function_and_type_names_keep_camel_path_words(self):
+        # One type name once cased its two kinds of word differently:
+        # DeleteV1Sivilini7ResponseButereBikafo.
+        rec = make_valid(
+            "d",
+            path="/v1/siviLini7",
+            method=HttpMethod.DELETE,
+            response_example='{"butereBikafo": {"a": 1}}',
+        )
+        names = apply_identifier_policy(build_reference([rec]), IdentifierPolicy())
+        assert list(names["functions"].values()) == ["deleteV1SiviLini7"]
+        assert list(names["types"].values()) == [
+            "DeleteV1SiviLini7ResponseButereBikafo",
+            "DeleteV1SiviLini7Response",
+        ]
+
     def test_each_piece_is_split_once_per_call(self, monkeypatch):
         calls = []
 
@@ -589,7 +610,7 @@ class TestIdentifierPolicy:
             for i in range(6)
         ]
         ir = build_reference(records)
-        assert calls == []
+        assert calls == [record.path.text for record in records]  # each function's path words
         pieces = {"Item" if p is None else p for decl in ir.decls for p in decl.pieces}
         wires = {wire for decl in ir.decls for wire, _, _ in decl.body.fields}
         raw_names = [fn.raw_name for fn in ir.functions]
@@ -788,7 +809,9 @@ class TestRenderPackage:
 #: Path segments and wire names whose words a split of the concatenated type
 #: name would read otherwise: single letters and digit-led words beside
 #: others, capitals, separators, and the empty name.
-_NAME_SEGMENTS = st.sampled_from(("a", "b", "B", "v1", "2", "2fa", "{id}", "x-y", "", "a.b"))
+_NAME_SEGMENTS = st.sampled_from(
+    ("a", "b", "B", "v1", "2", "2fa", "{id}", "x-y", "", "a.b", "siviLini7", "aB", "{userID}")
+)
 _NAME_FIELDS = st.sampled_from(("a", "b", "B", "ID", "2", "x-y", "", "item", "aItem"))
 _NAME_DOCS = st.recursive(
     st.integers(0, 1),
@@ -808,7 +831,8 @@ _NAME_OBJECTS = st.dictionaries(_NAME_FIELDS, _NAME_DOCS, max_size=3)
 )
 def test_type_identifiers_begin_with_their_function_words(rows, casing):
     """Every declaration's identifier begins with the words of the function
-    that first reached it, cased in the type casing."""
+    that first reached it, cased in the type casing; a function's words are
+    its method's and its path's, camel-case bounds included."""
     records = [
         make_valid(
             f"r{i}",
@@ -833,6 +857,8 @@ def test_type_identifiers_begin_with_their_function_words(rows, casing):
     for raw, fn in creator.items():
         prefix = apply_casing(fn.raw_name, casing)
         assert names["types"][raw].startswith(prefix), (fn.raw_name, raw, names["types"][raw])
+        words = [fn.record.http_method.value, *split_words(fn.record.path.text)]
+        assert prefix.startswith(apply_casing("_".join(words), casing)), (fn.raw_name, words)
 
 
 def build_without_memos(records):

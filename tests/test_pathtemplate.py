@@ -1,11 +1,10 @@
 from __future__ import annotations
 
 import random
-import re
 
 from hypothesis import given, strategies as st
 
-from apibind.codegen import function_raw_name
+from apibind.codegen import function_raw_name, split_words
 from apibind.curl import HttpMethod
 from apibind.pathtemplate import PathTemplate, parse_path_template
 
@@ -160,11 +159,6 @@ _segment = st.one_of(
 )
 
 
-def _segment_word(text: str) -> str:
-    """A segment's word in a function's raw name, as read one segment at a time."""
-    return re.sub(r"[^A-Za-z0-9]+", "_", text).strip("_").lower()
-
-
 @st.composite
 def documented_paths(draw):
     """A documented path, the template it parses to, its raw-name words and suspect count."""
@@ -189,7 +183,7 @@ def documented_paths(draw):
         "/" + "/".join(s[1] for s in segments),
         tuple(s[2] for s in segments if s[2] is not None),
     )
-    words = [w for s in segments if (w := _segment_word(s[2] if s[2] is not None else s[0]))]
+    words = [w for s in segments for w in split_words(s[2] if s[2] is not None else s[0])]
     return raw, expected, words, sum(s[3] for s in segments)
 
 

@@ -492,6 +492,20 @@ def test_empty_array_paths():
     assert finalize(fold_examples([doc]))[1] == ["$.a", "$.b[][]", "$.c.d"]
 
 
+def test_empty_array_paths_quote_names_that_are_not_identifiers():
+    # A dotted name and a nested one once gave the same path, and a line
+    # break in a name ended a build note's line on stdout.
+    assert finalize(fold_examples([{"a.b": []}]))[1] == ['$["a.b"]']
+    assert finalize(fold_examples([{"a": {"b": []}}]))[1] == ["$.a.b"]
+    doc = {"a\nnote r9: E_FAKE forged": [], "": [], "é": [{"_x1": []}], "2x": []}
+    assert finalize(fold_examples([doc]))[1] == [
+        '$[""]',
+        '$["2x"]',
+        '$["a\\nnote r9: E_FAKE forged"]',
+        '$["\\u00e9"][]._x1',
+    ]
+
+
 # The isinstance-based kernels that exact-type dispatch replaced in
 # ``_infer_raw`` and ``_Lift.walk``, kept as the reference they must agree with.
 def _reference_infer_raw(value):
@@ -524,6 +538,12 @@ def _reference_fold(docs):
     return result
 
 
+def _hop(json_path, name):
+    """``json_path`` one field further: ``.name`` for an ASCII identifier, else quoted."""
+    plain = name.isascii() and name.isidentifier()
+    return f"{json_path}.{name}" if plain else f"{json_path}[{json.dumps(name)}]"
+
+
 class _ReferenceLift(typeinfer._Lift):
     def walk(self, node, suffix, hops, json_path="$"):
         if isinstance(node, TArray):
@@ -537,7 +557,7 @@ class _ReferenceLift(typeinfer._Lift):
                 tuple(
                     (
                         n,
-                        self.walk(t, suffix + n[:1].upper() + n[1:], hops + (n,), f"{json_path}.{n}"),
+                        self.walk(t, suffix + n[:1].upper() + n[1:], hops + (n,), _hop(json_path, n)),
                         required,
                     )
                     for n, t, required in node.fields
