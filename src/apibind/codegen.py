@@ -161,22 +161,22 @@ def build_reference(
 
         base = function_raw_name(record.http_method, template)
         raw_name = fresh_name(base, taken_fn)
-        issues: list[Issue] = []
+        findings: list[Issue] = []
         if raw_name != base:
             message = f"function name {base!r} already taken; this record renders as {raw_name!r}"
-            issues.append(make_issue("W_MERGE_CONFLICT", Stage.GENERATE, message))
+            findings.append(make_issue("W_MERGE_CONFLICT", Stage.GENERATE, message))
 
         key = (record.raw_parameters, record.http_method)
         if key not in signatures:
             typed: list[tuple[Parameter, InferredType]] = []
-            typing_issues: list[Issue] = []
+            issues: list[Issue] = []
             for param in ordered_params(record.params or ()):
                 param_type, param_issues = type_of_parameter(param)
                 typed.append((param, param_type))
-                typing_issues.extend(param_issues)
-            signatures[key] = (tuple(typed), typing_issues)
-        typed_params, typing_issues = signatures[key]
-        issues += typing_issues
+                issues.extend(param_issues)
+            signatures[key] = (tuple(typed), issues)
+        typed_params, param_issues = signatures[key]
+        findings += param_issues
 
         words = tuple(raw_name.split("_"))
         camel = spell(words)
@@ -201,14 +201,14 @@ def build_reference(
                 ]
             for path in unpopulated:
                 message = f"{column} has an empty array at {path}; element type unknown"
-                issues.append(make_issue("W_EMPTY_ARRAY", Stage.INFER, message, field=column))
-            issues += lift_issues
+                findings.append(make_issue("W_EMPTY_ARRAY", Stage.INFER, message, field=column))
+            findings += lift_issues
             types[column] = lifted
 
         response_type = types["response_example"]
         if response_type is None:
             message = "no response example; response type is unconstrained"
-            issues.append(make_issue("W_NO_EXAMPLE", Stage.INFER, message, field="response_example"))
+            findings.append(make_issue("W_NO_EXAMPLE", Stage.INFER, message, field="response_example"))
             response_type = T_ANY
 
         functions.append(
@@ -218,7 +218,7 @@ def build_reference(
                 request_type=types["request_example"],
                 response_type=response_type,
                 record=record,
-                issues=tuple(issues),
+                issues=tuple(findings),
             )
         )
 

@@ -808,7 +808,8 @@ class TestRenderPackage:
 
 #: Path segments and wire names whose words a split of the concatenated type
 #: name would read otherwise: single letters and digit-led words beside
-#: others, capitals, separators, and the empty name.
+#: others, capitals, separators, and the empty name; and camel-case path
+#: segments, whose bounds the function's own words must keep.
 _NAME_SEGMENTS = st.sampled_from(
     ("a", "b", "B", "v1", "2", "2fa", "{id}", "x-y", "", "a.b", "siviLini7", "aB", "{userID}")
 )
