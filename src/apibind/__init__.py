@@ -18,7 +18,6 @@ from .ingest import (
     CorpusError,
     load_corpus,
     merge_corpus,
-    merge_records,
     record_id_census,
     write_stage,
 )

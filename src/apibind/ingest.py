@@ -194,32 +194,21 @@ def _record_from_cells(
     return ApiCallRecord(*cells).with_issues(*issues)
 
 
-def merge_key(record: ApiCallRecord) -> tuple[str, str | None]:
+def _merge_key(record: ApiCallRecord) -> tuple[str, str | None]:
     """Method and canonical path text of a parsed record (the raw path if it did not parse)."""
     template = record.path
     return record.http_method.value, template.text if template is not None else record.raw_path
 
 
-def merge_records(a: ApiCallRecord, b: ApiCallRecord) -> ApiCallRecord:
-    """Merge two parsed records describing the same call (equal merge keys).
+def _merge_pair(a: ApiCallRecord, b: ApiCallRecord) -> ApiCallRecord:
+    """Merge two parsed records of one merge key, as ``merge_corpus`` pairs them.
 
     Identifiers are concatenated and deduped, and missing cells filled from
     ``b``. Conflicting present cells keep ``a``'s and tag W_MERGE_CONFLICT,
     one per cell in column order; the parsed ``curl`` and ``params`` come
     from the row whose cell is kept. ``b``'s tags are all kept, also those
-    about cells the merge drops, so every row's findings reach the gate. If
-    the records describe different calls the merge is refused: ``a`` comes
-    back tagged E_MERGE_KEY_MISMATCH and both records survive separately.
+    about cells the merge drops, so every row's findings reach the gate.
     """
-    if merge_key(a) != merge_key(b):
-        return a.with_issues(
-            make_issue(
-                "E_MERGE_KEY_MISMATCH",
-                Stage.INGEST,
-                f"cannot merge {b.id} into {a.id}: method/path differ",
-            )
-        )
-
     changes = {
         "id": a.id.merge(b.id),
         "curl": (a if a.raw_curl is not None else b).curl,
@@ -247,8 +236,8 @@ def merge_corpus(records: list[ApiCallRecord]) -> list[ApiCallRecord]:
     # Reassigning a key keeps its place, so the dict holds the first-seen order.
     merged: dict[tuple[str, str | None], ApiCallRecord] = {}
     for record in records:
-        key = merge_key(record)
-        merged[key] = merge_records(merged[key], record) if key in merged else record
+        key = _merge_key(record)
+        merged[key] = _merge_pair(merged[key], record) if key in merged else record
     return list(merged.values())
 
 

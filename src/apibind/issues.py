@@ -37,7 +37,6 @@ CATALOG: dict[str, str] = {
     "E_PARAM_PATH_UNUSED": "path parameter does not appear in the path template",
     "E_DUP_PARAM": "duplicate parameter name within one passing convention",
     "E_METHOD_MISMATCH": "curl example method differs from the declared method",
-    "E_MERGE_KEY_MISMATCH": "merge refused: records describe different calls",
     "E_METHOD_UNKNOWN": "http_method cell is not a supported HTTP method",
     "W_CURL_OPT_IGNORED": "curl option not understood and skipped",
     "W_PARAM_CONV_UNKNOWN": "parameter passing convention defaulted",

@@ -21,9 +21,9 @@ without a registry.
 Both tree walks are per-node kernels. Every node kind is a slotted frozen
 dataclass, so no node carries a ``__dict__``. The fold (``_infer_raw``) and
 the lift (``_Lift.walk``) dispatch on a node's exact type, commonest kind
-first; the lift keeps an atom field as it is, without a call. A decoded
-value of a subclass of a JSON type (an ``OrderedDict``, an ``int``
-subclass) falls through to an ``isinstance`` chain and types as its base.
+first; the lift keeps an atom field as it is, without a call. The fold
+types only what ``parse_json`` builds, which is never a subclass of a JSON
+type, and raises ``TypeError`` on anything else.
 """
 
 from __future__ import annotations
@@ -232,8 +232,6 @@ def _normalize(branches: tuple[InferredType, ...]) -> InferredType:
     for br in branches:
         if br is T_ANY:
             return T_ANY
-        if br is BOTTOM:
-            continue
         if br is T_NULL:
             has_null = True
         elif br is T_BOOL:
@@ -295,7 +293,7 @@ def fold_examples(docs: list[Any]) -> InferredType:
 
 
 def _infer_raw(value: Any) -> InferredType:
-    # Exact types first, the commonest first; subclasses take the chain below.
+    # Exact types only, the commonest first: parse_json builds no subclass.
     kind = type(value)
     if kind is dict:
         return TObject(tuple([(n, _infer_raw(item), True) for n, item in sorted(value.items())]))
@@ -320,16 +318,6 @@ def _infer_raw(value: Any) -> InferredType:
         return T_BOOL
     if kind is float:
         return T_FLOAT
-    if isinstance(value, int):  # bool is final, so this is never one
-        return T_INT
-    if isinstance(value, float):
-        return T_FLOAT
-    if isinstance(value, str):
-        return T_STRING
-    if isinstance(value, list):
-        return _infer_raw(list(value))
-    if isinstance(value, dict):
-        return _infer_raw(dict(value.items()))
     raise TypeError(f"not a JSON value: {value!r}")
 
 

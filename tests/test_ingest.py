@@ -14,7 +14,6 @@ from apibind.ingest import (
     CorpusError,
     load_corpus,
     merge_corpus,
-    merge_records,
     record_id_census,
     write_stage,
 )
@@ -229,7 +228,7 @@ def test_framing_faults_name_the_file(tmp_path):
 
 
 def make_record(atom="r1", **kwargs):
-    """A parsed record, as ``merge_records`` expects."""
+    """A parsed record, as ``merge_corpus`` expects."""
     defaults = dict(
         id=RecordId.single(atom),
         source_url="https://d/x",
@@ -242,21 +241,21 @@ def make_record(atom="r1", **kwargs):
 
 class TestMerge:
     def test_identical_records_merge_ids(self):
-        merged = merge_records(make_record("r1"), make_record("r2"))
+        [merged] = merge_corpus([make_record("r1"), make_record("r2")])
         assert merged.id == RecordId(("r1", "r2"))
         assert merged.issues == ()
 
     def test_fill_missing_fields_from_second(self):
         a = make_record("r1")
         b = make_record("r2", raw_curl="curl https://h/x")
-        merged = merge_records(a, b)
+        [merged] = merge_corpus([a, b])
         assert merged.raw_curl == "curl https://h/x"
         assert merged.curl == b.curl
 
     def test_artifacts_follow_the_kept_cell(self):
         a = make_record("r1", raw_curl="curl https://h/a", raw_parameters='[{"name":"x"}]')
         b = make_record("r2", raw_curl="curl https://h/b", raw_parameters='[{"name":"y"}]')
-        merged = merge_records(a, b)
+        [merged] = merge_corpus([a, b])
         assert (merged.path, merged.curl, merged.params) == (a.path, a.curl, a.params)
         codes = [i.code for i in merged.issues]
         assert codes.count("W_MERGE_CONFLICT") == 2  # one per cell, none per artifact
@@ -264,35 +263,33 @@ class TestMerge:
     def test_conflicting_fields_keep_first_and_warn(self):
         a = make_record("r1", description="first")
         b = make_record("r2", description="second")
-        merged = merge_records(a, b)
+        [merged] = merge_corpus([a, b])
         assert merged.description == "first"
         assert [i.code for i in merged.issues] == ["W_MERGE_CONFLICT"]
 
-    def test_key_mismatch_refused(self):
+    def test_different_calls_stay_apart_untagged(self):
         a = make_record("r1")
         b = make_record("r2", raw_path="/other")
-        merged = merge_records(a, b)
-        assert merged.id == RecordId.single("r1")
-        assert [i.code for i in merged.issues] == ["E_MERGE_KEY_MISMATCH"]
+        assert merge_corpus([a, b]) == [a, b]
 
     def test_key_uses_canonical_path(self):
         a = make_record("r1", raw_path="/v1/users/{id}")
         b = make_record("r2", raw_path="/v1/users/:id")
-        merged = merge_records(a, b)
+        [merged] = merge_corpus([a, b])
         assert merged.id == RecordId(("r1", "r2"))
 
     def test_issue_lists_concatenate(self):
         issue_a = make_issue("W_NO_EXAMPLE", Stage.PARSE, "a")
         issue_b = make_issue("E_JSON_CELL", Stage.INGEST, "b", field="parameters")
-        merged = merge_records(
-            make_record("r1", issues=(issue_a,)), make_record("r2", issues=(issue_b,))
+        [merged] = merge_corpus(
+            [make_record("r1", issues=(issue_a,)), make_record("r2", issues=(issue_b,))]
         )
         assert merged.issues == (issue_a, issue_b)
 
     def test_identical_tags_kept_once(self):
         issue = make_issue("E_PARAM_NO_NAME", Stage.PARSE, "same", field="parameters")
         a, b = make_record("r1", issues=(issue,)), make_record("r2", issues=(issue,))
-        assert merge_records(a, b).issues == (issue,)
+        assert merge_corpus([a, b])[0].issues == (issue,)
 
     def test_merge_corpus_folds_in_order(self):
         records = [make_record("r1"), make_record("r2", raw_path="/other"), make_record("r3")]

@@ -622,27 +622,14 @@ class TestKernelsAgreeWithReference:
             assert list(registry.by_body.items()) == list(reference.by_body.items())
             assert registry.taken == reference.taken
 
-    def test_subclasses_type_as_their_base(self):
-        class Items(list):
-            pass
-
+    def test_only_exact_json_types_are_typed(self):
+        # parse_json builds no subclass of a JSON type, so the fold takes none.
         class Count(int):
             pass
 
-        class Text(str):
-            pass
-
-        class Ratio(float):
-            pass
-
-        doc = OrderedDict(
-            [("z", Items([Count(1), Ratio(2.5)])), ("a", Text("x")), ("m", {"k": Count(3)})]
-        )
-        plain = {"z": [1, 2.5], "a": "x", "m": {"k": 3}}
-        assert fold_examples([doc]) == _reference_fold([doc]) == fold_examples([plain])
-        assert fold_examples([Items([]), Count(0)]) == _reference_fold([[], 0])
-        with pytest.raises(TypeError):
-            fold_examples([{"a": object()}])
+        for doc in (OrderedDict([("a", 1)]), {"a": [1, Count(2)]}, {"a": object()}):
+            with pytest.raises(TypeError):
+                fold_examples([doc])
 
     def test_a_bottom_field_lifts_to_any(self):
         hand_built = TObject((("a", BOTTOM, True), ("b", T_INT, False)))
