@@ -3,8 +3,10 @@
     python3 tests/output_matrix.py > digests.json
     diff tests/data/output_digests.json digests.json
 
-The corpora are corpus12 plus the three ``perfbench/corpora.py`` shapes
-(low-sharing 400, high-sharing 3000 and dirty 4000 rows) at seeds 101 and 7.
+The corpora are corpus12, ``every_code.csv`` (whose runs emit every
+catalogued code, so the manifest pins each code's text) and the three
+``perfbench/corpora.py`` shapes (low-sharing 400, high-sharing 3000 and dirty
+4000 rows) at seeds 101 and 7.
 Each corpus goes through ``generate``, ``generate --merge``, ``generate``
 under ``tests/data/snake_policy.json`` (snake types and functions, lower-camel
 fields), ``analyze --merge``, ``analyze --strict`` and ``analyze --merge
@@ -31,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS12 = ROOT / "tests" / "data" / "corpus12.csv"
+EVERY_CODE = ROOT / "tests" / "data" / "every_code.csv"
 GENERATOR = ROOT / "perfbench" / "corpora.py"
 #: A non-default identifier policy, so a change in casing shows in the manifest.
 SNAKE_POLICY = ROOT / "tests" / "data" / "snake_policy.json"
@@ -58,8 +61,8 @@ def sha256(data: bytes) -> str:
 
 
 def make_corpora(work: Path) -> list[Path]:
-    """corpus12 and the generated corpora, each named ``<shape>-<seed>.csv`` under ``work``."""
-    corpora = [CORPUS12]
+    """The fixed corpora, then the generated ones, named ``<shape>-<seed>.csv`` under ``work``."""
+    corpora = [CORPUS12, EVERY_CODE]
     for shape, rows in SHAPES:
         for seed in SEEDS:
             out = work / "corpora" / f"{shape}-{seed}.csv"

@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from apibind import ingest
 from apibind.curl import HttpMethod
@@ -371,7 +371,7 @@ class TestWriteStage:
 
 
 _cell = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    alphabet=st.characters(blacklist_categories=("Cs",)),
     min_size=1,
     max_size=12,
 )
@@ -386,6 +386,11 @@ _TEXT_FIELDS = [name for name in STAGE_FIELDS if name not in ("id", "http_method
     atom=st.from_regex(r"[a-zA-Z0-9_.:-]{1,12}", fullmatch=True),
     texts=st.fixed_dictionaries({name: st.none() | _cell for name in _TEXT_FIELDS}),
     method=st.sampled_from(list(HttpMethod)),
+)
+@example(  # a NUL byte is data in every cell, written and read back as it is
+    atom="r1",
+    texts={name: f"a\x00{name}" for name in _TEXT_FIELDS},
+    method=HttpMethod.GET,
 )
 def test_round_trip_hypothesis(tmp_path_factory, atom, texts, method):
     assert len(texts) == 8
