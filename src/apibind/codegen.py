@@ -292,10 +292,6 @@ def split_words(raw: str) -> list[str]:
     return [w.lower() for w in _WORD.findall(raw)]
 
 
-def apply_casing(raw: str, casing: str) -> str:
-    return _legal_name(split_words(raw), casing, frozenset())
-
-
 def _legal_name(words: list[str], casing: str, reserved: frozenset[str]) -> str:
     """``words`` cased, ``_``-led unless a letter leads, and ``_``-suffixed while reserved.
 

@@ -128,6 +128,15 @@ def _wire_text(wire: str) -> str:
     return json.dumps(wire) if not wire or UNPRINTABLE.search(wire) else wire
 
 
+def _key_text(wire: str) -> str:
+    """An inline object's key: bare if ``IDENTIFIER`` matches it, else an ASCII JSON string.
+
+    A bare key holding ``:``, ``,``, ``?``, a space or a brace would read as
+    more of the type (``{"a: int, b": "x"}`` as ``{a: int, b: string}``).
+    """
+    return wire if IDENTIFIER.match(wire) else json.dumps(wire)
+
+
 def format_type(t: InferredType, type_names: dict[str, str] | None = None) -> str:
     """Type expression in the neutral grammar; declaration refs use final names."""
     if isinstance(t, _Atom):
@@ -142,7 +151,7 @@ def format_type(t: InferredType, type_names: dict[str, str] | None = None) -> st
         if not t.fields:
             return "{}"
         inner = ", ".join(
-            f"{_wire_text(name)}{'' if required else '?'}: {format_type(field_type, type_names)}"
+            f"{_key_text(name)}{'' if required else '?'}: {format_type(field_type, type_names)}"
             for name, field_type, required in t.fields
         )
         return "{" + inner + "}"

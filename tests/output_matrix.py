@@ -1,7 +1,10 @@
 """Print the sha256 of every output of a fixed matrix of CLI runs, as a JSON manifest.
 
-    python3 tests/output_matrix.py > digests.json
-    diff tests/data/output_digests.json digests.json
+``tests/test_output_matrix.py`` compares ``manifest`` with the committed
+``tests/data/output_digests.json``. A change that moves an output on purpose
+regenerates it:
+
+    python3 tests/output_matrix.py > tests/data/output_digests.json
 
 The corpora are corpus12, ``every_code.csv`` (whose runs emit every
 catalogued code, so the manifest pins each code's text) and the three
@@ -17,8 +20,9 @@ scratch directory's path replaced by ``<work>``), and the sha256 of every
 file the run wrote, by its path under the out dir. It also holds the sha256 of each
 corpus, so a change in the generator shows apart from a change in apibind.
 
-The program run is the ``src/apibind`` of this script's checkout, each
-command in a fresh interpreter, one at a time. Stdlib only.
+The program run is the ``src/apibind`` of this script's checkout, as
+``python -m apibind.cli`` with ``PYTHONPATH=src``, each command in a fresh
+interpreter, one at a time. Stdlib only.
 """
 
 from __future__ import annotations

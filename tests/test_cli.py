@@ -7,6 +7,8 @@ import json
 import os
 import random
 import stat
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -20,6 +22,7 @@ from apibind.ingest import STAGE_COLUMNS, load_corpus, record_id_census
 from apibind.typeinfer import MAX_JSON_DEPTH, parse_json
 
 from .gen import gen_corpus, gen_record, nested_json
+from .output_matrix import GENERATOR
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -228,6 +231,13 @@ class TestGenerate:
 
         report = json.loads((out / "build_report.json").read_text())
         assert len(report["functions"]) == 10
+        # Both are streamed in pieces; each must equal one json.dumps of its content.
+        for name, options in (
+            ("name_map.json", {"sort_keys": True}),
+            ("build_report.json", {"ensure_ascii": False}),
+        ):
+            data = (out / name).read_bytes()
+            assert data == (json.dumps(json.loads(data), **options) + "\n").encode(), name
 
     def test_end_to_end_conservation(self, corpus12_path, tmp_path):
         out = tmp_path / "out"
@@ -1255,6 +1265,19 @@ class TestStageIsAFixedPoint:
         stdout = capsys.readouterr().out.replace(str(out_dir), "OUT")
         return code, stdout, read_tree(out_dir) if out_dir.exists() else {}
 
+    def restaged_equals_direct(self, corpus: Path, tmp_path: Path, capsys) -> tuple:
+        """``generate --merge``'s result, once ``generate`` on the restaged corpus equals it."""
+        direct = self.generate(["generate", "--merge", "--input", corpus], tmp_path / "a", capsys)
+
+        assert run(["analyze", "--merge", "--input", corpus, "--out-dir", tmp_path / "s"]) == 0
+        restaged = tmp_path / "restaged" / corpus.name
+        restaged.parent.mkdir()
+        restaged.write_bytes((tmp_path / "s" / "analyzed.csv").read_bytes())
+        again = self.generate(["generate", "--input", restaged], tmp_path / "b", capsys)
+
+        assert again == direct
+        return direct
+
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_generated_corpus(self, seed, tmp_path, capsys):
         # Cells with commas, quotes, line breaks, non-ASCII text and prior issue tags.
@@ -1262,15 +1285,21 @@ class TestStageIsAFixedPoint:
         corpus = tmp_path / "raw" / "corpus.csv"
         corpus.parent.mkdir()
         ingest.write_stage([gen_record(rng, i) for i in range(60)], corpus)
-        direct = self.generate(["generate", "--merge", "--input", corpus], tmp_path / "a", capsys)
-
-        assert run(["analyze", "--merge", "--input", corpus, "--out-dir", tmp_path / "s"]) == 0
-        restaged = tmp_path / "restaged" / "corpus.csv"
-        restaged.parent.mkdir()
-        restaged.write_bytes((tmp_path / "s" / "analyzed.csv").read_bytes())
-        again = self.generate(["generate", "--input", restaged], tmp_path / "b", capsys)
-
-        assert again == direct
         # A run with zero valid records exits 1 and writes nothing, on both sides alike.
-        code, _, tree = direct
+        code, _, tree = self.restaged_equals_direct(corpus, tmp_path, capsys)
         assert code == (0 if "package/manifest.txt" in tree else 1)
+
+    def test_fixture_corpus(self, corpus12_path, tmp_path, capsys):
+        code, _, _ = self.restaged_equals_direct(corpus12_path, tmp_path, capsys)
+        assert code == 0
+
+    def test_dirty_corpus(self, tmp_path, capsys):
+        # Mostly defective rows, with merge groups.
+        corpus = tmp_path / "raw" / "dirty.csv"
+        subprocess.run(
+            [sys.executable, str(GENERATOR), "dirty", "400", "7", str(corpus)],
+            check=True,
+            stdout=subprocess.DEVNULL,
+        )
+        code, _, _ = self.restaged_equals_direct(corpus, tmp_path, capsys)
+        assert code == 0

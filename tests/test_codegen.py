@@ -13,7 +13,7 @@ from apibind.codegen import (
     CASINGS,
     BindingFunction,
     IdentifierPolicy,
-    apply_casing,
+    _legal_name,
     apply_identifier_policy,
     build_reference,
     format_type,
@@ -51,6 +51,11 @@ from apibind.typeinfer import (
 from apibind.validate import cross_validate, route
 
 from .gen import gen_json_doc
+
+
+def _cased(raw: str, casing: str) -> str:
+    """``raw``'s words in ``casing``, as a legal identifier with no reserved words."""
+    return _legal_name(split_words(raw), casing, frozenset())
 
 
 def template_of(raw: str):
@@ -517,9 +522,9 @@ _NAME_CHARS = st.one_of(
 
 class TestIdentifierPolicy:
     def test_casing_examples(self):
-        assert apply_casing("get_users_user_id", "lower-camel") == "getUsersUserId"
-        assert apply_casing("get_users_user_id", "upper-camel") == "GetUsersUserId"
-        assert apply_casing("GetUsersUserId", "snake") == "get_users_user_id"
+        assert _cased("get_users_user_id", "lower-camel") == "getUsersUserId"
+        assert _cased("get_users_user_id", "upper-camel") == "GetUsersUserId"
+        assert _cased("GetUsersUserId", "snake") == "get_users_user_id"
 
     def test_split_words(self):
         assert split_words("GetV1PingResponseUser-id") == ["get", "v1", "ping", "response", "user", "id"]
@@ -645,8 +650,8 @@ class TestIdentifierPolicy:
         assert list(names["functions"].values()) == ["getUserId", "getUserId_2"]
 
     def test_identifier_grammar(self):
-        assert apply_casing("2fa_enable", "lower-camel") == "_2faEnable"
-        assert apply_casing("2fa", "upper-camel") == "_2fa"
+        assert _cased("2fa_enable", "lower-camel") == "_2faEnable"
+        assert _cased("2fa", "upper-camel") == "_2fa"
         ir = build_reference([make_valid("n", path="/2fa/enable")])
         names = apply_identifier_policy(ir, IdentifierPolicy(casing_function="lower-camel"))
         assert names["functions"]["get_2fa_enable"] == "get2faEnable"
@@ -784,6 +789,18 @@ class TestRenderPackage:
         assert '  x: int  (wire "")' in lines
         assert "  a: int" in lines
 
+    def test_inline_object_keys_that_are_not_identifiers_are_quoted(self):
+        # Written bare, the one key "a: int, b" would read as the two fields of /v1/two.
+        def row(atom, example):
+            table = [{"name": "f", "in": "query", "example": example}]
+            return make_valid(atom, path=f"/v1/{atom}", raw_parameters=json.dumps(table))
+
+        ir = build_reference([row("one", {"a: int, b": "x", "café": 1}), row("two", {"a": 1, "b": "x"})])
+        names = apply_identifier_policy(ir, IdentifierPolicy())
+        lines = render_package(ir, names, TemplateSet.neutral())["misc.txt"].splitlines()
+        assert 'function getV1One(f: {"a: int, b": string, "caf\\u00e9": int}) -> any' in lines
+        assert "function getV1Two(f: {a: int, b: string}) -> any" in lines
+
     def test_optional_and_empty_object_params(self):
         table = [
             {"name": "limit", "in": "query", "type": "integer", "required": False},
@@ -856,10 +873,10 @@ def test_type_identifiers_begin_with_their_function_words(rows, casing):
                 reached.extend(refs_in(bodies[name]))
     assert creator.keys() == bodies.keys()
     for raw, fn in creator.items():
-        prefix = apply_casing(fn.raw_name, casing)
+        prefix = _cased(fn.raw_name, casing)
         assert names["types"][raw].startswith(prefix), (fn.raw_name, raw, names["types"][raw])
         words = [fn.record.http_method.value, *split_words(fn.record.path.text)]
-        assert prefix.startswith(apply_casing("_".join(words), casing)), (fn.raw_name, words)
+        assert prefix.startswith(_cased("_".join(words), casing)), (fn.raw_name, words)
 
 
 def build_without_memos(records):
