@@ -43,8 +43,7 @@ from .typeinfer import (
     fresh_name,
     lift_declarations,
     parse_json,
-    share_decl,
-    spell,
+    replay,
     type_of_parameter,
 )
 
@@ -65,12 +64,8 @@ class BindingFunction:
     request_type: InferredType | None
     response_type: InferredType
     record: ApiCallRecord
+    group: str  # the module that renders it
     issues: tuple[Issue, ...]
-
-    @property
-    def group(self) -> str:
-        """The record's documentation group, "misc" when it has none."""
-        return self.record.group or "misc"
 
 
 @dataclass(frozen=True)
@@ -179,7 +174,6 @@ def build_reference(
         findings += param_issues
 
         words = tuple(raw_name.split("_"))
-        camel = spell(words)
         types: dict[str, InferredType | None] = {}
         for column, kind in (("request_example", "Request"), ("response_example", "Response")):
             text = getattr(record, column)
@@ -195,10 +189,7 @@ def build_reference(
                 lifts[text] = (lifted, unpopulated, trail)
             else:
                 lifted, unpopulated, trail = kept
-                lift_issues = [
-                    share_decl(registry, registry.by_body[body], camel + kind + suffix, group)
-                    for suffix, body in trail
-                ]
+                lift_issues = replay(registry, trail, (*words, kind), group)
             for path in unpopulated:
                 message = f"{column} has an empty array at {path}; element type unknown"
                 findings.append(make_issue("W_EMPTY_ARRAY", Stage.INFER, message, field=column))
@@ -218,6 +209,7 @@ def build_reference(
                 request_type=types["request_example"],
                 response_type=response_type,
                 record=record,
+                group=group,
                 issues=tuple(findings),
             )
         )
@@ -232,7 +224,13 @@ def build_reference(
 
 # --- identifier policy ------------------------------------------------------
 
-CASINGS = ("lower-camel", "upper-camel", "snake")
+#: Each casing, and how it joins a name's lower-case words.
+_JOINS = {
+    "lower-camel": lambda words: words[0] + "".join(w.capitalize() for w in words[1:]),
+    "upper-camel": lambda words: "".join(w.capitalize() for w in words),
+    "snake": "_".join,
+}
+CASINGS = tuple(_JOINS)
 
 _DEFAULT_RESERVED = frozenset(
     {"type", "class", "function", "return", "import", "if", "else", "for", "while", "package"}
@@ -297,13 +295,7 @@ def _legal_name(words: list[str], casing: str, reserved: frozenset[str]) -> str:
 
     Any ``fresh_name`` of the result is legal too: a suffix is ``_`` and digits.
     """
-    words = words or ["x"]
-    if casing == "snake":
-        name = "_".join(words)
-    elif casing == "lower-camel":
-        name = words[0] + "".join(w.capitalize() for w in words[1:])
-    else:
-        name = "".join(w.capitalize() for w in words)
+    name = _JOINS[casing](words or ["x"])
     if not _LEADING.match(name):
         name = "_" + name
     while name in reserved:

@@ -38,20 +38,13 @@ from .issues import Issue, Stage, make_issue
 from .records import ID_SEPARATOR, STAGE_FIELDS, ApiCallRecord, RecordId
 from .typeinfer import fresh_name, parse_json
 
-#: Input column order; stage outputs append ``issues``.
-COLUMNS = (
-    "record_id",
-    "source_url",
-    "http_method",
-    "path",
-    "curl_example",
-    "parameters",
-    "request_example",
-    "response_example",
-    "description",
-    "group",
-)
-STAGE_COLUMNS = COLUMNS + ("issues",)
+#: The column of each stage field named otherwise; every other column is named as its field.
+_COLUMN_OF = {
+    "id": "record_id", "raw_path": "path", "raw_curl": "curl_example", "raw_parameters": "parameters"
+}
+#: One column per field of ``STAGE_FIELDS``, in order; input columns omit ``issues``.
+STAGE_COLUMNS = tuple(_COLUMN_OF.get(name, name) for name in STAGE_FIELDS)
+COLUMNS = STAGE_COLUMNS[:-1]
 
 #: Positions in a stage row of the three cells that are not text.
 _ID, _METHOD, _ISSUES = map(STAGE_COLUMNS.index, ("record_id", "http_method", "issues"))

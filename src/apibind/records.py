@@ -24,9 +24,6 @@ from .pathtemplate import PathTemplate
 #: Separator for multiple id atoms in the record_id cell of stage files.
 ID_SEPARATOR = "|"
 
-#: The fields ``with_issues`` may set besides ``issues``: the parser outputs.
-PARSER_OUTPUTS = frozenset({"path", "curl", "params"})
-
 
 @dataclass(frozen=True)
 class RecordId:
@@ -102,3 +99,6 @@ _field_values = attrgetter(*_FIELDS)
 
 #: The fields of a stage row, ``id`` through ``issues``, one per ``ingest.STAGE_COLUMNS`` column.
 STAGE_FIELDS = _FIELDS[: _FIELDS.index("issues") + 1]
+
+#: The fields ``with_issues`` may set besides ``issues``: the parser outputs.
+PARSER_OUTPUTS = frozenset(_FIELDS[len(STAGE_FIELDS) :])

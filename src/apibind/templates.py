@@ -16,16 +16,8 @@ one fixed grammar (``[string]``, ``int | null``), whatever the template set.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-
-TEMPLATE_NAMES = (
-    "manifest.tpl",
-    "module_header.tpl",
-    "function.tpl",
-    "type.tpl",
-    "doc_comment.tpl",
-)
 
 _TAG = re.compile(r"\{\{([#/]?)([A-Za-z0-9_]+)\}\}")
 
@@ -131,9 +123,7 @@ class TemplateSet:
         missing = [name for name in TEMPLATE_NAMES if name not in sources]
         if missing:
             raise TemplateError(f"template set incomplete, missing: {', '.join(missing)}")
-        return cls(
-            **{name.removesuffix(".tpl"): Template(name, sources[name]) for name in TEMPLATE_NAMES}
-        )
+        return cls(*(Template(name, sources[name]) for name in TEMPLATE_NAMES))
 
     @classmethod
     def load_dir(cls, directory: str | Path) -> TemplateSet:
@@ -154,6 +144,10 @@ class TemplateSet:
     @classmethod
     def neutral(cls) -> TemplateSet:
         return cls.from_sources(dict(NEUTRAL_TEMPLATES))
+
+
+#: A template set's file names, one per ``TemplateSet`` field, in field order.
+TEMPLATE_NAMES = tuple(f"{field.name}.tpl" for field in fields(TemplateSet))
 
 
 # The built-in target: a typed-interface description. One line per concept;

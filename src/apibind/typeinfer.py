@@ -439,11 +439,21 @@ def lift_declarations(
     lookup, in walk order: the name is ``spell(base)`` plus the suffix, and
     the body is the registry's key. The registry only grows and never
     renames, so a later lift of the same raw type finds every one of these
-    bodies in the same order; replaying the trail through ``share_decl``
-    gives that lift's registry effects and issues without walking again.
+    bodies in the same order; ``replay`` of the trail gives that lift's
+    registry effects and issues without walking again.
     """
     lift = _Lift(registry, group, base, trail)
     return lift.walk(t, "", ()), lift.unpopulated, lift.issues
+
+
+def replay(
+    registry: DeclRegistry, trail: list[tuple[str, TObject]], base: tuple[str, ...], group: str
+) -> list[Issue]:
+    """Relift ``trail``'s raw type from ``base`` in ``group``: do its rehomes, return its issues."""
+    name = spell(base)
+    return [
+        share_decl(registry, registry.by_body[body], name + suffix, group) for suffix, body in trail
+    ]
 
 
 def share_decl(registry: DeclRegistry, kept: TypeDecl, name: str, group: str) -> Issue:

@@ -925,7 +925,8 @@ def build_without_memos(records):
         issues = tuple(issue for _, issue in report[first:])
         functions.append(
             BindingFunction(
-                raw_name, tuple(params), types["request_example"], response_type, record, issues
+                raw_name, tuple(params), types["request_example"], response_type, record, group,
+                issues,
             )
         )
     return functions, list(registry.by_body.values()), report

@@ -34,7 +34,7 @@ from apibind.typeinfer import (
     inhabits,
     lift_declarations,
     parse_json,
-    share_decl,
+    replay,
     type_of_parameter,
     unify,
 )
@@ -386,10 +386,7 @@ class TestLift:
         lift_declarations(raw, ("First",), walked, group="m")
 
         again = lift_declarations(raw, ("Again",), walked, group="b")
-        issues = [
-            share_decl(replayed, replayed.by_body[body], "Again" + suffix, "b")
-            for suffix, body in trail
-        ]
+        issues = replay(replayed, trail, ("Again",), "b")
         assert again == (first[0], first[1], issues)
         assert list(walked.by_body.values()) == list(replayed.by_body.values())
         assert {d.group for d in walked.by_body.values()} == {"b"}
