@@ -82,7 +82,8 @@ def load_corpus(
 
     Accepts both raw input files and stage outputs (which carry the extra
     ``issues`` column), picking each row's cells by header position; an
-    absent or empty cell reads as ``None``. A bad ``http_method`` or
+    absent or empty cell reads as ``None``, and a stage column named twice is
+    a ``CorpusError``. A bad ``http_method`` or
     ``issues`` cell tags the record; every other cell is kept as raw text for
     ``parse_record``. A row without a ``record_id`` is named ``<file
     stem>:<row number>``; a stem byte that is not UTF-8 is written as a
@@ -115,6 +116,9 @@ def load_corpus(
     missing = [c for c in COLUMNS if c not in header]
     if missing:
         raise CorpusError(f"{path} is missing columns: {', '.join(missing)}")
+    duplicated = [c for c in STAGE_COLUMNS if header.count(c) > 1]
+    if duplicated:
+        raise CorpusError(f"{path} has duplicate columns: {', '.join(duplicated)}")
     # Short rows are padded to ``width``; a raw input's rows get one more
     # empty cell, which stands in for the ``issues`` column it lacks.
     width = len(header) + ("issues" not in header)

@@ -197,6 +197,17 @@ def test_missing_columns_is_corpus_error(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("column", ["path", "issues"])
+def test_a_column_named_twice_is_corpus_error(tmp_path, column):
+    """Either copy's cells would be lost; the loader reads one cell per column."""
+    path = tmp_path / "twice.csv"
+    path.write_text(
+        f"{HEADER},issues,{column}\nr1,https://d/x,GET,/a,,,,,,,,/b\n", encoding="utf-8"
+    )
+    with pytest.raises(CorpusError, match=rf"twice\.csv has duplicate columns: {column}\Z"):
+        load_corpus(path)
+
+
 def test_ragged_long_row_is_corpus_error(tmp_path):
     path = write_csv(tmp_path, "a,b,GET,/x,,,,,,,EXTRA,MORE\n")
     with pytest.raises(CorpusError):

@@ -141,3 +141,44 @@ def test_no_self_referring_nested_functions_in_apibind():
     for path in sorted(SOURCE.glob("*.py")):
         found += self_referring_nested_functions(path.read_text(encoding="utf-8"), path.name)
     assert found == [], "make these module-level functions or methods: " + ", ".join(found)
+
+
+#: What only ``typeinfer`` uses: it alone spells a declaration's raw name and shares one.
+_TYPEINFER_ONLY = frozenset({"spell", "share_decl"})
+
+
+def typeinfer_only_uses(source: str, filename: str) -> list[str]:
+    """Imports of ``_TYPEINFER_ONLY`` names, and ``typeinfer.<name>`` reads, as ``file:line``."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.ImportFrom):
+            hit = any(alias.name in _TYPEINFER_ONLY for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            hit = node.value.id == "typeinfer" and node.attr in _TYPEINFER_ONLY
+        else:
+            continue
+        if hit:
+            found.append(f"{filename}:{node.lineno}")
+    return found
+
+
+def test_rule_sees_typeinfer_only_uses():
+    source = """
+from .typeinfer import fresh_name, spell
+from .typeinfer import (
+    share_decl,
+)
+from . import typeinfer
+typeinfer.spell(("a",))
+typeinfer.replay(registry, trail, base, group)
+registry.spell
+"""
+    assert typeinfer_only_uses(source, "probe.py") == ["probe.py:2", "probe.py:3", "probe.py:7"]
+
+
+def test_only_typeinfer_spells_and_shares_declarations():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name != "typeinfer.py":
+            found += typeinfer_only_uses(path.read_text(encoding="utf-8"), path.name)
+    assert found == [], "call typeinfer.replay or lift_declarations instead: " + ", ".join(found)
