@@ -164,7 +164,7 @@ def _record_from_cells(
     issues: list[Issue] = []
 
     # An empty atom is dropped: written back, it would vanish from the cell.
-    atoms = tuple(dict.fromkeys(filter(None, (cells[_ID] or "").split(ID_SEPARATOR))))
+    atoms = tuple(filter(None, (cells[_ID] or "").split(ID_SEPARATOR)))
     cells[_ID] = RecordId(ids=atoms) if atoms else RecordId.single(f"{stem}:{row_number}")
 
     method = _METHODS.get((cells[_METHOD] or "").strip().upper())
@@ -200,14 +200,14 @@ def _merge_key(record: ApiCallRecord) -> tuple[str, str | None]:
 def _merge_pair(a: ApiCallRecord, b: ApiCallRecord) -> ApiCallRecord:
     """Merge two parsed records of one merge key, as ``merge_corpus`` pairs them.
 
-    Identifiers are concatenated and deduped, and missing cells filled from
+    Identifiers are concatenated, repeats kept, and missing cells filled from
     ``b``. Conflicting present cells keep ``a``'s and tag W_MERGE_CONFLICT,
     one per cell in column order; the parsed ``curl`` and ``params`` come
     from the row whose cell is kept. ``b``'s tags are all kept, also those
     about cells the merge drops, so every row's findings reach the gate.
     """
     changes = {
-        "id": a.id.merge(b.id),
+        "id": RecordId(a.id.ids + b.id.ids),
         "curl": (a if a.raw_curl is not None else b).curl,
         "params": (a if a.raw_parameters is not None else b).params,
     }

@@ -27,22 +27,17 @@ ID_SEPARATOR = "|"
 
 @dataclass(frozen=True)
 class RecordId:
-    """Non-empty ordered set of opaque id atoms; merging concatenates and dedupes."""
+    """Non-empty sequence of opaque id atoms, one run per row; a merge keeps repeats."""
 
     ids: tuple[str, ...]
 
     def __post_init__(self):
         if not self.ids:
             raise ValueError("RecordId must hold at least one id")
-        if len(set(self.ids)) != len(self.ids):
-            raise ValueError("RecordId atoms must be unique")
 
     @classmethod
     def single(cls, atom: str) -> RecordId:
         return cls(ids=(atom,))
-
-    def merge(self, other: RecordId) -> RecordId:
-        return RecordId(ids=tuple(dict.fromkeys(self.ids + other.ids)))
 
     def __str__(self) -> str:
         return ID_SEPARATOR.join(self.ids)

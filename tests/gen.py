@@ -93,7 +93,7 @@ def gen_record(rng: random.Random, index: int) -> ApiCallRecord:
     )
     tricky = ['with,comma', 'with "quotes"', "multi\nline", "unicode-é中", "tab\tsep"]
     return ApiCallRecord(
-        id=RecordId(tuple(dict.fromkeys(atoms))),
+        id=RecordId(tuple(atoms)),
         source_url=f"https://docs.example.com/{gen_word(rng)}",
         http_method=rng.choice(list(HttpMethod)),
         raw_path="/" + "/".join(gen_word(rng) for _ in range(rng.randint(1, 3))),

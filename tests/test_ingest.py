@@ -174,12 +174,16 @@ def test_inputs_with_one_stem_get_distinct_fallback_ids(tmp_path):
 
 @settings(max_examples=60)
 @given(cells=st.lists(st.text(alphabet="ab|", max_size=6), min_size=1, max_size=4))
+@example(cells=["a|a"])  # a repeated atom is kept
 def test_record_ids_survive_a_stage_round_trip(tmp_path_factory, cells):
     # '|' alone, '', 'a||b' and '|a|' hold empty atoms, which a written cell cannot keep
     directory = tmp_path_factory.mktemp("ids")
     body = "".join(f"{cell},https://d/x,GET,/v1/x,,,,,,\n" for cell in cells)
     records = load_corpus(write_csv(directory, body))
-    assert all("" not in record.id.ids for record in records)
+    assert [record.id.ids for record in records] == [
+        tuple(filter(None, cell.split("|"))) or (f"corpus:{row}",)
+        for row, cell in enumerate(cells, start=1)
+    ]
     out = directory / "stage.csv"
     write_stage(records, out)
     assert [record.id for record in load_corpus(out)] == [record.id for record in records]
@@ -255,6 +259,10 @@ class TestMerge:
         [merged] = merge_corpus([make_record("r1"), make_record("r2")])
         assert merged.id == RecordId(("r1", "r2"))
         assert merged.issues == ()
+
+    def test_repeated_atoms_are_kept(self):
+        [merged] = merge_corpus([make_record("a"), make_record("a")])
+        assert merged.id == RecordId(("a", "a"))
 
     def test_fill_missing_fields_from_second(self):
         a = make_record("r1")

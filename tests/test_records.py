@@ -66,3 +66,12 @@ class TestWithIssues:
         assert (rec.path, rec.params) == (None, None)
         # Setting an output alone, with no new tag, still copies.
         assert rec.with_issues(params=()) == record(params=())
+
+
+class TestRecordId:
+    def test_holds_at_least_one_atom(self):
+        with pytest.raises(ValueError, match="at least one id"):
+            RecordId(())
+
+    def test_atoms_may_repeat(self):
+        assert str(RecordId(("a", "b", "a"))) == "a|b|a"
