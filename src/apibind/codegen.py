@@ -37,7 +37,6 @@ from .typeinfer import (
     TObject,
     TypeDecl,
     T_ANY,
-    _wire_text,
     fold_examples,
     format_type,
     fresh_name,
@@ -45,6 +44,7 @@ from .typeinfer import (
     parse_json,
     replay,
     type_of_parameter,
+    wire_text,
 )
 
 _CONVENTION_RANK = {conv: i for i, conv in enumerate(Convention)}
@@ -418,7 +418,7 @@ def _type_ctx(decl: TypeDecl, names: dict) -> dict:
                 "field_name": field_names[wire],
                 "optional_mark": "" if required else "?",
                 "field_type": format_type(field_type, names["types"]),
-                "wire_note": f"  (wire {_wire_text(wire)})" if field_names[wire] != wire else "",
+                "wire_note": f"  (wire {wire_text(wire)})" if field_names[wire] != wire else "",
             }
             for wire, field_type, required in decl.body.fields
         ],
@@ -463,7 +463,7 @@ def _fn_ctx(fn: BindingFunction, names: dict) -> dict:
                 "param_name": name,
                 "convention": param.convention.value,
                 "required_mark": required_mark,
-                "wire_note": f" (wire {_wire_text(param.name)})" if name != param.name else "",
+                "wire_note": f" (wire {wire_text(param.name)})" if name != param.name else "",
             }
         )
 

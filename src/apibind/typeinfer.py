@@ -117,8 +117,8 @@ IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def _wire_text(wire: str) -> str:
-    """A wire name as a module writes it.
+def wire_text(wire: str) -> str:
+    """A wire name, or a record id, as a module or stdout line writes it.
 
     A name holding a character that could end the line becomes an ASCII JSON
     string (``ensure_ascii=False`` would leave U+0085, U+2028 and U+2029 raw),

@@ -51,6 +51,7 @@ from apibind.typeinfer import (
 from apibind.validate import cross_validate, route
 
 from .gen import gen_json_doc
+from .universe import expand
 
 
 def _cased(raw: str, casing: str) -> str:
@@ -244,19 +245,6 @@ def refs_in(t) -> list[str]:
     if isinstance(t, TUnion):
         return [name for branch in t.branches for name in refs_in(branch)]
     return []
-
-
-def expand(t, bodies: dict):
-    """The type with every declaration ref replaced by its (expanded) body."""
-    if isinstance(t, TRef):
-        return expand(bodies[t.name], bodies)
-    if isinstance(t, TArray):
-        return TArray(expand(t.elem, bodies))
-    if isinstance(t, TObject):
-        return TObject(tuple((n, expand(ft, bodies), required) for n, ft, required in t.fields))
-    if isinstance(t, TUnion):
-        return TUnion(tuple(expand(b, bodies) for b in t.branches))
-    return t
 
 
 def array_at(t, path: str):

@@ -3,8 +3,10 @@
 Each example is a small corpus of hostile rows, run in process through
 ``analyze``, ``analyze --merge`` and ``generate --merge``. Whatever the rows
 hold, no exception escapes ``main``, only the documented exits occur, no
-record is dropped, and the gate rejects exactly the rows with an error tag.
-Example inhabitation is checked elsewhere, not here.
+record is dropped (``--merge`` keeps the id census), the gate rejects exactly
+the rows with an error tag, and every line ``generate`` writes, to stdout or
+to a module, starts as one of its templates' lines does. Without ``--merge``,
+every gate-passing record's examples inhabit its published types.
 """
 
 from __future__ import annotations
@@ -20,22 +22,29 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 from apibind.cli import main
+from apibind.codegen import build_reference
 from apibind.ingest import STAGE_COLUMNS, load_corpus, record_id_census
+from apibind.parse import parse_record
+from apibind.typeinfer import inhabits, parse_json
+from apibind.validate import cross_validate, route
 
 from .gen import nested_json
+from .universe import expand
 
 _DEEP = nested_json(200)
 _JSON_CELLS = (
     ("", "{}", "null", '{"a":1}', '{"a":[]}', '[{"a":1},{"a":"s"}]', '{"items":[{"id":1}]}',
-     '{"a\\nb":1,"":2}'),
+     '{"a\\nb":1,"":2}', '{"a":1,"a":"x"}', '{"":{"":[]}}',
+     '{"a: int, b":[{"\\u2028":null}]}'),
     ('"\\ud800"', '{"\\udc00":1}', "NaN", "{", _DEEP),
 )
 _ISSUE = {"code": "E_PATH_SYNTAX", "stage": "Parse", "message": "m", "field": "path"}
 _WARNING = {"code": "W_NO_EXAMPLE", "stage": "Infer", "message": "m"}
 
 #: Per column, cells well-formed on their own, then malformed ones. Among them:
-#: line breaks, NUL, ``|`` in ids, empty and odd paths, deep JSON,
-#: lone-surrogate escapes, ``issues`` cells, and ids that rows share.
+#: line breaks, NUL, ``|`` in ids, empty and odd paths, deep JSON, duplicate
+#: and empty JSON keys, keys that read as type syntax, lone-surrogate escapes,
+#: ``issues`` cells, and ids that rows share.
 _CELLS = {
     "record_id": (("", "a", "b", "a|b", "|", "a|a", "x\ny", "\x00", " ", "c\r\nd"), ()),
     "source_url": (("", "https://d/x", "https://d/\n", "\x00"), ()),
@@ -74,12 +83,21 @@ def _row(hostile: bool) -> st.SearchStrategy[dict[str, str]]:
 _rows = st.lists(_row(False) | _row(True), min_size=1, max_size=5)
 
 
-def _run(argv: list[object]) -> tuple[int, str]:
-    """``main(argv)``'s exit code and what it wrote to stderr; stdout is dropped."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+#: How each line of a neutral-template module or manifest starts, if it is not empty.
+_PACKAGE_LINE_STARTS = (
+    "module ", "package ", "version ", "source-digest ", "functions ", "types ", "modules",
+    "  ", "-- ", "function ", "type ", "}",
+)
+#: How each line ``generate`` writes to stdout starts.
+_STDOUT_LINE_STARTS = ("rejected ", "note ", "package: ")
+
+
+def _run(argv: list[object]) -> tuple[int, str, str]:
+    """``main(argv)``'s exit code and what it wrote to stdout and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(arg) for arg in argv])
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _has_error(record) -> bool:
@@ -88,7 +106,8 @@ def _has_error(record) -> bool:
 
 def _analyze(corpus: Path, out_dir: Path, *merge: str) -> Counter:
     """Run ``analyze``; check its gate, and return its stage file's id census."""
-    assert _run(["analyze", *merge, "--input", corpus, "--out-dir", out_dir]) == (0, "")
+    code, _, err = _run(["analyze", *merge, "--input", corpus, "--out-dir", out_dir])
+    assert (code, err) == (0, "")
     analyzed = load_corpus(out_dir / "analyzed.csv")
     assert [r for r in analyzed if _has_error(r)] == load_corpus(out_dir / "rejects.csv")
     return record_id_census(analyzed)
@@ -99,6 +118,20 @@ _PLAIN_ROW = {column: ok[0] for column, (ok, _) in _CELLS.items()} | {
     "record_id": "a",
     "path": "/v1/x",
 }
+
+
+def _check_examples_inhabit_their_types(corpus: Path) -> None:
+    """Each gate-passing record's examples inhabit its published, ref-expanded types."""
+    valid, _ = route([cross_validate(parse_record(record)) for record in load_corpus(corpus)])
+    ir = build_reference(valid)
+    bodies = {decl.name: decl.body for decl in ir.decls}
+    for fn in ir.functions:
+        for text, published in (
+            (fn.record.request_example, fn.request_type),
+            (fn.record.response_example, fn.response_type),
+        ):
+            if text is not None:
+                assert inhabits(parse_json(text), expand(published, bodies)), (text, published)
 
 
 @settings(max_examples=100, deadline=None)
@@ -116,9 +149,11 @@ def test_hostile_corpora_keep_the_contract(rows):
         census = _analyze(corpus, root / "plain")
         merged = _analyze(corpus, root / "merged", "--merge")
         assert merged == census
+        _check_examples_inhabit_their_types(corpus)
 
         generated = root / "generated"
-        code, err = _run(["generate", "--merge", "--input", corpus, "--out-dir", generated])
+        code, out, err = _run(["generate", "--merge", "--input", corpus, "--out-dir", generated])
+        assert all(line.startswith(_STDOUT_LINE_STARTS) for line in out.splitlines()), out
         if code == 1:
             assert err == "no valid records; nothing to generate\n"
             assert all(map(_has_error, load_corpus(root / "merged" / "analyzed.csv")))
@@ -128,3 +163,6 @@ def test_hostile_corpora_keep_the_contract(rows):
         report = json.loads((generated / "build_report.json").read_text(encoding="utf-8"))
         ids = [fn["record_id"] for fn in report["functions"]] + report["rejected_record_ids"]
         assert Counter(atom for atoms in ids for atom in atoms) == merged
+        for module in (generated / "package").glob("*.txt"):
+            for line in module.read_text(encoding="utf-8").splitlines():
+                assert not line or line.startswith(_PACKAGE_LINE_STARTS), (module.name, line)

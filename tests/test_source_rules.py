@@ -182,3 +182,39 @@ def test_only_typeinfer_spells_and_shares_declarations():
         if path.name != "typeinfer.py":
             found += typeinfer_only_uses(path.read_text(encoding="utf-8"), path.name)
     assert found == [], "call typeinfer.replay or lift_declarations instead: " + ", ".join(found)
+
+
+def private_imports(source: str, filename: str) -> list[str]:
+    """``from <module> import _name`` statements, as ``file:line``.
+
+    A leading underscore says the name is its module's own business; a name
+    another module needs is public.
+    """
+    return [
+        f"{filename}:{node.lineno}"
+        for node in ast.walk(ast.parse(source, filename))
+        if isinstance(node, ast.ImportFrom)
+        and any(alias.name.startswith("_") for alias in node.names)
+    ]
+
+
+def test_rule_sees_private_imports():
+    source = """
+from __future__ import annotations
+from .typeinfer import UNPRINTABLE, wire_text
+from .typeinfer import (
+    IDENTIFIER,
+    _wire_text,
+)
+from apibind.codegen import _JOINS as joins
+import apibind._private
+typeinfer._hop_text("a")
+"""
+    assert private_imports(source, "probe.py") == ["probe.py:4", "probe.py:8"]
+
+
+def test_no_module_imports_another_modules_private_names():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        found += private_imports(path.read_text(encoding="utf-8"), path.name)
+    assert found == [], "make these names public or keep them in their module: " + ", ".join(found)

@@ -3,7 +3,8 @@
 Small enough that all triples can be checked in seconds, rich enough to
 cover every constructor combination: scalars, arrays (with nesting),
 objects over three field names with required/optional flags, and unions.
-Depth is at most two.
+Depth is at most two. Also ``expand``, which resolves a lifted type's
+declaration refs, so a published type can be checked like a raw one.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from apibind.typeinfer import (
     InferredType,
     TArray,
     TObject,
+    TRef,
     TUnion,
     T_ANY,
     T_BOOL,
@@ -69,3 +71,16 @@ def enumerate_universe() -> list[InferredType]:
 def lattice_le(a: InferredType, b: InferredType) -> bool:
     """Lattice order: a <= b iff joining with b changes nothing."""
     return unify(a, b) == b
+
+
+def expand(t: InferredType, bodies: dict[str, TObject]) -> InferredType:
+    """The type with every declaration ref replaced by its (expanded) body."""
+    if isinstance(t, TRef):
+        return expand(bodies[t.name], bodies)
+    if isinstance(t, TArray):
+        return TArray(expand(t.elem, bodies))
+    if isinstance(t, TObject):
+        return TObject(tuple((n, expand(ft, bodies), required) for n, ft, required in t.fields))
+    if isinstance(t, TUnion):
+        return TUnion(tuple(expand(b, bodies) for b in t.branches))
+    return t
