@@ -56,10 +56,8 @@ class CurlRequest:
     method: HttpMethod
     url: str
     headers: tuple[tuple[str, str], ...] = ()
-    cookies: tuple[tuple[str, str], ...] = ()
     body: tuple[BodyKind, str] | None = None
     query: tuple[tuple[str, str], ...] = ()
-    auth_user: str | None = None
 
 
 # One alternative per lexical class, tried in this order. The double-quoted
@@ -113,6 +111,7 @@ def tokenize_shell(raw: str) -> list[str]:
 # Every spelling this parser understands, mapped to its action. ``get`` and
 # ``skip`` are flags; every other action takes an argument. ``skip`` and
 # ``skip_arg`` are display-only or transport options seen in documentation.
+# ``cookie`` and ``user`` arguments are read and dropped: no stage uses them.
 _OPTIONS: dict[str, str] = {
     spelling: action
     for action, spellings in {
@@ -183,9 +182,7 @@ def parse_curl(raw: str) -> tuple[CurlRequest | None, tuple[Issue, ...]]:
     explicit_method: str | None = None
     force_get = False
     headers: list[tuple[str, str]] = []
-    cookies: list[tuple[str, str]] = []
     data_parts: list[str] = []
-    auth_user: str | None = None
     url: str | None = None
 
     def tag(message: str, code: str = "W_CURL_OPT_IGNORED") -> None:
@@ -225,13 +222,8 @@ def parse_curl(raw: str) -> tuple[CurlRequest | None, tuple[Issue, ...]]:
                     message = f"option {spelling} {arg!r} reads a file, which is not supported"
                     tag(message, "E_CURL_UNSUPPORTED")
                 data_parts.append(_urlencode_data(arg) if action == "urlencode" else arg)
-            elif action == "cookie":
-                if "=" in arg:
-                    cookies.extend(_split_cookies(arg))
-                else:
-                    tag(f"cookie file {arg!r} not supported, option skipped")
-            elif action == "user":
-                auth_user = arg
+            elif action == "cookie" and "=" not in arg:
+                tag(f"cookie file {arg!r} not supported, option skipped")
             elif action == "url":
                 if url is None:
                     url = arg
@@ -275,10 +267,8 @@ def parse_curl(raw: str) -> tuple[CurlRequest | None, tuple[Issue, ...]]:
         method=method,
         url=base_url,
         headers=tuple(headers),
-        cookies=tuple(cookies),
         body=body,
         query=tuple(query),
-        auth_user=auth_user,
     )
     return request, tuple(issues)
 
@@ -297,20 +287,6 @@ def _split_header(arg: str) -> tuple[str, str] | None:
         return (name, value) if name and value else None
     name, semicolon, rest = arg.partition(";")
     return (name, "") if name and semicolon and not rest else None
-
-
-def _split_cookies(arg: str) -> list[tuple[str, str]]:
-    pairs = []
-    for chunk in arg.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" in chunk:
-            name, value = chunk.split("=", 1)
-            pairs.append((name, value))
-        else:
-            pairs.append((chunk, ""))
-    return pairs
 
 
 def _names_file(action: str, arg: str) -> bool:

@@ -161,20 +161,9 @@ class TestParseCurl:
         request, _ = parse_curl("curl --data-urlencode '=hello world' https://h/x")
         assert request.body == (BodyKind.URL_ENCODED, "hello+world")
 
-    def test_cookies(self):
-        request, _ = parse_curl("curl -b 'session=abc; theme=dark' https://h/x")
-        assert request.cookies == (("session", "abc"), ("theme", "dark"))
-        request, _ = parse_curl("curl -b 'a=1;; flag' https://h/x")
-        assert request.cookies == (("a", "1"), ("flag", ""))
-
     def test_cookie_file_skipped(self):
-        request, issues = parse_curl("curl -b cookies.txt https://h/x")
-        assert request.cookies == ()
+        _, issues = parse_curl("curl -b cookies.txt https://h/x")
         assert codes(issues) == ["W_CURL_OPT_IGNORED"]
-
-    def test_user(self):
-        request, _ = parse_curl("curl -u 'alice:secret' https://h/x")
-        assert request.auth_user == "alice:secret"
 
     def test_header_without_colon(self):
         # curl 7.88.1 sends no header for a word without ':' or a trailing ';'.
@@ -352,8 +341,6 @@ class TestShortOptionClusters:
         request, issues = parse_curl("curl -HX-A:1 -ua:b -bk=v https://h/x")
         assert issues == ()
         assert request.headers == (("X-A", "1"),)
-        assert request.auth_user == "a:b"
-        assert request.cookies == (("k", "v"),)
         request, _ = parse_curl("curl -Gd q=1 https://h/x")
         assert request.query == (("q", "1"),)
 
