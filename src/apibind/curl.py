@@ -5,13 +5,19 @@ raises ``ValueError`` on an unterminated quote, which ``parse_curl`` tags
 ``E_CURL_TOKENIZE``. A leading ``curl`` is dropped and every other word is
 read against one table, ``_OPTIONS``. It understands ``-X/--request``,
 ``-H/--header``, ``-d/--data/--data-binary/--data-ascii/--data-raw``,
-``--data-urlencode``, ``-G/--get``, ``-b/--cookie``, ``-u/--user``,
-``--url`` and a positional URL.
+``--data-urlencode``, ``--json``, ``-G/--get``, ``-I/--head``, ``--url`` and
+a positional URL. As curl 7.88.1 does, it takes the method from the ``-X``
+word, else ``HEAD`` for ``-I``, else ``POST`` when there is a body, else
+``GET``; ``-G`` only moves the data into the query. ``--json`` pieces join
+with nothing, and ``--json`` adds the JSON ``Content-Type`` and ``Accept``
+headers that no ``-H`` word gives. ``-b/--cookie`` and ``-u/--user`` are
+read with their argument and dropped: no stage uses them.
 Multipart (``-F``, ``--form``, ``--form-string``) is rejected: it has no
 passing convention in this pipeline. So is a body curl would read from a
-file (``-d @FILE``, ``--data-urlencode name@FILE``): its content is unknown
-here. Common display and transport options (``-s``, ``-L``, ``-o FILE``,
-``-x PROXY``, ...) are skipped together with their argument.
+file (``-d @FILE``, ``--json @FILE``, ``--data-urlencode name@FILE``): its
+content is unknown here. Common display and transport options (``-s``,
+``-L``, ``-o FILE``, ``-x PROXY``, ...) are skipped together with their
+argument.
 
 As in curl, short options cluster and take attached values: ``-sSXPOST`` is
 ``-s -S -X POST``. A word starting with one ``-`` is read letter by letter
@@ -43,6 +49,10 @@ class HttpMethod(enum.Enum):
     DELETE = "DELETE"
     HEAD = "HEAD"
     OPTIONS = "OPTIONS"
+
+
+#: Each method by its upper-cased name, as an ``http_method`` cell or a ``-X`` word spells it.
+METHODS = {method.value: method for method in HttpMethod}
 
 
 class BodyKind(enum.Enum):
@@ -108,10 +118,10 @@ def tokenize_shell(raw: str) -> list[str]:
     return words
 
 
-# Every spelling this parser understands, mapped to its action. ``get`` and
-# ``skip`` are flags; every other action takes an argument. ``skip`` and
-# ``skip_arg`` are display-only or transport options seen in documentation.
-# ``cookie`` and ``user`` arguments are read and dropped: no stage uses them.
+# Every spelling this parser understands, mapped to its action. ``get``,
+# ``head`` and ``skip`` are flags; every other action takes an argument.
+# ``skip`` and ``skip_arg`` are display-only or transport options seen in
+# documentation; ``cookie`` and ``user`` arguments are read and dropped.
 _OPTIONS: dict[str, str] = {
     spelling: action
     for action, spellings in {
@@ -120,14 +130,16 @@ _OPTIONS: dict[str, str] = {
         "data": "-d --data --data-binary --data-ascii",
         "raw": "--data-raw",
         "urlencode": "--data-urlencode",
+        "json": "--json",
         "get": "-G --get",
+        "head": "-I --head",
         "cookie": "-b --cookie",
         "user": "-u --user",
         "url": "--url",
         "form": "-F --form --form-string",
         "skip": "-s --silent -S --show-error -v --verbose -i --include -k --insecure"
         " -L --location -f --fail -g --globoff --compressed --http1.1 --http2"
-        " -I --head -# --progress-bar",
+        " -# --progress-bar",
         "skip_arg": "-o --output -A --user-agent -e --referer -m --max-time"
         " --connect-timeout --retry --cacert --capath --cert --key -c --cookie-jar"
         " -w --write-out -T --upload-file --limit-rate -x --proxy -U --proxy-user"
@@ -135,8 +147,12 @@ _OPTIONS: dict[str, str] = {
     }.items()
     for spelling in spellings.split()
 }
-_FLAGS = ("get", "skip")
+_FLAGS = ("get", "head", "skip")
 _URLENCODE_FILE = re.compile(r"[^=@]*@")
+# The name of a header a -H word gives, sent or removed: curl adds a --json
+# header only when no -H word starts with its name and then ':' or ';'.
+_GIVEN_HEADER = re.compile(r"[^:;]*(?=[:;])")
+_JSON_HEADERS = (("Content-Type", "application/json"), ("Accept", "application/json"))
 
 _JSON_CONTENT = ("application/json",)
 
@@ -180,8 +196,9 @@ def parse_curl(raw: str) -> tuple[CurlRequest | None, tuple[Issue, ...]]:
         tokens = tokens[1:]
 
     explicit_method: str | None = None
-    force_get = False
+    seen: set[str] = set()  # every action the line uses
     headers: list[tuple[str, str]] = []
+    given: set[str] = set()  # lower-cased names of the headers -H gives
     data_parts: list[str] = []
     url: str | None = None
 
@@ -197,13 +214,12 @@ def parse_curl(raw: str) -> tuple[CurlRequest | None, tuple[Issue, ...]]:
                 else:
                     tag(f"unknown option {spelling} skipped")
                 continue
+            seen.add(action)
             if action == "form":  # its argument is read below and dropped
                 tag(f"multipart option {spelling} is not supported", "E_CURL_UNSUPPORTED")
-            if action == "get":
-                force_get = True
-                continue
             if action == "skip":
                 tag(f"option {spelling} skipped")
+            if action in _FLAGS:
                 continue
             if arg is None:
                 arg = next(words, None)
@@ -212,15 +228,19 @@ def parse_curl(raw: str) -> tuple[CurlRequest | None, tuple[Issue, ...]]:
             elif action == "method":
                 explicit_method = arg.upper()
             elif action == "header":
+                if name := _GIVEN_HEADER.match(arg):
+                    given.add(name.group().lower())
                 header = _split_header(arg)
                 if header is not None:
                     headers.append(header)
                 elif ":" not in arg:
                     tag(f"header {arg!r} has no ':' and is not sent")
-            elif action in ("data", "raw", "urlencode"):
+            elif action in ("data", "raw", "urlencode", "json"):
                 if _names_file(action, arg):
                     message = f"option {spelling} {arg!r} reads a file, which is not supported"
                     tag(message, "E_CURL_UNSUPPORTED")
+                if data_parts and action != "json":  # a --json piece joins with nothing
+                    data_parts.append("&")
                 data_parts.append(_urlencode_data(arg) if action == "urlencode" else arg)
             elif action == "cookie" and "=" not in arg:
                 tag(f"cookie file {arg!r} not supported, option skipped")
@@ -238,26 +258,29 @@ def parse_curl(raw: str) -> tuple[CurlRequest | None, tuple[Issue, ...]]:
         tag("no URL in curl command", "E_CURL_NO_URL")
         return None, tuple(issues)
 
+    if "json" in seen:
+        headers += [header for header in _JSON_HEADERS if header[0].lower() not in given]
+
     # Query pairs are stored form-decoded ('+' means space), matching how
     # the data curl moves into the query with -G was encoded.
     base_url, _, qs = url.partition("?")
     query = urllib.parse.parse_qsl(qs, keep_blank_values=True)
     body: tuple[BodyKind, str] | None = None
     if data_parts:
-        data = "&".join(data_parts)
-        if force_get:
+        data = "".join(data_parts)
+        if "get" in seen:
             query += urllib.parse.parse_qsl(data, keep_blank_values=True)
         else:
             body = (_classify_body(data, headers), data)
 
-    if force_get:
-        method = HttpMethod.GET
-    elif explicit_method is not None:
-        try:
-            method = HttpMethod(explicit_method)
-        except ValueError:
+    # As in curl: the -X word, else HEAD for -I, else POST with a body, else GET.
+    if explicit_method is not None:
+        method = METHODS.get(explicit_method)
+        if method is None:
             tag(f"unsupported HTTP method {explicit_method!r}", "E_CURL_UNSUPPORTED")
             return None, tuple(issues)
+    elif "head" in seen:
+        method = HttpMethod.HEAD
     elif body is not None:
         method = HttpMethod.POST
     else:
@@ -292,12 +315,13 @@ def _split_header(arg: str) -> tuple[str, str] | None:
 def _names_file(action: str, arg: str) -> bool:
     """Whether curl reads this data argument from a file rather than sending it.
 
-    ``-d @f`` and its aliases read ``f``; ``--data-urlencode`` reads one for
-    ``@f`` and ``name@f`` (an ``@`` before any ``=``); ``--data-raw`` never does.
+    ``-d @f``, its aliases and ``--json @f`` read ``f``; ``--data-urlencode``
+    reads one for ``@f`` and ``name@f`` (an ``@`` before any ``=``);
+    ``--data-raw`` never does.
     """
     if action == "urlencode":
         return _URLENCODE_FILE.match(arg) is not None
-    return action == "data" and arg.startswith("@")
+    return action in ("data", "json") and arg.startswith("@")
 
 
 def _urlencode_data(arg: str) -> str:

@@ -33,7 +33,7 @@ from functools import lru_cache
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
-from .curl import HttpMethod
+from .curl import METHODS, HttpMethod
 from .issues import Issue, Stage, make_issue
 from .records import ID_SEPARATOR, STAGE_FIELDS, ApiCallRecord, RecordId
 from .typeinfer import fresh_name, parse_json
@@ -58,9 +58,6 @@ _MERGED_CELLS = [
 
 #: A record's stage cells, in column order.
 _stage_cells = attrgetter(*STAGE_FIELDS)
-
-#: The method an ``http_method`` cell names, by its stripped, upper-cased text.
-_METHODS = {method.value: method for method in HttpMethod}
 
 #: Distinct ``issues`` tuples whose cell text one write keeps, least recently
 #: used out first. The bound keeps a write's memory flat; at 128 entries the
@@ -167,7 +164,7 @@ def _record_from_cells(
     atoms = tuple(filter(None, (cells[_ID] or "").split(ID_SEPARATOR)))
     cells[_ID] = RecordId(ids=atoms) if atoms else RecordId.single(f"{stem}:{row_number}")
 
-    method = _METHODS.get((cells[_METHOD] or "").strip().upper())
+    method = METHODS.get((cells[_METHOD] or "").strip().upper())
     if method is None:
         issues.append(
             make_issue(

@@ -5,8 +5,10 @@ Each example is a small corpus of hostile rows, run in process through
 hold, no exception escapes ``main``, only the documented exits occur, no
 record is dropped (``--merge`` keeps the id census), the gate rejects exactly
 the rows with an error tag, and every line ``generate`` writes, to stdout or
-to a module, starts as one of its templates' lines does. Without ``--merge``,
-every gate-passing record's examples inhabit its published types.
+to a module, starts as one of its templates' lines does. ``generate`` on the
+stage file of ``analyze --merge``, saved under the corpus's name, does what
+``generate --merge`` does on the corpus. Without ``--merge``, every
+gate-passing record's examples inhabit its published types.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import contextlib
 import csv
 import io
 import json
+import shutil
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -54,7 +57,10 @@ _CELLS = {
         ("", "/v1/{x}/{x}", "{", "/a\nb", "/\x00"),
     ),
     "curl_example": (
-        ("", "curl https://h/v1/x", "curl -X POST -d '{\"a\":1}' https://h/v1/x"),
+        ("", "curl https://h/v1/x", "curl -X POST -d '{\"a\":1}' https://h/v1/x",
+         "curl -G -X POST -d k=v https://h/v1/x", "curl -I https://h/v1/x",
+         "curl --json '{\"a\":1}' https://h/v1/x", "curl -b 'a=1;b=2' https://h/v1/x",
+         "curl -u alice https://h/v1/x"),
         ("curl '", "curl -H 'X: \x00' https://h/"),
     ),
     "parameters": (
@@ -98,6 +104,18 @@ def _run(argv: list[object]) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(arg) for arg in argv])
     return code, out.getvalue(), err.getvalue()
+
+
+def _generate(argv: list[object], out_dir: Path) -> tuple[int, str, str, dict[str, bytes]]:
+    """``generate``'s exit code, stdout and stderr (``out_dir`` written ``OUT``), and
+    every file it wrote."""
+    code, out, err = _run([*argv, "--out-dir", out_dir])
+    files = {
+        str(path.relative_to(out_dir)): path.read_bytes()
+        for path in sorted(out_dir.rglob("*"))
+        if path.is_file()
+    }
+    return code, out.replace(str(out_dir), "OUT"), err.replace(str(out_dir), "OUT"), files
 
 
 def _has_error(record) -> bool:
@@ -152,7 +170,14 @@ def test_hostile_corpora_keep_the_contract(rows):
         _check_examples_inhabit_their_types(corpus)
 
         generated = root / "generated"
-        code, out, err = _run(["generate", "--merge", "--input", corpus, "--out-dir", generated])
+        direct = _generate(["generate", "--merge", "--input", corpus], generated)
+        # Stage fixed point: the merged stage file, saved under the corpus's name.
+        restaged = root / "restaged" / corpus.name
+        restaged.parent.mkdir()
+        shutil.copyfile(root / "merged" / "analyzed.csv", restaged)
+        assert _generate(["generate", "--input", restaged], root / "regenerated") == direct
+
+        code, out, err, _ = direct
         assert all(line.startswith(_STDOUT_LINE_STARTS) for line in out.splitlines()), out
         if code == 1:
             assert err == "no valid records; nothing to generate\n"

@@ -288,6 +288,8 @@ class TestParseCurl:
             ("curl --data-urlencode @b --data-urlencode q@c https://h/x", None,
              [("E_CURL_UNSUPPORTED", "option --data-urlencode '@b' reads a file, which is not supported"),
               ("E_CURL_UNSUPPORTED", "option --data-urlencode 'q@c' reads a file, which is not supported")]),
+            ("curl --json @b.json https://h/x", None,
+             [("E_CURL_UNSUPPORTED", "option --json '@b.json' reads a file, which is not supported")]),
             # An '=' before the '@' makes the rest content, sent encoded.
             ("curl --data-urlencode q=a@c https://h/x", "https://h/x", []),
         ],
@@ -318,6 +320,50 @@ class TestParseCurl:
         assert codes(issues) == ["W_CURL_OPT_IGNORED"]
 
 
+_JSON_HEADERS = (("Content-Type", "application/json"), ("Accept", "application/json"))
+
+
+class TestJsonOption:
+    """``--json`` as curl 7.88.1 sends it, seen with a loopback server."""
+
+    @pytest.mark.parametrize(
+        "line, body",
+        [
+            ("curl --json '{\"a\":1}' https://h/x", '{"a":1}'),
+            # Pieces join with nothing; a -d piece after any piece joins with '&'.
+            ("curl --json '{\"a\":1}' --json '{\"b\":2}' https://h/x", '{"a":1}{"b":2}'),
+            ("curl -d a=1 --json '[1]' https://h/x", "a=1[1]"),
+            ("curl --json '[1]' -d a=1 https://h/x", "[1]&a=1"),
+        ],
+    )
+    def test_posts_the_joined_pieces_as_json(self, line, body):
+        request, issues = parse_curl(line)
+        assert issues == ()
+        assert (request.method, request.headers, request.body) == (
+            HttpMethod.POST, _JSON_HEADERS, (BodyKind.JSON, body),
+        )
+
+    @pytest.mark.parametrize(
+        "header, headers",
+        [
+            ("Content-Type: text/plain", (("Content-Type", "text/plain"), _JSON_HEADERS[1])),
+            ("accept: text/plain", (("accept", "text/plain"), _JSON_HEADERS[0])),
+            ("Accept:", (_JSON_HEADERS[0],)),  # a removed header is given, so none is added
+            ("Content-Type;", (("Content-Type", ""), _JSON_HEADERS[1])),
+            ("Accept-Language: en", (("Accept-Language", "en"), *_JSON_HEADERS)),
+        ],
+    )
+    def test_a_given_header_is_not_added(self, header, headers):
+        request, _ = parse_curl(f"curl -H '{header}' --json '[1]' https://h/x")
+        assert request.headers == headers
+
+    def test_method_and_get(self):
+        request, _ = parse_curl("curl -X PUT --json '[1]' https://h/x")
+        assert (request.method, request.body) == (HttpMethod.PUT, (BodyKind.JSON, "[1]"))
+        request, _ = parse_curl("curl -G --json '[1]' https://h/x")
+        assert (request.method, request.body, request.query) == (HttpMethod.GET, None, (("[1]", ""),))
+
+
 class TestShortOptionClusters:
     """Short options cluster and take attached values, as curl reads them."""
 
@@ -345,7 +391,7 @@ class TestShortOptionClusters:
         assert request.query == (("q", "1"),)
 
 
-def _line(method_flag, body, get_flag):
+def _line(method_flag, body, get_flag, head_flag=False):
     parts = ["curl"]
     if method_flag:
         parts.append(f"-X {method_flag}")
@@ -353,25 +399,36 @@ def _line(method_flag, body, get_flag):
         parts.append("-d 'k=v'")
     if get_flag:
         parts.append("-G")
+    if head_flag:
+        parts.append("-I")
     parts.append("https://h/x")
     return " ".join(parts)
 
 
-@pytest.mark.parametrize(
-    "method_flag,body,get_flag",
-    list(itertools.product([None, "GET", "POST", "DELETE"], [False, True], [False, True])),
-)
+def _curl_method(method_flag, body, get_flag, head_flag=False):
+    # As curl 7.88.1 sends it: the -X word, else HEAD for -I, else POST with
+    # a body that -G did not move into the query, else GET.
+    if method_flag is not None:
+        return HttpMethod(method_flag)
+    if head_flag:
+        return HttpMethod.HEAD
+    return HttpMethod.POST if body and not get_flag else HttpMethod.GET
+
+
+_METHOD_CASES = list(itertools.product([None, "GET", "POST", "DELETE"], [False, True], [False, True]))
+
+
+@pytest.mark.parametrize("method_flag,body,get_flag", _METHOD_CASES)
 def test_method_rule_exhaustive(method_flag, body, get_flag):
-    # GET iff (no -X and no body flag) or -G; POST iff body without -X/-G;
-    # otherwise the -X method.
     request, _ = parse_curl(_line(method_flag, body, get_flag))
-    if get_flag or (method_flag is None and not body):
-        expected = HttpMethod.GET
-    elif method_flag is None and body:
-        expected = HttpMethod.POST
-    else:
-        expected = HttpMethod(method_flag)
-    assert request.method is expected
+    assert request.method is _curl_method(method_flag, body, get_flag)
+
+
+@pytest.mark.parametrize("method_flag,body,get_flag", _METHOD_CASES)
+def test_method_rule_exhaustive_with_head(method_flag, body, get_flag):
+    request, issues = parse_curl(_line(method_flag, body, get_flag, head_flag=True))
+    assert issues == ()
+    assert request.method is _curl_method(method_flag, body, get_flag, head_flag=True)
 
 
 def _split_query_reference(qs):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from apibind.curl import HttpMethod
@@ -129,6 +130,21 @@ class TestRoute:
         )
         valid, rejected = route([rec], strict=True)
         assert valid == [] and rejected == [rec]
+
+    @pytest.mark.parametrize(
+        "method, curl",
+        [
+            (HttpMethod.POST, "curl -G -X POST -d k=v https://h/u"),  # -X wins over -G
+            (HttpMethod.HEAD, "curl -I https://h/u"),
+            (HttpMethod.POST, "curl --json '{\"a\":1}' https://h/u"),
+        ],
+    )
+    def test_curl_sending_the_declared_method_passes(self, method, curl):
+        rec = cross_validate(
+            record(raw_path="/u", http_method=method, raw_curl=curl, response_example='{"ok":true}')
+        )
+        assert rec.issues == ()
+        assert route([rec]) == ([rec], [])
 
     def test_partition_is_permutation(self):
         rng = random.Random(2)
