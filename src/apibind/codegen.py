@@ -6,13 +6,13 @@ declarations, lifting every example straight into one corpus-wide
 declaration registry; ``apply_identifier_policy`` maps every raw name to a
 legal target identifier and returns that name map; ``render_package`` renders
 the package's files to text from the ``BindingIr``, the name map and a
-template set, and leaves writing them to the caller. The IR also carries the
-package's name and corpus digest, from which its version follows. The
-identifier policy and the templates hold the target language's names and
-layout, but not its type expressions: ``typeinfer.format_type`` writes
-every type in one neutral grammar (``[string]``, ``int | null``), whatever
-the target. Nothing in this module touches the file system except
-``IdentifierPolicy.from_json_file``, which reads its file.
+template set, one ``module.tpl`` render per module and then ``manifest.tpl``,
+and leaves writing them to the caller. The IR also carries the package's name
+and corpus digest, from which its version follows. The identifier policy and
+the templates hold the target language's names and layout, but not its type
+expressions: ``typeinfer.format_type`` writes every type in one neutral
+grammar (``[string]``, ``int | null``), whatever the target. Nothing in this
+module touches the file system except ``IdentifierPolicy.from_json_file``.
 """
 
 from __future__ import annotations
@@ -365,8 +365,9 @@ def apply_identifier_policy(ir: BindingIr, policy: IdentifierPolicy) -> dict:
 def render_package(ir: BindingIr, names: dict, templates: TemplateSet) -> dict[str, str]:
     """The package's files: each file name mapped to its text, manifest last.
 
-    One ``.txt`` module per group, in sorted order: the group's declarations
-    in registry order, then its functions in input order. ``names`` is
+    One ``.txt`` module per group, in sorted order, rendered once by
+    ``module.tpl``: its ``types`` are the group's declarations in registry
+    order, its ``functions`` the group's functions in input order. ``names`` is
     ``apply_identifier_policy``'s map for ``ir``. A pure function of (ir,
     names, templates): it touches no file, and the same inputs give the same
     texts.
@@ -389,13 +390,11 @@ def render_package(ir: BindingIr, names: dict, templates: TemplateSet) -> dict[s
     files: dict[str, str] = {}
     for group in sorted(group_fns):
         module_name = _identifier(group, "snake", module_reserved, module_taken)
-        parts = [templates.module_header.render({**base_ctx, "module_name": module_name})]
-        for decl in group_decls.get(group, ()):
-            parts.append(templates.type.render({**base_ctx, **_type_ctx(decl, names)}))
-        for fn in group_fns[group]:
-            parts.append(templates.doc_comment.render({**base_ctx, **_doc_ctx(fn)}))
-            parts.append(templates.function.render({**base_ctx, **_fn_ctx(fn, names)}))
-        files[f"{module_name}.txt"] = "".join(parts)
+        types = [_type_ctx(decl, names) for decl in group_decls.get(group, ())]
+        functions = [_fn_ctx(fn, names) for fn in group_fns[group]]
+        files[f"{module_name}.txt"] = templates.module.render(
+            {**base_ctx, "module_name": module_name, "types": types, "functions": functions}
+        )
 
     files["manifest.txt"] = templates.manifest.render(
         {
@@ -429,15 +428,6 @@ def _type_ctx(decl: TypeDecl, names: dict) -> dict:
 _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
-def _doc_ctx(fn: BindingFunction) -> dict:
-    record = fn.record
-    summary = record.description or f"{record.http_method.value} {record.path.text}"
-    return {
-        "summary": _LINE_BREAK.sub(" ", summary),
-        "doc_url": _LINE_BREAK.sub(" ", record.source_url or ""),
-    }
-
-
 def _fn_ctx(fn: BindingFunction, names: dict) -> dict:
     type_names = names["types"]
     param_names = names["params"][fn.raw_name]
@@ -467,11 +457,15 @@ def _fn_ctx(fn: BindingFunction, names: dict) -> dict:
             }
         )
 
+    record = fn.record
+    summary = record.description or f"{record.http_method.value} {record.path.text}"
     return {
+        "summary": _LINE_BREAK.sub(" ", summary),
+        "doc_url": _LINE_BREAK.sub(" ", record.source_url or ""),
         "function_name": names["functions"][fn.raw_name],
         "signature_params": signature,
         "response_type": format_type(fn.response_type, type_names),
-        "http_method": fn.record.http_method.value,
-        "path_template": fn.record.path.text,
+        "http_method": record.http_method.value,
+        "path_template": record.path.text,
         "param_lines": param_lines,
     }

@@ -6,8 +6,10 @@ that, which keeps rendered output predictable enough for byte-exact golden tests
 A placeholder the context cannot resolve is a hard rendering error, never
 silent emptiness.
 
-A template set is five named templates; the built-in neutral set renders a
-plain-text typed-interface description. Real-language sets are plain files
+A template set is two named templates: ``manifest.tpl`` renders once per
+package and ``module.tpl`` once per module, walking its ``types`` and
+``functions`` lists; the built-in neutral set renders a plain-text
+typed-interface description. Real-language sets are plain files
 in a directory, so a target language's layout is configuration, not code.
 Its type expressions are not: ``typeinfer.format_type`` writes every type in
 one fixed grammar (``[string]``, ``int | null``), whatever the template set.
@@ -113,10 +115,7 @@ class Template:
 @dataclass(frozen=True)
 class TemplateSet:
     manifest: Template
-    module_header: Template
-    function: Template
-    type: Template
-    doc_comment: Template
+    module: Template
 
     @classmethod
     def from_sources(cls, sources: dict[str, str]) -> TemplateSet:
@@ -164,28 +163,24 @@ NEUTRAL_TEMPLATES: dict[str, str] = {
         "{{#modules}}  {{module_file}}\n"
         "{{/modules}}"
     ),
-    "module_header.tpl": (
+    "module.tpl": (
         "module {{module_name}}\n"
         "package {{package_name}} {{package_version}}\n"
         "\n"
-    ),
-    "function.tpl": (
+        "{{#types}}type {{type_name}} = {\n"
+        "{{#fields}}  {{field_name}}{{optional_mark}}: {{field_type}}{{wire_note}}\n"
+        "{{/fields}}"
+        "}\n"
+        "\n"
+        "{{/types}}"
+        "{{#functions}}-- {{summary}}\n"
+        "-- docs: {{doc_url}}\n"
         "function {{function_name}}({{#signature_params}}{{param_name}}: {{param_type}}{{sep}}{{/signature_params}}) -> {{response_type}}\n"
         "  method {{http_method}}\n"
         "  path {{path_template}}\n"
         "{{#param_lines}}  param {{param_name}} via {{convention}}{{required_mark}}{{wire_note}}\n"
         "{{/param_lines}}"
         "\n"
-    ),
-    "type.tpl": (
-        "type {{type_name}} = {\n"
-        "{{#fields}}  {{field_name}}{{optional_mark}}: {{field_type}}{{wire_note}}\n"
-        "{{/fields}}"
-        "}\n"
-        "\n"
-    ),
-    "doc_comment.tpl": (
-        "-- {{summary}}\n"
-        "-- docs: {{doc_url}}\n"
+        "{{/functions}}"
     ),
 }

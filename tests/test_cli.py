@@ -277,8 +277,9 @@ class TestGenerate:
 
         for name, source in NEUTRAL_TEMPLATES.items():
             (tpl_dir / name).write_text(source, encoding="utf-8")
-        (tpl_dir / "function.tpl").write_text(
-            "def {{function_name}} -> {{response_type}}\n", encoding="utf-8"
+        (tpl_dir / "module.tpl").write_text(
+            "{{#functions}}def {{function_name}} -> {{response_type}}\n{{/functions}}",
+            encoding="utf-8",
         )
         policy = tmp_path / "policy.json"
         policy.write_text(json.dumps({"casing_function": "snake"}), encoding="utf-8")
@@ -313,12 +314,14 @@ class TestGenerate:
 
         for name, source in NEUTRAL_TEMPLATES.items():
             (tpl_dir / name).write_text(source, encoding="utf-8")
-        (tpl_dir / "type.tpl").write_text("type {{type_name}} = {{fields}}\n", encoding="utf-8")
+        (tpl_dir / "module.tpl").write_text(
+            "{{#types}}type {{type_name}} = {{fields}}\n{{/types}}", encoding="utf-8"
+        )
         out = tmp_path / "out"
         code = run(["generate", "--input", corpus12_path, "--out-dir", out, "--templates", tpl_dir])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: template 'type.tpl': placeholder 'fields' is a list, not a value\n"
+            "error: template 'module.tpl': placeholder 'fields' is a list, not a value\n"
         )
 
     @pytest.mark.parametrize(
@@ -336,7 +339,7 @@ class TestGenerate:
         config = tmp_path / name
         if option == "--templates":
             config.mkdir()
-            (config / "function.tpl").write_text("{{function_name}}\n", encoding="utf-8")
+            (config / "module.tpl").write_text("{{module_name}}\n", encoding="utf-8")
         elif text is not None:
             config.write_text(text, encoding="utf-8")
         out = tmp_path / "out"
@@ -573,7 +576,7 @@ class TestFailedRunChangesNothing:
         assert run([*argv, "--out-dir", out, "--rejects", rejects]) == 1
         assert (read_tree(out), read_tree(rejects.parent)) == before
 
-    @pytest.mark.parametrize("broken", ["manifest.tpl", "function.tpl"])
+    @pytest.mark.parametrize("broken", ["manifest.tpl", "module.tpl"])
     def test_unresolvable_placeholder(self, broken, generated, corpus12_path, tmp_path, capsys):
         tpl_dir = tmp_path / "tpl"
         tpl_dir.mkdir()
@@ -633,7 +636,7 @@ class TestFailedRunChangesNothing:
             config.mkdir()
             for name, source in NEUTRAL_TEMPLATES.items():
                 (config / name).write_text(source, encoding="utf-8")
-            bad = config / "type.tpl"
+            bad = config / "module.tpl"
         else:
             config = bad = tmp_path / "policy.json"
         bad.write_bytes(content)
@@ -648,10 +651,9 @@ class TestFailedRunChangesNothing:
         [
             (
                 None,
-                "template set incomplete, missing: manifest.tpl, module_header.tpl,"
-                " function.tpl, type.tpl, doc_comment.tpl",
+                "template set incomplete, missing: manifest.tpl, module.tpl",
             ),
-            ("{{#a}}", "template 'type.tpl': unclosed section 'a'"),
+            ("{{#a}}", "template 'module.tpl': unclosed section 'a'"),
         ],
     )
     def test_a_bad_template_set_names_its_directory(
@@ -666,12 +668,29 @@ class TestFailedRunChangesNothing:
             config.mkdir()
             for name, source in NEUTRAL_TEMPLATES.items():
                 (config / name).write_text(source, encoding="utf-8")
-            (config / "type.tpl").write_text(broken, encoding="utf-8")
+            (config / "module.tpl").write_text(broken, encoding="utf-8")
         capsys.readouterr()
         argv = ["generate", "--input", corpus12_path, "--templates", config]
         self.assert_fails_changing_nothing(argv, *generated)
         (line,) = capsys.readouterr().err.splitlines()
         assert line == f"error: template directory {config}: {complaint}"
+
+    def test_a_five_file_template_set_is_refused(
+        self, generated, corpus12_path, tmp_path, capsys
+    ):
+        """A directory laid out as a five-file set (a manifest, a module header,
+        and a type, doc comment and function template) lacks ``module.tpl``."""
+        config = tmp_path / "tpl"
+        config.mkdir()
+        for name in ("manifest", "module_header", "function", "type", "doc_comment"):
+            (config / f"{name}.tpl").write_text("{{package_name}}\n", encoding="utf-8")
+        capsys.readouterr()
+        argv = ["generate", "--input", corpus12_path, "--templates", config]
+        self.assert_fails_changing_nothing(argv, *generated)
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (
+            f"error: template directory {config}: template set incomplete, missing: module.tpl"
+        )
 
     @pytest.mark.parametrize(
         "stem", ["evil\nfunction pwn() -> any", "tab\tstop", os.fsdecode(b"latin\xe9")]

@@ -703,14 +703,41 @@ class TestRenderPackage:
 
     def test_unknown_placeholder_names_template(self):
         sources = dict(NEUTRAL_TEMPLATES)
-        sources["function.tpl"] = "function {{not_a_thing}}\n"
+        sources["module.tpl"] = "{{#functions}}function {{not_a_thing}}\n{{/functions}}"
         broken = TemplateSet.from_sources(sources)
         ir = build_reference([make_valid("p")])
         names = apply_identifier_policy(ir, IdentifierPolicy())
         with pytest.raises(Exception) as exc:
             render_package(ir, names, broken)
-        assert "function.tpl" in str(exc.value)
+        assert "module.tpl" in str(exc.value)
         assert "not_a_thing" in str(exc.value)
+
+    def test_module_template_walks_its_functions_twice(self):
+        """A module template may list a module's functions, then render them:
+        both passes see the functions in input order."""
+        records = [
+            make_valid("z", path="/v1/zeta", response_example='{"ok":true}'),
+            make_valid("a", path="/v1/alpha"),
+            make_valid("m", path="/v1/mid", method=HttpMethod.POST),
+        ]
+        sources = dict(NEUTRAL_TEMPLATES)
+        sources["module.tpl"] = (
+            "# {{module_name}}\n"
+            "__all__ = [{{#functions}}{{function_name}}, {{/functions}}]\n"
+            "{{#types}}class {{type_name}}\n{{/types}}"
+            "{{#functions}}def {{function_name}}() -> {{response_type}}:  # {{summary}}\n{{/functions}}"
+        )
+        ir = build_reference(records)
+        names = apply_identifier_policy(ir, IdentifierPolicy())
+        files = render_package(ir, names, TemplateSet.from_sources(sources))
+        assert files["misc.txt"] == (
+            "# misc\n"
+            "__all__ = [getV1Zeta, getV1Alpha, postV1Mid, ]\n"
+            "class GetV1ZetaResponse\n"
+            "def getV1Zeta() -> GetV1ZetaResponse:  # GET /v1/zeta\n"
+            "def getV1Alpha() -> any:  # GET /v1/alpha\n"
+            "def postV1Mid() -> any:  # POST /v1/mid\n"
+        )
 
     def test_empty_ir_renders_manifest_only(self):
         ir = build_reference([])

@@ -70,10 +70,10 @@ def test_numbers_render():
 
 def test_incomplete_set_rejected():
     sources = dict(NEUTRAL_TEMPLATES)
-    del sources["type.tpl"]
+    del sources["module.tpl"]
     with pytest.raises(TemplateError) as exc:
         TemplateSet.from_sources(sources)
-    assert "type.tpl" in str(exc.value)
+    assert "module.tpl" in str(exc.value)
 
 
 def test_load_dir(tmp_path):
