@@ -7,15 +7,18 @@ read against one table, ``_OPTIONS``. It understands ``-X/--request``,
 ``-H/--header``, ``-d/--data/--data-binary/--data-ascii/--data-raw``,
 ``--data-urlencode``, ``--json``, ``-G/--get``, ``-I/--head``, ``--url`` and
 a positional URL. As curl 7.88.1 does, it takes the method from the ``-X``
-word, else ``HEAD`` for ``-I``, else ``POST`` when there is a body, else
-``GET``; ``-G`` only moves the data into the query. ``--json`` pieces join
-with nothing, and ``--json`` adds the JSON ``Content-Type`` and ``Accept``
-headers that no ``-H`` word gives. ``-b/--cookie`` and ``-u/--user`` are
-read with their argument and dropped: no stage uses them.
+word as written, else ``HEAD`` for ``-I``, else ``POST`` when there is a body,
+else ``GET``; ``-G`` only moves the data into the query. ``--json`` pieces
+join with nothing, and ``--json`` adds the JSON ``Content-Type`` and
+``Accept`` headers that no ``-H`` word gives. ``-b/--cookie`` and
+``-u/--user`` are read with their argument and dropped: no stage uses them.
 Multipart (``-F``, ``--form``, ``--form-string``) is rejected: it has no
 passing convention in this pipeline. So is a body curl would read from a
 file (``-d @FILE``, ``--json @FILE``, ``--data-urlencode name@FILE``): its
-content is unknown here. Common display and transport options (``-s``,
+content is unknown here. So is a ``-X`` word that is not one of the methods
+as written (curl sends ``-X post`` verbatim, and method names are
+case-sensitive), and ``-I`` with a body that ``-G`` does not move into the
+query, which curl refuses. Common display and transport options (``-s``,
 ``-L``, ``-o FILE``, ``-x PROXY``, ...) are skipped together with their
 argument.
 
@@ -51,7 +54,8 @@ class HttpMethod(enum.Enum):
     OPTIONS = "OPTIONS"
 
 
-#: Each method by its upper-cased name, as an ``http_method`` cell or a ``-X`` word spells it.
+#: Each method by its upper-case name. An ``http_method`` cell is looked up
+#: upper-cased; a ``-X`` word as written, since curl sends that word verbatim.
 METHODS = {method.value: method for method in HttpMethod}
 
 
@@ -226,7 +230,7 @@ def parse_curl(raw: str) -> tuple[CurlRequest | None, tuple[Issue, ...]]:
             if arg is None:
                 tag(f"option {spelling} is missing its argument")
             elif action == "method":
-                explicit_method = arg.upper()
+                explicit_method = arg
             elif action == "header":
                 if name := _GIVEN_HEADER.match(arg):
                     given.add(name.group().lower())
@@ -252,6 +256,8 @@ def parse_curl(raw: str) -> tuple[CurlRequest | None, tuple[Issue, ...]]:
             elif action == "skip_arg":
                 tag(f"option {spelling} {arg!r} skipped")
 
+    if "head" in seen and data_parts and "get" not in seen:
+        tag("curl refuses -I/--head with a request body", "E_CURL_UNSUPPORTED")
     if any(issue.code == "E_CURL_UNSUPPORTED" for issue in issues):
         return None, tuple(issues)
     if url is None:

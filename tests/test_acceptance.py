@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import subprocess
 import time
@@ -162,6 +163,27 @@ def test_criterion_4_curl_echo_oracle():
                 failures.append((line_template, problems))
     assert not failures, failures
     verdict(4, f"curl echo oracle agreed on {len(lines)}/{len(lines)} fixture lines")
+
+
+def test_criterion_4_lines_curl_does_not_send_are_unsupported():
+    """A line curl refuses (``-I`` with a body), or sends with a method token
+    the server does not know (``-X post``: method names are case-sensitive),
+    is recorded as no request; the parser tags it ``E_CURL_UNSUPPORTED`` and
+    claims none."""
+    lines = [
+        "curl -I -d a=1 http://127.0.0.1:PORT/refused/head-data",
+        "curl --head --json '[1]' http://127.0.0.1:PORT/refused/head-json",
+        "curl -X post http://127.0.0.1:PORT/refused/lower-method",
+    ]
+    with EchoServer() as server:
+        for line_template in lines:
+            line = line_template.replace("PORT", str(server.port))
+            request, issues = parse_curl(line)
+            assert request is None, line
+            assert "E_CURL_UNSUPPORTED" in [issue.code for issue in issues], line
+            argv = ["curl", "-s", "-o", os.devnull, *tokenize_shell(line)[1:]]
+            subprocess.run(argv, capture_output=True, timeout=30, check=False)
+            assert server.observations == [], line
 
 
 def test_criterion_5_round_trips(tmp_path):

@@ -61,7 +61,8 @@ _CELLS = {
          "curl -G -X POST -d k=v https://h/v1/x", "curl -I https://h/v1/x",
          "curl --json '{\"a\":1}' https://h/v1/x", "curl -b 'a=1;b=2' https://h/v1/x",
          "curl -u alice https://h/v1/x"),
-        ("curl '", "curl -H 'X: \x00' https://h/"),
+        ("curl '", "curl -H 'X: \x00' https://h/", "curl -I -d a=1 https://h/v1/x",
+         "curl -X post https://h/v1/x"),
     ),
     "parameters": (
         ("", "[]", '[{"name":"q|x","in":"query","example":[]}]',

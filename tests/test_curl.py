@@ -407,7 +407,10 @@ def _line(method_flag, body, get_flag, head_flag=False):
 
 def _curl_method(method_flag, body, get_flag, head_flag=False):
     # As curl 7.88.1 sends it: the -X word, else HEAD for -I, else POST with
-    # a body that -G did not move into the query, else GET.
+    # a body that -G did not move into the query, else GET. curl refuses -I
+    # with a body that -G does not move (exit 2): None.
+    if head_flag and body and not get_flag:
+        return None
     if method_flag is not None:
         return HttpMethod(method_flag)
     if head_flag:
@@ -427,8 +430,62 @@ def test_method_rule_exhaustive(method_flag, body, get_flag):
 @pytest.mark.parametrize("method_flag,body,get_flag", _METHOD_CASES)
 def test_method_rule_exhaustive_with_head(method_flag, body, get_flag):
     request, issues = parse_curl(_line(method_flag, body, get_flag, head_flag=True))
-    assert issues == ()
-    assert request.method is _curl_method(method_flag, body, get_flag, head_flag=True)
+    method = _curl_method(method_flag, body, get_flag, head_flag=True)
+    if method is None:
+        assert request is None
+        assert codes(issues) == ["E_CURL_UNSUPPORTED"]
+    else:
+        assert issues == ()
+        assert request.method is method
+
+
+class TestWhatCurlRefuses:
+    """Lines curl 7.88.1 will not send as written are unsupported, not guessed at."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "curl -I -d a=1 https://h/p",
+            "curl -d a=1 -I https://h/p",
+            "curl --head -d a=1 https://h/p",
+            "curl -I --json '[1]' https://h/p",
+            "curl -I --data-urlencode a=b https://h/p",
+            "curl -X POST -I -d a=1 https://h/p",
+            "curl -I -d '' https://h/p",
+        ],
+    )
+    def test_head_with_a_body(self, line):
+        request, issues = parse_curl(line)
+        assert request is None
+        assert [(i.code, i.message) for i in issues] == [
+            ("E_CURL_UNSUPPORTED", "curl refuses -I/--head with a request body")
+        ]
+
+    @pytest.mark.parametrize(
+        "line", ["curl -I -G -d a=1 https://h/p", "curl -d a=1 -I -G https://h/p"]
+    )
+    def test_head_with_data_moved_into_the_query(self, line):
+        request, issues = parse_curl(line)
+        assert issues == ()
+        assert (request.method, request.query, request.body) == (
+            HttpMethod.HEAD, (("a", "1"),), None
+        )
+
+    @pytest.mark.parametrize(
+        "line, word",
+        [
+            ("curl -X post https://h/p", "post"),
+            ("curl -Xpost https://h/p", "post"),
+            ("curl -X PoSt https://h/p", "PoSt"),
+            ("curl --request delete https://h/p", "delete"),
+        ],
+    )
+    def test_method_word_as_written(self, line, word):
+        request, issues = parse_curl(line)
+        assert request is None
+        assert [(i.code, i.message) for i in issues] == [
+            ("E_CURL_UNSUPPORTED", f"unsupported HTTP method {word!r}")
+        ]
 
 
 def _split_query_reference(qs):
