@@ -57,6 +57,10 @@ class Template:
             if kind == "#":
                 stack.append((name, []))
             elif kind == "/":
+                if len(stack) == 1:
+                    raise TemplateError(
+                        f"template {self.name!r}: {match.group()} closes no open section"
+                    )
                 open_name, children = stack.pop()
                 if open_name != name:
                     raise TemplateError(

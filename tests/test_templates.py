@@ -63,6 +63,22 @@ def test_unclosed_section_rejected_at_parse():
         Template("t", "{{#a}}{{/b}}")
 
 
+@pytest.mark.parametrize(
+    "source, stray",
+    [("{{/x}}", "{{/x}}"), ("a{{#x}}{{/x}}{{/x}}", "{{/x}}"), ("{{#x}}{{/x}}{{/y}}", "{{/y}}")],
+)
+def test_stray_close_names_itself(source, stray):
+    with pytest.raises(TemplateError) as exc:
+        Template("t.tpl", source)
+    assert str(exc.value) == f"template 't.tpl': {stray} closes no open section"
+
+
+def test_mismatched_close_names_both_sections():
+    with pytest.raises(TemplateError) as exc:
+        Template("t.tpl", "{{#a}}{{#b}}{{/a}}{{/b}}")
+    assert str(exc.value) == "template 't.tpl': section 'b' closed as 'a'"
+
+
 def test_numbers_render():
     tpl = Template("t", "{{n}}/{{f}}")
     assert tpl.render({"n": 3, "f": 2.5}) == "3/2.5"
