@@ -292,6 +292,30 @@ class TestParseCurl:
              [("E_CURL_UNSUPPORTED", "option --json '@b.json' reads a file, which is not supported")]),
             # An '=' before the '@' makes the rest content, sent encoded.
             ("curl --data-urlencode q=a@c https://h/x", "https://h/x", []),
+            # curl refuses -I with a body that -G does not move (exit 2).
+            ("curl -I -d a=1 https://h/x", None,
+             [("E_CURL_UNSUPPORTED", "curl refuses -I/--head with a request body")]),
+            ("curl -d a=1 -I https://h/x", None,
+             [("E_CURL_UNSUPPORTED", "curl refuses -I/--head with a request body")]),
+            ("curl --head -d a=1 https://h/x", None,
+             [("E_CURL_UNSUPPORTED", "curl refuses -I/--head with a request body")]),
+            ("curl -I --json '[1]' https://h/x", None,
+             [("E_CURL_UNSUPPORTED", "curl refuses -I/--head with a request body")]),
+            ("curl -I --data-urlencode a=b https://h/x", None,
+             [("E_CURL_UNSUPPORTED", "curl refuses -I/--head with a request body")]),
+            ("curl -X POST -I -d a=1 https://h/x", None,
+             [("E_CURL_UNSUPPORTED", "curl refuses -I/--head with a request body")]),
+            ("curl -I -d '' https://h/x", None,
+             [("E_CURL_UNSUPPORTED", "curl refuses -I/--head with a request body")]),
+            # curl sends the -X word verbatim, and method names are case-sensitive.
+            ("curl -X post https://h/x", None,
+             [("E_CURL_UNSUPPORTED", "unsupported HTTP method 'post'")]),
+            ("curl -Xpost https://h/x", None,
+             [("E_CURL_UNSUPPORTED", "unsupported HTTP method 'post'")]),
+            ("curl -X PoSt https://h/x", None,
+             [("E_CURL_UNSUPPORTED", "unsupported HTTP method 'PoSt'")]),
+            ("curl --request delete https://h/x", None,
+             [("E_CURL_UNSUPPORTED", "unsupported HTTP method 'delete'")]),
         ],
     )
     def test_option_findings(self, line, url, findings):
@@ -437,55 +461,6 @@ def test_method_rule_exhaustive_with_head(method_flag, body, get_flag):
     else:
         assert issues == ()
         assert request.method is method
-
-
-class TestWhatCurlRefuses:
-    """Lines curl 7.88.1 will not send as written are unsupported, not guessed at."""
-
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "curl -I -d a=1 https://h/p",
-            "curl -d a=1 -I https://h/p",
-            "curl --head -d a=1 https://h/p",
-            "curl -I --json '[1]' https://h/p",
-            "curl -I --data-urlencode a=b https://h/p",
-            "curl -X POST -I -d a=1 https://h/p",
-            "curl -I -d '' https://h/p",
-        ],
-    )
-    def test_head_with_a_body(self, line):
-        request, issues = parse_curl(line)
-        assert request is None
-        assert [(i.code, i.message) for i in issues] == [
-            ("E_CURL_UNSUPPORTED", "curl refuses -I/--head with a request body")
-        ]
-
-    @pytest.mark.parametrize(
-        "line", ["curl -I -G -d a=1 https://h/p", "curl -d a=1 -I -G https://h/p"]
-    )
-    def test_head_with_data_moved_into_the_query(self, line):
-        request, issues = parse_curl(line)
-        assert issues == ()
-        assert (request.method, request.query, request.body) == (
-            HttpMethod.HEAD, (("a", "1"),), None
-        )
-
-    @pytest.mark.parametrize(
-        "line, word",
-        [
-            ("curl -X post https://h/p", "post"),
-            ("curl -Xpost https://h/p", "post"),
-            ("curl -X PoSt https://h/p", "PoSt"),
-            ("curl --request delete https://h/p", "delete"),
-        ],
-    )
-    def test_method_word_as_written(self, line, word):
-        request, issues = parse_curl(line)
-        assert request is None
-        assert [(i.code, i.message) for i in issues] == [
-            ("E_CURL_UNSUPPORTED", f"unsupported HTTP method {word!r}")
-        ]
 
 
 def _split_query_reference(qs):
