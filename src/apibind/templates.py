@@ -4,7 +4,9 @@
 repeats its body once per item of a list of dicts. There is no logic beyond
 that, which keeps rendered output predictable enough for byte-exact golden tests.
 A placeholder the context cannot resolve is a hard rendering error, never
-silent emptiness.
+silent emptiness. A parsed template is a tuple of nodes: a text is a ``str``,
+a tag the pair ``(name, children)``, where ``children`` is ``None`` for
+``{{name}}`` and the tuple of a section's nodes for ``{{#name}}``.
 
 A template set is two named templates: ``manifest.tpl`` renders once per
 package and ``module.tpl`` once per module, walking its ``types`` and
@@ -31,47 +33,32 @@ class TemplateError(Exception):
     placeholder or section the context cannot resolve."""
 
 
-@dataclass(frozen=True)
-class _Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class _Section:
-    name: str
-    children: tuple
-
-
 class Template:
     def __init__(self, name: str, source: str):
         self.name = name
         self.nodes = self._parse(source)
 
     def _parse(self, source: str) -> tuple:
-        stack: list[tuple[str | None, list]] = [(None, [])]
-        pos = 0
-        for match in _TAG.finditer(source):
-            if match.start() > pos:
-                stack[-1][1].append(source[pos : match.start()])
-            kind, name = match.groups()
+        parts = _TAG.split(source)  # a text, then each tag's kind, name and the text after it
+        stack: list[tuple[str | None, list]] = [(None, [parts[0]] if parts[0] else [])]
+        for kind, name, text in zip(parts[1::3], parts[2::3], parts[3::3]):
             if kind == "#":
                 stack.append((name, []))
             elif kind == "/":
                 if len(stack) == 1:
                     raise TemplateError(
-                        f"template {self.name!r}: {match.group()} closes no open section"
+                        f"template {self.name!r}: {{{{/{name}}}}} closes no open section"
                     )
                 open_name, children = stack.pop()
                 if open_name != name:
                     raise TemplateError(
                         f"template {self.name!r}: section {open_name!r} closed as {name!r}"
                     )
-                stack[-1][1].append(_Section(name, tuple(children)))
+                stack[-1][1].append((name, tuple(children)))
             else:
-                stack[-1][1].append(_Var(name))
-            pos = match.end()
-        if pos < len(source):
-            stack[-1][1].append(source[pos:])
+                stack[-1][1].append((name, None))
+            if text:
+                stack[-1][1].append(text)
         if len(stack) != 1:
             raise TemplateError(f"template {self.name!r}: unclosed section {stack[-1][0]!r}")
         return tuple(stack[0][1])
@@ -88,32 +75,32 @@ class Template:
         innermost frame wins, as in a stack of scopes.
         """
         for node in nodes:
-            kind = type(node)
-            if kind is str:
+            if type(node) is str:
                 out.append(node)
                 continue
-            value = context.get(node.name, _MISSING)
+            name, children = node
+            value = context.get(name, _MISSING)
             if value is _MISSING:
-                raise TemplateError(f"template {self.name!r}: unknown placeholder {node.name!r}")
-            if kind is _Var:
+                raise TemplateError(f"template {self.name!r}: unknown placeholder {name!r}")
+            if children is None:
                 if type(value) is str:
                     out.append(value)
                 elif type(value) in (int, float):
                     out.append(str(value))
                 else:
                     raise TemplateError(
-                        f"template {self.name!r}: placeholder {node.name!r}"
+                        f"template {self.name!r}: placeholder {name!r}"
                         f" is a {type(value).__name__}, not a value"
                     )
                 continue
             if not isinstance(value, list):
-                raise TemplateError(f"template {self.name!r}: section {node.name!r} is not a list")
+                raise TemplateError(f"template {self.name!r}: section {name!r} is not a list")
             for item in value:
                 if not isinstance(item, dict):
                     raise TemplateError(
-                        f"template {self.name!r}: section {node.name!r} items must be objects"
+                        f"template {self.name!r}: section {name!r} items must be objects"
                     )
-                self._emit(node.children, {**context, **item}, out)
+                self._emit(children, {**context, **item}, out)
 
 
 @dataclass(frozen=True)
