@@ -23,7 +23,10 @@ import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-_TAG = re.compile(r"\{\{([#/]?)([A-Za-z0-9_]+)\}\}")
+#: Every ``{{...}}`` pair, up to the first ``}}``: a tag's kind and its name,
+#: which must match ``_NAME`` or the template is malformed.
+_TAG = re.compile(r"\{\{([#/]?)(.*?)\}\}", re.DOTALL)
+_NAME = re.compile(r"[A-Za-z0-9_]+")
 
 _MISSING = object()  # a context value no template can hold
 
@@ -42,6 +45,12 @@ class Template:
         parts = _TAG.split(source)  # a text, then each tag's kind, name and the text after it
         stack: list[tuple[str | None, list]] = [(None, [parts[0]] if parts[0] else [])]
         for kind, name, text in zip(parts[1::3], parts[2::3], parts[3::3]):
+            if not _NAME.fullmatch(name):
+                tag = "{{" + kind + name + "}}"
+                raise TemplateError(
+                    f"template {self.name!r}: malformed tag {tag!r};"
+                    " a tag name is letters, digits and _"
+                )
             if kind == "#":
                 stack.append((name, []))
             elif kind == "/":

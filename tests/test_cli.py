@@ -654,6 +654,11 @@ class TestFailedRunChangesNothing:
                 "template set incomplete, missing: manifest.tpl, module.tpl",
             ),
             ("{{#a}}", "template 'module.tpl': unclosed section 'a'"),
+            (
+                "{{ module_name }}",
+                "template 'module.tpl': malformed tag '{{ module_name }}';"
+                " a tag name is letters, digits and _",
+            ),
         ],
     )
     def test_a_bad_template_set_names_its_directory(

@@ -79,6 +79,32 @@ def test_mismatched_close_names_both_sections():
     assert str(exc.value) == "template 't.tpl': section 'b' closed as 'a'"
 
 
+@pytest.mark.parametrize(
+    "source, tag",
+    [
+        ("a {{ name }} b", "{{ name }}"),
+        ("{{name-x}}", "{{name-x}}"),
+        ("{{#a b}}{{/a b}}", "{{#a b}}"),
+        ("{{}}", "{{}}"),
+        ("{{{name}}}", "{{{name}}"),
+        ("{{#}}{{/}}", "{{#}}"),
+        ("{{/ x}}", "{{/ x}}"),
+        ("{{x}}{{a\nb}}", "{{a\nb}}"),
+    ],
+)
+def test_every_double_brace_pair_is_a_tag_or_an_error(source, tag):
+    with pytest.raises(TemplateError) as exc:
+        Template("t.tpl", source)
+    assert str(exc.value) == (
+        f"template 't.tpl': malformed tag {tag!r}; a tag name is letters, digits and _"
+    )
+
+
+def test_double_braces_without_a_close_stay_text():
+    tpl = Template("t", "{{n}}} and {{ b } {{")
+    assert tpl.render({"n": "N"}) == "N} and {{ b } {{"
+
+
 def test_numbers_render():
     tpl = Template("t", "{{n}}/{{f}}")
     assert tpl.render({"n": 3, "f": 2.5}) == "3/2.5"
