@@ -84,13 +84,15 @@ def load_corpus(
     ``issues`` cell tags the record; every other cell is kept as raw text for
     ``parse_record``. A row without a ``record_id`` is named ``<file
     stem>:<row number>``; a stem byte that is not UTF-8 is written as a
-    ``\\xNN`` escape, so every id can be written to a UTF-8 output. A stem in
+    ``\\xNN`` escape, so every id can be written to a UTF-8 output, and so is
+    a ``|``, the id separator (``\\x7c``), so the id stays one atom. A stem in
     ``taken_stems`` (the stems a run's earlier inputs took, kept by
     ``fresh_name``) becomes its next free form, ``a_2``, so no two inputs give
     rows one id. Text that is not UTF-8 is a ``CorpusError``.
     """
     path = Path(path)
     stem = os.fsencode(path.stem).decode("utf-8", "backslashreplace")
+    stem = stem.replace(ID_SEPARATOR, f"\\x{ord(ID_SEPARATOR):02x}")
     if taken_stems is not None:
         stem = fresh_name(stem, taken_stems)
     csv.field_size_limit(1 << 30)  # a large example is data, not broken framing

@@ -996,6 +996,31 @@ class TestHostileCells:
         rejects = [str(r.id) for r in load_corpus(generated / "rejects.csv")]
         assert rejects == ["r11", "r12", "bad\\xff:2"]
 
+    def test_id_separator_in_file_stem_is_escaped_in_row_ids(self, tmp_path):
+        """A stem's ``|``, the id separator, is written ``\\x7c``: a synthesized id
+        stays one atom, and the stage file of ``analyze --merge``, saved under
+        the corpus's name, gives ``generate`` the same ids as the corpus."""
+        rows = [
+            {"path": "/v1/a", "response_example": '{"a":1}'},
+            {"path": "/v1/b", "response_example": '{"b":2}'},
+        ]
+        corpus = write_cells(tmp_path / "x|y.csv", rows)
+        expected = [["x\\x7cy:1"], ["x\\x7cy:2"]]
+        analyzed = tmp_path / "analyzed"
+        assert run(["analyze", "--merge", "--input", corpus, "--out-dir", analyzed]) == 0
+        census = record_id_census(load_corpus(analyzed / "analyzed.csv"))
+        assert census == Counter(atom for (atom,) in expected)
+
+        restaged = tmp_path / "restaged" / corpus.name
+        restaged.parent.mkdir()
+        restaged.write_bytes((analyzed / "analyzed.csv").read_bytes())
+        assert record_id_census(load_corpus(restaged)) == census
+        for source in (corpus, restaged):
+            out = tmp_path / "generated" / source.parent.name
+            assert run(["generate", "--input", source, "--out-dir", out]) == 0
+            report = json.loads((out / "build_report.json").read_text(encoding="utf-8"))
+            assert [fn["record_id"] for fn in report["functions"]] == expected
+
     @pytest.mark.parametrize("merge", [[], ["--merge"]])
     def test_inputs_with_one_file_stem_get_distinct_row_ids(self, merge, tmp_path):
         """The first input with a stem names its rows ``<stem>:<row>``; a later one
