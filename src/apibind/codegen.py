@@ -361,13 +361,20 @@ def apply_identifier_policy(ir: BindingIr, policy: IdentifierPolicy) -> dict:
 
 # --- rendering --------------------------------------------------------------
 
+#: Longest module identifier before its ``fresh_name`` suffix: a module is
+#: written as ``<module>.txt`` and staged as ``.<module>.txt.<8 chars>.tmp``,
+#: which must fit a 255-byte file name whatever the ``group`` cell holds.
+_MODULE_NAME_MAX = 200
+
 
 def render_package(ir: BindingIr, names: dict, templates: TemplateSet) -> dict[str, str]:
     """The package's files: each file name mapped to its text, manifest last.
 
     One ``.txt`` module per group, in sorted order, rendered once by
     ``module.tpl``: its ``types`` are the group's declarations in registry
-    order, its ``functions`` the group's functions in input order. ``names`` is
+    order, its ``functions`` the group's functions in input order. A module is
+    named by its group's snake-case identifier, cut to ``_MODULE_NAME_MAX``
+    characters and made fresh, never ``manifest``. ``names`` is
     ``apply_identifier_policy``'s map for ``ir``. A pure function of (ir,
     names, templates): it touches no file, and the same inputs give the same
     texts.
@@ -389,7 +396,8 @@ def render_package(ir: BindingIr, names: dict, templates: TemplateSet) -> dict[s
     module_taken: dict[str, int] = {}
     files: dict[str, str] = {}
     for group in sorted(group_fns):
-        module_name = _identifier(group, "snake", module_reserved, module_taken)
+        legal = _legal_name(split_words(group), "snake", module_reserved)
+        module_name = fresh_name(legal[:_MODULE_NAME_MAX], module_taken)
         types = [_type_ctx(decl, names) for decl in group_decls.get(group, ())]
         functions = [_fn_ctx(fn, names) for fn in group_fns[group]]
         files[f"{module_name}.txt"] = templates.module.render(

@@ -996,6 +996,21 @@ class TestHostileCells:
         rejects = [str(r.id) for r in load_corpus(generated / "rejects.csv")]
         assert rejects == ["r11", "r12", "bad\\xff:2"]
 
+    def test_a_long_group_still_names_a_module_file(self, tmp_path, capsys):
+        """A module's name is cut to 200 characters, so its file, and the temp
+        file staged beside it, fit a 255-byte file name."""
+        group = "a" * 300
+        corpus = write_cells(
+            tmp_path / "long.csv", [{"path": "/v1/a", "group": group, "response_example": "{}"}]
+        )
+        out = tmp_path / "out"
+        assert run(["generate", "--input", corpus, "--out-dir", out]) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in (out / "package").iterdir()) == [
+            f"{'a' * 200}.txt",
+            "manifest.txt",
+        ]
+
     def test_id_separator_in_file_stem_is_escaped_in_row_ids(self, tmp_path):
         """A stem's ``|``, the id separator, is written ``\\x7c``: a synthesized id
         stays one atom, and the stage file of ``analyze --merge``, saved under

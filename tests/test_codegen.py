@@ -761,6 +761,23 @@ class TestRenderPackage:
             assert f"function {name}(" in modules, name
         assert "manifest_.txt" in files["manifest.txt"]
 
+    def test_a_long_group_names_a_module_of_at_most_200_characters(self):
+        """Groups that share their first 200 characters take ``_2``, ``_3``, ..."""
+        groups = ["g" * 300, "g" * 250, "g" * 200 + "h", "g" * 199]
+        records = [
+            make_valid(f"r{i}", path=f"/v1/p{i}", group=group) for i, group in enumerate(groups)
+        ]
+        ir = build_reference(records)
+        names = apply_identifier_policy(ir, IdentifierPolicy())
+        files = render_package(ir, names, TemplateSet.neutral())
+        assert list(files) == [
+            f"{'g' * 199}.txt",
+            f"{'g' * 200}.txt",
+            f"{'g' * 200}_2.txt",
+            f"{'g' * 200}_3.txt",
+            "manifest.txt",
+        ]
+
     def test_line_breaks_stay_inside_the_doc_comment(self):
         rec = make_valid("d", description="List things.\nfunction evil() -> any")
         rec = replace(rec, source_url="https://d/x\r\nfunction url() -> any")

@@ -47,7 +47,7 @@ _WARNING = {"code": "W_NO_EXAMPLE", "stage": "Infer", "message": "m"}
 #: Per column, cells well-formed on their own, then malformed ones. Among them:
 #: line breaks, NUL, ``|`` in ids, empty and odd paths, deep JSON, duplicate
 #: and empty JSON keys, keys that read as type syntax, lone-surrogate escapes,
-#: ``issues`` cells, and ids that rows share.
+#: ``issues`` cells, ids that rows share, and a group too long for a file name.
 _CELLS = {
     "record_id": (("", "a", "b", "a|b", "|", "a|a", "x\ny", "\x00", " ", "c\r\nd"), ()),
     "source_url": (("", "https://d/x", "https://d/\n", "\x00"), ()),
@@ -72,7 +72,7 @@ _CELLS = {
     "request_example": _JSON_CELLS,
     "response_example": _JSON_CELLS,
     "description": (("", "line\nbreak", "\x00", " ", "d"), ()),
-    "group": (("", "users", "a b", "\n", "misc", "manifest", "Users"), ()),
+    "group": (("", "users", "a b", "\n", "misc", "manifest", "Users", "g" * 300), ()),
     "issues": (
         ("", "[]", json.dumps([_WARNING])),
         ("{}", "not json", _DEEP, json.dumps([_ISSUE]),
