@@ -18,7 +18,6 @@ module touches the file system except ``IdentifierPolicy.from_json_file``.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
@@ -253,9 +252,12 @@ class IdentifierPolicy:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> IdentifierPolicy:
-        """The policy a JSON file describes; every fault is a ``ValueError`` naming the file."""
+        """The policy a JSON file describes; every fault is a ``ValueError`` naming the file.
+
+        The file is decoded by ``parse_json``, as every JSON cell is.
+        """
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            doc = parse_json(Path(path).read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
             raise ValueError(f"identifier policy {path}: not UTF-8 text: {exc}") from exc
         except ValueError as exc:

@@ -380,6 +380,12 @@ class TestGenerate:
             ('{"reserved_words": "def"}', "reserved_words"),
             ('{"reserved_words": ["def", 1]}', "reserved_words"),
             ('{"casing_fucntion": "snake"}', "unknown key 'casing_fucntion'"),
+            (
+                "[" * 100_000 + "]" * 100_000,
+                f"not JSON: document nested deeper than {MAX_JSON_DEPTH} levels",
+            ),
+            ('{"reserved_words": [NaN]}', "not JSON: non-standard JSON token NaN"),
+            ('{"reserved_words": ["\\udc00"]}', "not JSON: lone surrogate \\udc00"),
         ):
             policy.write_text(text, encoding="utf-8")
             argv = ["generate", "--input", corpus12_path, "--out-dir", tmp_path / "out"]
