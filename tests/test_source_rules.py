@@ -218,3 +218,41 @@ def test_no_module_imports_another_modules_private_names():
     for path in sorted(SOURCE.glob("*.py")):
         found += private_imports(path.read_text(encoding="utf-8"), path.name)
     assert found == [], "make these names public or keep them in their module: " + ", ".join(found)
+
+
+def json_decoder_calls(source: str, filename: str) -> list[str]:
+    """``json.loads`` and ``json.load`` calls, as ``file:line``.
+
+    ``typeinfer.parse_json`` is the one decoder: it alone bounds a document's
+    depth and refuses ``NaN`` and lone surrogates.
+    """
+    return [
+        f"{filename}:{node.lineno}"
+        for node in ast.walk(ast.parse(source, filename))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json"
+        and node.func.attr in ("loads", "load")
+    ]
+
+
+def test_rule_sees_json_decoder_calls():
+    source = """
+import json
+json.loads(text)
+doc = json.load(
+    fh,
+)
+json.dumps(doc)
+_DECODER.decode(text)
+parse_json(text)
+"""
+    assert json_decoder_calls(source, "probe.py") == ["probe.py:3", "probe.py:4"]
+
+
+def test_every_json_text_is_decoded_by_parse_json():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        found += json_decoder_calls(path.read_text(encoding="utf-8"), path.name)
+    assert found == [], "decode with typeinfer.parse_json: " + ", ".join(found)
