@@ -42,7 +42,11 @@ class Template:
         self.nodes = self._parse(source)
 
     def _parse(self, source: str) -> tuple:
-        parts = _TAG.split(source)  # a text, then each tag's kind, name and the text after it
+        # A "{{" after the last "}}" is text: split only up to there, since the
+        # scan for "}}" from each such "{{" to the end would make it quadratic.
+        cut = source.rfind("}}") + 2
+        parts = _TAG.split(source[:cut])  # a text, then each tag's kind, name and next text
+        parts[-1] += source[cut:]
         stack: list[tuple[str | None, list]] = [(None, [parts[0]] if parts[0] else [])]
         for kind, name, text in zip(parts[1::3], parts[2::3], parts[3::3]):
             if not _NAME.fullmatch(name):
