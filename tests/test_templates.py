@@ -102,17 +102,13 @@ def test_every_double_brace_pair_is_a_tag_or_an_error(source, tag):
     )
 
 
-def test_double_braces_without_a_close_stay_text():
+def test_double_braces_without_a_close_stay_text_and_parse_in_linear_time():
     tpl = Template("t", "{{n}}} and {{ b } {{")
     assert tpl.render({"n": "N"}) == "N} and {{ b } {{"
-
-
-def test_unclosed_double_braces_parse_in_linear_time():
     # A scan for "}}" from each of these "{{" to the end would take seconds
     # (about 13 s for this source); one pass takes well under a millisecond.
-    source = "{{x}}" + "{{" * 20_000
     start = time.perf_counter()
-    assert Template("t", source).render({"x": "X"}) == "X" + "{{" * 20_000
+    assert Template("t", "{{n}}" + "{{" * 20_000).render({"n": "N"}) == "N" + "{{" * 20_000
     assert time.perf_counter() - start < 1
 
 
