@@ -251,35 +251,38 @@ def cmd_generate(args: argparse.Namespace) -> int:
     with _AllOrNone() as out:
         write_stage(rejected, out.path(rejects))
         ir = build_reference(valid, package_name=package_name)
-        findings = ir.report
         names = apply_identifier_policy(ir, policy)
-        report = {
-            "package": {
-                "name": ir.package_name,
-                "version": ir.version,
-                "corpus_digest": ir.corpus_digest,
+        write_json(
+            out.path(args.out_dir / BUILD_REPORT),
+            {
+                "package": {
+                    "name": ir.package_name,
+                    "version": ir.version,
+                    "corpus_digest": ir.corpus_digest,
+                },
+                "functions": [
+                    {"raw_name": fn.raw_name, "record_id": list(fn.record.id.ids)}
+                    for fn in ir.functions
+                ],
+                "issues": [
+                    {"record_id": record_id, **issue.to_json()} for record_id, issue in ir.report
+                ],
+                "rejected_record_ids": [list(record.id.ids) for record in rejected],
             },
-            "functions": [
-                {"raw_name": fn.raw_name, "record_id": list(fn.record.id.ids)}
-                for fn in ir.functions
-            ],
-            "issues": [
-                {"record_id": record_id, **issue.to_json()} for record_id, issue in findings
-            ],
-            "rejected_record_ids": [list(record.id.ids) for record in rejected],
-        }
-        write_json(out.path(args.out_dir / BUILD_REPORT), report, ensure_ascii=False)
+            ensure_ascii=False,
+        )
         write_json(out.path(args.out_dir / NAME_MAP), names, sort_keys=True)
-        files = render_package(ir, names, templates)
-        for file_name, text in files.items():
-            out.text(args.out_dir / PACKAGE_DIR / file_name, text)
-    _remove_stale_modules(args.out_dir, files)
+        package = args.out_dir / PACKAGE_DIR
+        files = render_package(
+            ir, names, templates, lambda file_name, text: out.text(package / file_name, text)
+        )
+    _remove_stale_modules(args.out_dir, set(files))
 
-    for record_id, issue in findings:
+    for record_id, issue in ir.report:
         sys.stdout.write(f"note {wire_text(record_id)}: {issue.code} {issue.message}\n")
     sys.stdout.write(
         f"package: {len(ir.functions)} functions, {len(ir.decls)} types, "
-        f"{len(files)} files in {args.out_dir / PACKAGE_DIR}\n"
+        f"{len(files)} files in {package}\n"
     )
     return 0
 

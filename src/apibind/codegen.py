@@ -7,18 +7,20 @@ declaration registry; ``apply_identifier_policy`` maps every raw name to a
 legal target identifier and returns that name map; ``render_package`` renders
 the package's files to text from the ``BindingIr``, the name map and a
 template set, one ``module.tpl`` render per module and then ``manifest.tpl``,
-and leaves writing them to the caller. The IR also carries the package's name
+and hands each text to the caller's ``write`` sink as soon as it is rendered,
+so the package is never held whole. The IR also carries the package's name
 and corpus digest, from which its version follows. The identifier policy and
 the templates hold the target language's names and layout, but not its type
 expressions: ``typeinfer.format_type`` writes every type in one neutral
 grammar (``[string]``, ``int | null``), whatever the target. Nothing in this
-module touches the file system except ``IdentifierPolicy.from_json_file``.
+module touches the file system except ``IdentifierPolicy.from_json_file``;
+where the rendered texts go is the sink's business.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
@@ -109,6 +111,8 @@ def corpus_digest(records: list[ApiCallRecord]) -> str:
     Each line of ``stage_lines`` goes straight into the hash, so the text is
     never held whole.
     """
+    import hashlib  # here, not at the top: it maps libcrypto, which analyze never uses
+
     digest = hashlib.sha256()
     for line in stage_lines(records):
         digest.update(line.encode("utf-8"))
@@ -369,17 +373,19 @@ def apply_identifier_policy(ir: BindingIr, policy: IdentifierPolicy) -> dict:
 _MODULE_NAME_MAX = 200
 
 
-def render_package(ir: BindingIr, names: dict, templates: TemplateSet) -> dict[str, str]:
-    """The package's files: each file name mapped to its text, manifest last.
+def render_package(
+    ir: BindingIr, names: dict, templates: TemplateSet, write: Callable[[str, str], object]
+) -> list[str]:
+    """Render the package's files, handing each to ``write(file_name, text)``; returns their names.
 
     One ``.txt`` module per group, in sorted order, rendered once by
     ``module.tpl``: its ``types`` are the group's declarations in registry
     order, its ``functions`` the group's functions in input order. A module is
     named by its group's snake-case identifier, cut to ``_MODULE_NAME_MAX``
-    characters and made fresh, never ``manifest``. ``names`` is
-    ``apply_identifier_policy``'s map for ``ir``. A pure function of (ir,
-    names, templates): it touches no file, and the same inputs give the same
-    texts.
+    characters and made fresh, never ``manifest``. ``manifest.txt`` comes
+    last and lists the modules. ``names`` is ``apply_identifier_policy``'s map
+    for ``ir``. Each text goes to ``write`` as soon as it is rendered, so the
+    package is never held whole; the same inputs give the same calls.
     """
     base_ctx = {
         "package_name": ir.package_name,
@@ -396,25 +402,28 @@ def render_package(ir: BindingIr, names: dict, templates: TemplateSet) -> dict[s
 
     module_reserved = frozenset({"manifest"})  # manifest.txt is not a module
     module_taken: dict[str, int] = {}
-    files: dict[str, str] = {}
+    file_names: list[str] = []
     for group in sorted(group_fns):
         legal = _legal_name(split_words(group), "snake", module_reserved)
         module_name = fresh_name(legal[:_MODULE_NAME_MAX], module_taken)
-        types = [_type_ctx(decl, names) for decl in group_decls.get(group, ())]
-        functions = [_fn_ctx(fn, names) for fn in group_fns[group]]
-        files[f"{module_name}.txt"] = templates.module.render(
-            {**base_ctx, "module_name": module_name, "types": types, "functions": functions}
-        )
-
-    files["manifest.txt"] = templates.manifest.render(
-        {
+        file_name = f"{module_name}.txt"
+        # Neither the context nor the text outlives this call to ``write``.
+        write(file_name, templates.module.render({
             **base_ctx,
-            "function_count": len(ir.functions),
-            "type_count": len(ir.decls),
-            "modules": [{"module_file": file_name} for file_name in files],
-        }
-    )
-    return files
+            "module_name": module_name,
+            "types": [_type_ctx(decl, names) for decl in group_decls.get(group, ())],
+            "functions": [_fn_ctx(fn, names) for fn in group_fns[group]],
+        }))
+        file_names.append(file_name)
+
+    write("manifest.txt", templates.manifest.render({
+        **base_ctx,
+        "function_count": len(ir.functions),
+        "type_count": len(ir.decls),
+        "modules": [{"module_file": file_name} for file_name in file_names],
+    }))
+    file_names.append("manifest.txt")
+    return file_names
 
 
 def _type_ctx(decl: TypeDecl, names: dict) -> dict:

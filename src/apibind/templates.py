@@ -27,6 +27,8 @@ from pathlib import Path
 #: which must match ``_NAME`` or the template is malformed.
 _TAG = re.compile(r"\{\{([#/]?)(.*?)\}\}", re.DOTALL)
 _NAME = re.compile(r"[A-Za-z0-9_]+")
+#: Characters of a malformed tag that its ``TemplateError`` quotes.
+_QUOTED_TAG_MAX = 60
 
 _MISSING = object()  # a context value no template can hold
 
@@ -51,6 +53,8 @@ class Template:
         for kind, name, text in zip(parts[1::3], parts[2::3], parts[3::3]):
             if not _NAME.fullmatch(name):
                 tag = "{{" + kind + name + "}}"
+                if len(tag) > _QUOTED_TAG_MAX:  # it may run on to the end of the template
+                    tag = tag[:_QUOTED_TAG_MAX] + "…"
                 raise TemplateError(
                     f"template {self.name!r}: malformed tag {tag!r};"
                     " a tag name is letters, digits and _"

@@ -400,12 +400,17 @@ class DeclRegistry:
 
     ``by_body`` maps each distinct body to its declaration; its insertion
     order is the children-first declaration order. ``taken`` holds every
-    declaration name handed out so far, in ``fresh_name``'s form.
+    declaration name handed out so far, in ``fresh_name``'s form. ``wires``
+    maps each wire name a lift has met to the one string that every lifted
+    body and piece holds for it, since each example text decodes its keys
+    anew. It is a dict, not ``sys.intern``: an interned string outlives the
+    build (on 3.12 it is immortal), so a long-lived caller would keep them all.
     """
 
     def __init__(self) -> None:
         self.by_body: dict[TObject, TypeDecl] = {}
         self.taken: dict[str, int] = {}
+        self.wires: dict[str, str] = {}
 
 
 def spell(pieces: tuple[str, ...]) -> str:
@@ -479,7 +484,9 @@ class _Lift:
     itself holds a reference cycle that only the cyclic GC frees.
     """
 
-    __slots__ = ("registry", "group", "base", "base_name", "trail", "unpopulated", "issues")
+    __slots__ = (
+        "registry", "group", "base", "base_name", "trail", "unpopulated", "issues", "wires"
+    )
 
     def __init__(
         self,
@@ -495,17 +502,19 @@ class _Lift:
         self.trail = trail
         self.unpopulated: list[str] = []
         self.issues: list[Issue] = []
+        self.wires = {} if registry is None else registry.wires
 
     def walk(self, node: InferredType, suffix: str, hops: tuple[str | None, ...]) -> InferredType:
         kind = type(node)
         if kind is TObject:
             # A field typed by an atom other than bottom publishes as it is.
-            fields = [
-                (n, t, required)
-                if type(t) is _Atom and t is not BOTTOM
-                else (n, self.walk(t, suffix + n[:1].upper() + n[1:], hops + (n,)), required)
-                for n, t, required in node.fields
-            ]
+            wire = self.wires.setdefault
+            fields = []
+            for n, t, required in node.fields:
+                n = wire(n, n)
+                if type(t) is not _Atom or t is BOTTOM:
+                    t = self.walk(t, suffix + n[:1].upper() + n[1:], hops + (n,))
+                fields.append((n, t, required))
             body = TObject(tuple(fields))
             return body if self.registry is None else TRef(self.add_decl(body, suffix, hops))
         if kind is TArray:

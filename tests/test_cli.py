@@ -59,6 +59,30 @@ def write_cells(path: Path, rows: list[dict[str, str]]) -> Path:
 
 
 class TestAnalyze:
+    def test_analyze_and_dashboard_never_load_openssl(self, corpus12_path, tmp_path):
+        """Only a corpus digest hashes, so only ``generate`` maps libcrypto (``_hashlib``)."""
+        out = tmp_path / "out"
+        analyze = ["analyze", "--input", str(corpus12_path), "--out-dir", str(out)]
+        dashboard = ["dashboard", "--input", str(out / "analyzed.csv")]
+        script = (
+            "import sys\n"
+            "import apibind.cli as cli\n"
+            f"assert cli.main({analyze!r}) == 0\n"
+            f"assert cli.main({dashboard!r}) == 0\n"
+            "print('_hashlib' in sys.modules, file=sys.stderr)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == "False\n"
+
     def test_fixture_corpus(self, corpus12_path, tmp_path, capsys):
         out = tmp_path / "out"
         assert run(["analyze", "--input", corpus12_path, "--out-dir", out]) == 0

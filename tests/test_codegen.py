@@ -54,6 +54,13 @@ from .gen import gen_json_doc
 from .universe import expand
 
 
+def rendered(ir, names: dict, templates: TemplateSet) -> dict[str, str]:
+    """``render_package``'s files, each file name mapped to its text, in write order."""
+    files: dict[str, str] = {}
+    assert render_package(ir, names, templates, files.__setitem__) == list(files)
+    return files
+
+
 def _cased(raw: str, casing: str) -> str:
     """``raw``'s words in ``casing``, as a legal identifier with no reserved words."""
     return _legal_name(split_words(raw), casing, frozenset())
@@ -350,7 +357,7 @@ def test_each_declaration_renders_once_in_the_first_module_reaching_it(seeds):
         records.append(make_valid(f"r{i}", path=f"/v1/r{i}", group=group, **examples))
     ir = build_reference(records)
     names = apply_identifier_policy(ir, IdentifierPolicy())
-    files = render_package(ir, names, TemplateSet.neutral())
+    files = rendered(ir, names, TemplateSet.neutral())
     modules = {name.removesuffix(".txt"): text for name, text in files.items()}
 
     bodies = {d.name: d.body for d in ir.decls}
@@ -457,7 +464,7 @@ def test_identifiers_are_distinct_legal_and_rendered_as_mapped(drawn):
     ]
     ir = build_reference(records)
     names = apply_identifier_policy(ir, IdentifierPolicy())
-    files = render_package(ir, names, TemplateSet.neutral())
+    files = rendered(ir, names, TemplateSet.neutral())
     modules = [text for name, text in files.items() if name != "manifest.txt"]
     fields, signatures, param_lines = {}, {}, {}
     for module in modules:
@@ -687,7 +694,7 @@ class TestRenderPackage:
     def test_single_function_package(self):
         ir = build_reference([make_valid("p", response_example='{"ok":true}')])
         names = apply_identifier_policy(ir, IdentifierPolicy())
-        files = render_package(ir, names, TemplateSet.neutral())
+        files = rendered(ir, names, TemplateSet.neutral())
         assert list(files) == ["misc.txt", "manifest.txt"]
         module = files["misc.txt"]
         assert "https://docs.example.com/p" in module
@@ -697,8 +704,8 @@ class TestRenderPackage:
     def test_deterministic(self, corpus12_path):
         ir = build_reference(valid_records(corpus12_path))
         names = apply_identifier_policy(ir, IdentifierPolicy())
-        first = render_package(ir, names, TemplateSet.neutral())
-        second = render_package(ir, names, TemplateSet.neutral())
+        first = rendered(ir, names, TemplateSet.neutral())
+        second = rendered(ir, names, TemplateSet.neutral())
         assert list(first.items()) == list(second.items())
 
     def test_unknown_placeholder_names_template(self):
@@ -708,7 +715,7 @@ class TestRenderPackage:
         ir = build_reference([make_valid("p")])
         names = apply_identifier_policy(ir, IdentifierPolicy())
         with pytest.raises(Exception) as exc:
-            render_package(ir, names, broken)
+            rendered(ir, names, broken)
         assert "module.tpl" in str(exc.value)
         assert "not_a_thing" in str(exc.value)
 
@@ -729,7 +736,7 @@ class TestRenderPackage:
         )
         ir = build_reference(records)
         names = apply_identifier_policy(ir, IdentifierPolicy())
-        files = render_package(ir, names, TemplateSet.from_sources(sources))
+        files = rendered(ir, names, TemplateSet.from_sources(sources))
         assert files["misc.txt"] == (
             "# misc\n"
             "__all__ = [getV1Zeta, getV1Alpha, postV1Mid, ]\n"
@@ -742,7 +749,7 @@ class TestRenderPackage:
     def test_empty_ir_renders_manifest_only(self):
         ir = build_reference([])
         names = apply_identifier_policy(ir, IdentifierPolicy())
-        files = render_package(ir, names, TemplateSet.neutral())
+        files = rendered(ir, names, TemplateSet.neutral())
         assert list(files) == ["manifest.txt"]
         manifest = files["manifest.txt"]
         assert "functions 0" in manifest
@@ -754,7 +761,7 @@ class TestRenderPackage:
         ]
         ir = build_reference(records)
         names = apply_identifier_policy(ir, IdentifierPolicy())
-        files = render_package(ir, names, TemplateSet.neutral())
+        files = rendered(ir, names, TemplateSet.neutral())
         assert list(files) == ["manifest_.txt", "users.txt", "manifest.txt"]
         modules = files["manifest_.txt"] + files["users.txt"]
         for name in names["functions"].values():
@@ -769,7 +776,7 @@ class TestRenderPackage:
         ]
         ir = build_reference(records)
         names = apply_identifier_policy(ir, IdentifierPolicy())
-        files = render_package(ir, names, TemplateSet.neutral())
+        files = rendered(ir, names, TemplateSet.neutral())
         assert list(files) == [
             f"{'g' * 199}.txt",
             f"{'g' * 200}.txt",
@@ -783,7 +790,7 @@ class TestRenderPackage:
         rec = replace(rec, source_url="https://d/x\r\nfunction url() -> any")
         ir = build_reference([rec])
         names = apply_identifier_policy(ir, IdentifierPolicy())
-        lines = render_package(ir, names, TemplateSet.neutral())["misc.txt"].splitlines()
+        lines = rendered(ir, names, TemplateSet.neutral())["misc.txt"].splitlines()
         assert [line for line in lines if line.startswith("function ")] == [
             "function getV1Ping() -> any"
         ]
@@ -799,7 +806,7 @@ class TestRenderPackage:
         rec = make_valid("w", raw_parameters=json.dumps(table), response_example=json.dumps(response))
         ir = build_reference([rec])
         names = apply_identifier_policy(ir, IdentifierPolicy())
-        lines = render_package(ir, names, TemplateSet.neutral())["misc.txt"].splitlines()
+        lines = rendered(ir, names, TemplateSet.neutral())["misc.txt"].splitlines()
         assert [line for line in lines if line.startswith("function ")] == [
             'function getV1Ping(q_function_p_any: string, o: {"k\\u2028function obj() -> any": int})'
             " -> GetV1PingResponse"
@@ -816,7 +823,7 @@ class TestRenderPackage:
         rec = make_valid("e", raw_parameters=json.dumps(table), response_example='{"": 1, "a": 2}')
         ir = build_reference([rec])
         names = apply_identifier_policy(ir, IdentifierPolicy())
-        lines = render_package(ir, names, TemplateSet.neutral())["misc.txt"].splitlines()
+        lines = rendered(ir, names, TemplateSet.neutral())["misc.txt"].splitlines()
         assert 'function getV1Ping(o: {"": int}) -> GetV1PingResponse' in lines
         assert '  x: int  (wire "")' in lines
         assert "  a: int" in lines
@@ -829,7 +836,7 @@ class TestRenderPackage:
 
         ir = build_reference([row("one", {"a: int, b": "x", "café": 1}), row("two", {"a": 1, "b": "x"})])
         names = apply_identifier_policy(ir, IdentifierPolicy())
-        lines = render_package(ir, names, TemplateSet.neutral())["misc.txt"].splitlines()
+        lines = rendered(ir, names, TemplateSet.neutral())["misc.txt"].splitlines()
         assert 'function getV1One(f: {"a: int, b": string, "caf\\u00e9": int}) -> any' in lines
         assert "function getV1Two(f: {a: int, b: string}) -> any" in lines
 
@@ -843,14 +850,14 @@ class TestRenderPackage:
         )
         ir = build_reference([rec])
         names = apply_identifier_policy(ir, IdentifierPolicy())
-        lines = render_package(ir, names, TemplateSet.neutral())["misc.txt"].splitlines()
+        lines = rendered(ir, names, TemplateSet.neutral())["misc.txt"].splitlines()
         assert "function getV1X(limit: int, filter: {}) -> GetV1XResponse" in lines
         assert "  param limit via Query optional" in lines
 
     def test_shared_decl_emitted_once(self, corpus12_path):
         ir = build_reference(valid_records(corpus12_path))
         names = apply_identifier_policy(ir, IdentifierPolicy())
-        text = "".join(render_package(ir, names, TemplateSet.neutral()).values())
+        text = "".join(rendered(ir, names, TemplateSet.neutral()).values())
         for name in names["types"].values():
             assert text.count(f"type {name} = ") == 1
 

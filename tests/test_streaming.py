@@ -12,12 +12,19 @@ from hypothesis import given, settings, strategies as st
 
 from apibind import cli
 from apibind.cli import write_json
-from apibind.codegen import corpus_digest
+from apibind.codegen import (
+    IdentifierPolicy,
+    apply_identifier_policy,
+    build_reference,
+    corpus_digest,
+    render_package,
+)
 from apibind.curl import HttpMethod
 from apibind.ingest import load_corpus, merge_corpus, write_stage
 from apibind.issues import Stage, make_issue
 from apibind.parse import parse_record
 from apibind.records import ApiCallRecord, RecordId
+from apibind.templates import TemplateSet
 from apibind.validate import cross_validate, route
 
 from .gen import gen_corpus, gen_record
@@ -126,6 +133,35 @@ class TestBoundedMemory:
         peak = _traced_peak(lambda: write_json(path, names, sort_keys=True))
         written = path.stat().st_size
         assert peak < written, (peak, written)
+
+    def test_render_package_never_holds_the_package_whole(self):
+        """Each module text goes to the sink as it is rendered; the sink drops it."""
+        records = [
+            cross_validate(parse_record(ApiCallRecord(
+                id=RecordId.single(f"r{g}_{i}"),
+                source_url=f"https://docs.example.com/{g}/{i}",
+                http_method=HttpMethod.GET,
+                raw_path=f"/v1/group{g}/item{i}",
+                group=f"group{g}",
+                response_example=json.dumps(
+                    {f"field_{g}_{i}_{k}": {"id": k, "name": "x", "tags": ["a"]} for k in range(6)}
+                ),
+            )))
+            for g in range(32)
+            for i in range(8)
+        ]
+        ir = build_reference(records)
+        names = apply_identifier_policy(ir, IdentifierPolicy())
+        templates = TemplateSet.neutral()
+        sizes: dict[str, int] = {}
+
+        def drop(file_name: str, text: str) -> None:
+            sizes[file_name] = len(text)
+
+        peak = _traced_peak(lambda: render_package(ir, names, templates, drop))
+        modules = sum(size for file_name, size in sizes.items() if file_name != "manifest.txt")
+        assert len(sizes) == 33 and modules > 100_000
+        assert peak < modules / 2, (peak, modules)
 
 
 class TestCorpusDigest:

@@ -102,6 +102,17 @@ def test_every_double_brace_pair_is_a_tag_or_an_error(source, tag):
     )
 
 
+def test_a_long_malformed_tag_is_quoted_cut():
+    # The stray "{{" runs to the only "}}", so the tag spans the whole source.
+    with pytest.raises(TemplateError) as exc:
+        Template("t.tpl", "{{" * 32_000 + "}}")
+    message = str(exc.value)
+    assert len(message.encode("utf-8")) < 300, len(message)
+    assert message == (
+        f"template 't.tpl': malformed tag {'{' * 60 + '…'!r}; a tag name is letters, digits and _"
+    )
+
+
 def test_double_braces_without_a_close_stay_text_and_parse_in_linear_time():
     tpl = Template("t", "{{n}}} and {{ b } {{")
     assert tpl.render({"n": "N"}) == "N} and {{ b } {{"

@@ -391,6 +391,22 @@ class TestLift:
         assert list(walked.by_body.values()) == list(replayed.by_body.values())
         assert {d.group for d in walked.by_body.values()} == {"b"}
 
+    def test_texts_sharing_a_key_lift_one_string_for_it(self):
+        docs = [
+            parse_json('{"customer_id": 1, "owner": {"user_name": "a"}}'),
+            parse_json('{"customer_id": "x", "user_name": true}'),
+        ]
+        keys = [list(doc) for doc in docs]
+        assert keys[0][0] == keys[1][0] and keys[0][0] is not keys[1][0]
+        registry = DeclRegistry()
+        for i, doc in enumerate(docs):
+            lift_declarations(fold_examples([doc]), (f"T{i}",), registry)
+        first, second = [d for d in registry.by_body.values() if d.name in ("T0", "T1")]
+        assert first.body.fields[0][0] is second.body.fields[0][0] == "customer_id"
+        owner = next(d for d in registry.by_body.values() if d.name == "T0Owner")
+        assert owner.body.fields[0][0] is second.body.fields[1][0] == "user_name"
+        assert first.body.fields[1][0] is owner.pieces[1] == "owner"
+
     def test_lifts_leave_no_cyclic_garbage(self):
         raw = fold_examples([{"a": {"b": [1, {"c": []}]}, "d": [{"e": None}], "f": [[]]}])
         gc.collect()
