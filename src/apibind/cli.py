@@ -36,7 +36,13 @@ import tempfile
 from collections.abc import Collection
 from pathlib import Path
 
-from .codegen import IdentifierPolicy, apply_identifier_policy, build_reference, render_package
+from .codegen import (
+    BindingFunction,
+    IdentifierPolicy,
+    apply_identifier_policy,
+    build_reference,
+    render_package,
+)
 from .ingest import CorpusError, load_corpus, merge_corpus, write_stage
 from .parse import parse_record
 from .records import ApiCallRecord
@@ -228,6 +234,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _function_entry(fn: BindingFunction) -> dict:
+    """``fn``'s entry in ``build_report.json``; ``issues`` only when the build found some."""
+    entry = {"raw_name": fn.raw_name, "record_id": list(fn.record.id.ids)}
+    if fn.issues:
+        entry["issues"] = [issue.to_json() for issue in fn.issues]
+    return entry
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     package_name = _package_name(args.input[0])
     templates = (
@@ -260,13 +274,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
                     "version": ir.version,
                     "corpus_digest": ir.corpus_digest,
                 },
-                "functions": [
-                    {"raw_name": fn.raw_name, "record_id": list(fn.record.id.ids)}
-                    for fn in ir.functions
-                ],
-                "issues": [
-                    {"record_id": record_id, **issue.to_json()} for record_id, issue in ir.report
-                ],
+                "functions": [_function_entry(fn) for fn in ir.functions],
                 "rejected_record_ids": [list(record.id.ids) for record in rejected],
             },
             ensure_ascii=False,

@@ -4,7 +4,7 @@ Three steps, cleanly separated: ``build_reference`` folds valid records
 into a language-independent inventory of call functions and type
 declarations, lifting every example straight into one corpus-wide
 declaration registry; ``apply_identifier_policy`` maps every raw name to a
-legal target identifier and returns that name map; ``render_package`` renders
+legal target identifier, listing only changed names; ``render_package`` renders
 the package's files to text from the ``BindingIr``, the name map and a
 template set, one ``module.tpl`` render per module and then ``manifest.tpl``,
 and hands each text to the caller's ``write`` sink as soon as it is rendered,
@@ -315,14 +315,24 @@ def _identifier(raw: str, casing: str, reserved: frozenset[str], taken: dict[str
     return fresh_name(_legal_name(split_words(raw), casing, reserved), taken)
 
 
-def apply_identifier_policy(ir: BindingIr, policy: IdentifierPolicy) -> dict:
-    """The name map: every raw name of ``ir`` mapped to a final identifier.
+def signature_wires(fn: BindingFunction) -> list[str]:
+    """``fn``'s signature's wire names in order: its parameters', then ``body`` if it has one."""
+    wires = [param.name for param, _ in fn.params]
+    if fn.request_type is not None:
+        wires.append("body")
+    return wires
 
-    ``functions`` and ``types`` map raw names to identifiers, each in one
-    corpus-wide namespace. ``fields`` maps each final type name to its
-    fields' wire -> identifier map, and ``params`` each function raw name to
-    its signature's identifiers in order, the request body last; each
-    declaration and each function is a namespace of its own.
+
+def apply_identifier_policy(ir: BindingIr, policy: IdentifierPolicy) -> dict:
+    """The name map: every raw name of ``ir`` that the policy changes, mapped to its identifier.
+
+    A name absent from the map maps to itself, so the map lists only renamed
+    names. ``functions`` and ``types`` map raw names to identifiers, each in
+    one corpus-wide namespace. ``fields`` maps a final type name to its
+    renamed fields' wire -> identifier map, and ``params`` a function raw name
+    to all of its signature's identifiers in ``signature_wires`` order, when
+    one of them differs from its wire; each declaration and each function is a
+    namespace of its own.
 
     A type's identifier joins its pieces' words; each distinct piece is split
     once per call. Fields and parameters share one casing cache, also scoped
@@ -347,21 +357,29 @@ def apply_identifier_policy(ir: BindingIr, policy: IdentifierPolicy) -> dict:
             if piece not in piece_words:
                 piece_words[piece] = split_words("Item" if piece is None else piece)
             words += piece_words[piece]
-        types[decl.name] = fresh_name(_legal_name(words, policy.casing_type, reserved), type_taken)
+        type_name = fresh_name(_legal_name(words, policy.casing_type, reserved), type_taken)
+        if type_name != decl.name:
+            types[decl.name] = type_name
         taken: dict[str, int] = {}
-        fields[types[decl.name]] = {
-            wire: field_identifier(wire, taken) for wire, _, _ in decl.body.fields
+        renamed = {
+            wire: name
+            for wire, _, _ in decl.body.fields
+            if (name := field_identifier(wire, taken)) != wire
         }
+        if renamed:
+            fields[type_name] = renamed
     fn_taken: dict[str, int] = {}
     functions = {}
     params = {}
     for fn in ir.functions:
-        functions[fn.raw_name] = _identifier(fn.raw_name, policy.casing_function, reserved, fn_taken)
-        wires = [param.name for param, _ in fn.params]
-        if fn.request_type is not None:
-            wires.append("body")
+        name = _identifier(fn.raw_name, policy.casing_function, reserved, fn_taken)
+        if name != fn.raw_name:
+            functions[fn.raw_name] = name
+        wires = signature_wires(fn)
         taken = {}
-        params[fn.raw_name] = [field_identifier(wire, taken) for wire in wires]
+        identifiers = [field_identifier(wire, taken) for wire in wires]
+        if identifiers != wires:
+            params[fn.raw_name] = identifiers
     return {"functions": functions, "types": types, "fields": fields, "params": params}
 
 
@@ -384,8 +402,9 @@ def render_package(
     named by its group's snake-case identifier, cut to ``_MODULE_NAME_MAX``
     characters and made fresh, never ``manifest``. ``manifest.txt`` comes
     last and lists the modules. ``names`` is ``apply_identifier_policy``'s map
-    for ``ir``. Each text goes to ``write`` as soon as it is rendered, so the
-    package is never held whole; the same inputs give the same calls.
+    for ``ir``; a name absent from it renders as itself. Each text goes to
+    ``write`` as soon as it is rendered, so the package is never held whole;
+    the same inputs give the same calls.
     """
     base_ctx = {
         "package_name": ir.package_name,
@@ -427,16 +446,16 @@ def render_package(
 
 
 def _type_ctx(decl: TypeDecl, names: dict) -> dict:
-    type_name = names["types"][decl.name]
-    field_names = names["fields"][type_name]
+    type_name = names["types"].get(decl.name, decl.name)
+    field_names = names["fields"].get(type_name, {})
     return {
         "type_name": type_name,
         "fields": [
             {
-                "field_name": field_names[wire],
+                "field_name": field_names.get(wire, wire),
                 "optional_mark": "" if required else "?",
                 "field_type": format_type(field_type, names["types"]),
-                "wire_note": f"  (wire {wire_text(wire)})" if field_names[wire] != wire else "",
+                "wire_note": f"  (wire {wire_text(wire)})" if wire in field_names else "",
             }
             for wire, field_type, required in decl.body.fields
         ],
@@ -449,7 +468,7 @@ _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 def _fn_ctx(fn: BindingFunction, names: dict) -> dict:
     type_names = names["types"]
-    param_names = names["params"][fn.raw_name]
+    param_names = names["params"].get(fn.raw_name, signature_wires(fn))
     types = [t for _, t in fn.params]
     if fn.request_type is not None:
         types.append(fn.request_type)
@@ -481,7 +500,7 @@ def _fn_ctx(fn: BindingFunction, names: dict) -> dict:
     return {
         "summary": _LINE_BREAK.sub(" ", summary),
         "doc_url": _LINE_BREAK.sub(" ", record.source_url or ""),
-        "function_name": names["functions"][fn.raw_name],
+        "function_name": names["functions"].get(fn.raw_name, fn.raw_name),
         "signature_params": signature,
         "response_type": format_type(fn.response_type, type_names),
         "http_method": record.http_method.value,

@@ -438,13 +438,14 @@ class TestGenerate:
         assert run(["generate", "--input", corpus, "--out-dir", out]) == 0
         report = json.loads((out / "build_report.json").read_text())
         tagged = [
-            (issue["record_id"], issue["message"])
-            for issue in report["issues"]
+            (fn["record_id"], issue["message"])
+            for fn in report["functions"]
+            for issue in fn.get("issues", ())
             if issue["code"] == "W_EMPTY_ARRAY"
         ]
         assert tagged == [
-            ("p1", "parameter 'empty' example has an empty array at $"),
-            ("p1", "response_example has an empty array at $.items[].tags; element type unknown"),
+            (["p1"], "parameter 'empty' example has an empty array at $"),
+            (["p1"], "response_example has an empty array at $.items[].tags; element type unknown"),
         ]
 
     @pytest.mark.parametrize(

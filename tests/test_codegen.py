@@ -51,7 +51,7 @@ from apibind.typeinfer import (
 from apibind.validate import cross_validate, route
 
 from .gen import gen_json_doc
-from .universe import expand
+from .universe import expand, identity_entries, resolve
 
 
 def rendered(ir, names: dict, templates: TemplateSet) -> dict[str, str]:
@@ -359,6 +359,7 @@ def test_each_declaration_renders_once_in_the_first_module_reaching_it(seeds):
     names = apply_identifier_policy(ir, IdentifierPolicy())
     files = rendered(ir, names, TemplateSet.neutral())
     modules = {name.removesuffix(".txt"): text for name, text in files.items()}
+    names = resolve(names, ir)
 
     bodies = {d.name: d.body for d in ir.decls}
     reached: dict[str, set[str]] = {}
@@ -466,6 +467,7 @@ def test_identifiers_are_distinct_legal_and_rendered_as_mapped(drawn):
     names = apply_identifier_policy(ir, IdentifierPolicy())
     files = rendered(ir, names, TemplateSet.neutral())
     modules = [text for name, text in files.items() if name != "manifest.txt"]
+    names = resolve(names, ir)
     fields, signatures, param_lines = {}, {}, {}
     for module in modules:
         module_fields, module_signatures, module_params = rendered_names(module)
@@ -545,8 +547,8 @@ class TestIdentifierPolicy:
         ir = build_reference([rec])
         (decl,) = ir.decls
         (fn,) = ir.functions
-        snake = apply_identifier_policy(ir, IdentifierPolicy(casing_field="snake"))
-        camel = apply_identifier_policy(ir, IdentifierPolicy(casing_field="lower-camel"))
+        snake = resolve(apply_identifier_policy(ir, IdentifierPolicy(casing_field="snake")), ir)
+        camel = resolve(apply_identifier_policy(ir, IdentifierPolicy(casing_field="lower-camel")), ir)
         type_name = snake["types"][decl.name]
         assert snake["fields"][type_name] == {"display-name": "display_name", "userId": "user_id"}
         assert snake["params"][fn.raw_name] == ["user_id", "page_size"]
@@ -561,14 +563,14 @@ class TestIdentifierPolicy:
             for i, (path, key) in enumerate((("/a/b", "x"), ("/a-b", "y"), ("/a//b", "z")))
         ]
         ir = build_reference(records)
-        default = apply_identifier_policy(ir, IdentifierPolicy())
+        default = resolve(apply_identifier_policy(ir, IdentifierPolicy()), ir)
         assert list(default["functions"].values()) == ["getAB", "getAB2", "getAB3"]
         assert list(default["types"].values()) == [
             "GetABResponse",
             "GetAB2Response",
             "GetAB3Response",
         ]
-        snake = apply_identifier_policy(ir, IdentifierPolicy(casing_type="snake"))
+        snake = resolve(apply_identifier_policy(ir, IdentifierPolicy(casing_type="snake")), ir)
         assert list(snake["types"].values()) == [
             "get_a_b_response",
             "get_a_b_2_response",
@@ -584,7 +586,8 @@ class TestIdentifierPolicy:
             method=HttpMethod.DELETE,
             response_example='{"butereBikafo": {"a": 1}}',
         )
-        names = apply_identifier_policy(build_reference([rec]), IdentifierPolicy())
+        ir = build_reference([rec])
+        names = resolve(apply_identifier_policy(ir, IdentifierPolicy()), ir)
         assert list(names["functions"].values()) == ["deleteV1SiviLini7"]
         assert list(names["types"].values()) == [
             "DeleteV1SiviLini7ResponseButereBikafo",
@@ -674,9 +677,19 @@ class TestIdentifierPolicy:
 
     def test_name_maps_recorded(self, corpus12_path):
         ir = build_reference(valid_records(corpus12_path))
-        names = apply_identifier_policy(ir, IdentifierPolicy())
+        names = resolve(apply_identifier_policy(ir, IdentifierPolicy()), ir)
         assert names["functions"]["get_v1_ping"] == "getV1Ping"
         assert all(raw in names["types"] for raw in (d.name for d in ir.decls))
+
+    def test_name_map_lists_only_renamed_names(self, corpus12_path, data_dir):
+        ir = build_reference(valid_records(corpus12_path))
+        default = apply_identifier_policy(ir, IdentifierPolicy())
+        snake = apply_identifier_policy(
+            ir, IdentifierPolicy.from_json_file(data_dir / "snake_policy.json")
+        )
+        assert not identity_entries(default, ir) and not identity_entries(snake, ir)
+        assert default["functions"]
+        assert snake["functions"] == {}  # a raw function name is already snake case
 
 
 class TestFormatType:
@@ -900,7 +913,7 @@ def test_type_identifiers_begin_with_their_function_words(rows, casing):
         for i, (path, request, response) in enumerate(rows)
     ]
     ir = build_reference(route(records)[0])
-    names = apply_identifier_policy(ir, IdentifierPolicy(casing_type=casing))
+    names = resolve(apply_identifier_policy(ir, IdentifierPolicy(casing_type=casing)), ir)
     bodies = {decl.name: decl.body for decl in ir.decls}
     creator = {}
     for fn in ir.functions:

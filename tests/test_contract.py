@@ -7,8 +7,9 @@ record is dropped (``--merge`` keeps the id census), the gate rejects exactly
 the rows with an error tag, and every line ``generate`` writes, to stdout or
 to a module, starts as one of its templates' lines does. ``generate`` on the
 stage file of ``analyze --merge``, saved under the corpus's name, does what
-``generate --merge`` does on the corpus. Without ``--merge``, every
-gate-passing record's examples inhabit its published types.
+``generate --merge`` does on the corpus, whose build findings are all
+warnings and whose name map holds no identity entry. Without ``--merge``,
+every gate-passing record's examples inhabit its published types.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 from apibind.cli import main
-from apibind.codegen import build_reference
-from apibind.ingest import STAGE_COLUMNS, load_corpus, record_id_census
+from apibind.codegen import BindingIr, build_reference
+from apibind.ingest import STAGE_COLUMNS, load_corpus, merge_corpus, record_id_census
 from apibind.parse import parse_record
 from apibind.typeinfer import inhabits, parse_json
 from apibind.validate import cross_validate, route
 
 from .gen import nested_json
-from .universe import expand
+from .universe import expand, identity_entries
 
 _DEEP = nested_json(200)
 _JSON_CELLS = (
@@ -153,6 +154,12 @@ def _check_examples_inhabit_their_types(corpus: Path) -> None:
                 assert inhabits(parse_json(text), expand(published, bodies)), (text, published)
 
 
+def _merged_ir(corpus: Path) -> BindingIr:
+    """The IR ``generate --merge`` builds from ``corpus``."""
+    records = merge_corpus([parse_record(record) for record in load_corpus(corpus)])
+    return build_reference(route([cross_validate(record) for record in records])[0])
+
+
 @settings(max_examples=100, deadline=None)
 @given(rows=_rows)
 @example(rows=[_PLAIN_ROW, _PLAIN_ROW])  # one call, one atom twice: --merge writes ``a|a``
@@ -189,6 +196,11 @@ def test_hostile_corpora_keep_the_contract(rows):
         report = json.loads((generated / "build_report.json").read_text(encoding="utf-8"))
         ids = [fn["record_id"] for fn in report["functions"]] + report["rejected_record_ids"]
         assert Counter(atom for atoms in ids for atom in atoms) == merged
+        # The gate admits nothing with an error code, so the build adds only warnings.
+        findings = [issue["code"] for fn in report["functions"] for issue in fn.get("issues", ())]
+        assert all(code.startswith("W_") for code in findings), findings
+        name_map = json.loads((generated / "name_map.json").read_text(encoding="utf-8"))
+        assert not identity_entries(name_map, _merged_ir(corpus))
         for module in (generated / "package").glob("*.txt"):
             for line in module.read_text(encoding="utf-8").splitlines():
                 assert not line or line.startswith(_PACKAGE_LINE_STARTS), (module.name, line)

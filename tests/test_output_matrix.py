@@ -25,14 +25,21 @@ def fresh(tmp_path_factory) -> dict:
     return output_matrix.manifest(tmp_path_factory.mktemp("matrix").resolve())
 
 
+def leaves(manifest: dict) -> dict[str, object]:
+    """Each digest and exit code of ``manifest`` by its path: ``corpora/<corpus>``,
+    ``runs/<corpus>/<run>/exit``, ``.../stdout``, ``.../stderr`` or ``.../<file>``."""
+    flat = {f"corpora/{stem}": digest for stem, digest in manifest["corpora"].items()}
+    for run, entry in manifest["runs"].items():
+        streams = {key: value for key, value in entry.items() if key != "files"}
+        for name, value in {**streams, **entry.get("files", {})}.items():
+            flat[f"runs/{run}/{name}"] = value
+    return flat
+
+
 def test_outputs_match_the_committed_manifest(fresh):
     committed = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    moved = [
-        f"{section}/{key}"
-        for section in ("corpora", "runs")
-        for key in sorted(committed[section].keys() | fresh[section].keys())
-        if committed[section].get(key) != fresh[section].get(key)
-    ]
+    old, new = leaves(committed), leaves(fresh)
+    moved = [path for path in sorted(old.keys() | new.keys()) if old.get(path) != new.get(path)]
     assert not moved, "moved: " + ", ".join(moved)
     assert fresh == committed
 

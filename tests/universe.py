@@ -4,13 +4,16 @@ Small enough that all triples can be checked in seconds, rich enough to
 cover every constructor combination: scalars, arrays (with nesting),
 objects over three field names with required/optional flags, and unions.
 Depth is at most two. Also ``expand``, which resolves a lifted type's
-declaration refs, so a published type can be checked like a raw one.
+declaration refs, so a published type can be checked like a raw one, and
+``resolve`` and ``identity_entries``, which read a sparse name map against
+the IR it names.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
+from apibind.codegen import BindingIr, signature_wires
 from apibind.typeinfer import (
     BOTTOM,
     InferredType,
@@ -84,3 +87,34 @@ def expand(t: InferredType, bodies: dict[str, TObject]) -> InferredType:
     if isinstance(t, TUnion):
         return TUnion(tuple(expand(b, bodies) for b in t.branches))
     return t
+
+
+def resolve(names: dict, ir: BindingIr) -> dict:
+    """The full name map of ``ir``: ``names`` with each absent name mapped to itself."""
+    types = {decl.name: names["types"].get(decl.name, decl.name) for decl in ir.decls}
+    fields = {}
+    for decl in ir.decls:
+        renamed = names["fields"].get(types[decl.name], {})
+        fields[types[decl.name]] = {wire: renamed.get(wire, wire) for wire, *_ in decl.body.fields}
+    functions, params = {}, {}
+    for fn in ir.functions:
+        functions[fn.raw_name] = names["functions"].get(fn.raw_name, fn.raw_name)
+        params[fn.raw_name] = names["params"].get(fn.raw_name, signature_wires(fn))
+    return {"functions": functions, "types": types, "fields": fields, "params": params}
+
+
+def identity_entries(names: dict, ir: BindingIr) -> list[tuple[str, ...]]:
+    """Each entry of the name map ``names`` that says a name of ``ir`` maps to itself."""
+    found = [
+        (namespace, raw)
+        for namespace in ("functions", "types")
+        for raw, final in names[namespace].items()
+        if raw == final
+    ]
+    for type_name, renamed in names["fields"].items():
+        if not renamed:
+            found.append(("fields", type_name))
+        found += [("fields", type_name, wire) for wire, final in renamed.items() if wire == final]
+    wires = {fn.raw_name: signature_wires(fn) for fn in ir.functions}
+    found += [("params", raw) for raw, ids in names["params"].items() if ids == wires[raw]]
+    return found
