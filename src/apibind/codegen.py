@@ -109,11 +109,22 @@ def corpus_digest(records: list[ApiCallRecord]) -> str:
     """SHA-256 hex digest of the bytes ``write_stage`` writes for ``records``.
 
     Each line of ``stage_lines`` goes straight into the hash, so the text is
-    never held whole.
+    never held whole. The hash is the interpreter's built-in SHA-256
+    (``_sha2`` on 3.12+, ``_sha256`` on 3.11), not ``hashlib``'s: ``hashlib``
+    maps libcrypto, about 3.3 MB resident, for this one hash of at most about
+    a megabyte, so no command maps it. ``hashlib`` is the fallback for an
+    interpreter built without either module; the digest is the same.
     """
-    import hashlib  # here, not at the top: it maps libcrypto, which analyze never uses
+    # Imported here, not at the top: analyze and dashboard never hash.
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
 
-    digest = hashlib.sha256()
+    digest = sha256()
     for line in stage_lines(records):
         digest.update(line.encode("utf-8"))
     return digest.hexdigest()

@@ -82,23 +82,31 @@ class Template:
 
     def render(self, context: dict) -> str:
         out: list[str] = []
-        self._emit(self.nodes, context, out)
+        self._emit(self.nodes, [context], out)
         return "".join(out)
 
-    def _emit(self, nodes: tuple, context: dict, out: list[str]) -> None:
-        """Append ``nodes`` rendered against ``context`` to ``out``.
+    def _emit(self, nodes: tuple, scopes: list[dict], out: list[str]) -> None:
+        """Append ``nodes`` rendered against ``scopes`` to ``out``.
 
-        A section item renders against ``{**context, **item}``, so the
-        innermost frame wins, as in a stack of scopes.
+        ``scopes`` is a stack, the render's context at the bottom: a tag reads
+        the innermost scope that holds its name, and a section pushes each
+        item before rendering its children and pops it afterwards, so no item
+        is merged into a copy of the scopes around it.
         """
+        innermost = scopes[-1]  # the same for every node here: a section pops what it pushes
         for node in nodes:
             if type(node) is str:
                 out.append(node)
                 continue
             name, children = node
-            value = context.get(name, _MISSING)
+            value = innermost.get(name, _MISSING)
             if value is _MISSING:
-                raise TemplateError(f"template {self.name!r}: unknown placeholder {name!r}")
+                for scope in reversed(scopes):
+                    value = scope.get(name, _MISSING)
+                    if value is not _MISSING:
+                        break
+                else:
+                    raise TemplateError(f"template {self.name!r}: unknown placeholder {name!r}")
             if children is None:
                 if type(value) is str:
                     out.append(value)
@@ -117,7 +125,9 @@ class Template:
                     raise TemplateError(
                         f"template {self.name!r}: section {name!r} items must be objects"
                     )
-                self._emit(children, {**context, **item}, out)
+                scopes.append(item)
+                self._emit(children, scopes, out)
+                scopes.pop()
 
 
 @dataclass(frozen=True)

@@ -59,17 +59,23 @@ def write_cells(path: Path, rows: list[dict[str, str]]) -> Path:
 
 
 class TestAnalyze:
-    def test_analyze_and_dashboard_never_load_openssl(self, corpus12_path, tmp_path):
-        """Only a corpus digest hashes, so only ``generate`` maps libcrypto (``_hashlib``)."""
+    def test_no_command_loads_openssl(self, corpus12_path, tmp_path):
+        """``corpus_digest`` hashes with the interpreter's built-in SHA-256, so no
+        command imports ``hashlib`` or maps libcrypto (``_hashlib``)."""
         out = tmp_path / "out"
         analyze = ["analyze", "--input", str(corpus12_path), "--out-dir", str(out)]
         dashboard = ["dashboard", "--input", str(out / "analyzed.csv")]
+        generate = ["generate", "--input", str(corpus12_path), "--out-dir", str(out / "gen")]
+        merged = ["generate", "--merge", "--input", str(corpus12_path)]
+        merged += ["--out-dir", str(out / "merged")]
         script = (
             "import sys\n"
             "import apibind.cli as cli\n"
             f"assert cli.main({analyze!r}) == 0\n"
             f"assert cli.main({dashboard!r}) == 0\n"
-            "print('_hashlib' in sys.modules, file=sys.stderr)\n"
+            f"assert cli.main({generate!r}) == 0\n"
+            f"assert cli.main({merged!r}) == 0\n"
+            "print(sorted({'_hashlib', 'hashlib'} & set(sys.modules)), file=sys.stderr)\n"
         )
         src = str(Path(cli.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -81,7 +87,7 @@ class TestAnalyze:
             check=False,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stderr == "False\n"
+        assert done.stderr == "[]\n"
 
     def test_fixture_corpus(self, corpus12_path, tmp_path, capsys):
         out = tmp_path / "out"

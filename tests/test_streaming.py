@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -192,6 +193,24 @@ class TestCorpusDigest:
         ]
         self.assert_pinned(records, tmp_path / "stage.csv")
         self.assert_pinned([], tmp_path / "empty.csv")
+
+    def test_hashlib_fallback(self, corpus12_path, tmp_path, monkeypatch):
+        """An interpreter built without ``_sha2`` and ``_sha256`` hashes with ``hashlib``."""
+        monkeypatch.setitem(sys.modules, "_sha2", None)  # None makes an import fail
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        made = []
+        reference = hashlib.sha256
+
+        def counted(*args):
+            made.append(args)
+            return reference(*args)
+
+        monkeypatch.setattr(hashlib, "sha256", counted)
+        records = [parse_record(record) for record in load_corpus(corpus12_path)]
+        path = tmp_path / "stage.csv"
+        write_stage(records, path)
+        assert corpus_digest(records) == reference(path.read_bytes()).hexdigest()
+        assert made == [()]
 
 
 class TestOnePassStageWrite:
