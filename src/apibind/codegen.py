@@ -23,6 +23,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .curl import HttpMethod
 from .ingest import stage_lines
@@ -51,13 +52,13 @@ from .typeinfer import (
 _CONVENTION_RANK = {conv: i for i, conv in enumerate(Convention)}
 
 
-@dataclass(frozen=True)
-class BindingFunction:
+class BindingFunction(NamedTuple):
     """One call function; its method, path, id and documentation live on ``record``.
 
     ``issues`` holds the build's findings about the record, in build order:
     W_MERGE_CONFLICT, the parameters' typing issues, per example (request,
     then response) W_EMPTY_ARRAY then W_DECL_SHARED, and W_NO_EXAMPLE.
+    A NamedTuple, like the record it wraps: one is built per valid record.
     """
 
     raw_name: str

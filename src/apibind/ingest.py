@@ -28,9 +28,8 @@ import json
 import os
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import replace
 from functools import lru_cache
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 
 from .curl import METHODS, HttpMethod
@@ -55,9 +54,6 @@ _MERGED_CELLS = [
     (column, name) for column, name in zip(STAGE_COLUMNS, STAGE_FIELDS)
     if column not in ("record_id", "http_method", "path", "issues")
 ]
-
-#: A record's stage cells, in column order.
-_stage_cells = attrgetter(*STAGE_FIELDS)
 
 #: Distinct ``issues`` tuples whose cell text one write keeps, least recently
 #: used out first. The bound keeps a write's memory flat; at 128 entries the
@@ -224,7 +220,7 @@ def _merge_pair(a: ApiCallRecord, b: ApiCallRecord) -> ApiCallRecord:
                     field=column,
                 )
             )
-    return replace(a, **changes).with_issues(*b.issues, *conflicts)
+    return a._replace(**changes).with_issues(*b.issues, *conflicts)
 
 
 def merge_corpus(records: list[ApiCallRecord]) -> list[ApiCallRecord]:
@@ -260,7 +256,7 @@ def stage_lines(records: Iterable[ApiCallRecord]) -> Iterator[str]:
 
     yield line(STAGE_COLUMNS)
     for record in records:
-        row = list(_stage_cells(record))
+        row = list(record[: len(STAGE_FIELDS)])  # the stage cells lead the record
         row[_ID] = str(row[_ID])
         row[_METHOD] = row[_METHOD].value
         row[_ISSUES] = issues_cell(row[_ISSUES])

@@ -8,7 +8,7 @@ single source of truth for which codes exist; a code's prefix is its severity.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class Severity(enum.Enum):
@@ -55,9 +55,11 @@ CATALOG: dict[str, str] = {
 _SEVERITY = {code: Severity.ERROR if code.startswith("E_") else Severity.WARNING for code in CATALOG}
 
 
-@dataclass(frozen=True)
-class Issue:
-    """One error/warning tag. Severity is not stored: it is read from the code's prefix."""
+class Issue(NamedTuple):
+    """One error/warning tag. Severity is not stored: it is read from the code's prefix.
+
+    A NamedTuple, not a dataclass: a run builds and compares one per finding.
+    """
 
     code: str
     stage: Stage

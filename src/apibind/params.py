@@ -23,6 +23,10 @@ class _Missing:
     def __repr__(self) -> str:
         return "<no example>"
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle hand back the one marker, so ``has_example`` holds on a copy.
+        return "_MISSING"
+
 
 _MISSING = _Missing()
 

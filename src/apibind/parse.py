@@ -9,15 +9,15 @@ checked here: their decoded documents are dropped, and ``build_reference``
 decodes those of gate-passing records again.
 
 Every sub-parser is a pure function of its cell text (and, for parameter
-tables, the record's method) and returns frozen values: a
-``(result, issues)`` pair of a value or tuple and a tuple of issues (most
-are ``()``, which costs nothing to keep). One memo dict shared by the rows
-of one run, keyed on the parser and its arguments, therefore parses each
-distinct cell once: rows with equal cells share one result, and each row
-still gets its own tags. The memo holds every distinct cell text and parse
-product of the run; a JSON check keeps only its message. The parsers are
-looked up in this module's globals at each call, so a wrapper put in their
-place after import sees every parse.
+tables, the record's method) and returns immutable values: a ``(result,
+issues)`` pair of a frozen dataclass or a tuple of them, and a tuple of
+``Issue`` NamedTuples (most are ``()``, which costs nothing to keep). One
+memo dict shared by the rows of one run, keyed on the parser and its
+arguments, therefore parses each distinct cell once: rows with equal cells
+share one result, and each row still gets its own tags. The memo holds
+every distinct cell text and parse product of the run; a JSON check keeps
+only its message. The parsers are looked up in this module's globals at
+each call, so a wrapper put in their place after import sees every parse.
 """
 
 from __future__ import annotations

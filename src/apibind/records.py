@@ -5,16 +5,17 @@ append-only through ``with_issues``, the one dedup rule of the pipeline,
 and the parser outputs (``path``, ``curl``, ``params``) are set in the same
 copy as the parse tags. A merge of two parsed records carries both rows'
 issues. All types here are immutable; stages return new records.
-``with_issues`` runs for every record in ingest, parse and validate, so its
-copy reads the fields with one ``attrgetter`` call and passes them to
-``__init__`` by position; ``dataclasses.replace`` cost twice as much per row.
-Records have ``__slots__``, which keeps both the copy and the record small.
+``RecordId`` and ``ApiCallRecord`` are ``typing.NamedTuple`` classes, as is
+``issues.Issue``: each is built several times per row (``with_issues`` runs
+for every record in ingest, parse and validate). A tuple is built, hashed
+and compared in C and has no instance ``__dict__``, where a frozen
+dataclass sets each field through ``object.__setattr__`` and hashes and
+compares in Python.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from typing import NamedTuple
 
 from .curl import CurlRequest, HttpMethod
 from .issues import Issue, Severity
@@ -25,15 +26,25 @@ from .pathtemplate import PathTemplate
 ID_SEPARATOR = "|"
 
 
-@dataclass(frozen=True)
-class RecordId:
-    """Non-empty sequence of opaque id atoms, one run per row; a merge keeps repeats."""
-
+class _RecordIdFields(NamedTuple):
     ids: tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.ids:
+
+class RecordId(_RecordIdFields):
+    """Non-empty sequence of opaque id atoms, one run per row; a merge keeps repeats."""
+
+    __slots__ = ()
+
+    # Here, not on the NamedTuple, which may not define ``__new__`` in its body.
+    def __new__(cls, ids: tuple[str, ...]) -> RecordId:
+        if not ids:
             raise ValueError("RecordId must hold at least one id")
+        return super().__new__(cls, ids)
+
+    @classmethod
+    def _make(cls, iterable) -> RecordId:
+        # ``_replace`` builds through ``_make``, which would skip ``__new__``'s check.
+        return cls(*iterable)
 
     @classmethod
     def single(cls, atom: str) -> RecordId:
@@ -43,8 +54,7 @@ class RecordId:
         return ID_SEPARATOR.join(self.ids)
 
 
-@dataclass(frozen=True, slots=True)
-class ApiCallRecord:
+class ApiCallRecord(NamedTuple):
     # The stage row's cells, in column order (STAGE_FIELDS); a text cell is None when empty.
     id: RecordId
     source_url: str | None
@@ -70,8 +80,7 @@ class ApiCallRecord:
         re-emissions keeps reruns over already-analyzed stage files
         idempotent without ever removing another stage's tags. Returns
         ``self`` when there is nothing to add or set; a name in ``parsed``
-        outside ``PARSER_OUTPUTS`` is a ``TypeError``. The copy is a frozen
-        record like ``self``.
+        outside ``PARSER_OUTPUTS`` is a ``TypeError``.
         """
         if not PARSER_OUTPUTS.issuperset(parsed):
             unknown = ", ".join(sorted(parsed.keys() - PARSER_OUTPUTS))
@@ -79,21 +88,14 @@ class ApiCallRecord:
         added = tuple(issue for issue in new_issues if issue not in self.issues)
         if not added and not parsed:
             return self
-        values = dict(zip(_FIELDS, _field_values(self)))
-        values.update(parsed)  # replacing a key keeps its place: the values stay in field order
-        values["issues"] = self.issues + added
-        return ApiCallRecord(*values.values())
+        return self._replace(issues=self.issues + added, **parsed)
 
     def error_count(self) -> int:
         return sum(1 for issue in self.issues if issue.severity is Severity.ERROR)
 
 
-#: A record's field names in ``__init__``'s order, and one call that reads their values.
-_FIELDS = tuple(field.name for field in fields(ApiCallRecord))
-_field_values = attrgetter(*_FIELDS)
-
 #: The fields of a stage row, ``id`` through ``issues``, one per ``ingest.STAGE_COLUMNS`` column.
-STAGE_FIELDS = _FIELDS[: _FIELDS.index("issues") + 1]
+STAGE_FIELDS = ApiCallRecord._fields[: ApiCallRecord._fields.index("issues") + 1]
 
 #: The fields ``with_issues`` may set besides ``issues``: the parser outputs.
-PARSER_OUTPUTS = frozenset(_FIELDS[len(STAGE_FIELDS) :])
+PARSER_OUTPUTS = frozenset(ApiCallRecord._fields[len(STAGE_FIELDS) :])

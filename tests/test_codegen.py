@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -639,7 +638,7 @@ class TestIdentifierPolicy:
         ir = build_reference([a])
         (fn,) = ir.functions
         doctored = BindingIr(
-            functions=(replace(fn, raw_name="get_user-id"), replace(fn, raw_name="get_user_id")),
+            functions=(fn._replace(raw_name="get_user-id"), fn._replace(raw_name="get_user_id")),
             decls=ir.decls,
             package_name=ir.package_name,
             corpus_digest=ir.corpus_digest,
@@ -800,7 +799,7 @@ class TestRenderPackage:
 
     def test_line_breaks_stay_inside_the_doc_comment(self):
         rec = make_valid("d", description="List things.\nfunction evil() -> any")
-        rec = replace(rec, source_url="https://d/x\r\nfunction url() -> any")
+        rec = rec._replace(source_url="https://d/x\r\nfunction url() -> any")
         ir = build_reference([rec])
         names = apply_identifier_policy(ir, IdentifierPolicy())
         lines = rendered(ir, names, TemplateSet.neutral())["misc.txt"].splitlines()

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
-import dataclasses
+import json
+import pickle
+from copy import copy as shallow_copy, deepcopy
 
 import pytest
 
+from apibind.codegen import build_reference
 from apibind.curl import HttpMethod
 from apibind.issues import Stage, make_issue
+from apibind.parse import parse_record
 from apibind.pathtemplate import PathTemplate
 from apibind.records import ApiCallRecord, RecordId
+from apibind.validate import cross_validate
 
 TAG = make_issue("W_NO_EXAMPLE", Stage.VALIDATE, "no example")
 OTHER = make_issue("E_PATH_SYNTAX", Stage.PARSE, "bad path", field="path")
@@ -41,11 +46,13 @@ class TestWithIssues:
         assert rec.issues == ()
 
     def test_copy_is_frozen(self):
-        copy = record().with_issues(TAG)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        copy = record(path=PathTemplate("/v1/x", ())).with_issues(TAG)
+        with pytest.raises(AttributeError):
             copy.issues = ()
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        assert copy.issues == (TAG,)
+        with pytest.raises(AttributeError):
             copy.path = None
+        assert copy.path == PathTemplate("/v1/x", ())
 
     def test_copy_skips_exact_duplicates_and_keeps_order(self):
         rec = record(issues=(TAG,))
@@ -72,6 +79,59 @@ class TestRecordId:
     def test_holds_at_least_one_atom(self):
         with pytest.raises(ValueError, match="at least one id"):
             RecordId(())
+        # The tuple API's other constructors check too.
+        with pytest.raises(ValueError, match="at least one id"):
+            RecordId.single("a")._replace(ids=())
+        with pytest.raises(ValueError, match="at least one id"):
+            RecordId._make([()])
 
     def test_atoms_may_repeat(self):
         assert str(RecordId(("a", "b", "a"))) == "a|b|a"
+
+
+def _built_values() -> dict[str, object]:
+    """One of each value a run builds per row or per finding, all fields set."""
+    rec = cross_validate(
+        parse_record(
+            ApiCallRecord(
+                id=RecordId(("r1", "r2", "r1")),
+                source_url="https://d/x",
+                http_method=HttpMethod.POST,
+                raw_path="/v1/users/{uid}",
+                raw_curl="curl -X POST https://api.example.com/v1/users/7 -d '{\"a\": 1}'",
+                raw_parameters=json.dumps([{"name": "uid", "in": "path", "type": "integer"}]),
+                request_example='{"a": 1}',
+                response_example='{"b": [], "c": [{"d": null}]}',
+                group="users",
+            )
+        )
+    )
+    (fn,) = build_reference([rec]).functions
+    assert rec.path is not None and rec.curl is not None and rec.params
+    assert fn.issues
+    return {"ApiCallRecord": rec, "RecordId": rec.id, "Issue": fn.issues[0], "BindingFunction": fn}
+
+
+@pytest.mark.parametrize("kind", ["ApiCallRecord", "RecordId", "Issue", "BindingFunction"])
+class TestTupleValues:
+    """The values built per row or per finding are tuples with no instance ``__dict__``.
+
+    Each copies and pickles to an equal value with an equal hash.
+    """
+
+    def test_no_instance_dict(self, kind):
+        value = _built_values()[kind]
+        assert type(value).__name__ == kind
+        assert not hasattr(value, "__dict__")
+
+    @pytest.mark.parametrize(
+        "clone", [shallow_copy, deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_survives_copy_and_pickle(self, kind, clone):
+        value = _built_values()[kind]
+        twin = clone(value)
+        assert type(twin) is type(value)
+        assert twin == value
+        assert hash(twin) == hash(value)
+
