@@ -236,7 +236,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def _function_entry(fn: BindingFunction) -> dict:
     """``fn``'s entry in ``build_report.json``; ``issues`` only when the build found some."""
-    entry = {"raw_name": fn.raw_name, "record_id": list(fn.record.id.ids)}
+    entry = {"raw_name": fn.raw_name, "record_id": list(fn.record.id)}
     if fn.issues:
         entry["issues"] = [issue.to_json() for issue in fn.issues]
     return entry
@@ -275,7 +275,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
                     "corpus_digest": ir.corpus_digest,
                 },
                 "functions": [_function_entry(fn) for fn in ir.functions],
-                "rejected_record_ids": [list(record.id.ids) for record in rejected],
+                "rejected_record_ids": [list(record.id) for record in rejected],
             },
             ensure_ascii=False,
         )

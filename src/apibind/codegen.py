@@ -98,7 +98,7 @@ def function_raw_name(method: HttpMethod, template: PathTemplate) -> str:
     separate them, so ``/v1/siviLini7`` gives ``v1``, ``sivi``, ``lini7``, and
     a variable contributes its name's words.
     """
-    return "_".join([method.value.lower(), *split_words(template.text)])
+    return "_".join([method.lower(), *split_words(template.text)])
 
 
 def ordered_params(params: tuple[Parameter, ...]) -> list[Parameter]:
@@ -501,21 +501,21 @@ def _fn_ctx(fn: BindingFunction, names: dict) -> dict:
         param_lines.append(
             {
                 "param_name": name,
-                "convention": param.convention.value,
+                "convention": param.convention,
                 "required_mark": required_mark,
                 "wire_note": f" (wire {wire_text(param.name)})" if name != param.name else "",
             }
         )
 
     record = fn.record
-    summary = record.description or f"{record.http_method.value} {record.path.text}"
+    summary = record.description or f"{record.http_method} {record.path.text}"
     return {
         "summary": _LINE_BREAK.sub(" ", summary),
         "doc_url": _LINE_BREAK.sub(" ", record.source_url or ""),
         "function_name": names["functions"].get(fn.raw_name, fn.raw_name),
         "signature_params": signature,
         "response_type": format_type(fn.response_type, type_names),
-        "http_method": record.http_method.value,
+        "http_method": record.http_method,
         "path_template": record.path.text,
         "param_lines": param_lines,
     }

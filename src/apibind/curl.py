@@ -31,6 +31,9 @@ cookie file, a second URL, an option missing its argument and a header curl
 would not send (``-H 'X-Flag'``: no ``:`` and no trailing ``;``) each tag
 ``W_CURL_OPT_IGNORED``. As in curl, ``-H 'X-Empty;'`` sends ``X-Empty`` with
 an empty value, and ``-H 'Accept:'`` removes a header, so it adds none.
+
+``HttpMethod`` and ``BodyKind`` are ``StrEnum``s: a member is the text every
+output writes, and it hashes and compares as that text.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .issues import Issue, Stage, make_issue
 from .typeinfer import parse_json
 
 
-class HttpMethod(enum.Enum):
+class HttpMethod(enum.StrEnum):
     GET = "GET"
     POST = "POST"
     PUT = "PUT"
@@ -56,10 +59,10 @@ class HttpMethod(enum.Enum):
 
 #: Each method by its upper-case name. An ``http_method`` cell is looked up
 #: upper-cased; a ``-X`` word as written, since curl sends that word verbatim.
-METHODS = {method.value: method for method in HttpMethod}
+METHODS = {method: method for method in HttpMethod}
 
 
-class BodyKind(enum.Enum):
+class BodyKind(enum.StrEnum):
     JSON = "Json"
     TEXT = "Text"
     URL_ENCODED = "UrlEncoded"

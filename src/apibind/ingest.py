@@ -160,7 +160,7 @@ def _record_from_cells(
 
     # An empty atom is dropped: written back, it would vanish from the cell.
     atoms = tuple(filter(None, (cells[_ID] or "").split(ID_SEPARATOR)))
-    cells[_ID] = RecordId(ids=atoms) if atoms else RecordId.single(f"{stem}:{row_number}")
+    cells[_ID] = RecordId(atoms) if atoms else RecordId.single(f"{stem}:{row_number}")
 
     method = METHODS.get((cells[_METHOD] or "").strip().upper())
     if method is None:
@@ -186,10 +186,10 @@ def _record_from_cells(
     return ApiCallRecord(*cells).with_issues(*issues)
 
 
-def _merge_key(record: ApiCallRecord) -> tuple[str, str | None]:
+def _merge_key(record: ApiCallRecord) -> tuple[HttpMethod, str | None]:
     """Method and canonical path text of a parsed record (the raw path if it did not parse)."""
     template = record.path
-    return record.http_method.value, template.text if template is not None else record.raw_path
+    return record.http_method, template.text if template is not None else record.raw_path
 
 
 def _merge_pair(a: ApiCallRecord, b: ApiCallRecord) -> ApiCallRecord:
@@ -202,7 +202,7 @@ def _merge_pair(a: ApiCallRecord, b: ApiCallRecord) -> ApiCallRecord:
     about cells the merge drops, so every row's findings reach the gate.
     """
     changes = {
-        "id": RecordId(a.id.ids + b.id.ids),
+        "id": RecordId(a.id + b.id),
         "curl": (a if a.raw_curl is not None else b).curl,
         "params": (a if a.raw_parameters is not None else b).params,
     }
@@ -226,7 +226,7 @@ def _merge_pair(a: ApiCallRecord, b: ApiCallRecord) -> ApiCallRecord:
 def merge_corpus(records: list[ApiCallRecord]) -> list[ApiCallRecord]:
     """Fold together all parsed records sharing a merge key, in input order."""
     # Reassigning a key keeps its place, so the dict holds the first-seen order.
-    merged: dict[tuple[str, str | None], ApiCallRecord] = {}
+    merged: dict[tuple[HttpMethod, str | None], ApiCallRecord] = {}
     for record in records:
         key = _merge_key(record)
         merged[key] = _merge_pair(merged[key], record) if key in merged else record
@@ -258,7 +258,6 @@ def stage_lines(records: Iterable[ApiCallRecord]) -> Iterator[str]:
     for record in records:
         row = list(record[: len(STAGE_FIELDS)])  # the stage cells lead the record
         row[_ID] = str(row[_ID])
-        row[_METHOD] = row[_METHOD].value
         row[_ISSUES] = issues_cell(row[_ISSUES])
         yield line(row)
 
@@ -304,5 +303,5 @@ def record_id_census(records: list[ApiCallRecord]) -> Counter:
     """Multiset of id atoms; equal censuses certify record conservation."""
     census: Counter = Counter()
     for record in records:
-        census.update(record.id.ids)
+        census.update(record.id)
     return census

@@ -3,6 +3,8 @@
 Every data-quality finding is a tag on a record, never an exception: records
 keep flowing and carry their full issue history. The catalog below is the
 single source of truth for which codes exist; a code's prefix is its severity.
+``Severity`` and ``Stage`` are ``StrEnum``s: a member is the text every output
+writes, and ``Stage(text)`` refuses any other text.
 """
 
 from __future__ import annotations
@@ -11,12 +13,12 @@ import enum
 from typing import NamedTuple
 
 
-class Severity(enum.Enum):
+class Severity(enum.StrEnum):
     ERROR = "Error"
     WARNING = "Warning"
 
 
-class Stage(enum.Enum):
+class Stage(enum.StrEnum):
     INGEST = "Ingest"
     PARSE = "Parse"
     INFER = "Infer"
@@ -73,8 +75,8 @@ class Issue(NamedTuple):
     def to_json(self) -> dict:
         out = {
             "code": self.code,
-            "severity": self.severity.value,
-            "stage": self.stage.value,
+            "severity": self.severity,
+            "stage": self.stage,
             "message": self.message,
         }
         if self.field is not None:

@@ -3,7 +3,8 @@
 Tables arrive as JSON arrays of objects with loosely standardized keys;
 this module normalizes key spellings and maps the documented location to
 one of the passing conventions: request path, URL-encoded query, request
-body (JSON or plain text), or HTTP header/cookie.
+body (JSON or plain text), or HTTP header/cookie. ``Convention`` is a
+``StrEnum``: a member is the text that messages and render contexts write.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ _MISSING = _Missing()
 
 
 # The declaration order is the rendered signature order (``codegen.ordered_params``).
-class Convention(enum.Enum):
+class Convention(enum.StrEnum):
     PATH = "Path"
     QUERY = "Query"
     BODY_JSON = "BodyJson"
@@ -186,7 +187,7 @@ def _parse_convention(
         make_issue(
             "W_PARAM_CONV_UNKNOWN",
             Stage.PARSE,
-            f"parameter {name!r}: passing convention {detail} unrecognized, defaulted to {fallback.value}",
+            f"parameter {name!r}: passing convention {detail} unrecognized, defaulted to {fallback}",
             field=name,
         )
     )

@@ -5,12 +5,13 @@ append-only through ``with_issues``, the one dedup rule of the pipeline,
 and the parser outputs (``path``, ``curl``, ``params``) are set in the same
 copy as the parse tags. A merge of two parsed records carries both rows'
 issues. All types here are immutable; stages return new records.
-``RecordId`` and ``ApiCallRecord`` are ``typing.NamedTuple`` classes, as is
-``issues.Issue``: each is built several times per row (``with_issues`` runs
-for every record in ingest, parse and validate). A tuple is built, hashed
-and compared in C and has no instance ``__dict__``, where a frozen
-dataclass sets each field through ``object.__setattr__`` and hashes and
-compares in Python.
+``ApiCallRecord`` is a ``typing.NamedTuple``, as is ``issues.Issue``: each
+is built several times per row (``with_issues`` runs for every record in
+ingest, parse and validate). A tuple is built, hashed and compared in C and
+has no instance ``__dict__``, where a frozen dataclass sets each field
+through ``object.__setattr__`` and hashes and compares in Python. A
+``RecordId`` is itself the tuple of its atoms: it equals and hashes as that
+tuple, and its text is the atoms joined with ``ID_SEPARATOR``.
 """
 
 from __future__ import annotations
@@ -26,32 +27,22 @@ from .pathtemplate import PathTemplate
 ID_SEPARATOR = "|"
 
 
-class _RecordIdFields(NamedTuple):
-    ids: tuple[str, ...]
-
-
-class RecordId(_RecordIdFields):
-    """Non-empty sequence of opaque id atoms, one run per row; a merge keeps repeats."""
+class RecordId(tuple[str, ...]):
+    """Non-empty tuple of opaque id atoms, one per row; a merge keeps repeats."""
 
     __slots__ = ()
 
-    # Here, not on the NamedTuple, which may not define ``__new__`` in its body.
-    def __new__(cls, ids: tuple[str, ...]) -> RecordId:
-        if not ids:
+    def __new__(cls, atoms: tuple[str, ...]) -> RecordId:
+        if not atoms:
             raise ValueError("RecordId must hold at least one id")
-        return super().__new__(cls, ids)
-
-    @classmethod
-    def _make(cls, iterable) -> RecordId:
-        # ``_replace`` builds through ``_make``, which would skip ``__new__``'s check.
-        return cls(*iterable)
+        return super().__new__(cls, atoms)
 
     @classmethod
     def single(cls, atom: str) -> RecordId:
-        return cls(ids=(atom,))
+        return cls((atom,))
 
     def __str__(self) -> str:
-        return ID_SEPARATOR.join(self.ids)
+        return ID_SEPARATOR.join(self)
 
 
 class ApiCallRecord(NamedTuple):

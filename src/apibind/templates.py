@@ -1,6 +1,7 @@
 """Deliberately small template engine: substitution and list repetition only.
 
-``{{name}}`` substitutes a context string or number; ``{{#name}}...{{/name}}``
+``{{name}}`` substitutes a context string (a ``str`` subclass, such as a
+``StrEnum`` member, renders as its text) or number; ``{{#name}}...{{/name}}``
 repeats its body once per item of a list of dicts. There is no logic beyond
 that, which keeps rendered output predictable enough for byte-exact golden tests.
 A placeholder the context cannot resolve is a hard rendering error, never
@@ -108,7 +109,7 @@ class Template:
                 else:
                     raise TemplateError(f"template {self.name!r}: unknown placeholder {name!r}")
             if children is None:
-                if type(value) is str:
+                if isinstance(value, str):
                     out.append(value)
                 elif type(value) in (int, float):
                     out.append(str(value))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 
+from .curl import HttpMethod
 from .issues import Issue, Stage, make_issue, severity_of
 from .params import Convention
 from .records import ApiCallRecord
@@ -67,7 +68,7 @@ def cross_validate(record: ApiCallRecord) -> ApiCallRecord:
                     make_issue(
                         "E_DUP_PARAM",
                         Stage.VALIDATE,
-                        f"parameter {name!r} appears {count} times as {convention.value}",
+                        f"parameter {name!r} appears {count} times as {convention}",
                         field=name,
                     )
                 )
@@ -77,17 +78,17 @@ def cross_validate(record: ApiCallRecord) -> ApiCallRecord:
             make_issue(
                 "E_METHOD_MISMATCH",
                 Stage.VALIDATE,
-                f"declared {record.http_method.value} but the curl example sends {curl.method.value}",
+                f"declared {record.http_method} but the curl example sends {curl.method}",
             )
         )
 
-    if record.http_method.value in ("GET", "HEAD"):
+    if record.http_method in (HttpMethod.GET, HttpMethod.HEAD):
         if (curl is not None and curl.body is not None) or record.request_example is not None:
             issues.append(
                 make_issue(
                     "W_BODY_ON_GET",
                     Stage.VALIDATE,
-                    f"{record.http_method.value} call documents a request body",
+                    f"{record.http_method} call documents a request body",
                 )
             )
 
@@ -129,7 +130,7 @@ def dashboard(records: list[ApiCallRecord]) -> dict:
     percentages; ties are ordered alphabetically by code.
     """
     affected = Counter(code for r in records for code in {issue.code for issue in r.issues})
-    stage_counts = Counter(issue.stage.value for r in records for issue in r.issues)
+    stage_counts = Counter(issue.stage for r in records for issue in r.issues)
     total = len(records)
     valid = sum(1 for r in records if r.error_count() == 0)
     report: dict = {"total_records": total, "valid_records": valid}
@@ -141,7 +142,7 @@ def dashboard(records: list[ApiCallRecord]) -> dict:
     ]
     entries.sort(key=lambda e: (-e["count"], e["code"]))
     report["issue_frequency"] = entries
-    report["per_stage_counts"] = {stage.value: stage_counts[stage.value] for stage in Stage}
+    report["per_stage_counts"] = {stage: stage_counts[stage] for stage in Stage}
     return report
 
 
@@ -163,7 +164,7 @@ def render_dashboard_text(report: dict) -> str:
         code_width = max(code_width, len("issue"))
         lines.append(f"{'issue':<{code_width}}  {'severity':<8}  {'records':>7}  {'pct':>6}")
         for e in entries:
-            severity = severity_of(e["code"]).value
+            severity = severity_of(e["code"])
             lines.append(
                 f"{e['code']:<{code_width}}  {severity:<8}  {e['count']:>7}  {e['percent']:>5.1f}%"
             )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import enum
 import warnings
 from pathlib import Path
 
@@ -25,6 +26,17 @@ def analyzed12(corpus12_path):
     from apibind.validate import cross_validate
 
     return [cross_validate(parse_record(r)) for r in load_corpus(corpus12_path)]
+
+
+def pytest_make_parametrize_id(config, val, argname):
+    """Name an enum member in a test id as ``Class.MEMBER``.
+
+    pytest writes a ``str`` subclass as its text, so a ``StrEnum`` member
+    would read ``POST`` there, without saying which vocabulary it is from.
+    """
+    if isinstance(val, enum.Enum):
+        return f"{type(val).__name__}.{val.name}"
+    return None
 
 
 @pytest.hookimpl(hookwrapper=True, trylast=True)

@@ -180,7 +180,7 @@ def test_record_ids_survive_a_stage_round_trip(tmp_path_factory, cells):
     directory = tmp_path_factory.mktemp("ids")
     body = "".join(f"{cell},https://d/x,GET,/v1/x,,,,,,\n" for cell in cells)
     records = load_corpus(write_csv(directory, body))
-    assert [record.id.ids for record in records] == [
+    assert [record.id for record in records] == [
         tuple(filter(None, cell.split("|"))) or (f"corpus:{row}",)
         for row, cell in enumerate(cells, start=1)
     ]

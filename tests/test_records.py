@@ -79,14 +79,18 @@ class TestRecordId:
     def test_holds_at_least_one_atom(self):
         with pytest.raises(ValueError, match="at least one id"):
             RecordId(())
-        # The tuple API's other constructors check too.
-        with pytest.raises(ValueError, match="at least one id"):
-            RecordId.single("a")._replace(ids=())
-        with pytest.raises(ValueError, match="at least one id"):
-            RecordId._make([()])
 
     def test_atoms_may_repeat(self):
         assert str(RecordId(("a", "b", "a"))) == "a|b|a"
+        merged = RecordId(RecordId(("x", "y")) + RecordId(("y", "x")))
+        assert type(merged) is RecordId
+        assert merged == ("x", "y", "y", "x")
+
+    def test_is_the_tuple_of_its_atoms(self):
+        rid = RecordId(("a", "b"))
+        assert rid == ("a", "b")
+        assert hash(rid) == hash(("a", "b"))
+        assert RecordId.single("a") == ("a",)
 
 
 def _built_values() -> dict[str, object]:

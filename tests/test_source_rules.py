@@ -256,3 +256,36 @@ def test_every_json_text_is_decoded_by_parse_json():
     for path in sorted(SOURCE.glob("*.py")):
         found += json_decoder_calls(path.read_text(encoding="utf-8"), path.name)
     assert found == [], "decode with typeinfer.parse_json: " + ", ".join(found)
+
+
+def value_reads(source: str, filename: str) -> list[str]:
+    """``<expr>.value`` attribute reads, as ``file:line``.
+
+    The vocabularies are ``StrEnum``s, so a member already is the text that
+    an output writes; reading its ``.value`` only converts it back.
+    """
+    return [
+        f"{filename}:{node.lineno}"
+        for node in ast.walk(ast.parse(source, filename))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "value"
+        and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_rule_sees_value_reads():
+    source = """
+name = method.value
+text = f"{record.http_method.value.lower()} {value}"
+box.value = 1
+counts.values()
+getattr(member, "value")
+"""
+    assert value_reads(source, "probe.py") == ["probe.py:2", "probe.py:3"]
+
+
+def test_no_value_reads_in_apibind():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        found += value_reads(path.read_text(encoding="utf-8"), path.name)
+    assert found == [], "write the StrEnum member itself, not its .value: " + ", ".join(found)
