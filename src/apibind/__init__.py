@@ -23,7 +23,7 @@ from .ingest import (
 )
 from .issues import CATALOG, Issue, Severity, Stage, make_issue
 from .params import Convention, Parameter, parse_parameter_table
-from .parse import parse_record
+from .parse import parse_columns, parse_record
 from .pathtemplate import PathTemplate, parse_path_template
 from .records import ApiCallRecord, RecordId
 from .templates import TemplateSet

@@ -44,7 +44,7 @@ from .codegen import (
     render_package,
 )
 from .ingest import CorpusError, load_corpus, merge_corpus, write_stage
-from .parse import parse_record
+from .parse import parse_columns, parse_record
 from .records import ApiCallRecord
 from .templates import TemplateError, TemplateSet
 from .typeinfer import SURROGATE, UNPRINTABLE, wire_text
@@ -195,10 +195,12 @@ class _AllOrNone:
 
 def _parse_inputs(paths: list[Path]) -> list[ApiCallRecord]:
     """Load and parse every row; each distinct cell is parsed once per call."""
-    memo: dict = {}
     stems: dict[str, int] = {}
-    records = (record for path in paths for record in load_corpus(path, taken_stems=stems))
-    return [parse_record(record, memo) for record in records]
+    records = [record for path in paths for record in load_corpus(path, taken_stems=stems)]
+    columns = parse_columns(records)
+    for index, record in enumerate(records):  # a raw record is let go once it is parsed
+        records[index] = parse_record(record, columns)
+    return records
 
 
 def _gate(

@@ -13,9 +13,12 @@ the parse stage, which decodes each of them once. Ingest decodes just the
 ``issues`` cell of a stage file, each distinct cell text once per file, and
 checks the ``http_method`` cell.
 
-Writing formats each stage row once (``stage_lines``): one ``csv.writer``
-turns a row into its line of text, which goes to every file that holds the
-record and to the corpus digest, and one ``JSONEncoder`` with a bounded memo
+Writing formats each stage row once (``stage_lines``) into its line of text,
+which goes to every file that holds the record and to the corpus digest. The
+line is the one ``csv.writer`` writes in its default dialect, built with
+``str`` methods instead: ``csv.writer`` checks every character against the
+line terminator, and on Python 3.11.7 it took 33 ms for a 2.2 MB stage text
+that these methods format in 12 ms. One ``JSONEncoder`` with a bounded memo
 encodes each distinct ``issues`` tuple once per write. Rows of a corpus share
 few distinct issue tuples (the same parse finding on the same cell text), so
 the memo hits on most rows.
@@ -233,12 +236,18 @@ def merge_corpus(records: list[ApiCallRecord]) -> list[ApiCallRecord]:
     return list(merged.values())
 
 
-class _Echo:
-    """A ``csv.writer`` target whose ``write`` returns the line, so ``writerow`` returns it."""
+def _cell(text: str | None) -> str:
+    """``text`` as ``csv.writer`` writes a cell of a stage row: quoted only when it must be."""
+    if text is None:
+        return ""
+    if '"' in text or "," in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
-    @staticmethod
-    def write(line: str) -> str:
-        return line
+
+def _line(row: Iterable[str | None]) -> str:
+    """The line ``csv.writer(fh).writerow(row)`` writes, for a row of two or more cells."""
+    return ",".join(map(_cell, row)) + "\r\n"
 
 
 def stage_lines(records: Iterable[ApiCallRecord]) -> Iterator[str]:
@@ -247,19 +256,18 @@ def stage_lines(records: Iterable[ApiCallRecord]) -> Iterator[str]:
     ``None`` cells are written empty, and each distinct ``issues`` tuple is
     encoded once per call (an LRU of ``ISSUES_MEMO`` cells).
     """
-    line = csv.writer(_Echo()).writerow
     encoder = json.JSONEncoder(ensure_ascii=False)  # the bytes of json.dumps(..., ensure_ascii=False)
 
     @lru_cache(maxsize=ISSUES_MEMO)
     def issues_cell(issues: tuple[Issue, ...]) -> str:
         return encoder.encode([issue.to_json() for issue in issues])
 
-    yield line(STAGE_COLUMNS)
+    yield _line(STAGE_COLUMNS)
     for record in records:
         row = list(record[: len(STAGE_FIELDS)])  # the stage cells lead the record
         row[_ID] = str(row[_ID])
         row[_ISSUES] = issues_cell(row[_ISSUES])
-        yield line(row)
+        yield _line(row)
 
 
 def write_stage(

@@ -1,7 +1,7 @@
-"""Run the documentation parsers over a record (the parse stage).
+"""Run the documentation parsers over the records of a run (the parse stage).
 
-Every input row goes through ``parse_record`` straight after loading and
-before any merge, so each row's findings are its own. Each sub-parser runs
+Every input row goes through ``parse_record`` after loading and before any
+merge, so each row's findings are its own. Each sub-parser runs
 independently on whichever raw cell is present; a failure in one never
 stops the others, and every finding lands on the record as an issue.
 Parsing never aborts a record. The request and response examples are only
@@ -11,23 +11,40 @@ decodes those of gate-passing records again.
 Every sub-parser is a pure function of its cell text (and, for parameter
 tables, the record's method) and returns immutable values: a ``(result,
 issues)`` pair of a frozen dataclass or a tuple of them, and a tuple of
-``Issue`` NamedTuples (most are ``()``, which costs nothing to keep). One
-memo dict shared by the rows of one run, keyed on the parser and its
-arguments, therefore parses each distinct cell once: rows with equal cells
-share one result, and each row still gets its own tags. The memo holds
-every distinct cell text and parse product of the run; a JSON check keeps
-only its message. The parsers are looked up in this module's globals at
-each call, so a wrapper put in their place after import sees every parse.
+``Issue`` NamedTuples (most are ``()``, which costs nothing to keep). The
+stage therefore runs in two passes. The column pass, ``parse_columns``, runs
+each sub-parser over the distinct cells of its own column and keeps one dict
+per column, keyed by cell: each distinct cell is parsed once per run, and one
+parser runs over a whole column before the next starts. The row pass,
+``parse_record``, builds each row's record from those dicts, so rows with
+equal cells share one result and each row still gets its own tags. The dicts
+hold every distinct cell text and parse product of the run; a JSON check
+keeps only its message. The parsers are looked up in this module's globals
+at each call, so a wrapper put in their place after import sees every parse.
 """
 
 from __future__ import annotations
 
-from .curl import parse_curl
+from collections.abc import Collection
+from typing import NamedTuple
+
+from .curl import CurlRequest, HttpMethod, parse_curl
 from .issues import Issue, Stage, make_issue
-from .params import parse_parameter_table
-from .pathtemplate import parse_path_template
+from .params import Parameter, parse_parameter_table
+from .pathtemplate import PathTemplate, parse_path_template
 from .records import ApiCallRecord
 from .typeinfer import parse_json
+
+
+class Columns(NamedTuple):
+    """What each distinct cell of a set of records parses to, one dict per column."""
+
+    paths: dict[str, tuple[PathTemplate | None, tuple[Issue, ...]]]
+    curls: dict[str, tuple[CurlRequest | None, tuple[Issue, ...]]]
+    #: Keyed by ``(raw_parameters, http_method)``: a table's reading depends on the method.
+    tables: dict[tuple[str, HttpMethod], tuple[tuple[Parameter, ...] | None, tuple[Issue, ...]]]
+    #: The request and response examples share one dict of E_JSON_CELL messages (None: JSON).
+    json_faults: dict[str, str | None]
 
 
 def _json_fault(text: str) -> str | None:
@@ -39,44 +56,46 @@ def _json_fault(text: str) -> str | None:
     return None
 
 
-def _once(memo: dict, compute, *args):
-    """``compute(*args)``, run only the first time ``memo`` sees these arguments for ``compute``."""
-    key = (compute, *args)
-    try:
-        return memo[key]
-    except KeyError:
-        result = memo[key] = compute(*args)
-        return result
+def parse_columns(records: Collection[ApiCallRecord]) -> Columns:
+    """Run each sub-parser once over every distinct present cell of its column in ``records``."""
+    paths = {record.raw_path for record in records}
+    curls = {record.raw_curl for record in records}
+    tables = {(record.raw_parameters, record.http_method) for record in records}
+    examples = {record.request_example for record in records}
+    examples.update(record.response_example for record in records)
+    return Columns(
+        {text: parse_path_template(text) for text in paths if text},
+        {text: parse_curl(text) for text in curls if text is not None},
+        {key: parse_parameter_table(*key) for key in tables if key[0] is not None},
+        {text: _json_fault(text) for text in examples if text is not None},
+    )
 
 
-def parse_record(record: ApiCallRecord, memo: dict | None = None) -> ApiCallRecord:
+def parse_record(record: ApiCallRecord, columns: Columns | None = None) -> ApiCallRecord:
     """Set the record's parser outputs and tag every parser finding.
 
-    ``memo`` carries parse results between the rows of one run: pass the
-    same ``{}`` for every row, and drop it when parsing ends. Without one,
-    the record is parsed on its own.
+    ``columns`` is ``parse_columns(rows)`` for rows that hold this record:
+    build it once per run, and drop it when parsing ends. Without it, the
+    record is parsed on its own, through ``parse_columns([record])``.
     """
-    if memo is None:
-        memo = {}
+    paths, curls, tables, json_faults = parse_columns((record,)) if columns is None else columns
     issues: list[Issue] = []
 
     path_template = None
     if record.raw_path:
-        path_template, path_issues = _once(memo, parse_path_template, record.raw_path)
+        path_template, path_issues = paths[record.raw_path]
         issues.extend(path_issues)
     else:
         issues.append(make_issue("E_PATH_SYNTAX", Stage.PARSE, "record has no path", field="path"))
 
     curl_request = None
     if record.raw_curl is not None:
-        curl_request, curl_issues = _once(memo, parse_curl, record.raw_curl)
+        curl_request, curl_issues = curls[record.raw_curl]
         issues.extend(curl_issues)
 
     parameters = None
     if record.raw_parameters is not None:
-        parameters, param_issues = _once(
-            memo, parse_parameter_table, record.raw_parameters, record.http_method
-        )
+        parameters, param_issues = tables[record.raw_parameters, record.http_method]
         issues.extend(param_issues)
 
     for column, text in (
@@ -85,7 +104,7 @@ def parse_record(record: ApiCallRecord, memo: dict | None = None) -> ApiCallReco
     ):
         if text is None:
             continue
-        fault = _once(memo, _json_fault, text)
+        fault = json_faults[text]
         if fault is not None:
             issues.append(make_issue("E_JSON_CELL", Stage.PARSE, fault, field=column))
 

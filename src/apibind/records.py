@@ -9,7 +9,10 @@ issues. All types here are immutable; stages return new records.
 is built several times per row (``with_issues`` runs for every record in
 ingest, parse and validate). A tuple is built, hashed and compared in C and
 has no instance ``__dict__``, where a frozen dataclass sets each field
-through ``object.__setattr__`` and hashes and compares in Python. A
+through ``object.__setattr__`` and hashes and compares in Python. So
+``with_issues`` builds its copy as one tuple, not through namedtuple's
+``_replace``, which fills a keyword dict and pops every field from it in
+Python: a copy with one new tag takes about half the time. A
 ``RecordId`` is itself the tuple of its atoms: it equals and hashes as that
 tuple, and its text is the atoms joined with ``ID_SEPARATOR``.
 """
@@ -76,10 +79,14 @@ class ApiCallRecord(NamedTuple):
         if not PARSER_OUTPUTS.issuperset(parsed):
             unknown = ", ".join(sorted(parsed.keys() - PARSER_OUTPUTS))
             raise TypeError(f"with_issues() cannot set {unknown}; only {sorted(PARSER_OUTPUTS)}")
-        added = tuple(issue for issue in new_issues if issue not in self.issues)
+        issues = self.issues
+        added = tuple(issue for issue in new_issues if issue not in issues) if issues else new_issues
         if not added and not parsed:
             return self
-        return self._replace(issues=self.issues + added, **parsed)
+        return tuple.__new__(
+            ApiCallRecord,
+            (*self[:_ISSUES], issues + added, *map(parsed.get, _OUTPUTS, self[_ISSUES + 1 :])),
+        )
 
     def error_count(self) -> int:
         return sum(1 for issue in self.issues if issue.severity is Severity.ERROR)
@@ -88,5 +95,9 @@ class ApiCallRecord(NamedTuple):
 #: The fields of a stage row, ``id`` through ``issues``, one per ``ingest.STAGE_COLUMNS`` column.
 STAGE_FIELDS = ApiCallRecord._fields[: ApiCallRecord._fields.index("issues") + 1]
 
+#: The position of ``issues``, the last stage field; the parser outputs follow it.
+_ISSUES = len(STAGE_FIELDS) - 1
+_OUTPUTS = ApiCallRecord._fields[_ISSUES + 1 :]
+
 #: The fields ``with_issues`` may set besides ``issues``: the parser outputs.
-PARSER_OUTPUTS = frozenset(ApiCallRecord._fields[len(STAGE_FIELDS) :])
+PARSER_OUTPUTS = frozenset(_OUTPUTS)

@@ -15,6 +15,7 @@ from apibind.ingest import (
     load_corpus,
     merge_corpus,
     record_id_census,
+    stage_lines,
     write_stage,
 )
 from apibind.issues import Stage, make_issue
@@ -387,6 +388,51 @@ class TestWriteStage:
         write_stage(records, first)
         write_stage(records, second)
         assert first.read_bytes() == second.read_bytes()
+
+
+#: Text that is empty, or holds what a CSV writer must quote or may mishandle.
+_hostile = st.text(
+    alphabet=st.sampled_from(',"\r\n\x00\x0b\u2028| a') | st.characters(blacklist_categories=("Cs",)),
+    max_size=8,
+)
+
+
+class _Lines(list):
+    """A ``csv.writer`` target that keeps each line it writes."""
+
+    write = list.append
+
+
+@settings(max_examples=200)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.lists(_hostile.filter(bool), min_size=1, max_size=3),
+            st.sampled_from(list(HttpMethod)),
+            st.lists(st.none() | _hostile, min_size=8, max_size=8),
+            st.lists(
+                st.builds(make_issue, st.just("W_NO_EXAMPLE"), st.sampled_from(list(Stage)), _hostile),
+                max_size=2,
+            ),
+        ),
+        max_size=6,
+    )
+)
+def test_stage_lines_equal_csv_writer_lines(rows):
+    """Each line ``stage_lines`` yields is the one ``csv.writer`` writes for that row."""
+    records = [
+        ApiCallRecord(
+            RecordId(tuple(atoms)), texts[0], method, *texts[1:], issues=tuple(issues)
+        )
+        for atoms, method, texts, issues in rows
+    ]
+    lines = _Lines()
+    writer = csv.writer(lines)
+    writer.writerow(STAGE_COLUMNS)
+    for record in records:
+        issues = json.dumps([issue.to_json() for issue in record.issues], ensure_ascii=False)
+        writer.writerow([str(record.id), *record[1 : len(STAGE_FIELDS) - 1], issues])
+    assert list(stage_lines(records)) == lines
 
 
 _cell = st.text(

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from apibind.curl import HttpMethod, parse_curl
 from apibind.issues import Stage
 from apibind.params import parse_parameter_table
-from apibind.parse import parse_record
+from apibind.parse import parse_columns, parse_record
 from apibind.pathtemplate import parse_path_template
 from apibind.records import ApiCallRecord, RecordId
 
@@ -123,7 +123,8 @@ def test_parse_is_idempotent():
 
 #: Every column draws from one pool, so texts repeat within a column and
 #: across columns. The first table has no location, so what it parses to
-#: depends on the method; the last cell is broken JSON.
+#: depends on the method; the last cell is broken JSON. A path may also be
+#: absent or empty, which no parser sees.
 _CELLS = (
     '[{"name":"q"}]',
     '[{"name":"id","in":"path","required":"yes"}]',
@@ -145,7 +146,7 @@ def _rows(draw) -> list[ApiCallRecord]:
     row = st.builds(
         record,
         http_method=st.sampled_from([HttpMethod.GET, HttpMethod.POST, HttpMethod.PUT]),
-        raw_path=cell,
+        raw_path=st.sampled_from([None, ""]) | cell,
         raw_curl=st.none() | cell,
         raw_parameters=st.none() | cell,
         request_example=st.none() | cell,
@@ -156,7 +157,9 @@ def _rows(draw) -> list[ApiCallRecord]:
 
 @settings(max_examples=150, deadline=None)
 @given(_rows(), st.randoms(use_true_random=False))
-def test_shared_memo_parses_like_each_row_alone(rows, rng):
+def test_column_pass_parses_like_each_row_alone(rows, rng):
+    """One column pass over a run's rows gives each row the record it gets parsed alone."""
+    rows += rng.choices(rows, k=len(rows))  # whole rows repeat, as well as cells
     rng.shuffle(rows)
-    memo = {}
-    assert [parse_record(row, memo) for row in rows] == [parse_record(row) for row in rows]
+    columns = parse_columns(rows)
+    assert [parse_record(row, columns) for row in rows] == [parse_record(row) for row in rows]

@@ -7,12 +7,14 @@ import pickle
 from copy import copy as shallow_copy, deepcopy
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apibind.codegen import build_reference
-from apibind.curl import HttpMethod
+from apibind.curl import HttpMethod, parse_curl
 from apibind.issues import Stage, make_issue
 from apibind.parse import parse_record
-from apibind.pathtemplate import PathTemplate
+from apibind.params import parse_parameter_table
+from apibind.pathtemplate import PathTemplate, parse_path_template
 from apibind.records import ApiCallRecord, RecordId
 from apibind.validate import cross_validate
 
@@ -73,6 +75,39 @@ class TestWithIssues:
         assert (rec.path, rec.params) == (None, None)
         # Setting an output alone, with no new tag, still copies.
         assert rec.with_issues(params=()) == record(params=())
+
+
+_tags = st.builds(
+    make_issue,
+    st.sampled_from(["W_NO_EXAMPLE", "E_PATH_SYNTAX"]),
+    st.sampled_from(list(Stage)),
+    st.sampled_from(["a", "b"]),
+)
+#: A few values of each parser output, None among them.
+_OUTPUTS = {
+    "path": st.sampled_from([None, PathTemplate("/v1/x", ()), parse_path_template("/v1/{id}")[0]]),
+    "curl": st.sampled_from([None, parse_curl("curl https://h/x")[0]]),
+    "params": st.sampled_from([None, (), parse_parameter_table('[{"name":"q"}]')[0]]),
+}
+
+
+@settings(max_examples=200)
+@given(
+    held=st.lists(_tags, max_size=3, unique=True).map(tuple),
+    outputs=st.fixed_dictionaries(_OUTPUTS),
+    new=st.lists(_tags, max_size=4),
+    parsed=st.fixed_dictionaries({}, optional=_OUTPUTS),
+)
+def test_with_issues_equals_replace(held, outputs, new, parsed):
+    """The copy is the record namedtuple's ``_replace`` makes, and ``self`` when nothing changes."""
+    rec = record(issues=held, **outputs)
+    added = tuple(issue for issue in new if issue not in held)
+    copy = rec.with_issues(*new, **parsed)
+    if not added and not parsed:
+        assert copy is rec
+    else:
+        assert type(copy) is ApiCallRecord
+        assert copy == rec._replace(issues=held + added, **parsed)
 
 
 class TestRecordId:

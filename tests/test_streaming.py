@@ -23,7 +23,7 @@ from apibind.codegen import (
 from apibind.curl import HttpMethod
 from apibind.ingest import load_corpus, merge_corpus, write_stage
 from apibind.issues import Stage, make_issue
-from apibind.parse import parse_record
+from apibind.parse import parse_columns, parse_record
 from apibind.records import ApiCallRecord, RecordId
 from apibind.templates import TemplateSet
 from apibind.validate import cross_validate, route
@@ -225,8 +225,9 @@ class TestOnePassStageWrite:
         argv = ["analyze", "--merge", *strict, "--input", str(corpus), "--out-dir", str(out)]
         assert cli.main(argv) == 0
 
-        memo: dict = {}
-        records = merge_corpus([parse_record(record, memo) for record in load_corpus(corpus)])
+        loaded = load_corpus(corpus)
+        columns = parse_columns(loaded)
+        records = merge_corpus([parse_record(record, columns) for record in loaded])
         assert len(records) < 300  # merge groups folded
         records = [cross_validate(record) for record in records]
         _, rejected = route(records, strict=bool(strict))
