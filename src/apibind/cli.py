@@ -21,6 +21,11 @@ Data-quality problems are report content, not process failures: ``analyze``
 exits zero even when every record errs. A nonzero exit means the run itself
 failed (unreadable corpus, broken templates, colliding paths, nothing to
 generate).
+
+Each command imports only the modules it runs (``_DEFERRED``): ``dashboard``
+never imports the parsers, and ``analyze`` never imports the type lattice,
+the code generator, the template engine or ``dataclasses``. Every run is a
+fresh process, so the imports a command skips are start-up time it saves.
 """
 
 from __future__ import annotations
@@ -36,18 +41,9 @@ import tempfile
 from collections.abc import Collection
 from pathlib import Path
 
-from .codegen import (
-    BindingFunction,
-    IdentifierPolicy,
-    apply_identifier_policy,
-    build_reference,
-    render_package,
-)
 from .ingest import CorpusError, load_corpus, merge_corpus, write_stage
-from .parse import parse_columns, parse_record
 from .records import ApiCallRecord
-from .templates import TemplateError, TemplateSet
-from .typeinfer import SURROGATE, UNPRINTABLE, wire_text
+from .text import SURROGATE, UNPRINTABLE, wire_text
 from .validate import (
     cross_validate,
     dashboard,
@@ -55,6 +51,21 @@ from .validate import (
     render_dashboard_text,
     route,
 )
+
+#: The names only some commands call, each by the module that defines it:
+#: ``analyze`` and ``generate`` parse, and only ``generate`` builds and
+#: renders. ``_load`` binds them here when a command starts.
+_DEFERRED = {
+    "parse_columns": "parse",
+    "parse_record": "parse",
+    "BindingFunction": "codegen",
+    "IdentifierPolicy": "codegen",
+    "apply_identifier_policy": "codegen",
+    "build_reference": "codegen",
+    "render_package": "codegen",
+    "TemplateError": "templates",
+    "TemplateSet": "templates",
+}
 
 #: The files ``analyze`` and ``generate`` write into ``--out-dir``. They sit
 #: beside ``PACKAGE_DIR``, whose ``*.txt`` files ``generate`` replaces.
@@ -67,6 +78,28 @@ PACKAGE_DIR = "package"
 #: Entries per ``encode`` call when ``write_json`` streams a list or dict
 #: member: a few kilobytes of text at a time, each one C-encoder call.
 JSON_SLICE = 256
+
+
+def _load(*modules: str) -> None:
+    """Import ``modules`` and bind their ``_DEFERRED`` names here.
+
+    A name already bound is kept: a wrapper put in its place before the
+    command ran (by a test or a tracer) is the one the command calls.
+    """
+    for module in modules:
+        qualified = f"{__package__}.{module}"
+        __import__(qualified)  # not importlib.import_module: ``-X importtime`` lists only this
+        for name, home in _DEFERRED.items():
+            if home == module:
+                globals().setdefault(name, getattr(sys.modules[qualified], name))
+
+
+def __getattr__(name: str):
+    """A ``_DEFERRED`` name read from outside before any command bound it."""
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_DEFERRED[name])
+    return globals()[name]
 
 
 def _refuse_overwrites(inputs: list[Path], out_dir: Path, rejects: Path) -> None:
@@ -222,6 +255,7 @@ def _gate(
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    _load("parse")
     rejects, records, valid, rejected = _gate(args)
     with _AllOrNone() as out:
         write_stage(records, out.path(args.out_dir / STAGE), (rejected, out.path(rejects)))
@@ -245,6 +279,7 @@ def _function_entry(fn: BindingFunction) -> dict:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    _load("parse", "codegen", "templates")
     package_name = _package_name(args.input[0])
     templates = (
         TemplateSet.load_dir(args.templates)
@@ -360,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         try:
             return args.run(args)
-        except (CorpusError, TemplateError, ValueError, OSError) as exc:
+        except (CorpusError, ValueError, OSError) as exc:  # a TemplateError is a ValueError
             sys.stderr.write(f"error: {exc}\n")
             return 1
     finally:

@@ -25,29 +25,26 @@ from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import NamedTuple
 
-from .curl import HttpMethod
 from .ingest import stage_lines
 from .issues import Issue, Stage, make_issue
-from .params import Convention, Parameter
+from .params import Parameter
 from .pathtemplate import PathTemplate
 from .records import ApiCallRecord
 from .templates import TemplateSet
+from .text import IDENTIFIER, fresh_name, parse_json, wire_text
 from .typeinfer import (
     DeclRegistry,
-    IDENTIFIER,
     InferredType,
     TObject,
     TypeDecl,
     T_ANY,
     fold_examples,
     format_type,
-    fresh_name,
     lift_declarations,
-    parse_json,
     replay,
     type_of_parameter,
-    wire_text,
 )
+from .vocabulary import Convention, HttpMethod
 
 _CONVENTION_RANK = {conv: i for i, conv in enumerate(Convention)}
 

@@ -32,44 +32,22 @@ would not send (``-H 'X-Flag'``: no ``:`` and no trailing ``;``) each tag
 ``W_CURL_OPT_IGNORED``. As in curl, ``-H 'X-Empty;'`` sends ``X-Empty`` with
 an empty value, and ``-H 'Accept:'`` removes a header, so it adds none.
 
-``HttpMethod`` and ``BodyKind`` are ``StrEnum``s: a member is the text every
-output writes, and it hashes and compares as that text.
+``CurlRequest`` is a ``NamedTuple``, so a request equals the plain tuple of
+its fields. ``HttpMethod`` and ``BodyKind`` live in ``vocabulary``.
 """
 
 from __future__ import annotations
 
-import enum
 import re
 import urllib.parse
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .issues import Issue, Stage, make_issue
-from .typeinfer import parse_json
+from .text import parse_json
+from .vocabulary import METHODS, BodyKind, HttpMethod  # re-exported here
 
 
-class HttpMethod(enum.StrEnum):
-    GET = "GET"
-    POST = "POST"
-    PUT = "PUT"
-    PATCH = "PATCH"
-    DELETE = "DELETE"
-    HEAD = "HEAD"
-    OPTIONS = "OPTIONS"
-
-
-#: Each method by its upper-case name. An ``http_method`` cell is looked up
-#: upper-cased; a ``-X`` word as written, since curl sends that word verbatim.
-METHODS = {method: method for method in HttpMethod}
-
-
-class BodyKind(enum.StrEnum):
-    JSON = "Json"
-    TEXT = "Text"
-    URL_ENCODED = "UrlEncoded"
-
-
-@dataclass(frozen=True)
-class CurlRequest:
+class CurlRequest(NamedTuple):
     method: HttpMethod
     url: str
     headers: tuple[tuple[str, str], ...] = ()

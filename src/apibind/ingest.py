@@ -35,10 +35,10 @@ from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
 
-from .curl import METHODS, HttpMethod
 from .issues import Issue, Stage, make_issue
 from .records import ID_SEPARATOR, STAGE_FIELDS, ApiCallRecord, RecordId
-from .typeinfer import fresh_name, parse_json
+from .text import fresh_name, parse_json
+from .vocabulary import METHODS, HttpMethod
 
 #: The column of each stage field named otherwise; every other column is named as its field.
 _COLUMN_OF = {

@@ -3,20 +3,20 @@
 Tables arrive as JSON arrays of objects with loosely standardized keys;
 this module normalizes key spellings and maps the documented location to
 one of the passing conventions: request path, URL-encoded query, request
-body (JSON or plain text), or HTTP header/cookie. ``Convention`` is a
-``StrEnum``: a member is the text that messages and render contexts write.
+body (JSON or plain text), or HTTP header/cookie. ``Convention`` lives in
+``vocabulary``. A ``Parameter`` is a ``NamedTuple``, so it equals the plain
+tuple of its fields.
 """
 
 from __future__ import annotations
 
-import enum
 import json
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
-from .curl import HttpMethod
 from .issues import Issue, Stage, make_issue
-from .typeinfer import parse_json
+from .text import parse_json
+from .vocabulary import Convention, HttpMethod  # Convention is re-exported here
+
 
 class _Missing:
     """Absent-example marker; JSON null is a real example value."""
@@ -32,18 +32,7 @@ class _Missing:
 _MISSING = _Missing()
 
 
-# The declaration order is the rendered signature order (``codegen.ordered_params``).
-class Convention(enum.StrEnum):
-    PATH = "Path"
-    QUERY = "Query"
-    BODY_JSON = "BodyJson"
-    BODY_TEXT = "BodyText"
-    HEADER = "Header"
-    COOKIE = "Cookie"
-
-
-@dataclass(frozen=True)
-class Parameter:
+class Parameter(NamedTuple):
     name: str
     convention: Convention
     declared_type: str | None = None

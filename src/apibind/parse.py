@@ -10,7 +10,7 @@ decodes those of gate-passing records again.
 
 Every sub-parser is a pure function of its cell text (and, for parameter
 tables, the record's method) and returns immutable values: a ``(result,
-issues)`` pair of a frozen dataclass or a tuple of them, and a tuple of
+issues)`` pair of a ``NamedTuple`` or a tuple of them, and a tuple of
 ``Issue`` NamedTuples (most are ``()``, which costs nothing to keep). The
 stage therefore runs in two passes. The column pass, ``parse_columns``, runs
 each sub-parser over the distinct cells of its own column and keeps one dict
@@ -28,12 +28,13 @@ from __future__ import annotations
 from collections.abc import Collection
 from typing import NamedTuple
 
-from .curl import CurlRequest, HttpMethod, parse_curl
+from .curl import CurlRequest, parse_curl
 from .issues import Issue, Stage, make_issue
 from .params import Parameter, parse_parameter_table
 from .pathtemplate import PathTemplate, parse_path_template
 from .records import ApiCallRecord
-from .typeinfer import parse_json
+from .text import parse_json
+from .vocabulary import HttpMethod
 
 
 class Columns(NamedTuple):

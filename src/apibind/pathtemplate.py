@@ -8,10 +8,10 @@ canonical form, so parsing it again gives the same template.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .issues import Issue, Stage, make_issue
-from .typeinfer import UNPRINTABLE
+from .text import UNPRINTABLE
 
 # One alternative per segment class, tried in this order: an empty variable
 # (``{}`` or a bare ``:``), ``{name}``, ``:name``, a ``:`` name holding braces,
@@ -34,8 +34,7 @@ _SUSPECT = {
 }
 
 
-@dataclass(frozen=True)
-class PathTemplate:
+class PathTemplate(NamedTuple):
     """A parsed path: its canonical text and its variable names in path order.
 
     ``text`` is the '/'-joined segments with a leading '/' and each variable

@@ -5,11 +5,13 @@ append-only through ``with_issues``, the one dedup rule of the pipeline,
 and the parser outputs (``path``, ``curl``, ``params``) are set in the same
 copy as the parse tags. A merge of two parsed records carries both rows'
 issues. All types here are immutable; stages return new records.
-``ApiCallRecord`` is a ``typing.NamedTuple``, as is ``issues.Issue``: each
-is built several times per row (``with_issues`` runs for every record in
-ingest, parse and validate). A tuple is built, hashed and compared in C and
-has no instance ``__dict__``, where a frozen dataclass sets each field
-through ``object.__setattr__`` and hashes and compares in Python. So
+``ApiCallRecord`` is a ``typing.NamedTuple``, as are ``issues.Issue`` and
+the three parse products (``PathTemplate``, ``CurlRequest``, ``Parameter``):
+a record is built several times per row (``with_issues`` runs for every
+record in ingest, parse and validate). A tuple is built, hashed and compared
+in C and has no instance ``__dict__``, where a frozen dataclass sets each
+field through ``object.__setattr__``, hashes and compares in Python, and
+needs the ``dataclasses`` module, which no command but ``generate`` loads. So
 ``with_issues`` builds its copy as one tuple, not through namedtuple's
 ``_replace``, which fills a keyword dict and pops every field from it in
 Python: a copy with one new tag takes about half the time. A
@@ -19,12 +21,15 @@ tuple, and its text is the atoms joined with ``ID_SEPARATOR``.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .curl import CurlRequest, HttpMethod
 from .issues import Issue, Severity
-from .params import Parameter
-from .pathtemplate import PathTemplate
+
+if TYPE_CHECKING:  # annotations only: loading or re-reading records imports no parser
+    from .curl import CurlRequest
+    from .params import Parameter
+    from .pathtemplate import PathTemplate
+    from .vocabulary import HttpMethod
 
 #: Separator for multiple id atoms in the record_id cell of stage files.
 ID_SEPARATOR = "|"

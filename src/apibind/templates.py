@@ -34,9 +34,13 @@ _QUOTED_TAG_MAX = 60
 _MISSING = object()  # a context value no template can hold
 
 
-class TemplateError(Exception):
+class TemplateError(ValueError):
     """A malformed template, an incomplete or unreadable template set, or a
-    placeholder or section the context cannot resolve."""
+    placeholder or section the context cannot resolve.
+
+    A ``ValueError``, as every other bad input a command refuses is, so the
+    CLI reports one without importing this module first.
+    """
 
 
 class Template:

@@ -18,10 +18,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from .curl import HttpMethod
 from .issues import Issue, Stage, make_issue, severity_of
-from .params import Convention
 from .records import ApiCallRecord
+from .vocabulary import Convention, HttpMethod
 
 
 def cross_validate(record: ApiCallRecord) -> ApiCallRecord:

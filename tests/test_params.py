@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import csv
 import json
 
+import pytest
+
+from apibind.cli import main
 from apibind.curl import HttpMethod
+from apibind.ingest import STAGE_COLUMNS
 from apibind.params import Convention, Parameter, parse_parameter_table
 
 
@@ -26,6 +31,42 @@ def test_missing_name_drops_entry_keeps_rest():
     params, issues = parse_parameter_table('[{"in":"query"},{"name":"ok","in":"query"}]')
     assert [p.name for p in params] == ["ok"]
     assert codes(issues) == ["E_PARAM_NO_NAME"]
+
+
+NON_STRING_NAMES = ["5", "[]", "{}", "true", '""']
+
+
+@pytest.mark.parametrize("name", NON_STRING_NAMES)
+def test_a_name_that_is_not_a_non_empty_string_drops_the_entry(name):
+    table = f'[{{"name":{name},"in":"query"}},{{"name":"ok","in":"query"}}]'
+    params, issues = parse_parameter_table(table)
+    assert [p.name for p in params] == ["ok"]
+    assert codes(issues) == ["E_PARAM_NO_NAME"]
+    assert issues[0].message == "entry 0 has no name; entry dropped"
+
+
+def test_unnamed_entries_reach_generate_as_rejects(tmp_path, capsys):
+    """Each table with an unnamed entry rejects its row; the run ends normally."""
+    corpus = tmp_path / "unnamed.csv"
+    with corpus.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(STAGE_COLUMNS[:-1])
+        for index, name in enumerate([*NON_STRING_NAMES, '"ok"']):
+            cells = {
+                "record_id": f"r{index}",
+                "http_method": "GET",
+                "path": f"/v1/r{index}",
+                "parameters": f'[{{"name":{name},"in":"query"}}]',
+                "response_example": "{}",
+            }
+            writer.writerow([cells.get(column, "") for column in STAGE_COLUMNS[:-1]])
+    out = tmp_path / "out"
+    assert main(["generate", "--input", str(corpus), "--out-dir", str(out)]) == 0
+    rejected = [
+        line for line in capsys.readouterr().out.splitlines() if line.startswith("rejected ")
+    ]
+    assert rejected == [f"rejected r{index}: E_PARAM_NO_NAME" for index in range(5)]
+    assert (out / "package" / "misc.txt").read_text(encoding="utf-8").count("function ") == 1
 
 
 def test_unknown_convention_defaults_with_warning():

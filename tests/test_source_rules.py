@@ -223,7 +223,7 @@ def test_no_module_imports_another_modules_private_names():
 def json_decoder_calls(source: str, filename: str) -> list[str]:
     """``json.loads`` and ``json.load`` calls, as ``file:line``.
 
-    ``typeinfer.parse_json`` is the one decoder: it alone bounds a document's
+    ``text.parse_json`` is the one decoder: it alone bounds a document's
     depth and refuses ``NaN`` and lone surrogates.
     """
     return [
@@ -255,7 +255,7 @@ def test_every_json_text_is_decoded_by_parse_json():
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         found += json_decoder_calls(path.read_text(encoding="utf-8"), path.name)
-    assert found == [], "decode with typeinfer.parse_json: " + ", ".join(found)
+    assert found == [], "decode with text.parse_json: " + ", ".join(found)
 
 
 def value_reads(source: str, filename: str) -> list[str]:

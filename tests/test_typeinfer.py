@@ -72,6 +72,10 @@ class TestParseJson:
             parse_json("NaN")
 
     def test_nesting_bound(self):
+        # The documented bound: 128 levels decode, 129 do not.
+        assert parse_json(nested_json(128)) is not None
+        with pytest.raises(ValueError, match="nested deeper than 128 levels"):
+            parse_json(nested_json(129))
         assert parse_json(nested_json(MAX_JSON_DEPTH)) is not None
         for depth in (MAX_JSON_DEPTH + 1, 3000):
             with pytest.raises(ValueError, match="nested deeper"):
