@@ -24,8 +24,10 @@ generate).
 
 Each command imports only the modules it runs (``_DEFERRED``): ``dashboard``
 never imports the parsers, and ``analyze`` never imports the type lattice,
-the code generator, the template engine or ``dataclasses``. Every run is a
-fresh process, so the imports a command skips are start-up time it saves.
+the code generator or the template engine. No command imports
+``dataclasses``, whose import loads ``inspect``, ``ast``, ``dis`` and
+``tokenize``. Every run is a fresh process, so the imports a command skips
+are start-up time it saves.
 """
 
 from __future__ import annotations

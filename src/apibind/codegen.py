@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -67,8 +66,7 @@ class BindingFunction(NamedTuple):
     issues: tuple[Issue, ...]
 
 
-@dataclass(frozen=True)
-class BindingIr:
+class BindingIr(NamedTuple):
     """The package's functions and declarations; build findings live on the functions."""
 
     functions: tuple[BindingFunction, ...]
@@ -249,19 +247,29 @@ _DEFAULT_RESERVED = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class IdentifierPolicy:
-    """Target-language naming rules: casing, reserved words, collisions."""
-
+class _PolicyFields(NamedTuple):
     casing_function: str = "lower-camel"
     casing_type: str = "upper-camel"
     casing_field: str = "snake"
     reserved_words: frozenset[str] = _DEFAULT_RESERVED
 
-    def __post_init__(self):
+
+class IdentifierPolicy(_PolicyFields):
+    """Target-language naming rules: casing, reserved words, collisions."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> IdentifierPolicy:
+        self = super().__new__(cls, *args, **kwargs)
         for casing in (self.casing_function, self.casing_type, self.casing_field):
             if casing not in CASINGS:
                 raise ValueError(f"unknown casing {casing!r}; expected one of {CASINGS}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> IdentifierPolicy:
+        # ``_replace`` builds through ``_make``, so a copy passes the casing check too.
+        return cls(*iterable)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> IdentifierPolicy:
@@ -277,7 +285,7 @@ class IdentifierPolicy:
             raise ValueError(f"identifier policy {path}: not JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ValueError(f"identifier policy {path} is not a JSON object")
-        keys = [field.name for field in dataclass_fields(cls)]
+        keys = cls._fields
         unknown = sorted(set(doc) - set(keys))
         if unknown:
             raise ValueError(

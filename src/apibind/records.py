@@ -11,7 +11,7 @@ a record is built several times per row (``with_issues`` runs for every
 record in ingest, parse and validate). A tuple is built, hashed and compared
 in C and has no instance ``__dict__``, where a frozen dataclass sets each
 field through ``object.__setattr__``, hashes and compares in Python, and
-needs the ``dataclasses`` module, which no command but ``generate`` loads. So
+needs the ``dataclasses`` module, which no command loads. So
 ``with_issues`` builds its copy as one tuple, not through namedtuple's
 ``_replace``, which fills a keyword dict and pops every field from it in
 Python: a copy with one new tag takes about half the time. A

@@ -21,8 +21,8 @@ one fixed grammar (``[string]``, ``int | null``), whatever the template set.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 #: Every ``{{...}}`` pair, up to the first ``}}``: a tag's kind and its name,
 #: which must match ``_NAME`` or the template is malformed.
@@ -135,8 +135,7 @@ class Template:
                 scopes.pop()
 
 
-@dataclass(frozen=True)
-class TemplateSet:
+class TemplateSet(NamedTuple):
     manifest: Template
     module: Template
 
@@ -169,7 +168,7 @@ class TemplateSet:
 
 
 #: A template set's file names, one per ``TemplateSet`` field, in field order.
-TEMPLATE_NAMES = tuple(f"{field.name}.tpl" for field in fields(TemplateSet))
+TEMPLATE_NAMES = tuple(f"{name}.tpl" for name in TemplateSet._fields)
 
 
 # The built-in target: a typed-interface description. One line per concept;

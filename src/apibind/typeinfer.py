@@ -18,8 +18,14 @@ hash-consed in a ``DeclRegistry`` shared by every tree of a build, so
 identical bodies get one declaration corpus-wide. ``finalize`` is that walk
 without a registry.
 
-Both tree walks are per-node kernels. Every node kind is a slotted frozen
-dataclass, so no node carries a ``__dict__``. The fold (``_infer_raw``) and
+Both tree walks are per-node kernels. Every node is immutable and carries
+no ``__dict__``: an atom is a slotted singleton, and every other kind is a
+tuple, built, hashed and compared in C. An object type is the tuple of its
+field triples and a union the tuple of its branches, so each is one object
+(``.fields`` and ``.branches`` return the node itself); an array and a
+reference are ``NamedTuple``s, as is ``TypeDecl``. Nodes of two kinds never
+compare equal: their lengths differ, or their items do (a field triple
+starts with a string, a branch is a node). The fold (``_infer_raw``) and
 the lift (``_Lift.walk``) dispatch on a node's exact type, commonest kind
 first; the lift keeps an atom field as it is, without a call. The fold
 types only what ``parse_json`` builds, which is never a subclass of a JSON
@@ -29,8 +35,7 @@ type, and raises ``TypeError`` on anything else.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .issues import Issue, Stage, make_issue
 # Besides the two it uses, typeinfer re-exports the decoder and the text rules.
@@ -48,17 +53,19 @@ if TYPE_CHECKING:  # annotations only
     from .params import Parameter
 
 
-class InferredType:
-    """Base of the type lattice; concrete kinds below."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class _Atom(InferredType):
+class _Atom:
     """A scalar type. Each is one module singleton, so atoms compare by identity."""
 
-    label: str
+    __slots__ = ("label",)
+
+    def __init__(self, label: str) -> None:
+        object.__setattr__(self, "label", label)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to {name!r} of an atom")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r} of an atom")
 
     def __repr__(self) -> str:
         return self.label
@@ -83,35 +90,58 @@ def _atom(label: str) -> _Atom:
     return _ATOMS[label]
 
 
-@dataclass(frozen=True, slots=True)
-class TArray(InferredType):
+class TArray(NamedTuple):
     elem: InferredType
 
 
-@dataclass(frozen=True, slots=True)
-class TObject(InferredType):
-    #: (wire name, type, required) triples, sorted by name by every builder so
-    #: equality is structural.
-    fields: tuple[tuple[str, InferredType, bool], ...]
+class TObject(tuple):
+    """An object type: the tuple of its ``(wire name, type, required)`` field triples.
+
+    Every function that builds one sorts the triples by name, so equality is structural.
+    """
+
+    __slots__ = ()
+
+    @property
+    def fields(self) -> TObject:
+        return self
+
+    def __repr__(self) -> str:
+        return f"TObject({tuple.__repr__(self)})"
 
 
-@dataclass(frozen=True, slots=True)
-class TUnion(InferredType):
-    #: Canonical order, as ``_normalize`` builds it: null, bool, the numeric
-    #: type, string, one array, one object. ``lift_declarations`` builds
-    #: lifted unions directly, with a reference in the object's place.
-    branches: tuple[InferredType, ...]
+class TUnion(tuple):
+    """A union type: the tuple of its two or more branches.
 
-    def __post_init__(self):
-        if len(self.branches) < 2:
+    Canonical order, as ``_normalize`` builds it: null, bool, the numeric
+    type, string, one array, one object. ``lift_declarations`` builds lifted
+    unions directly, with a reference in the object's place.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, branches):
+        self = tuple.__new__(cls, branches)
+        if len(self) < 2:
             raise ValueError("a union needs at least two branches")
+        return self
+
+    @property
+    def branches(self) -> TUnion:
+        return self
+
+    def __repr__(self) -> str:
+        return f"TUnion({tuple.__repr__(self)})"
 
 
-@dataclass(frozen=True, slots=True)
-class TRef(InferredType):
+class TRef(NamedTuple):
     """Named reference to a lifted object declaration (post-lift trees only)."""
 
     name: str
+
+
+#: A node of the type lattice, or of a lifted tree.
+InferredType = _Atom | TArray | TObject | TUnion | TRef
 
 
 def _key_text(wire: str) -> str:
@@ -132,13 +162,13 @@ def format_type(t: InferredType, type_names: dict[str, str] | None = None) -> st
     if isinstance(t, TArray):
         return f"[{format_type(t.elem, type_names)}]"
     if isinstance(t, TUnion):
-        return " | ".join(format_type(b, type_names) for b in t.branches)
+        return " | ".join(format_type(b, type_names) for b in t)
     if isinstance(t, TObject):
-        if not t.fields:
+        if not t:
             return "{}"
         inner = ", ".join(
             f"{_key_text(name)}{'' if required else '?'}: {format_type(field_type, type_names)}"
-            for name, field_type, required in t.fields
+            for name, field_type, required in t
         )
         return "{" + inner + "}"
     raise TypeError(f"cannot format {t!r}")
@@ -153,7 +183,7 @@ def _branches_of(t: InferredType) -> tuple[InferredType, ...]:
     if t is BOTTOM:
         return ()
     if isinstance(t, TUnion):
-        return t.branches
+        return t
     return (t,)
 
 
@@ -203,20 +233,20 @@ def _normalize(branches: tuple[InferredType, ...]) -> InferredType:
         return BOTTOM
     if len(out) == 1:
         return out[0]
-    return TUnion(tuple(out))
+    return TUnion(out)
 
 
 def _merge_objects(a: TObject, b: TObject) -> TObject:
-    right = {name: (t, required) for name, t, required in b.fields}
+    right = {name: (t, required) for name, t, required in b}
     fields = []
-    for name, t, required in a.fields:
+    for name, t, required in a:
         if name in right:
             t_b, required_b = right.pop(name)
             fields.append((name, unify(t, t_b), required and required_b))
         else:
             fields.append((name, t, False))
     fields.extend((name, t, False) for name, (t, _) in right.items())
-    return TObject(tuple(sorted(fields, key=lambda field: field[0])))
+    return TObject(sorted(fields, key=lambda field: field[0]))
 
 
 def fold_examples(docs: list[Any]) -> InferredType:
@@ -231,7 +261,7 @@ def _infer_raw(value: Any) -> InferredType:
     # Exact types only, the commonest first: parse_json builds no subclass.
     kind = type(value)
     if kind is dict:
-        return TObject(tuple([(n, _infer_raw(item), True) for n, item in sorted(value.items())]))
+        return TObject([(n, _infer_raw(item), True) for n, item in sorted(value.items())])
     if kind is list:
         elem: InferredType = BOTTOM
         for item in value:
@@ -293,7 +323,7 @@ def inhabits(value: Any, t: InferredType) -> bool:
         if not isinstance(value, dict):
             return False
         present = 0  # declared names the document holds; any other key is undeclared
-        for name, field_type, required in t.fields:
+        for name, field_type, required in t:
             if name in value:
                 present += 1
                 if not inhabits(value[name], field_type):
@@ -302,12 +332,11 @@ def inhabits(value: Any, t: InferredType) -> bool:
                 return False
         return present == len(value)
     if isinstance(t, TUnion):
-        return any(inhabits(value, b) for b in t.branches)
+        return any(inhabits(value, b) for b in t)
     raise TypeError(f"cannot check membership of {t!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class TypeDecl:
+class TypeDecl(NamedTuple):
     """A named object type lifted out of an inferred tree (name pre-mangling).
 
     ``pieces`` spell ``name``: the lift's base, a wire name per field hop, None
@@ -395,7 +424,7 @@ def share_decl(registry: DeclRegistry, kept: TypeDecl, name: str, group: str) ->
     not depend on homes. Returns the W_DECL_SHARED issue of the share.
     """
     if group < kept.group:
-        registry.by_body[kept.body] = replace(kept, group=group)
+        registry.by_body[kept.body] = kept._replace(group=group)
     return make_issue(
         "W_DECL_SHARED",
         Stage.INFER,
@@ -436,19 +465,19 @@ class _Lift:
             # A field typed by an atom other than bottom publishes as it is.
             wire = self.wires.setdefault
             fields = []
-            for n, t, required in node.fields:
+            for n, t, required in node:
                 n = wire(n, n)
                 if type(t) is not _Atom or t is BOTTOM:
                     t = self.walk(t, suffix + n[:1].upper() + n[1:], hops + (n,))
                 fields.append((n, t, required))
-            body = TObject(tuple(fields))
+            body = TObject(fields)
             return body if self.registry is None else TRef(self.add_decl(body, suffix, hops))
         if kind is TArray:
             if node.elem is BOTTOM:
                 self.unpopulated.append("$" + "".join([_hop_text(hop) for hop in hops]))
             return TArray(self.walk(node.elem, suffix + "Item", hops + (None,)))
         if kind is TUnion:
-            return TUnion(tuple([self.walk(b, suffix, hops) for b in node.branches]))
+            return TUnion([self.walk(b, suffix, hops) for b in node])
         return T_ANY if node is BOTTOM else node
 
     def add_decl(self, body: TObject, suffix: str, hops: tuple[str | None, ...]) -> str:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 import re
 
@@ -673,6 +675,17 @@ class TestIdentifierPolicy:
     def test_unknown_casing_rejected(self):
         with pytest.raises(ValueError):
             IdentifierPolicy(casing_function="kebab")
+
+    def test_copies_pass_the_casing_check(self):
+        policy = IdentifierPolicy(casing_type="snake")
+        assert policy._replace(casing_field="upper-camel") == IdentifierPolicy(
+            casing_type="snake", casing_field="upper-camel"
+        )
+        for casing in ("casing_function", "casing_type", "casing_field"):
+            with pytest.raises(ValueError, match="unknown casing 'kebab'"):
+                policy._replace(**{casing: "kebab"})
+        for clone in (copy.copy(policy), copy.deepcopy(policy), pickle.loads(pickle.dumps(policy))):
+            assert type(clone) is IdentifierPolicy and clone == policy
 
     def test_name_maps_recorded(self, corpus12_path):
         ir = build_reference(valid_records(corpus12_path))

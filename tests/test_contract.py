@@ -48,7 +48,8 @@ _WARNING = {"code": "W_NO_EXAMPLE", "stage": "Infer", "message": "m"}
 #: Per column, cells well-formed on their own, then malformed ones. Among them:
 #: line breaks, NUL, ``|`` in ids, empty and odd paths, deep JSON, duplicate
 #: and empty JSON keys, keys that read as type syntax, lone-surrogate escapes,
-#: ``issues`` cells, ids that rows share, and a group too long for a file name.
+#: ``issues`` cells, ids that rows share, a group too long for a file name, and
+#: parameter entries whose name is a number, a list, an object or a bool.
 _CELLS = {
     "record_id": (("", "a", "b", "a|b", "|", "a|a", "x\ny", "\x00", " ", "c\r\nd"), ()),
     "source_url": (("", "https://d/x", "https://d/\n", "\x00"), ()),
@@ -68,7 +69,9 @@ _CELLS = {
     "parameters": (
         ("", "[]", '[{"name":"q|x","in":"query","example":[]}]',
          '[{"name":"b","in":"body","type":"object"}]'),
-        ('[{"name":"id","in":"path"}]', "[{", '"\\ud800"', _DEEP),
+        ('[{"name":"id","in":"path"}]', "[{", '"\\ud800"', _DEEP,
+         '[{"name":5,"in":"query"}]', '[{"name":["id"],"in":"path"}]',
+         '[{"name":{},"in":"header"}]', '[{"name":true,"in":"query"}]'),
     ),
     "request_example": _JSON_CELLS,
     "response_example": _JSON_CELLS,

@@ -58,6 +58,8 @@ def imported(stderr: str) -> set[str]:
 class TestCommandImports:
     PARSERS = {"apibind.parse", "apibind.curl", "apibind.params", "apibind.pathtemplate"}
     GENERATOR = {"apibind.typeinfer", "apibind.codegen", "apibind.templates", "dataclasses"}
+    #: ``dataclasses`` and the modules it loads to inspect a class's source.
+    INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
     def test_analyze_and_dashboard_load_only_what_they_run(self, corpus12_path, tmp_path):
         out = tmp_path / "out"
@@ -77,6 +79,25 @@ class TestCommandImports:
         assert analyze_loads.isdisjoint(self.GENERATOR)
         assert {"apibind.ingest", "apibind.validate"} <= dashboard_loads
         assert dashboard_loads.isdisjoint(self.PARSERS | self.GENERATOR)
+
+    def test_generate_loads_no_dataclasses(self, corpus12_path, tmp_path):
+        generate = run_python(
+            "-X", "importtime", "-m", "apibind.cli",
+            "generate", "--merge", "--input", str(corpus12_path), "--out-dir", str(tmp_path / "out"),
+        )
+        assert generate.returncode == 0, generate.stderr
+        loads = imported(generate.stderr)
+        assert {"apibind.typeinfer", "apibind.codegen", "apibind.templates"} <= loads
+        # What the interpreter loads at start-up (a site hook, say) is not generate's doing.
+        bare = imported(run_python("-X", "importtime", "-c", "pass").stderr)
+        added = loads - bare
+        assert added.isdisjoint(self.INTROSPECTION), added & self.INTROSPECTION
+
+    def test_no_module_imports_dataclasses(self):
+        importing = re.compile(r"^\s*(?:import|from)\s+dataclasses\b", re.MULTILINE)
+        sources = sorted((SRC / "apibind").glob("*.py"))
+        assert sources
+        assert [p.name for p in sources if importing.search(p.read_text(encoding="utf-8"))] == []
 
     def test_a_template_error_is_a_run_error_in_a_fresh_process(self, corpus12_path, tmp_path):
         templates = tmp_path / "tpl"

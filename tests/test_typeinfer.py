@@ -6,7 +6,6 @@ import json
 import pickle
 import random
 from collections import OrderedDict
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +29,7 @@ from apibind.typeinfer import (
     T_STRING,
     finalize,
     fold_examples,
+    format_type,
     fresh_name,
     inhabits,
     lift_declarations,
@@ -659,6 +659,95 @@ class TestKernelsAgreeWithReference:
         decl = TypeDecl(name="X", pieces=("X",), body=body, group="g")
         for node in (T_INT, TArray(T_INT), body, TUnion((T_NULL, T_INT)), TRef("X"), decl):
             assert not hasattr(node, "__dict__"), node
-        moved = replace(decl, group="h")
+        moved = decl._replace(group="h")
         for clone in (copy.copy(moved), copy.deepcopy(moved), pickle.loads(pickle.dumps(moved))):
             assert clone == moved and hash(clone) == hash(moved)
+
+    def test_nodes_and_atoms_refuse_assignment(self):
+        body = TObject((("a", TArray(T_INT), True),))
+        nodes = {
+            TArray(T_INT): "elem",
+            body: "fields",
+            TUnion((T_NULL, T_INT)): "branches",
+            TRef("X"): "name",
+            TypeDecl("X", ("X",), body, "g"): "group",
+            **{atom: "label" for atom in TestAtoms.ATOMS},
+        }
+        for node, field in nodes.items():
+            for name in (field, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(node, name, T_ANY)
+                with pytest.raises(AttributeError):
+                    delattr(node, name)
+
+    def test_a_union_needs_two_branches(self):
+        for branches in ((), (T_INT,)):
+            with pytest.raises(ValueError, match="at least two branches"):
+                TUnion(branches)
+        union = TUnion((T_NULL, T_INT))
+        for clone in (copy.copy(union), copy.deepcopy(union), pickle.loads(pickle.dumps(union))):
+            assert type(clone) is TUnion and clone == union
+
+
+def _subnodes(t):
+    """``t`` and every node inside it, parents first."""
+    yield t
+    if isinstance(t, TArray):
+        yield from _subnodes(t.elem)
+    elif isinstance(t, TUnion):
+        for branch in t.branches:
+            yield from _subnodes(branch)
+    elif isinstance(t, TObject):
+        for _, field_type, _ in t.fields:
+            yield from _subnodes(field_type)
+
+
+def _same_tree(a, b):
+    """Equal node by node, of the same kind, with every atom the singleton itself."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is typeinfer._Atom:
+        return a is b and a in TestAtoms.ATOMS
+    if type(a) is TRef:
+        return a == b
+    if type(a) is TArray:
+        return _same_tree(a.elem, b.elem)
+    if type(a) is TUnion:
+        return len(a) == len(b) and all(map(_same_tree, a.branches, b.branches))
+    return len(a) == len(b) and all(
+        n == m and r is s and _same_tree(t, u) for (n, t, r), (m, u, s) in zip(a.fields, b.fields)
+    )
+
+
+class TestNodesAreTuples:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_json_docs, max_size=3), st.lists(_json_docs, max_size=2))
+    def test_kinds_stay_apart_and_copies_keep_atoms(self, docs, other_docs):
+        raw = fold_examples(docs)
+        registry = DeclRegistry()
+        lifted = [
+            lift_declarations(fold_examples(d), ("Resp",), registry)[0] for d in (docs, other_docs)
+        ]
+        trees = [raw, finalize(raw)[0], *lifted, *(decl.body for decl in registry.by_body.values())]
+        # Hand-built neighbours: references named as a field or an atom, an
+        # array of each atom, and the empty object.
+        names = [name for tree in trees for node in _subnodes(tree)
+                 if type(node) is TObject for name, _, _ in node.fields]
+        names += [atom.label for atom in TestAtoms.ATOMS]
+        neighbours = [*map(TRef, names), *map(TArray, TestAtoms.ATOMS), TObject(())]
+        pool = {id(node): node for tree in trees for node in _subnodes(tree)}
+        pool.update((id(node), node) for node in neighbours)
+
+        nodes = list(pool.values())
+        for a in nodes:
+            for b in nodes:
+                if type(a) is not type(b):
+                    assert a != b and not a == b, (a, b)
+            if type(a) is TObject and not a.fields:
+                assert format_type(a) == "{}"
+        assert format_type(TArray(TObject(()))) == "[{}]"
+
+        for tree in trees:
+            for clone in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+                assert clone == tree and hash(clone) == hash(tree)
+                assert _same_tree(clone, tree)
