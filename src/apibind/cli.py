@@ -17,6 +17,10 @@ partway through a file, therefore changes no file. Only after a successful
 ``generate`` are the earlier ``package/*.txt`` modules it did not write
 removed.
 
+``dashboard`` builds no record: it sums the issue tallies
+(``issue_tally``) of its inputs, each streamed from two columns of the
+file, and prints the dashboard of that sum (``dashboard_of_tally``).
+
 Data-quality problems are report content, not process failures: ``analyze``
 exits zero even when every record errs. A nonzero exit means the run itself
 failed (unreadable corpus, broken templates, colliding paths, nothing to
@@ -40,15 +44,17 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from collections.abc import Collection
 from pathlib import Path
 
-from .ingest import CorpusError, load_corpus, merge_corpus, write_stage
+from .ingest import CorpusError, issue_tally, load_corpus, merge_corpus, write_stage
 from .records import ApiCallRecord
 from .text import SURROGATE, UNPRINTABLE, wire_text
 from .validate import (
     cross_validate,
     dashboard,
+    dashboard_of_tally,
     dashboard_to_json,
     render_dashboard_text,
     route,
@@ -335,7 +341,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_dashboard(args: argparse.Namespace) -> int:
-    report = dashboard([record for path in args.input for record in load_corpus(path)])
+    report = dashboard_of_tally(sum(map(issue_tally, args.input), Counter()))
     render = dashboard_to_json if args.dashboard_format == "json" else render_dashboard_text
     sys.stdout.write(render(report))
     return 0

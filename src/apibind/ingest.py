@@ -10,8 +10,12 @@ The stage row is one table: a record's leading fields (``STAGE_FIELDS``) are
 the ``STAGE_COLUMNS`` in order, a text cell being ``None`` exactly when it is
 empty. Loading reads CSV only: the documentation cells are kept as raw text for
 the parse stage, which decodes each of them once. Ingest decodes just the
-``issues`` cell of a stage file, each distinct cell text once per file, and
-checks the ``http_method`` cell.
+``issues`` cell of a stage file and checks the ``http_method`` cell, each
+distinct cell text once per file (``_ingest_cells``). Both readers of a
+file, ``load_corpus`` (records) and ``issue_tally`` (how many rows carry
+each issue tuple, all the dashboard needs), stream its rows through one
+``_rows``, which owns the framing, the header checks, the padding of short
+rows and every ``CorpusError`` text.
 
 Writing formats each stage row once (``stage_lines``) into its line of text,
 which goes to every file that holds the record and to the corpus digest. The
@@ -29,14 +33,14 @@ from __future__ import annotations
 import csv
 import json
 import os
-from collections import Counter
-from collections.abc import Iterable, Iterator
-from functools import lru_cache
+from collections import Counter, deque
+from collections.abc import Callable, Iterable, Iterator
+from functools import cache, lru_cache
 from operator import itemgetter
 from pathlib import Path
 
 from .issues import Issue, Stage, make_issue
-from .records import ID_SEPARATOR, STAGE_FIELDS, ApiCallRecord, RecordId
+from .records import ID_SEPARATOR, PARSER_OUTPUTS, STAGE_FIELDS, ApiCallRecord, RecordId
 from .text import fresh_name, parse_json
 from .vocabulary import METHODS, HttpMethod
 
@@ -50,6 +54,9 @@ COLUMNS = STAGE_COLUMNS[:-1]
 
 #: Positions in a stage row of the three cells that are not text.
 _ID, _METHOD, _ISSUES = map(STAGE_COLUMNS.index, ("record_id", "http_method", "issues"))
+
+#: The parser outputs of a loaded record, all None until ``parse_record`` sets them.
+_UNPARSED = (None,) * len(PARSER_OUTPUTS)
 
 #: (column, field) of each text cell a merge fills or checks, in table order;
 #: the records of one merge key share their path.
@@ -78,65 +85,138 @@ def load_corpus(
 
     Accepts both raw input files and stage outputs (which carry the extra
     ``issues`` column), picking each row's cells by header position; an
-    absent or empty cell reads as ``None``, and a stage column named twice is
-    a ``CorpusError``. A bad ``http_method`` or
-    ``issues`` cell tags the record; every other cell is kept as raw text for
-    ``parse_record``. A row without a ``record_id`` is named ``<file
-    stem>:<row number>``; a stem byte that is not UTF-8 is written as a
-    ``\\xNN`` escape, so every id can be written to a UTF-8 output, and so is
-    a ``|``, the id separator (``\\x7c``), so the id stays one atom. A stem in
-    ``taken_stems`` (the stems a run's earlier inputs took, kept by
-    ``fresh_name``) becomes its next free form, ``a_2``, so no two inputs give
-    rows one id. Text that is not UTF-8 is a ``CorpusError``.
+    absent or empty cell reads as ``None``. A bad ``http_method`` or
+    ``issues`` cell tags the record (``_ingest_cells``); every other cell is
+    kept as raw text for ``parse_record``. A row without a ``record_id`` is
+    named ``<file stem>:<row number>``; a stem byte that is not UTF-8 is
+    written as a ``\\xNN`` escape, so every id can be written to a UTF-8
+    output, and so is a ``|``, the id separator (``\\x7c``), so the id stays
+    one atom. A stem in ``taken_stems`` (the stems a run's earlier inputs
+    took, kept by ``fresh_name``) becomes its next free form, ``a_2``, so no
+    two inputs give rows one id. Each record is built as one tuple. A file
+    that is not a readable corpus is a ``CorpusError`` (see ``_rows``).
     """
     path = Path(path)
     stem = os.fsencode(path.stem).decode("utf-8", "backslashreplace")
     stem = stem.replace(ID_SEPARATOR, f"\\x{ord(ID_SEPARATOR):02x}")
     if taken_stems is not None:
         stem = fresh_name(stem, taken_stems)
+    ingest = cache(_ingest_cells())  # rows share few distinct pairs of these cells
+    records = []
+    for row_number, cells in enumerate(_rows(path, STAGE_COLUMNS), start=1):
+        # An empty atom is dropped: written back, it would vanish from the cell.
+        atoms = tuple(filter(None, cells[_ID].split(ID_SEPARATOR)))
+        fields = [cell or None for cell in cells]
+        fields[_ID] = RecordId(atoms) if atoms else RecordId.single(f"{stem}:{row_number}")
+        fields[_METHOD], fields[_ISSUES] = ingest(cells[_METHOD], cells[_ISSUES])
+        fields += _UNPARSED
+        records.append(tuple.__new__(ApiCallRecord, fields))
+    return records
+
+
+def issue_tally(path: str | Path) -> Counter[tuple[Issue, ...]]:
+    """How many rows of the corpus at ``path`` carry each issue tuple.
+
+    Equals ``Counter(r.issues for r in load_corpus(path))``, and raises the
+    ``CorpusError`` that would. The file is streamed and only its
+    ``http_method`` and ``issues`` cells are read: no record is built, and
+    memory grows with the distinct pairs of those cells, not with the rows.
+    """
+    ingest = _ingest_cells()
+    tally: Counter[tuple[Issue, ...]] = Counter()
+    pairs = Counter(_rows(Path(path), ("http_method", "issues")))
+    for (method_cell, issues_cell), rows in pairs.items():
+        tally[ingest(method_cell, issues_cell)[1]] += rows
+    return tally
+
+
+def _rows(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
+    """The cells of ``columns`` in each data row of the CSV at ``path``, read one row at a time.
+
+    A short row is padded with empty cells, and a column a raw input lacks
+    (``issues``) reads empty. Each fault is a ``CorpusError``: a file that
+    cannot be read or is not UTF-8 text, malformed CSV framing, no header
+    row, a missing or twice-named column, or a row with more cells than
+    header columns. The last three are raised only at the end of the file,
+    after the rows before them: a framing or UTF-8 fault anywhere in a file
+    comes first, as it does when the file is read whole.
+    """
     csv.field_size_limit(1 << 30)  # a large example is data, not broken framing
+    fault = None
     try:
         # newline="" leaves quoted line breaks to the csv module, which is
         # also why splitting the text ourselves would corrupt exotic cells.
         # utf-8-sig drops the byte-order mark spreadsheet exports write.
         with path.open(encoding="utf-8-sig", newline="") as fh:
-            rows = list(csv.reader(fh, strict=True))
+            reader = csv.reader(fh, strict=True)
+            header = next(reader, None)
+            if header is None:
+                fault = f"{path} has no header row"
+            elif missing := [c for c in COLUMNS if c not in header]:
+                fault = f"{path} is missing columns: {', '.join(missing)}"
+            elif duplicated := [c for c in STAGE_COLUMNS if header.count(c) > 1]:
+                fault = f"{path} has duplicate columns: {', '.join(duplicated)}"
+            else:
+                # Short rows are padded to ``width``; a raw input's rows get one more
+                # empty cell, which stands in for the ``issues`` column it lacks.
+                width = len(header) + ("issues" not in header)
+                pick = itemgetter(*(header.index(c) if c in header else width - 1 for c in columns))
+                for row_number, row in enumerate(reader, start=1):
+                    if len(row) < width:
+                        row += [""] * (width - len(row))
+                    elif len(row) > len(header):
+                        fault = f"{path} row {row_number}: more cells than header columns"
+                        break
+                    yield pick(row)
+            deque(reader, maxlen=0)  # the rest of the file, for a framing or UTF-8 fault
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
     except csv.Error as exc:
         raise CorpusError(f"malformed CSV in {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CorpusError(f"cannot read corpus {path}: not UTF-8 text: {exc}") from exc
-    if not rows:
-        raise CorpusError(f"{path} has no header row")
+    if fault is not None:
+        raise CorpusError(fault)
 
-    header = rows[0]
-    missing = [c for c in COLUMNS if c not in header]
-    if missing:
-        raise CorpusError(f"{path} is missing columns: {', '.join(missing)}")
-    duplicated = [c for c in STAGE_COLUMNS if header.count(c) > 1]
-    if duplicated:
-        raise CorpusError(f"{path} has duplicate columns: {', '.join(duplicated)}")
-    # Short rows are padded to ``width``; a raw input's rows get one more
-    # empty cell, which stands in for the ``issues`` column it lacks.
-    width = len(header) + ("issues" not in header)
-    pick = itemgetter(*(header.index(c) if c in header else width - 1 for c in STAGE_COLUMNS))
 
-    records = []
-    # What each distinct issues cell decodes to; an empty cell, None, holds no issues.
-    decoded: dict[str | None, tuple[tuple[Issue, ...], Issue | None]] = {None: ((), None)}
-    for row_number, row in enumerate(rows[1:], start=1):
-        if len(row) < width:
-            row += [""] * (width - len(row))
-        elif len(row) > len(header):
-            raise CorpusError(f"{path} row {row_number}: more cells than header columns")
-        cells = [cell or None for cell in pick(row)]
-        records.append(_record_from_cells(cells, stem, row_number, decoded))
-    return records
+def _ingest_cells() -> Callable[[str, str], tuple[HttpMethod, tuple[Issue, ...]]]:
+    """A fresh per-file reader of a row's method and issues, from the two cells ingest reads.
+
+    It is called with a row's ``http_method`` and ``issues`` cells. It checks
+    each distinct method cell once and decodes each distinct issues cell
+    once. A bad method cell reads as GET and is tagged E_METHOD_UNKNOWN, a
+    bad issues cell E_JSON_CELL. A tag the issues cell already stores is
+    skipped, as ``with_issues`` skips it: a re-read stage file carries its
+    ingest tags.
+    """
+    check, decode = cache(_check_method), cache(_decode_issues)
+
+    def ingest(method_cell: str, issues_cell: str) -> tuple[HttpMethod, tuple[Issue, ...]]:
+        method, method_tag = check(method_cell)
+        stored, cell_tag = decode(issues_cell)
+        tags = (tag for tag in (method_tag, cell_tag) if tag is not None and tag not in stored)
+        return method, stored + tuple(tags)
+
+    return ingest
+
+
+def _check_method(cell: str) -> tuple[HttpMethod, Issue | None]:
+    """The method an ``http_method`` cell names, and None; or GET and the tag why not."""
+    method = METHODS.get(cell.strip().upper())
+    if method is not None:
+        return method, None
+    return HttpMethod.GET, make_issue(
+        "E_METHOD_UNKNOWN",
+        Stage.INGEST,
+        f"http_method {(cell or None)!r} is not a supported method; assuming GET",
+        field="http_method",
+    )
 
 
 def _decode_issues(cell: str) -> tuple[tuple[Issue, ...], Issue | None]:
     """The issues a stage file's ``issues`` cell holds, and None; or ``()`` and the tag why not."""
+    if not cell:
+        return (), None
     try:
         entries = parse_json(cell)
         if not isinstance(entries, list):
@@ -150,43 +230,6 @@ def _decode_issues(cell: str) -> tuple[tuple[Issue, ...], Issue | None]:
             f"issues cell is not a valid issue list: {exc}",
             field="issues",
         )
-
-
-def _record_from_cells(
-    cells: list[str | None],
-    stem: str,
-    row_number: int,
-    decoded: dict[str | None, tuple[tuple[Issue, ...], Issue | None]],
-) -> ApiCallRecord:
-    """One row's record from its stage cells; ``decoded`` memoizes ``_decode_issues`` per file."""
-    issues: list[Issue] = []
-
-    # An empty atom is dropped: written back, it would vanish from the cell.
-    atoms = tuple(filter(None, (cells[_ID] or "").split(ID_SEPARATOR)))
-    cells[_ID] = RecordId(atoms) if atoms else RecordId.single(f"{stem}:{row_number}")
-
-    method = METHODS.get((cells[_METHOD] or "").strip().upper())
-    if method is None:
-        issues.append(
-            make_issue(
-                "E_METHOD_UNKNOWN",
-                Stage.INGEST,
-                f"http_method {cells[_METHOD]!r} is not a supported method; assuming GET",
-                field="http_method",
-            )
-        )
-        method = HttpMethod.GET
-    cells[_METHOD] = method
-
-    entry = decoded.get(cells[_ISSUES])
-    if entry is None:
-        entry = decoded[cells[_ISSUES]] = _decode_issues(cells[_ISSUES])
-    cells[_ISSUES], fault = entry
-    if fault is not None:
-        issues.append(fault)
-
-    # A re-read stage file already carries its ingest tags, which with_issues skips.
-    return ApiCallRecord(*cells).with_issues(*issues)
 
 
 def _merge_key(record: ApiCallRecord) -> tuple[HttpMethod, str | None]:

@@ -10,15 +10,19 @@ record gets the same findings whatever it already carries, and issue
 co-occurrence stays observable. Partitioning happens only afterwards:
 records with any error go to the alternate output, and nothing is ever
 silently dropped. The dashboard is a plain dict: the JSON document
-``dashboard.json`` holds.
+``dashboard.json`` holds. It is a function of the multiset of the records'
+issue tuples (``dashboard_of_tally``), so the dashboard of a corpus split
+in parts is that of the sum of the parts' tallies, and a stage file's
+dashboard needs only its tally (``ingest.issue_tally``), not its records.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Mapping
 
-from .issues import Issue, Stage, make_issue, severity_of
+from .issues import Issue, Severity, Stage, make_issue, severity_of
 from .records import ApiCallRecord
 from .vocabulary import Convention, HttpMethod
 
@@ -120,18 +124,32 @@ def route(
 
 
 def dashboard(records: list[ApiCallRecord]) -> dict:
+    """``dashboard_of_tally`` of the records' issue tuples."""
+    return dashboard_of_tally(Counter(record.issues for record in records))
+
+
+def dashboard_of_tally(tally: Mapping[tuple[Issue, ...], int]) -> dict:
     """Summary of corpus health: percent-correct plus issues ranked by impact.
 
-    The report is the JSON document ``dashboard.json`` holds:
-    ``total_records``, ``valid_records``, ``percent_valid`` (absent for an
-    empty corpus), ``issue_frequency`` and ``per_stage_counts``. Impact is
-    the number of records a code affects, which also breaks down the
-    percentages; ties are ordered alphabetically by code.
+    ``tally`` counts the records that carry each issue tuple; each distinct
+    tuple is looked at once and weighted by its count. The report is the
+    JSON document ``dashboard.json`` holds: ``total_records``,
+    ``valid_records``, ``percent_valid`` (absent for an empty corpus),
+    ``issue_frequency`` and ``per_stage_counts``. Impact is the number of
+    records a code affects, which also breaks down the percentages; ties are
+    ordered alphabetically by code.
     """
-    affected = Counter(code for r in records for code in {issue.code for issue in r.issues})
-    stage_counts = Counter(issue.stage for r in records for issue in r.issues)
-    total = len(records)
-    valid = sum(1 for r in records if r.error_count() == 0)
+    affected: Counter = Counter()
+    stage_counts: Counter = Counter()
+    total = valid = 0
+    for issues, count in tally.items():
+        total += count
+        if not any(issue.severity is Severity.ERROR for issue in issues):
+            valid += count
+        for code in {issue.code for issue in issues}:
+            affected[code] += count
+        for issue in issues:
+            stage_counts[issue.stage] += count
     report: dict = {"total_records": total, "valid_records": valid}
     if total:
         report["percent_valid"] = valid / total * 100.0

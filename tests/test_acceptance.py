@@ -22,7 +22,7 @@ from apibind.parse import parse_record
 from apibind.pathtemplate import parse_path_template
 from apibind.records import ApiCallRecord, RecordId
 from apibind.typeinfer import BOTTOM, T_ANY, finalize, fold_examples, inhabits, unify
-from apibind.validate import cross_validate, dashboard, route
+from apibind.validate import cross_validate, dashboard, dashboard_of_tally, route
 
 from .echoserver import EchoServer
 from .gen import gen_corpus, gen_json_doc, gen_record, gen_template
@@ -221,6 +221,10 @@ def test_criterion_6_dashboard_homomorphism(analyzed12):
         }
         for stage, count in whole["per_stage_counts"].items():
             assert count == sum(part["per_stage_counts"][stage] for part in parts)
+        # The tallies of the splits add to the whole's, whose dashboard is the whole's.
+        tallies = [Counter(r.issues for r in part) for part in (left, right)]
+        assert tallies[0] + tallies[1] == Counter(r.issues for r in records)
+        assert dashboard_of_tally(tallies[0] + tallies[1]) == whole
 
     golden = dashboard(analyzed12)
     assert "percent_valid" in golden

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from apibind import ingest
+from apibind.cli import main
 from apibind.curl import HttpMethod
 from apibind.ingest import (
     STAGE_COLUMNS,
     CorpusError,
+    issue_tally,
     load_corpus,
     merge_corpus,
     record_id_census,
@@ -21,8 +26,10 @@ from apibind.ingest import (
 from apibind.issues import Stage, make_issue
 from apibind.parse import parse_record
 from apibind.records import STAGE_FIELDS, ApiCallRecord, RecordId
+from apibind.validate import dashboard, dashboard_to_json, render_dashboard_text
 
 from .gen import gen_record
+from .test_contract import _row as contract_row
 
 HEADER = (
     "record_id,source_url,http_method,path,curl_example,parameters,"
@@ -463,3 +470,137 @@ def test_round_trip_hypothesis(tmp_path_factory, atom, texts, method):
     out = tmp_path_factory.mktemp("rt") / "stage.csv"
     write_stage([record], out)
     assert load_corpus(out) == [record]
+
+
+# --- issue_tally: the stage file's issue tuples, counted without records --------------
+
+
+def _stage_cells(method: str = "GET", issues: str = "") -> list[str]:
+    """A stage row's cells, in ``STAGE_COLUMNS`` order."""
+    return ["r1", "https://d/x", method, "/v1/x", "", "", "", "", "", "", issues]
+
+
+def _record_cells(seed: int) -> list[str]:
+    """The stage cells of a drawn ``gen_record`` record; ``csv.writer`` writes None empty."""
+    record = gen_record(random.Random(seed), seed)
+    issues = json.dumps([issue.to_json() for issue in record.issues], ensure_ascii=False)
+    return [str(record.id), *record[1 : len(STAGE_FIELDS) - 1], issues]
+
+
+#: A row is a drawn record's cells or a hostile corpus row's; some rows lose their last cells.
+_tally_row = st.tuples(
+    st.integers(0, 10_000).map(_record_cells)
+    | contract_row(True).map(lambda cells: [cells[column] for column in STAGE_COLUMNS]),
+    st.sampled_from([0, 0, 0, 0, 1, 4, len(STAGE_COLUMNS)]),
+).map(lambda drawn: drawn[0][: len(drawn[0]) - drawn[1]])
+
+_STORED_METHOD_TAG = json.dumps([
+    make_issue(
+        "E_METHOD_UNKNOWN",
+        Stage.INGEST,
+        "http_method 'FETCH' is not a supported method; assuming GET",
+        field="http_method",
+    ).to_json()
+])
+
+
+def _write_rows(path, rows: list[list[str]], *, raw: bool, bom: bool):
+    """A corpus of ``rows`` at ``path``: a raw one (no ``issues`` column) if ``raw``."""
+    columns = len(STAGE_COLUMNS) - raw
+    with path.open("w", encoding="utf-8-sig" if bom else "utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(STAGE_COLUMNS[:columns])
+        writer.writerows(row[:columns] for row in rows)
+    return path
+
+
+def _dashboard_stdout(path, form: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["dashboard", "--input", str(path), "--dashboard-format", form]) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(_tally_row, max_size=6), raw=st.booleans(), bom=st.booleans())
+@example(
+    rows=[_stage_cells("FETCH"), _stage_cells(""), _stage_cells(" post ")], raw=False, bom=False
+)
+@example(  # issues cells that are not JSON, not an array, or name an unknown code or stage
+    rows=[
+        _stage_cells(issues="not json"),
+        _stage_cells(issues="{}"),
+        _stage_cells(issues='[{"code":"W_UNKNOWN","stage":"Parse","message":"m"}]'),
+        _stage_cells(issues='[{"code":"W_NO_EXAMPLE","stage":"Nowhere","message":"m"}]'),
+    ],
+    raw=False,
+    bom=False,
+)
+@example(  # the re-read emits the stored tag again, which is kept once
+    rows=[_stage_cells("FETCH", _STORED_METHOD_TAG), _stage_cells("FETCH")], raw=False, bom=False
+)
+@example(rows=[_stage_cells()[:4], _stage_cells("FETCH")[:3], []], raw=False, bom=False)
+@example(rows=[_stage_cells("FETCH"), _stage_cells()], raw=True, bom=False)
+@example(rows=[_stage_cells("FETCH", _STORED_METHOD_TAG)], raw=False, bom=True)
+@example(rows=[], raw=False, bom=False)
+def test_issue_tally_counts_the_loaded_issue_tuples(tmp_path_factory, rows, raw, bom):
+    """The tally streamed from two columns is the loaded records', and so is the dashboard."""
+    path = _write_rows(tmp_path_factory.mktemp("tally") / "stage.csv", rows, raw=raw, bom=bom)
+    records = load_corpus(path)
+    assert issue_tally(path) == Counter(record.issues for record in records)
+    report = dashboard(records)
+    assert _dashboard_stdout(path, "text") == render_dashboard_text(report)
+    assert _dashboard_stdout(path, "json") == dashboard_to_json(report)
+
+
+def test_a_stored_ingest_tag_is_counted_once(tmp_path):
+    path = _write_rows(
+        tmp_path / "stage.csv", [_stage_cells("FETCH", _STORED_METHOD_TAG)], raw=False, bom=False
+    )
+    ((issues, rows),) = issue_tally(path).items()
+    assert rows == 1 and [issue.code for issue in issues] == ["E_METHOD_UNKNOWN"]
+
+
+_UNTERMINATED = '"r9,https://x,GET,/a,,,,,,\nr10,https://x,GET,/b,,,,,,\n'
+_LONG = "a,b,GET,/x,,,,,,,EXTRA,MORE\n"
+_NOT_UTF8 = "cannot read corpus {path}: not UTF-8 text: "
+
+
+@pytest.mark.parametrize(
+    "text, fault",
+    [
+        (b"", "{path} has no header row"),
+        (b"record_id,source_url\nx,y\n", "{path} is missing columns: "),
+        (f"{HEADER},issues,path\nr1,https://d/x,GET,/a,,,,,,,,/b\n".encode(), "{path} has dup"),
+        (f"{HEADER}\n{_LONG}".encode(), "{path} row 1: more cells than header columns"),
+        (f"{HEADER}\n{_UNTERMINATED}".encode(), "malformed CSV in {path}: "),
+        (HEADER.encode() + b"\nr1,https://d/caf\xe9,GET,/v1/x,,,,,,\n", _NOT_UTF8),
+        # The whole file is read before a row or the header is judged: framing faults come first.
+        (f"{HEADER}\nr1,https://d/x,GET,/x,,,,,,\n{_LONG}{_UNTERMINATED}".encode(), "malformed"),
+        (f"{HEADER}\n{_LONG}".encode() + b"r2,\xe9,GET,/x,,,,,,\n", _NOT_UTF8),
+        (f"record_id\n{_UNTERMINATED}".encode(), "malformed CSV in {path}: "),
+    ],
+    ids=[
+        "no header", "missing columns", "duplicate columns", "too many cells", "malformed CSV",
+        "not UTF-8", "too many cells, then malformed CSV", "too many cells, then not UTF-8",
+        "missing columns, then malformed CSV",
+    ],
+)
+def test_issue_tally_raises_what_load_corpus_raises(tmp_path, text, fault):
+    path = tmp_path / "corpus.csv"
+    path.write_bytes(text)
+    with pytest.raises(CorpusError) as loaded:
+        load_corpus(path)
+    with pytest.raises(CorpusError) as tallied:
+        issue_tally(path)
+    assert str(tallied.value) == str(loaded.value)
+    assert str(loaded.value).startswith(fault.format(path=path))
+
+
+def test_issue_tally_of_a_missing_file_is_the_load_error(tmp_path):
+    messages = []
+    for read in (load_corpus, issue_tally):
+        with pytest.raises(CorpusError) as caught:
+            read(tmp_path / "absent.csv")
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]

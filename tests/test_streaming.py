@@ -26,7 +26,7 @@ from apibind.issues import Stage, make_issue
 from apibind.parse import parse_columns, parse_record
 from apibind.records import ApiCallRecord, RecordId
 from apibind.templates import TemplateSet
-from apibind.validate import cross_validate, route
+from apibind.validate import cross_validate, dashboard, render_dashboard_text, route
 
 from .gen import gen_corpus, gen_record
 
@@ -121,6 +121,20 @@ class TestBoundedMemory:
         written = path.stat().st_size
         assert written > 1_000_000 and rejects.stat().st_size > written / 4
         assert peak < written / 4, (peak, written)
+
+    def test_dashboard_peak_is_below_a_quarter_of_the_file(self, tmp_path, capsys):
+        """The command tallies the stage file's issue tuples; it holds no record."""
+        rng = random.Random(7)
+        tags = [make_issue(code, Stage.PARSE, "m") for code in ("E_DUP_PARAM", "W_NO_EXAMPLE")]
+        tuples = [(), *((tag,) for tag in tags)]
+        records = [gen_record(rng, i)._replace(issues=tuples[i % 3]) for i in range(4000)]
+        path = tmp_path / "stage.csv"
+        write_stage(records, path)
+        peak = _traced_peak(lambda: cli.main(["dashboard", "--input", str(path)]))
+        written = path.stat().st_size
+        assert written > 800_000
+        assert peak < written / 4, (peak, written)
+        assert capsys.readouterr().out == render_dashboard_text(dashboard(records))
 
     def test_write_json_peak_is_below_the_file(self, tmp_path):
         raws = [f"get_v1_widget_{i}_parts" for i in range(20_000)]
